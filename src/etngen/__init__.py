@@ -8,13 +8,12 @@ originals with surrogates topologically (`metrics`) and dynamically
 """
 
 from .dynamics import (CoverageResult, DynConfig, DynReport, MfptResult,
-                       SirResult, SirRun, coverage_distribution,
-                       coverage_result, first_peak, mfpt_distribution,
+                       SirResult, SirRun, coverage_result, first_peak,
                        mfpt_result, random_walk, resolve_start, run_dynamics,
-                       sir_r0_distribution, sir_result, sir_run)
-from .etn import (EtnPrefix, EtnSignature, MinedCounts, etn_cosine_distance,
-                  extract_etn, mine_counts, prefix_of, read_counts,
-                  write_counts)
+                       sir_result, sir_run)
+from .etn import (EtnPrefix, EtnSignature, MinedCounts, NeighborWindow,
+                  etn_cosine_distance, extract_etn, mine_counts, prefix_of,
+                  read_counts, write_counts)
 from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer, bootstrap,
                   expansion_alpha, generate, propose_layer, seed_layer,
                   validate_layer, write_diagnostics)
@@ -41,16 +40,17 @@ __all__ = [
     "DistanceReport", "DynConfig", "DynReport", "EtnPrefix", "EtnSignature",
     "ExtensionDistribution", "FitError", "GenConfig", "LayerDiagnostics",
     "LocalModel", "METRIC_KINDS", "MetricReport", "MfptResult", "MinedCounts",
-    "ModelFormatError", "ParseError", "ProvisionalLayer", "SirResult", "SirRun",
+    "ModelFormatError", "NeighborWindow", "ParseError", "ProvisionalLayer",
+    "SirResult", "SirRun",
     "Snapshot", "TemporalGraph", "aggregate", "aggregated_metrics",
     "bootstrap", "bucket_of", "compare", "compute_report", "contact_durations",
-    "coverage_distribution", "coverage_result", "emd", "etn_cosine_distance", "expansion_alpha",
+    "coverage_result", "emd", "etn_cosine_distance", "expansion_alpha",
     "extract_etn", "first_peak", "fit", "generate", "hour_metrics",
     "hour_slices", "js_divergence", "kl_divergence", "ks_distance",
-    "load_model", "mfpt_distribution", "mfpt_result", "mine_counts", "parse_edge_list",
+    "load_model", "mfpt_result", "mine_counts", "parse_edge_list",
     "prefix_of", "propose_layer", "random_walk", "read_counts",
     "resolve_periodicity", "resolve_start", "run_dynamics",
-    "sample_extension", "save_model", "seed_layer", "sir_r0_distribution", "sir_result", "sir_run",
+    "sample_extension", "save_model", "seed_layer", "sir_result", "sir_run",
     "snapshot_metrics", "validate_layer", "weekday", "write_counts",
     "write_diagnostics", "write_distances_csv", "write_edge_list",
     "write_samples_csv",

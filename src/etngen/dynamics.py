@@ -145,10 +145,6 @@ def coverage_result(g: TemporalGraph, cfg: DynConfig) -> CoverageResult:
     return CoverageResult(samples=samples, visited_series=series)
 
 
-def coverage_distribution(g: TemporalGraph, cfg: DynConfig) -> list[int]:
-    return coverage_result(g, cfg).samples
-
-
 def mfpt_result(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
     """First-hit steps for every ordered (source, target) pair.
 
@@ -180,10 +176,6 @@ def mfpt_result(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
                 else:
                     censored += 1
     return MfptResult(samples=samples, censored=censored)
-
-
-def mfpt_distribution(g: TemporalGraph, cfg: DynConfig) -> list[int]:
-    return mfpt_result(g, cfg).samples
 
 
 def _lam_key(lam: float) -> int:
@@ -254,10 +246,6 @@ def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
         samples.append(trajectory.r0)
     series = [float(x / cfg.sir_runs) for x in cum_infected]
     return SirResult(samples=samples, infected_series=series)
-
-
-def sir_r0_distribution(g: TemporalGraph, cfg: DynConfig) -> list[int]:
-    return sir_result(g, cfg).samples
 
 
 def run_dynamics(g: TemporalGraph, cfg: DynConfig,

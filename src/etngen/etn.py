@@ -154,46 +154,81 @@ class MinedCounts:
                 mine.setdefault(depth, Counter()).update(ctr)
 
 
+class NeighborWindow:
+    """Rolling neighborhood window of the egos in [lo, hi).
+
+    Each ego maps every neighbor seen in the last `width` snapshots to its
+    activity bit-string, newest snapshot in bit 0, the order signature
+    strings use. `push` ages every string by one snapshot, drops those that
+    fall out of the window, and ORs in the new snapshot's edges; after
+    pushing snapshots 0..t, `strings(ego, w)` is the ego's width-w window
+    ending at t, for any w <= width. `depth` counts the snapshots held, up
+    to `width`.
+    """
+
+    __slots__ = ("width", "lo", "hi", "depth", "_mask", "_states")
+
+    def __init__(self, width: int, lo: int, hi: int):
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        self.width = width
+        self.lo = lo
+        self.hi = hi
+        self.depth = 0
+        self._mask = (1 << width) - 1
+        self._states: list[dict[int, int]] = [{} for _ in range(hi - lo)]
+
+    def push(self, edges: Iterable[tuple[int, int]]) -> None:
+        states, mask, lo, hi = self._states, self._mask, self.lo, self.hi
+        for idx, state in enumerate(states):
+            if state:
+                states[idx] = {u: aged for u, bits in state.items()
+                               if (aged := (bits << 1) & mask)}
+        for i, j in edges:
+            if lo <= i < hi:
+                state = states[i - lo]
+                state[j] = state.get(j, 0) | 1
+            if lo <= j < hi:
+                state = states[j - lo]
+                state[i] = state.get(i, 0) | 1
+        if self.depth < self.width:
+            self.depth += 1
+
+    def bits(self, ego: int) -> dict[int, int]:
+        """Neighbor -> activity bits over the full width (do not mutate)."""
+        return self._states[ego - self.lo]
+
+    def strings(self, ego: int, width: int) -> tuple[int, ...]:
+        """Sorted nonzero strings of the width-`width` window, the body of
+        that window's signature."""
+        state = self._states[ego - self.lo]
+        if width >= self.depth:
+            return tuple(sorted(state.values()))
+        mask = (1 << width) - 1
+        return tuple(sorted(v for bits in state.values() if (v := bits & mask)))
+
+
 def _mine_ego_range(g: TemporalGraph, k: int, periodicity: str,
                     lo: int, hi: int) -> dict[BucketKey, dict[int, Counter]]:
     """Count signatures for egos in [lo, hi) across all depths 1..k.
 
-    Per depth, a sliding window state per ego maps neighbor -> activity bits
-    (newest snapshot in bit 0); shifting left ages the window and drops
-    neighbors that fall fully out of it.
+    One pass over the snapshots keeps a width-(k+1) window per ego; the
+    depth-d signature is that window read at width d+1. Counts are kept
+    by string tuple and turned into signatures once per distinct tuple.
     """
-    table: dict[BucketKey, dict[int, Counter]] = {}
-    m = g.n_snapshots
+    raw: dict[tuple[BucketKey, int], Counter] = {}
+    window = NeighborWindow(k + 1, lo, hi)
     egos = range(lo, hi)
-    for depth in range(1, k + 1):
-        width = depth + 1
-        mask = (1 << width) - 1
-        states: dict[int, dict[int, int]] = {e: {} for e in egos}
-        buckets = [bucket_of(g.time_of(t), periodicity) for t in range(m)]
-        for t in range(m):
-            if t > 0:
-                for state in states.values():
-                    if not state:
-                        continue
-                    for u, bits in list(state.items()):
-                        aged = (bits << 1) & mask
-                        if aged:
-                            state[u] = aged
-                        else:
-                            del state[u]
-            for i, j in g.snapshots[t].edges:
-                if lo <= i < hi:
-                    state = states[i]
-                    state[j] = state.get(j, 0) | 1
-                if lo <= j < hi:
-                    state = states[j]
-                    state[i] = state.get(i, 0) | 1
-            if t < depth:
-                continue
-            ctr = table.setdefault(buckets[t], {}).setdefault(depth, Counter())
-            for ego in egos:
-                sig = EtnSignature(width, tuple(sorted(states[ego].values())))
-                ctr[sig] += 1
+    for t in range(g.n_snapshots):
+        window.push(g.snapshots[t].edges)
+        bucket = bucket_of(g.time_of(t), periodicity)
+        for depth in range(1, min(t, k) + 1):
+            raw.setdefault((bucket, depth), Counter()).update(
+                [window.strings(ego, depth + 1) for ego in egos])
+    table: dict[BucketKey, dict[int, Counter]] = {}
+    for (bucket, depth), ctr in raw.items():
+        table.setdefault(bucket, {})[depth] = Counter(
+            {EtnSignature(depth + 1, strings): c for strings, c in ctr.items()})
     return table
 
 

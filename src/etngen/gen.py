@@ -2,8 +2,10 @@
 
 Layer t proposes directed edge requests by sampling, for every node, an
 extension of its current width-min(t,k) neighborhood prefix; requests are
-then validated into undirected edges. All randomness flows through numpy
-substreams keyed by (phase, layer, node), so output depends only on the
+then validated into undirected edges. Every node's prefix is read from a
+rolling window (`etn.NeighborWindow`) that each new layer advances. All
+randomness flows through numpy substreams keyed by (phase, layer), and
+within a layer nodes draw in node order, so output depends only on the
 model and the config, not on scheduling.
 """
 
@@ -11,12 +13,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .etn import EtnSignature
-from .model import LocalModel, sample_extension
+from .etn import EtnSignature, NeighborWindow
+from .model import ExtensionDistribution, LocalModel, lookup_extension
+# Not called here: layers draw all extensions as one vector. The name stays
+# importable as gen.sample_extension, which bench/worker.py wraps.
+from .model import sample_extension  # noqa: F401
 from .tempgraph import BucketKey, Snapshot, TemporalGraph, bucket_of
 
 PHASE_SEED = 0
@@ -130,29 +135,39 @@ def seed_layer(degrees: Sequence[int], rng: np.random.Generator) -> Snapshot:
     return Snapshot(edges)
 
 
-def propose_layer(window: Sequence[Snapshot], model: LocalModel, bucket: BucketKey,
-                  rng_for: Callable[[int], np.random.Generator],
-                  n_nodes: int) -> ProvisionalLayer:
+def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
+                  rng: np.random.Generator) -> ProvisionalLayer:
     """Sample one extension per ego and turn new-activity bits into requests.
 
-    An extension string whose final bit is set points at a neighbor whose
-    window activity equals the string's prefix part, chosen uniformly among
-    ties; strings active only in the final bit have no identifiable target
-    and become stubs. `rng_for` supplies the per-ego substream.
+    Every ego's prefix is its window at width `window.depth`. One integer
+    vector drawn from `rng` picks all egos' extensions, in ego order; tie
+    choices then draw from `rng` in ego order too. An extension string whose
+    final bit is set points at a neighbor whose window activity equals the
+    string's prefix part, chosen uniformly among ties; strings active only
+    in the final bit have no identifiable target and become stubs.
     """
-    depth = len(window)
+    depth = window.depth
+    egos = range(window.lo, window.hi)
+    # Egos sharing a prefix share its lookup; each ego is still one lookup
+    # in `model.fallback_counts`.
+    cells: dict[tuple[int, ...], tuple[ExtensionDistribution | None, str]] = {}
+    dists: list[ExtensionDistribution | None] = []
+    levels: list[str] = []
+    for ego in egos:
+        strings = window.strings(ego, depth)
+        cell = cells.get(strings)
+        if cell is None:
+            cell = cells[strings] = lookup_extension(
+                model, bucket, depth, EtnSignature(depth, strings))
+        dists.append(cell[0])
+        levels.append(cell[1])
+    model.fallback_counts.update(levels)
+    draws = rng.integers(0, [d.total if d is not None else 1 for d in dists]).tolist()
     prov = ProvisionalLayer()
-    for ego in range(n_nodes):
-        nbr_bits: dict[int, int] = {}
-        for pos, snap in enumerate(window):
-            bit = 1 << (depth - 1 - pos)
-            for u in snap.neighbors(ego):
-                nbr_bits[u] = nbr_bits.get(u, 0) | bit
-        prefix = EtnSignature(depth, tuple(sorted(nbr_bits.values())))
-        rng = rng_for(ego)
-        ext = sample_extension(model, bucket, depth, prefix, rng)
-        if ext.is_empty:
+    for ego, dist, r in zip(egos, dists, draws):
+        if dist is None:
             continue
+        ext = dist.pick(r)
         need: dict[int, int] = {}
         for s in ext.strings:
             if s & 1:
@@ -160,7 +175,7 @@ def propose_layer(window: Sequence[Snapshot], model: LocalModel, bucket: BucketK
         if not need:
             continue
         by_bits: dict[int, list[int]] = {}
-        for u, bits in nbr_bits.items():
+        for u, bits in window.bits(ego).items():
             by_bits.setdefault(bits, []).append(u)
         for pbits in sorted(need):
             cnt = need[pbits]
@@ -257,21 +272,26 @@ def _resolve_degrees(model: LocalModel, cfg: GenConfig) -> Sequence[int]:
     return degrees
 
 
-def _grow_layer(layers: list[Snapshot], t: int, model: LocalModel, cfg: GenConfig,
-                epoch: int, gap: int,
-                diagnostics: list[LayerDiagnostics] | None) -> None:
-    depth = min(t, cfg.k)
-    window = layers[-depth:]
-    bucket = bucket_of(epoch + t * gap, model.periodicity)
-    prov = propose_layer(
-        window, model, bucket,
-        lambda ego: _stream(cfg.seed, PHASE_PROPOSE, t, ego),
-        cfg.n_nodes)
-    diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
-    snap = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
-    layers.append(snap)
-    if diagnostics is not None:
-        diagnostics.append(diag)
+def _grow(layers: list[Snapshot], window: NeighborWindow, t_stop: int,
+          model: LocalModel, cfg: GenConfig, epoch: int, gap: int,
+          diagnostics: list[LayerDiagnostics] | None) -> None:
+    """Append layers up to `t_stop`; `window` holds the layers so far."""
+    for t in range(len(layers), t_stop):
+        bucket = bucket_of(epoch + t * gap, model.periodicity)
+        prov = propose_layer(window, model, bucket,
+                             _stream(cfg.seed, PHASE_PROPOSE, t))
+        diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
+        snap = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
+        layers.append(snap)
+        window.push(snap.edges)
+        if diagnostics is not None:
+            diagnostics.append(diag)
+
+
+def _start(seed_snapshot: Snapshot, cfg: GenConfig) -> tuple[list[Snapshot], NeighborWindow]:
+    window = NeighborWindow(cfg.k, 0, cfg.n_nodes)
+    window.push(seed_snapshot.edges)
+    return [seed_snapshot], window
 
 
 def bootstrap(seed_snapshot: Snapshot, model: LocalModel, cfg: GenConfig,
@@ -280,23 +300,23 @@ def bootstrap(seed_snapshot: Snapshot, model: LocalModel, cfg: GenConfig,
     cfg.validate(model.k)
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
     gap = cfg.gap_seconds if cfg.gap_seconds is not None else model.gap_seconds
-    layers = [seed_snapshot]
-    for t in range(1, cfg.k):
-        _grow_layer(layers, t, model, cfg, epoch, gap, diagnostics)
+    layers, window = _start(seed_snapshot, cfg)
+    _grow(layers, window, cfg.k, model, cfg, epoch, gap, diagnostics)
     return layers
 
 
 def generate(model: LocalModel, cfg: GenConfig,
              diagnostics: list[LayerDiagnostics] | None = None) -> TemporalGraph:
-    """Generate a surrogate temporal graph; deterministic given cfg.seed."""
+    """Generate a surrogate temporal graph; deterministic given cfg.seed.
+
+    The first k layers are the `bootstrap` ones."""
     cfg.validate(model.k)
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
     gap = cfg.gap_seconds if cfg.gap_seconds is not None else model.gap_seconds
     degrees = _resolve_degrees(model, cfg)
     seed_snap = seed_layer(degrees, _stream(cfg.seed, PHASE_SEED))
-    layers = bootstrap(seed_snap, model, cfg, diagnostics)
-    for t in range(cfg.k, cfg.n_snapshots):
-        _grow_layer(layers, t, model, cfg, epoch, gap, diagnostics)
+    layers, window = _start(seed_snap, cfg)
+    _grow(layers, window, cfg.n_snapshots, model, cfg, epoch, gap, diagnostics)
     return TemporalGraph(cfg.n_nodes, layers, gap, epoch=epoch)
 
 

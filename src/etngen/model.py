@@ -9,13 +9,15 @@ reproducible across platforms.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
 
-from .etn import EMPTY_TOKEN, EtnPrefix, EtnSignature, MinedCounts, prefix_of
+from .etn import EtnPrefix, EtnSignature, MinedCounts, prefix_of
 from .tempgraph import DAILY, PERIODICITIES, WEEKLY, BucketKey
 
 FORMAT_NAME = "etngen-model"
@@ -30,7 +32,7 @@ FALLBACK_EMPTY_SIG = "empty_signature"
 
 
 class ModelFormatError(ValueError):
-    """Unreadable or wrong-version model file."""
+    """Unreadable, wrong-version or inconsistent model file."""
 
 
 class FitError(ValueError):
@@ -42,19 +44,23 @@ class ExtensionDistribution:
     """Empirical distribution over signatures sharing one prefix.
 
     `extensions` pairs each signature with its raw count; `total` is the
-    count sum. Sampling is count-proportional using a single integer draw.
+    count sum. Sampling is count-proportional using a single integer draw,
+    located by bisection over the running count sums.
     """
 
     extensions: tuple[tuple[EtnSignature, int], ...]
     total: int
+    _cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.extensions:
             raise ValueError("empty distribution")
         if any(c <= 0 for _, c in self.extensions):
             raise ValueError("non-positive count")
-        if self.total != sum(c for _, c in self.extensions):
+        cumulative = tuple(accumulate(c for _, c in self.extensions))
+        if self.total != cumulative[-1]:
             raise ValueError("total does not match counts")
+        object.__setattr__(self, "_cumulative", cumulative)
 
     @classmethod
     def from_counter(cls, ctr: Counter) -> "ExtensionDistribution":
@@ -64,13 +70,12 @@ class ExtensionDistribution:
     def probabilities(self) -> dict[EtnSignature, float]:
         return {sig: c / self.total for sig, c in self.extensions}
 
+    def pick(self, r: int) -> EtnSignature:
+        """The signature that the integer draw r in [0, total) selects."""
+        return self.extensions[bisect_right(self._cumulative, r)][0]
+
     def sample(self, rng: np.random.Generator) -> EtnSignature:
-        r = int(rng.integers(self.total))
-        for sig, c in self.extensions:
-            r -= c
-            if r < 0:
-                return sig
-        return self.extensions[-1][0]  # unreachable
+        return self.pick(int(rng.integers(self.total)))
 
 
 TableKey = tuple[BucketKey, int, EtnPrefix]
@@ -158,37 +163,42 @@ def fit(counts: MinedCounts, periodicity: str | None = None) -> LocalModel:
     )
 
 
+def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
+                     prefix: EtnPrefix) -> tuple[ExtensionDistribution | None, str]:
+    """The distribution that answers a query for `prefix`, and its level.
+
+    Lookup falls back in order: exact cell, bucket-marginal, the empty
+    prefix in the same bucket, the empty prefix globally, and finally no
+    distribution (the empty signature). Nothing is tallied.
+    """
+    dist = model.tables.get((bucket, depth, prefix))
+    if dist is not None:
+        return dist, FALLBACK_NONE
+    dist = model.global_tables.get((depth, prefix))
+    if dist is not None:
+        return dist, FALLBACK_GLOBAL
+    empty = EtnSignature(depth)
+    dist = model.tables.get((bucket, depth, empty))
+    if dist is not None:
+        return dist, FALLBACK_EMPTY_BUCKET
+    dist = model.global_tables.get((depth, empty))
+    if dist is not None:
+        return dist, FALLBACK_EMPTY_GLOBAL
+    return None, FALLBACK_EMPTY_SIG
+
+
 def sample_extension(model: LocalModel, bucket: BucketKey, depth: int,
                      prefix: EtnPrefix, rng: np.random.Generator) -> EtnSignature:
     """Draw a width-(depth+1) signature extending `prefix`.
 
-    Lookup falls back in order: exact cell, bucket-marginal, the empty
-    prefix in the same bucket, the empty prefix globally, and finally the
-    empty signature. The level used is tallied in `model.fallback_counts`.
+    The distribution comes from `lookup_extension`; the level used is
+    tallied in `model.fallback_counts`.
     """
-    dist = model.tables.get((bucket, depth, prefix))
-    if dist is not None:
-        model.fallback_counts[FALLBACK_NONE] += 1
-        return dist.sample(rng)
-    dist = model.global_tables.get((depth, prefix))
-    if dist is not None:
-        model.fallback_counts[FALLBACK_GLOBAL] += 1
-        return dist.sample(rng)
-    empty = EtnSignature(depth)
-    dist = model.tables.get((bucket, depth, empty))
-    if dist is not None:
-        model.fallback_counts[FALLBACK_EMPTY_BUCKET] += 1
-        return dist.sample(rng)
-    dist = model.global_tables.get((depth, empty))
-    if dist is not None:
-        model.fallback_counts[FALLBACK_EMPTY_GLOBAL] += 1
-        return dist.sample(rng)
-    model.fallback_counts[FALLBACK_EMPTY_SIG] += 1
-    return EtnSignature(depth + 1)
-
-
-def _encode_prefix(prefix: EtnPrefix) -> str:
-    return prefix.encode()
+    dist, level = lookup_extension(model, bucket, depth, prefix)
+    model.fallback_counts[level] += 1
+    if dist is None:
+        return EtnSignature(depth + 1)
+    return dist.sample(rng)
 
 
 def save_model(model: LocalModel, sink: IO[str]) -> None:
@@ -201,7 +211,7 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
         cells.append({
             "bucket": bucket.encode(),
             "depth": depth,
-            "prefix": _encode_prefix(prefix),
+            "prefix": prefix.encode(),
             "extensions": [{"sig": sig.encode(), "count": c}
                            for sig, c in dist.extensions],
         })
@@ -218,6 +228,27 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
     }
     json.dump(doc, sink, ensure_ascii=False, indent=1)
     sink.write("\n")
+
+
+def _check_invariants(k: int, periodicity: str, gap: int, nodes: int,
+                      seed_degrees: tuple[int, ...],
+                      tables: dict[TableKey, ExtensionDistribution]) -> None:
+    """Refuse models that `fit` cannot produce and generation would absorb
+    silently or fail on late: foreign bucket keys, a seed-degree list that
+    does not match the node count, a depth with no cell, a gap that is not
+    positive."""
+    if gap <= 0:
+        raise ModelFormatError(f"gap must be positive, got {gap}")
+    for bucket, depth, prefix in tables:
+        if bucket.periodicity != periodicity:
+            raise ModelFormatError(f"cell {bucket.encode()}/{depth}/{prefix.encode()} "
+                                   f"has a {bucket.periodicity} bucket in a "
+                                   f"{periodicity} model")
+    if len(seed_degrees) not in (0, nodes):
+        raise ModelFormatError(f"{len(seed_degrees)} seed degrees for {nodes} nodes")
+    missing = sorted(set(range(1, k + 1)) - {depth for _, depth, _ in tables})
+    if missing:
+        raise ModelFormatError(f"no cell at depth {', '.join(map(str, missing))}")
 
 
 def load_model(source: IO[str]) -> LocalModel:
@@ -273,6 +304,7 @@ def load_model(source: IO[str]) -> LocalModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad table cell: {exc}") from exc
 
+    _check_invariants(k, periodicity, gap, nodes, seed_degrees, tables)
     global_tables = {key: ExtensionDistribution.from_counter(ctr)
                      for key, ctr in global_acc.items()}
     return LocalModel(k=k, periodicity=periodicity, gap_seconds=gap, epoch=epoch,

@@ -183,6 +183,14 @@ class TestGenerate:
         assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
                      "--snapshots", "12"]) == 2
 
+    def test_inconsistent_model_is_data_error(self, model_path, tmp_path):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["seed_degrees"].append(1)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
+                     "--snapshots", "12"]) == 2
+
     def test_seed_degrees_file(self, model_path, tmp_path):
         degrees = tmp_path / "deg.txt"
         degrees.write_text("# per-node\n2\n2\n2\n2\n2\n2\n2\n2\n")

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etngen import (EtnSignature, TemporalGraph, etn_cosine_distance,
-                    extract_etn, mine_counts, prefix_of, read_counts,
-                    write_counts)
+from etngen import (EtnSignature, NeighborWindow, TemporalGraph,
+                    etn_cosine_distance, extract_etn, mine_counts, prefix_of,
+                    read_counts, write_counts)
 from etngen.tempgraph import BucketKey
 from oracles import counts_as_strings, naive_mine, naive_signature_strings
 from synth import random_graph
@@ -139,6 +139,29 @@ def test_prefix_equals_previous_window(case):
         return
     wide = extract_etn(g, ego, t_end, width)
     assert prefix_of(wide) == extract_etn(g, ego, t_end - 1, width - 1)
+
+
+@given(graph_and_window(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_neighbor_window_matches_extract(case, extra):
+    g, ego, t_end, width = case
+    window = NeighborWindow(width + extra, 0, g.node_count)
+    for t in range(t_end + 1):
+        window.push(g.snapshots[t].edges)
+    assert window.depth == min(t_end + 1, width + extra)
+    assert window.strings(ego, width) == extract_etn(g, ego, t_end, width).strings
+
+
+def test_neighbor_window_ego_range():
+    window = NeighborWindow(2, 2, 4)
+    window.push([(0, 2), (3, 5), (0, 1)])
+    window.push([(2, 3)])
+    assert window.bits(2) == {0: 2, 3: 1}
+    assert window.bits(3) == {5: 2, 2: 1}
+    assert window.strings(3, 1) == (1,)
+    window.push([])
+    window.push([])
+    assert window.bits(2) == {} and window.bits(3) == {}
 
 
 class TestMineCounts:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
-                    Snapshot, expansion_alpha, fit, generate, mine_counts,
-                    propose_layer, seed_layer, validate_layer)
-from etngen.etn import MinedCounts
+                    Snapshot, TemporalGraph, expansion_alpha, extract_etn, fit,
+                    generate, mine_counts, propose_layer, seed_layer,
+                    validate_layer)
+from etngen import gen
+from etngen.etn import MinedCounts, NeighborWindow
 from etngen.gen import PHASE_PROPOSE, _stream, bootstrap, write_diagnostics
 from etngen.tempgraph import BucketKey
 from synth import er_layers, random_graph
@@ -35,6 +37,14 @@ def tiny_model(depth2_cells, nodes=4):
                          node_count=nodes, first_layer_degrees=(1,) * nodes,
                          table=table)
     return fit(counts)
+
+
+def window_of(snapshots, n_nodes):
+    """Rolling window holding `snapshots`, oldest first."""
+    window = NeighborWindow(len(snapshots), 0, n_nodes)
+    for snap in snapshots:
+        window.push(snap.edges)
+    return window
 
 
 class TestSeedLayer:
@@ -82,25 +92,22 @@ class TestSeedLayer:
 class TestProposeLayer:
     def test_persistent_neighbor_requested(self):
         model = tiny_model({sig("11"): Counter({sig("111"): 1})}, nodes=2)
-        window = [Snapshot({(0, 1)}), Snapshot({(0, 1)})]
-        prov = propose_layer(window, model, H8,
-                             lambda ego: np.random.default_rng(ego), 2)
+        window = window_of([Snapshot({(0, 1)}), Snapshot({(0, 1)})], 2)
+        prov = propose_layer(window, model, H8, np.random.default_rng(0))
         assert prov.requests == {(0, 1), (1, 0)}
         assert prov.stubs == []
 
     def test_fresh_contact_becomes_stub(self):
         model = tiny_model({EMPTY2: Counter({sig("001"): 1})}, nodes=2)
-        window = [Snapshot(set()), Snapshot(set())]
-        prov = propose_layer(window, model, H8,
-                             lambda ego: np.random.default_rng(ego), 2)
+        window = window_of([Snapshot(set()), Snapshot(set())], 2)
+        prov = propose_layer(window, model, H8, np.random.default_rng(0))
         assert prov.requests == set()
         assert sorted(prov.stubs) == [0, 1]
 
     def test_inactive_tail_bit_proposes_nothing(self):
         model = tiny_model({sig("11"): Counter({sig("110"): 1})}, nodes=2)
-        window = [Snapshot({(0, 1)}), Snapshot({(0, 1)})]
-        prov = propose_layer(window, model, H8,
-                             lambda ego: np.random.default_rng(ego), 2)
+        window = window_of([Snapshot({(0, 1)}), Snapshot({(0, 1)})], 2)
+        prov = propose_layer(window, model, H8, np.random.default_rng(0))
         assert prov.requests == set()
         assert prov.stubs == []
 
@@ -109,12 +116,11 @@ class TestProposeLayer:
             sig("01", "01", "01"): Counter({sig("010", "010", "011"): 1}),
             sig("01"): Counter({sig("010"): 1}),
         }, nodes=4)
-        window = [Snapshot(set()), Snapshot({(0, 1), (0, 2), (0, 3)})]
+        snapshots = [Snapshot(set()), Snapshot({(0, 1), (0, 2), (0, 3)})]
         targets = Counter()
         for trial in range(600):
-            prov = propose_layer(
-                window, model, H8,
-                lambda ego: _stream(trial, PHASE_PROPOSE, 0, ego), 4)
+            prov = propose_layer(window_of(snapshots, 4), model, H8,
+                                 _stream(trial, PHASE_PROPOSE, 0))
             assert len(prov.requests) == 1
             (ego, u), = prov.requests
             assert ego == 0
@@ -129,12 +135,11 @@ class TestProposeLayer:
         model = fit(mine_counts(g, 2, "daily"))
         for trial in range(20):
             layers = er_layers(12, 2, 0.2, rng)
-            window = [Snapshot(e) for e in layers]
-            active = {ego: {u for snap in window for u in snap.neighbors(ego)}
+            snapshots = [Snapshot(e) for e in layers]
+            active = {ego: {u for snap in snapshots for u in snap.neighbors(ego)}
                       for ego in range(12)}
-            prov = propose_layer(
-                window, model, H8,
-                lambda ego: _stream(trial, PHASE_PROPOSE, 1, ego), 12)
+            prov = propose_layer(window_of(snapshots, 12), model, H8,
+                                 _stream(trial, PHASE_PROPOSE, 1))
             for ego, u in prov.requests:
                 assert u in active[ego]
                 assert ego != u
@@ -277,6 +282,42 @@ class TestGenerate:
         assert lines[0] == ("layer,reciprocal,one_directional,stub_edges,"
                             "dropped_requests,dropped_stubs")
         assert len(lines) == 5
+
+
+class TestRollingWindow:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prefixes_match_windows_of_graph_so_far(self, monkeypatch, k):
+        n, m = 9, 16
+        model = fit(mine_counts(random_graph(n=n, m=m, p=0.3, seed=21), k, "daily"))
+        prefixes: list[list[EtnSignature]] = []  # per layer, per ego
+        looked_up: list[set[EtnSignature]] = []  # per layer
+        real_propose, real_lookup = gen.propose_layer, gen.lookup_extension
+
+        def propose(window, model, bucket, rng):
+            prefixes.append([EtnSignature(window.depth, window.strings(ego, window.depth))
+                             for ego in range(window.lo, window.hi)])
+            looked_up.append(set())
+            return real_propose(window, model, bucket, rng)
+
+        def lookup(model, bucket, depth, prefix):
+            looked_up[-1].add(prefix)
+            return real_lookup(model, bucket, depth, prefix)
+
+        monkeypatch.setattr(gen, "propose_layer", propose)
+        monkeypatch.setattr(gen, "lookup_extension", lookup)
+        out = generate(model, GenConfig(n_nodes=n, n_snapshots=m, k=k, seed=5))
+        assert len(prefixes) == m - 1
+        for t in range(1, m):
+            partial = TemporalGraph(n, out.snapshots[:t], out.gap_seconds)
+            want = [extract_etn(partial, ego, t - 1, min(t, k)) for ego in range(n)]
+            assert prefixes[t - 1] == want, f"layer {t}"
+            assert looked_up[t - 1] == set(want), f"layer {t}"
+        assert sum(not p.is_empty for layer in prefixes for p in layer) > m
+
+    def test_one_lookup_tallied_per_ego_and_layer(self, model):
+        model.fallback_counts.clear()
+        generate(model, GenConfig(n_nodes=10, n_snapshots=12, seed=1))
+        assert sum(model.fallback_counts.values()) == 10 * 11
 
 
 class TestBootstrap:

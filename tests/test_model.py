@@ -1,4 +1,5 @@
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -164,6 +165,42 @@ class TestExtensionDistribution:
         with pytest.raises(ValueError):
             ExtensionDistribution(((sig("11"), 2),), 3)
 
+    @staticmethod
+    def linear_pick(dist, r):
+        for sig_, c in dist.extensions:
+            r -= c
+            if r < 0:
+                return sig_
+        raise AssertionError("draw outside [0, total)")
+
+    def test_bisect_matches_linear_scan_for_every_draw(self):
+        rng = np.random.default_rng(12)
+        strings = [s_ for s_ in range(1, 8)]
+        for _ in range(200):
+            n_ext = int(rng.integers(1, 6))
+            picked = sorted(rng.choice(strings, size=n_ext, replace=False).tolist())
+            ctr = Counter({EtnSignature(3, (s_,)): int(rng.integers(1, 10))
+                           for s_ in picked})
+            dist = ExtensionDistribution.from_counter(ctr)
+            for r in range(dist.total):
+                assert dist.pick(r) == self.linear_pick(dist, r)
+
+    def test_sample_is_pick_of_one_integer_draw(self):
+        ctr = Counter({sig("01"): 3, sig("10"): 1, sig("11"): 6})
+        dist = ExtensionDistribution.from_counter(ctr)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(100):
+            assert dist.sample(a) == self.linear_pick(dist, int(b.integers(dist.total)))
+
+    def test_identity_is_extensions_and_total(self):
+        ctr = Counter({sig("01"): 3, sig("11"): 6})
+        dist = ExtensionDistribution.from_counter(ctr)
+        twin = ExtensionDistribution(dist.extensions, dist.total)
+        assert dist == twin and dist is not twin
+        assert hash(dist) == hash(twin) == hash((dist.extensions, dist.total))
+        assert repr(dist) == (f"ExtensionDistribution(extensions={dist.extensions!r}, "
+                              f"total={dist.total!r})")
+
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             ExtensionDistribution(((sig("11"), 0),), 0)
@@ -221,6 +258,49 @@ class TestSaveLoad:
                '"extensions": [{"sig": "01", "count": 2}]}]}')
         with pytest.raises(ModelFormatError, match="does not extend"):
             load_model(io.StringIO(doc))
+
+    @staticmethod
+    def saved_doc(k=2):
+        model = fit(mine_counts(random_graph(n=8, m=10, p=0.3, seed=6), k, "daily"))
+        sink = io.StringIO()
+        save_model(model, sink)
+        return json.loads(sink.getvalue())
+
+    @staticmethod
+    def load_doc(doc):
+        return load_model(io.StringIO(json.dumps(doc)))
+
+    def test_saved_doc_loads(self):
+        assert self.load_doc(self.saved_doc()).k == 2
+
+    def test_foreign_bucket_periodicity_rejected(self):
+        doc = self.saved_doc()
+        doc["tables"][0]["bucket"] = "d2" + doc["tables"][0]["bucket"]
+        with pytest.raises(ModelFormatError, match="weekly bucket in a daily model"):
+            self.load_doc(doc)
+
+    def test_seed_degree_count_must_match_nodes(self):
+        doc = self.saved_doc()
+        doc["seed_degrees"] = doc["seed_degrees"][:-1]
+        with pytest.raises(ModelFormatError, match="7 seed degrees for 8 nodes"):
+            self.load_doc(doc)
+
+    def test_no_seed_degrees_allowed(self):
+        doc = self.saved_doc()
+        doc["seed_degrees"] = []
+        assert self.load_doc(doc).seed_degrees == ()
+
+    def test_depth_without_cells_rejected(self):
+        doc = self.saved_doc()
+        doc["tables"] = [cell for cell in doc["tables"] if cell["depth"] != 1]
+        with pytest.raises(ModelFormatError, match="no cell at depth 1"):
+            self.load_doc(doc)
+
+    def test_nonpositive_gap_rejected(self):
+        doc = self.saved_doc()
+        doc["gap"] = 0
+        with pytest.raises(ModelFormatError, match="gap must be positive"):
+            self.load_doc(doc)
 
     def test_loaded_model_renormalizes_identically(self):
         g = random_graph(n=9, m=7, seed=17)
