@@ -12,7 +12,8 @@ import json
 import math
 import os
 import sys
-from typing import IO, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 from . import dynamics as dyn
 from . import etn as etn_mod
@@ -48,16 +49,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _threads_default() -> int:
-    env = os.environ.get("ETNGEN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _csv_tokens(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
@@ -83,8 +74,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="window depth (default 2)")
         p.add_argument("--periodicity", choices=("auto",) + PERIODICITIES,
                        default="auto")
+        # argparse runs a string default through `type`, so a bad
+        # $ETNGEN_THREADS is a usage error like a bad --threads.
         p.add_argument("--threads", type=positive_int,
-                       default=_threads_default(),
+                       default=os.environ.get("ETNGEN_THREADS", "1"),
                        help="mining workers (default $ETNGEN_THREADS or 1)")
 
     def add_eval_args(p: _Parser) -> None:
@@ -184,15 +177,22 @@ def _resolve_alpha(text: str, model: model_mod.LocalModel, n_nodes: int) -> floa
     return alpha
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def _fit_stage(args: argparse.Namespace, model_path: str
+               ) -> tuple[TemporalGraph, etn_mod.MinedCounts, model_mod.LocalModel]:
+    """Parse the input, mine it at the resolved periodicity, fit and save."""
     g = _load_graph(args.input, args.gap)
     periodicity = args.periodicity
     if periodicity == "auto":
         periodicity = resolve_periodicity(g)
     counts = etn_mod.mine_counts(g, args.k, periodicity, threads=args.threads)
     model = model_mod.fit(counts)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with open(model_path, "w", encoding="utf-8") as handle:
         model_mod.save_model(model, handle)
+    return g, counts, model
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    g, counts, model = _fit_stage(args, args.out)
     if args.counts_out:
         with open(args.counts_out, "w", encoding="utf-8") as handle:
             etn_mod.write_counts(counts, handle)
@@ -201,7 +201,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     signatures = {sig for dist in model.tables.values()
                   for sig, _ in dist.extensions}
     print(f"fit: nodes={g.node_count} snapshots={g.n_snapshots} k={args.k} "
-          f"periodicity={periodicity} buckets={len(buckets)} "
+          f"periodicity={counts.periodicity} buckets={len(buckets)} "
           f"prefixes={len(prefixes)} signatures={len(signatures)} "
           f"-> {args.out}")
     return EXIT_OK
@@ -221,31 +221,43 @@ def _read_degrees(path: str) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    with open(args.model, encoding="utf-8") as handle:
-        model = model_mod.load_model(handle)
+def _generate_stage(model: model_mod.LocalModel, args: argparse.Namespace,
+                    n_snapshots: int, out_path: str, diag_path: str | None,
+                    epoch: int | None = None, degrees_path: str | None = None
+                    ) -> tuple[TemporalGraph, gen_mod.GenConfig]:
+    """Build the config, generate, write the surrogate and, given a path,
+    the per-layer diagnostics."""
     n_nodes = args.nodes if args.nodes is not None else model.node_count
     alpha = _resolve_alpha(args.alpha, model, n_nodes)
-    seed_degrees = _read_degrees(args.seed_degrees) if args.seed_degrees else None
+    seed_degrees = _read_degrees(degrees_path) if degrees_path else None
     cfg = gen_mod.GenConfig(
         n_nodes=n_nodes,
-        n_snapshots=args.snapshots,
+        n_snapshots=n_snapshots,
         k=args.k if args.k is not None else model.k,
         alpha=alpha,
         seed=args.seed,
-        epoch=args.epoch,
+        epoch=epoch,
         seed_degrees=seed_degrees,
     )
-    diags: list[gen_mod.LayerDiagnostics] | None = [] if args.diagnostics else None
+    diags: list[gen_mod.LayerDiagnostics] | None = [] if diag_path else None
     surrogate = gen_mod.generate(model, cfg, diagnostics=diags)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with open(out_path, "w", encoding="utf-8") as handle:
         write_edge_list(surrogate, handle)
-    if args.diagnostics:
-        with open(args.diagnostics, "w", encoding="utf-8", newline="") as handle:
+    if diag_path:
+        with open(diag_path, "w", encoding="utf-8", newline="") as handle:
             gen_mod.write_diagnostics(diags, handle)
+    return surrogate, cfg
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    with open(args.model, encoding="utf-8") as handle:
+        model = model_mod.load_model(handle)
+    surrogate, cfg = _generate_stage(model, args, args.snapshots, args.out,
+                                     args.diagnostics, args.epoch,
+                                     args.seed_degrees)
     print(f"generate: nodes={surrogate.node_count} "
           f"snapshots={surrogate.n_snapshots} events={surrogate.n_events} "
-          f"alpha={alpha:.4g} seed={args.seed} -> {args.out}")
+          f"alpha={cfg.alpha:.4g} seed={args.seed} -> {args.out}")
     return EXIT_OK
 
 
@@ -311,59 +323,47 @@ def _write_series(path: str, series: Sequence[float]) -> None:
             writer.writerow([step, f"{v:.10g}"])
 
 
-def _dist_cells(a: Sequence[float], b: Sequence[float],
-                distances: Sequence[str]) -> list[str]:
-    cells = []
-    for name in distances:
-        if not len(a) or not len(b):
-            cells.append("")
-        else:
-            cells.append(f"{metrics_mod.DISTANCE_FUNCS[name](a, b):.10g}")
-    return cells
+def _dyn_samples(report: dyn.DynReport
+                 ) -> dict[tuple[str, str, float | None], list[int]]:
+    """Samples per dynamics-table row (probe, start, lambda), in row order;
+    lambda is None except for SIR."""
+    rows: dict[tuple[str, str, float | None], list[int]] = {}
+    rows.update((("coverage", start, None), res.samples)
+                for start, res in report.coverage.items())
+    rows.update((("mfpt", start, None), res.samples)
+                for start, res in report.mfpt.items())
+    rows.update((("sir_r0", start, lam), res.samples)
+                for (start, lam), res in report.sir.items())
+    return rows
 
 
-def _mean(values: Sequence[float]) -> str:
-    return f"{sum(values) / len(values):.10g}" if len(values) else ""
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if len(values) else math.nan
 
 
 def _write_dyn_distances(path: str, rep_a: dyn.DynReport, rep_b: dyn.DynReport,
                          distances: Sequence[str]) -> None:
+    rows_b = _dyn_samples(rep_b)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["probe", "start", "lambda", *distances,
                          "n_a", "n_b", "mean_a", "mean_b"])
-        for start, cov_a in rep_a.coverage.items():
-            cov_b = rep_b.coverage[start]
-            writer.writerow(["coverage", start, "",
-                             *_dist_cells(cov_a.samples, cov_b.samples, distances),
-                             len(cov_a.samples), len(cov_b.samples),
-                             _mean(cov_a.samples), _mean(cov_b.samples)])
-        for start, mf_a in rep_a.mfpt.items():
-            mf_b = rep_b.mfpt[start]
-            writer.writerow(["mfpt", start, "",
-                             *_dist_cells(mf_a.samples, mf_b.samples, distances),
-                             len(mf_a.samples), len(mf_b.samples),
-                             _mean(mf_a.samples), _mean(mf_b.samples)])
-        for (start, lam), sir_a in rep_a.sir.items():
-            sir_b = rep_b.sir[(start, lam)]
-            writer.writerow(["sir_r0", start, f"{lam:g}",
-                             *_dist_cells(sir_a.samples, sir_b.samples, distances),
-                             len(sir_a.samples), len(sir_b.samples),
-                             _mean(sir_a.samples), _mean(sir_b.samples)])
+        for (probe, start, lam), a in _dyn_samples(rep_a).items():
+            b = rows_b[(probe, start, lam)]
+            writer.writerow([probe, start, "" if lam is None else f"{lam:g}",
+                             *(metrics_mod.format_cell(metrics_mod.distance(name, a, b))
+                               for name in distances),
+                             len(a), len(b), metrics_mod.format_cell(_mean(a)),
+                             metrics_mod.format_cell(_mean(b))])
 
 
 def _dump_dyn_outputs(out_dir: str, which: str, report: dyn.DynReport) -> None:
+    for (probe, start, lam), samples in _dyn_samples(report).items():
+        _write_value_column(_sample_path(out_dir, probe, which, start, lam), samples)
     for start, cov in report.coverage.items():
-        _write_value_column(_sample_path(out_dir, "coverage", which, start, None),
-                            cov.samples)
         _write_series(os.path.join(out_dir, f"series_visited_{which}_{start}.csv"),
                       cov.visited_series)
-    for start, mf in report.mfpt.items():
-        _write_value_column(_sample_path(out_dir, "mfpt", which, start, None),
-                            mf.samples)
     for (start, lam), sir in report.sir.items():
-        _write_value_column(_sample_path(out_dir, "sir_r0", which, start, lam),
-                            sir.samples)
         _write_series(os.path.join(out_dir,
                                    f"series_infected_{which}_{start}_lam{lam:g}.csv"),
                       sir.infected_series)
@@ -381,16 +381,17 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
     probes = _parse_probes(args.dynamics)
     lambdas = _parse_lambdas(args.lambdas)
 
-    report = metrics_mod.compare(g_orig, g_gen, distances=distances,
-                                 louvain_seed=args.seed)
+    reports = {which: metrics_mod.compute_report(graph, louvain_seed=args.seed)
+               for which, graph in (("orig", g_orig), ("gen", g_gen))}
+    report = metrics_mod.compare(reports["orig"], reports["gen"],
+                                 distances=distances)
     topo_path = os.path.join(out_dir, "distances_topo.csv")
     with open(topo_path, "w", encoding="utf-8", newline="") as handle:
         metrics_mod.write_distances_csv(report, handle)
     print(f"eval: wrote {topo_path}")
 
     if args.dump_samples:
-        for which, graph in (("orig", g_orig), ("gen", g_gen)):
-            rep = metrics_mod.compute_report(graph, louvain_seed=args.seed)
+        for which, rep in reports.items():
             path = os.path.join(out_dir, f"metric_samples_{which}.csv")
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 metrics_mod.write_samples_csv(rep, handle)
@@ -407,10 +408,8 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
     _dump_dyn_outputs(out_dir, "gen", rep_gen)
     print(f"eval: wrote {dyn_path}")
     if args.stability:
-        base2 = dyn.DynConfig(rw_runs=args.rw_runs, mfpt_repeats=args.mfpt_repeats,
-                              sir_runs=args.sir_runs, mu=args.mu,
-                              seed=args.seed + 1)
-        rep_orig2 = dyn.run_dynamics(g_orig, base2, starts, lambdas, probes)
+        rep_orig2 = dyn.run_dynamics(g_orig, replace(base, seed=args.seed + 1),
+                                     starts, lambdas, probes)
         stab_path = os.path.join(out_dir, "distances_dyn_stability.csv")
         _write_dyn_distances(stab_path, rep_orig, rep_orig2, distances)
         print(f"eval: wrote {stab_path}")
@@ -425,29 +424,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    g = _load_graph(args.input, args.gap)
-    periodicity = args.periodicity
-    if periodicity == "auto":
-        periodicity = resolve_periodicity(g)
-    counts = etn_mod.mine_counts(g, args.k, periodicity, threads=args.threads)
-    model = model_mod.fit(counts)
     model_path = os.path.join(args.out_dir, "model.json")
-    with open(model_path, "w", encoding="utf-8") as handle:
-        model_mod.save_model(model, handle)
-
-    n_nodes = args.nodes if args.nodes is not None else model.node_count
+    g, _, model = _fit_stage(args, model_path)
     n_snapshots = args.snapshots if args.snapshots is not None else g.n_snapshots
-    alpha = _resolve_alpha(args.alpha, model, n_nodes)
-    cfg = gen_mod.GenConfig(n_nodes=n_nodes, n_snapshots=n_snapshots, k=args.k,
-                            alpha=alpha, seed=args.seed)
-    diags: list[gen_mod.LayerDiagnostics] = []
-    surrogate = gen_mod.generate(model, cfg, diagnostics=diags)
     surrogate_path = os.path.join(args.out_dir, "surrogate.tsv")
-    with open(surrogate_path, "w", encoding="utf-8") as handle:
-        write_edge_list(surrogate, handle)
-    with open(os.path.join(args.out_dir, "diagnostics.csv"), "w",
-              encoding="utf-8", newline="") as handle:
-        gen_mod.write_diagnostics(diags, handle)
+    surrogate, _ = _generate_stage(model, args, n_snapshots, surrogate_path,
+                                   os.path.join(args.out_dir, "diagnostics.csv"))
     print(f"pipeline: fitted {model_path}, generated {surrogate_path} "
           f"({surrogate.n_events} events)")
 

@@ -7,7 +7,7 @@ depend on execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -255,18 +255,12 @@ def run_dynamics(g: TemporalGraph, cfg: DynConfig,
     """Run the requested probes at every start policy (and lambda for SIR)."""
     report = DynReport()
     for policy in starts:
-        run_cfg = DynConfig(start_policy=policy, rw_runs=cfg.rw_runs,
-                            mfpt_repeats=cfg.mfpt_repeats, sir_runs=cfg.sir_runs,
-                            lam=cfg.lam, mu=cfg.mu, seed=cfg.seed)
+        run_cfg = replace(cfg, start_policy=policy)
         if "rw" in probes:
             report.coverage[policy] = coverage_result(g, run_cfg)
         if "mfpt" in probes:
             report.mfpt[policy] = mfpt_result(g, run_cfg)
         if "sir" in probes:
             for lam in lambdas:
-                lam_cfg = DynConfig(start_policy=policy, rw_runs=cfg.rw_runs,
-                                    mfpt_repeats=cfg.mfpt_repeats,
-                                    sir_runs=cfg.sir_runs, lam=lam, mu=cfg.mu,
-                                    seed=cfg.seed)
-                report.sir[(policy, lam)] = sir_result(g, lam_cfg)
+                report.sir[(policy, lam)] = sir_result(g, replace(run_cfg, lam=lam))
     return report

@@ -50,10 +50,6 @@ class EtnSignature:
     def is_empty(self) -> bool:
         return not self.strings
 
-    @property
-    def n_neighbors(self) -> int:
-        return len(self.strings)
-
     @classmethod
     def from_bit_strings(cls, strings: Iterable[str]) -> "EtnSignature":
         strs = list(strings)
@@ -147,8 +143,9 @@ class MinedCounts:
             out.update(per_depth.get(depth, {}))
         return out
 
-    def merge_from(self, other: "MinedCounts") -> None:
-        for bucket, per_depth in other.table.items():
+    def merge_from(self, table: dict[BucketKey, dict[int, Counter]]) -> None:
+        """Add another count table, such as one mining worker's part."""
+        for bucket, per_depth in table.items():
             mine = self.table.setdefault(bucket, {})
             for depth, ctr in per_depth.items():
                 mine.setdefault(depth, Counter()).update(ctr)
@@ -264,8 +261,7 @@ def mine_counts(g: TemporalGraph, k: int, periodicity: str,
         parts = pool.map(_mine_ego_range, [g] * threads, [k] * threads,
                          [periodicity] * threads, bounds[:-1], bounds[1:])
         for part in parts:
-            counts.merge_from(MinedCounts(k, periodicity, g.gap_seconds, g.epoch,
-                                          n, (), part))
+            counts.merge_from(part)
     return counts
 
 

@@ -68,10 +68,6 @@ class DistanceReport:
     values: dict[tuple[str, str], float]
     distances: tuple[str, ...] = DISTANCE_NAMES
 
-    @property
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(METRIC_KINDS)
-
 
 def _components(adjacency: dict[int, tuple[int, ...]]) -> int:
     """Connected components among nodes that have at least one edge."""
@@ -283,9 +279,20 @@ DISTANCE_FUNCS = {
 }
 
 
-def compare(g_orig: TemporalGraph, g_gen: TemporalGraph,
-            distances: Iterable[str] = DISTANCE_NAMES,
-            louvain_seed: int = 0) -> DistanceReport:
+def distance(name: str, a: Sequence[float], b: Sequence[float]) -> float:
+    """Distance `name` between two sample lists; NaN when either is empty."""
+    if not len(a) or not len(b):
+        return math.nan
+    return DISTANCE_FUNCS[name](a, b)
+
+
+def format_cell(value: float) -> str:
+    """CSV cell for a distance or mean: blank for NaN, else 10 digits."""
+    return "" if math.isnan(value) else f"{value:.10g}"
+
+
+def compare(report_orig: MetricReport, report_gen: MetricReport,
+            distances: Iterable[str] = DISTANCE_NAMES) -> DistanceReport:
     """All requested distances for all seventeen metrics, original first
     (KL reads as information lost approximating the original by the
     surrogate). Empty sample lists yield NaN entries, keeping the report
@@ -294,17 +301,9 @@ def compare(g_orig: TemporalGraph, g_gen: TemporalGraph,
     for name in distances:
         if name not in DISTANCE_FUNCS:
             raise ValueError(f"unknown distance {name!r}")
-    ra = compute_report(g_orig, louvain_seed=louvain_seed)
-    rb = compute_report(g_gen, louvain_seed=louvain_seed)
-    values: dict[tuple[str, str], float] = {}
-    for metric in METRIC_KINDS:
-        sa = ra.samples[metric]
-        sb = rb.samples[metric]
-        for name in distances:
-            if not sa or not sb:
-                values[(metric, name)] = math.nan
-            else:
-                values[(metric, name)] = DISTANCE_FUNCS[name](sa, sb)
+    values = {(metric, name): distance(name, report_orig.samples[metric],
+                                       report_gen.samples[metric])
+              for metric in METRIC_KINDS for name in distances}
     return DistanceReport(values=values, distances=distances)
 
 
@@ -312,11 +311,9 @@ def write_distances_csv(report: DistanceReport, sink: IO[str]) -> None:
     writer = csv.writer(sink)
     writer.writerow(["metric", "kind", *report.distances])
     for metric in METRIC_KINDS:
-        row = [metric, METRIC_KINDS[metric]]
-        for name in report.distances:
-            value = report.values.get((metric, name), math.nan)
-            row.append("" if math.isnan(value) else f"{value:.10g}")
-        writer.writerow(row)
+        writer.writerow([metric, METRIC_KINDS[metric],
+                         *(format_cell(report.values.get((metric, name), math.nan))
+                           for name in report.distances)])
 
 
 def write_samples_csv(report: MetricReport, sink: IO[str]) -> None:

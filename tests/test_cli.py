@@ -1,10 +1,13 @@
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from etngen import Snapshot, TemporalGraph, parse_edge_list, read_counts, write_edge_list
+from etngen import (Snapshot, TemporalGraph, parse_edge_list, read_counts,
+                    write_edge_list, write_samples_csv)
+from etngen import metrics as metrics_mod
 from etngen.cli import main
 from synth import er_layers, random_graph
 
@@ -238,6 +241,26 @@ class TestEval:
         for which in ("orig", "gen"):
             assert (out_dir / f"metric_samples_{which}.csv").exists()
 
+    def test_dump_samples_reuses_compared_reports(self, train, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        real = metrics_mod.compute_report
+
+        def counting(graph, louvain_seed=0):
+            calls.append(louvain_seed)
+            return real(graph, louvain_seed=louvain_seed)
+
+        monkeypatch.setattr(metrics_mod, "compute_report", counting)
+        out_dir = tmp_path / "report"
+        assert main(["eval", train, train, "--out-dir", str(out_dir),
+                     "--dump-samples"]) == 0
+        assert len(calls) == 2
+        sink = io.StringIO()
+        write_samples_csv(real(load_graph(train)), sink)
+        with open(out_dir / "metric_samples_orig.csv", encoding="utf-8",
+                  newline="") as handle:
+            assert handle.read() == sink.getvalue()
+
     def test_sir_outputs_per_start_and_lambda(self, train, tmp_path):
         out_dir = tmp_path / "report"
         assert main(["eval", train, train, "--out-dir", str(out_dir),
@@ -300,6 +323,24 @@ class TestPipeline:
         assert sur.node_count == 8
         assert "pipeline: fitted" in capsys.readouterr().out
 
+    def test_same_files_as_separate_steps(self, train, tmp_path):
+        flags = ["--seed", "3", "--dynamics", "rw,mfpt,sir", "--dump-samples",
+                 "--stability", "--rw-runs", "50", "--sir-runs", "20"]
+        pipe, steps = tmp_path / "pipe", tmp_path / "steps"
+        assert main(["pipeline", train, "--out-dir", str(pipe), *flags]) == 0
+        steps.mkdir()
+        model, sur = str(steps / "model.json"), str(steps / "surrogate.tsv")
+        assert main(["fit", train, "--out", model]) == 0
+        assert main(["generate", model, "--out", sur, "--snapshots", "24",
+                     "--seed", "3",
+                     "--diagnostics", str(steps / "diagnostics.csv")]) == 0
+        assert main(["eval", train, sur, "--out-dir", str(steps), *flags]) == 0
+        names = sorted(os.listdir(pipe))
+        assert names == sorted(os.listdir(steps))
+        assert len(names) == 62
+        for name in names:
+            assert (pipe / name).read_bytes() == (steps / name).read_bytes(), name
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
@@ -321,3 +362,14 @@ class TestTopLevel:
         b = tmp_path / "b.json"
         assert main(["fit", train, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_env_threads_is_usage_error(self, train, tmp_path, monkeypatch,
+                                            value):
+        monkeypatch.setenv("ETNGEN_THREADS", value)
+        assert main(["fit", train, "--out", str(tmp_path / "m.json")]) == 1
+
+    def test_explicit_threads_beats_env(self, train, tmp_path, monkeypatch):
+        monkeypatch.setenv("ETNGEN_THREADS", "abc")
+        assert main(["fit", train, "--out", str(tmp_path / "m.json"),
+                     "--threads", "2"]) == 0

@@ -13,6 +13,7 @@ from etngen import (DISTANCE_NAMES, METRIC_KINDS, Snapshot, TemporalGraph,
                     contact_durations, emd, hour_metrics, js_divergence,
                     kl_divergence, ks_distance, snapshot_metrics,
                     write_distances_csv, write_samples_csv)
+from etngen.metrics import distance, format_cell
 
 GAP = 300
 PER_HOUR = 3600 // GAP
@@ -325,8 +326,8 @@ def busy_graph():
 
 class TestCompare:
     def test_graph_against_itself_is_zero(self):
-        g = busy_graph()
-        report = compare(g, g)
+        r = compute_report(busy_graph())
+        report = compare(r, r)
         assert len(report.values) == 17 * 4
         for (metric, name), value in report.values.items():
             assert value == 0.0, (metric, name)
@@ -334,7 +335,7 @@ class TestCompare:
     def test_empty_sample_lists_become_nan(self):
         a = tg(4, [set(), set(), set()])
         b = tg(4, [set(), set(), set()])
-        report = compare(a, b)
+        report = compare(compute_report(a), compute_report(b))
         assert math.isnan(report.values[("contact_duration", "ks")])
         assert report.values[("density", "ks")] == 0.0
 
@@ -343,36 +344,47 @@ class TestCompare:
         layers = [{(0, 1)} if t % 4 else {(0, 1), (2, 3), (4, 5)}
                   for t in range(2 * PER_HOUR)]
         g2 = tg(8, layers)
-        report = compare(g1, g2, distances=("kl",))
+        report = compare(compute_report(g1), compute_report(g2),
+                         distances=("kl",))
         d1 = compute_report(g1).samples["density"]
         d2 = compute_report(g2).samples["density"]
         assert report.values[("density", "kl")] == kl_divergence(d1, d2)
 
     def test_distance_subset(self):
-        g = busy_graph()
-        report = compare(g, g, distances=("ks",))
+        r = compute_report(busy_graph())
+        report = compare(r, r, distances=("ks",))
         assert set(report.values) == {(m, "ks") for m in METRIC_KINDS}
 
+    def test_distance_is_nan_on_empty_samples(self):
+        assert math.isnan(distance("ks", [], [1.0]))
+        assert math.isnan(distance("emd", [1.0], []))
+        assert distance("js", [1.0, 2.0], [2.0]) == js_divergence([1.0, 2.0], [2.0])
+
+    def test_cell_format(self):
+        assert format_cell(math.nan) == ""
+        assert format_cell(1 / 3) == "0.3333333333"
+        assert format_cell(0.0) == "0"
+
     def test_unknown_distance_rejected(self):
-        g = tg(3, [{(0, 1)}])
+        r = compute_report(tg(3, [{(0, 1)}]))
         with pytest.raises(ValueError, match="unknown distance"):
-            compare(g, g, distances=("ks", "chi2"))
+            compare(r, r, distances=("ks", "chi2"))
 
 
 class TestCsv:
     def test_distances_layout(self):
-        g = busy_graph()
+        r = compute_report(busy_graph())
         sink = io.StringIO()
-        write_distances_csv(compare(g, g), sink)
+        write_distances_csv(compare(r, r), sink)
         lines = sink.getvalue().strip().splitlines()
         assert lines[0] == "metric,kind," + ",".join(DISTANCE_NAMES)
         assert len(lines) == 1 + 17
         assert lines[1].startswith("density,per-snapshot,")
 
     def test_nan_cells_left_blank(self):
-        a = tg(4, [set(), set()])
+        r = compute_report(tg(4, [set(), set()]))
         sink = io.StringIO()
-        write_distances_csv(compare(a, a), sink)
+        write_distances_csv(compare(r, r), sink)
         row = next(line for line in sink.getvalue().splitlines()
                    if line.startswith("contact_duration,"))
         assert row == "contact_duration,per-edge,,,,"

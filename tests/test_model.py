@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etngen import (EtnSignature, FitError, ModelFormatError, fit, load_model,
                     mine_counts, sample_extension, save_model)
@@ -221,6 +223,25 @@ class TestSaveLoad:
         sink = io.StringIO()
         save_model(model, sink)
         assert load_model(io.StringIO(sink.getvalue())) == model
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7), extra=st.integers(0, 5),
+           p=st.floats(0.05, 0.7), k=st.integers(1, 3),
+           periodicity=st.sampled_from(["daily", "weekly"]),
+           gap=st.sampled_from([300, 3600, 7200]),
+           epoch=st.integers(0, 2_000_000), seed=st.integers(0, 2**16))
+    def test_round_trip_property(self, n, extra, p, k, periodicity, gap, epoch,
+                                 seed):
+        g = random_graph(n=n, m=k + 1 + extra, p=p, gap=gap, epoch=epoch,
+                         seed=seed)
+        model = fit(mine_counts(g, k, periodicity))
+        first = io.StringIO()
+        save_model(model, first)
+        back = load_model(io.StringIO(first.getvalue()))
+        assert back == model
+        again = io.StringIO()
+        save_model(back, again)
+        assert again.getvalue() == first.getvalue()
 
     def test_serialization_is_stable(self):
         g = random_graph(n=6, m=5, seed=21)
