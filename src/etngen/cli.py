@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import dynamics as dyn
@@ -301,6 +301,23 @@ def _parse_lambdas(text: str) -> list[float]:
     return lambdas
 
 
+@dataclass(frozen=True)
+class _EvalFlags:
+    """The eval list flags, parsed before any work so a bad one costs none."""
+
+    distances: tuple[str, ...]
+    starts: list[str]
+    probes: tuple[str, ...]
+    lambdas: list[float]
+
+
+def _parse_eval_flags(args: argparse.Namespace) -> _EvalFlags:
+    return _EvalFlags(distances=_parse_distances(args.distances),
+                      starts=_parse_starts(args.starts),
+                      probes=_parse_probes(args.dynamics),
+                      lambdas=_parse_lambdas(args.lambdas))
+
+
 def _sample_path(out_dir: str, probe: str, which: str, start: str,
                  lam: float | None) -> str:
     suffix = f"_lam{lam:g}" if lam is not None else ""
@@ -370,21 +387,17 @@ def _dump_dyn_outputs(out_dir: str, which: str, report: dyn.DynReport) -> None:
 
 
 def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
-              args: argparse.Namespace) -> None:
+              args: argparse.Namespace, flags: _EvalFlags) -> None:
     if g_orig.gap_seconds != g_gen.gap_seconds:
         raise ValueError(f"gap mismatch: original {g_orig.gap_seconds}s vs "
                          f"surrogate {g_gen.gap_seconds}s")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    distances = _parse_distances(args.distances)
-    starts = _parse_starts(args.starts)
-    probes = _parse_probes(args.dynamics)
-    lambdas = _parse_lambdas(args.lambdas)
 
     reports = {which: metrics_mod.compute_report(graph, louvain_seed=args.seed)
                for which, graph in (("orig", g_orig), ("gen", g_gen))}
     report = metrics_mod.compare(reports["orig"], reports["gen"],
-                                 distances=distances)
+                                 distances=flags.distances)
     topo_path = os.path.join(out_dir, "distances_topo.csv")
     with open(topo_path, "w", encoding="utf-8", newline="") as handle:
         metrics_mod.write_distances_csv(report, handle)
@@ -396,33 +409,36 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 metrics_mod.write_samples_csv(rep, handle)
 
-    if not probes:
+    if not flags.probes:
         return
     base = dyn.DynConfig(rw_runs=args.rw_runs, mfpt_repeats=args.mfpt_repeats,
                          sir_runs=args.sir_runs, mu=args.mu, seed=args.seed)
-    rep_orig = dyn.run_dynamics(g_orig, base, starts, lambdas, probes)
-    rep_gen = dyn.run_dynamics(g_gen, base, starts, lambdas, probes)
+    run_args = (flags.starts, flags.lambdas, flags.probes)
+    rep_orig = dyn.run_dynamics(g_orig, base, *run_args)
+    rep_gen = dyn.run_dynamics(g_gen, base, *run_args)
     dyn_path = os.path.join(out_dir, "distances_dyn.csv")
-    _write_dyn_distances(dyn_path, rep_orig, rep_gen, distances)
+    _write_dyn_distances(dyn_path, rep_orig, rep_gen, flags.distances)
     _dump_dyn_outputs(out_dir, "orig", rep_orig)
     _dump_dyn_outputs(out_dir, "gen", rep_gen)
     print(f"eval: wrote {dyn_path}")
     if args.stability:
         rep_orig2 = dyn.run_dynamics(g_orig, replace(base, seed=args.seed + 1),
-                                     starts, lambdas, probes)
+                                     *run_args)
         stab_path = os.path.join(out_dir, "distances_dyn_stability.csv")
-        _write_dyn_distances(stab_path, rep_orig, rep_orig2, distances)
+        _write_dyn_distances(stab_path, rep_orig, rep_orig2, flags.distances)
         print(f"eval: wrote {stab_path}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    flags = _parse_eval_flags(args)
     g_orig = _load_graph(args.original, args.gap)
     g_gen = _load_graph(args.surrogate, args.gap)
-    _run_eval(g_orig, g_gen, args)
+    _run_eval(g_orig, g_gen, args, flags)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    flags = _parse_eval_flags(args)
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.json")
     g, _, model = _fit_stage(args, model_path)
@@ -433,7 +449,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"pipeline: fitted {model_path}, generated {surrogate_path} "
           f"({surrogate.n_events} events)")
 
-    _run_eval(g, surrogate, args)
+    _run_eval(g, surrogate, args, flags)
     return EXIT_OK
 
 

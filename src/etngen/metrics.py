@@ -4,6 +4,12 @@ Seventeen metric families are collected as empirical sample lists: four per
 snapshot, contact duration per node pair, eight per wall-clock hour, and
 four on the full aggregated projection. Reports from two graphs are compared
 with KS, Jensen-Shannon, Kullback-Leibler and earth-mover distances.
+
+Average shortest path, weighted and unweighted betweenness and closeness come
+from one BFS and one Dijkstra sweep per source (Brandes 2001), run in
+networkx's node, neighbour, tie and summation order so that every value
+equals networkx's bit for bit. The other hour metrics (s-metric,
+transitivity, assortativity, Louvain modularity) still use a networkx graph.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import IO, Iterable, Sequence
 
 import networkx as nx
@@ -132,6 +140,154 @@ def _hour_nx(agg: AggregatedGraph) -> nx.Graph:
     return graph
 
 
+@dataclass
+class _PathStats:
+    """Shortest-path quantities of one aggregated graph. Per-node lists follow
+    `nodes`, the order in which `nx.Graph.add_edge` meets them in `weights`."""
+
+    nodes: list[int]
+    betweenness_w: list[float]
+    betweenness_u: list[float]
+    closeness: list[float]
+    avg_shortest_path: float  # on the first largest connected component
+
+
+def _bfs(adj: list[list[int]], s: int
+         ) -> tuple[list[int], list[list[int]], list[float], int]:
+    """Visit order, shortest-path predecessors and path counts from `s`, and
+    the sum of hop distances to the nodes reached."""
+    n = len(adj)
+    sigma = [0.0] * n
+    sigma[s] = 1.0
+    hops = [-1] * n
+    hops[s] = 0
+    preds: list = [None] * n  # a node's list is made when it is reached
+    order = [s]
+    dist_sum = 0
+    for v in order:  # `order` doubles as the FIFO queue
+        nxt = hops[v] + 1
+        sigma_v = sigma[v]
+        for w in adj[v]:
+            hops_w = hops[w]
+            if hops_w < 0:
+                hops[w] = nxt
+                order.append(w)
+                dist_sum += nxt
+                sigma[w] = sigma_v
+                preds[w] = [v]
+            elif hops_w == nxt:
+                sigma[w] += sigma_v
+                preds[w].append(v)
+    return order, preds, sigma, dist_sum
+
+
+def _dijkstra(wadj: list[list[tuple[int, float]]], s: int
+              ) -> tuple[list[int], list[list[int]], list[float]]:
+    """Settle order, predecessors and path counts from `s`, with networkx's
+    heap entries (dist, counter, pred, node) and exact `==` for ties."""
+    n = len(wadj)
+    sigma = [0.0] * n
+    sigma[s] = 1.0
+    preds: list = [None] * n
+    seen = [math.inf] * n
+    seen[s] = 0
+    done = [False] * n
+    order = []
+    counter = count()
+    heap = [(0, next(counter), s, s)]
+    while heap:
+        dist, _, pred, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        sigma[v] += sigma[pred]
+        order.append(v)
+        for w, step in wadj[v]:
+            vw_dist = dist + step
+            if not done[w] and vw_dist < seen[w]:
+                seen[w] = vw_dist
+                heappush(heap, (vw_dist, next(counter), v, w))
+                sigma[w] = 0.0
+                preds[w] = [v]
+            elif vw_dist == seen[w]:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma
+
+
+def _accumulate(betweenness: list[float], order: list[int],
+                preds: list[list[int]], sigma: list[float]) -> None:
+    """Brandes dependency accumulation for one source, `order[0]`."""
+    delta = [0.0] * len(sigma)
+    for w in order[:0:-1]:
+        coeff = (1 + delta[w]) / sigma[w]
+        for v in preds[w]:
+            delta[v] += sigma[v] * coeff
+        betweenness[w] += delta[w]
+
+
+def _path_stats(agg: AggregatedGraph) -> _PathStats:
+    """Unweighted and weighted (distance 1/weight) betweenness, closeness and
+    the largest component's average shortest path, from one BFS and one
+    Dijkstra per source.
+
+    Every search, tie rule and sum runs in networkx's order (the node and
+    neighbour order of `_hour_nx`), so the values equal networkx's bit for
+    bit.
+    """
+    index: dict[int, int] = {}
+    adj: list[list[int]] = []
+    wadj: list[list[tuple[int, float]]] = []
+    for (i, j), w in agg.weights.items():
+        for u in (i, j):
+            if u not in index:
+                index[u] = len(adj)
+                adj.append([])
+                wadj.append([])
+        a, b = index[i], index[j]
+        dist = 1.0 / w
+        adj[a].append(b)
+        adj[b].append(a)
+        wadj[a].append((b, dist))
+        wadj[b].append((a, dist))
+    n = len(adj)
+    bu = [0.0] * n
+    bw = [0.0] * n
+    closeness = [0.0] * n
+    component = [-1] * n
+    comp_size: list[int] = []
+    comp_dist_sum: list[int] = []
+    for s in range(n):
+        order, preds, sigma, dist_sum = _bfs(adj, s)
+        # Wasserman-Faust closeness; every node has a neighbour, so reach >= 2.
+        reach = len(order)
+        c = (reach - 1.0) / dist_sum
+        c *= (reach - 1.0) / (n - 1)
+        closeness[s] = c
+        if component[s] < 0:
+            for v in order:
+                component[v] = len(comp_size)
+            comp_size.append(reach)
+            comp_dist_sum.append(0)
+        comp_dist_sum[component[s]] += dist_sum
+        _accumulate(bu, order, preds, sigma)
+        _accumulate(bw, *_dijkstra(wadj, s))
+
+    if n > 2:  # normalise by the (n-1)(n-2) ordered pairs that avoid v
+        scale = 1 / ((n - 1) * (n - 2))
+        bu = [b * scale for b in bu]
+        bw = [b * scale for b in bw]
+    largest = max(range(len(comp_size)), key=comp_size.__getitem__)
+    size = comp_size[largest]
+    return _PathStats(nodes=list(index), betweenness_w=bw, betweenness_u=bu,
+                      closeness=closeness,
+                      avg_shortest_path=comp_dist_sum[largest] / (size * (size - 1)))
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values)
+
+
 def _degree_variance_zero(graph: nx.Graph) -> bool:
     degrees = {d for _, d in graph.degree()}
     return len(degrees) <= 1
@@ -157,19 +313,15 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
             r = nx.degree_assortativity_coefficient(graph)
             if not math.isnan(r):
                 out["assortativity"].append(float(r))
-        largest = max(nx.connected_components(graph), key=len)
-        out["avg_shortest_path"].append(
-            float(nx.average_shortest_path_length(graph.subgraph(largest))))
+        paths = _path_stats(agg)
+        out["avg_shortest_path"].append(paths.avg_shortest_path)
         communities = nx.community.louvain_communities(
             graph, weight="weight", seed=louvain_seed)
         out["modularity"].append(
             float(nx.community.modularity(graph, communities, weight="weight")))
-        bw = nx.betweenness_centrality(graph, weight="distance", normalized=True)
-        out["hour_betweenness_w"].append(float(sum(bw.values()) / len(bw)))
-        bu = nx.betweenness_centrality(graph, normalized=True)
-        out["hour_betweenness_u"].append(float(sum(bu.values()) / len(bu)))
-        cl = nx.closeness_centrality(graph)
-        out["hour_closeness"].append(float(sum(cl.values()) / len(cl)))
+        out["hour_betweenness_w"].append(_mean(paths.betweenness_w))
+        out["hour_betweenness_u"].append(_mean(paths.betweenness_u))
+        out["hour_closeness"].append(_mean(paths.closeness))
     return out
 
 
@@ -179,14 +331,11 @@ def aggregated_metrics(g: TemporalGraph) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {name: [] for name in AGG_METRICS}
     if agg.n_edges == 0:
         return out
-    graph = _hour_nx(agg)
-    bw = nx.betweenness_centrality(graph, weight="distance", normalized=True)
-    bu = nx.betweenness_centrality(graph, normalized=True)
-    cl = nx.closeness_centrality(graph)
-    nodes = sorted(graph.nodes())
-    out["agg_betweenness_w"] = [float(bw[u]) for u in nodes]
-    out["agg_betweenness_u"] = [float(bu[u]) for u in nodes]
-    out["agg_closeness"] = [float(cl[u]) for u in nodes]
+    paths = _path_stats(agg)
+    by_node = sorted(range(len(paths.nodes)), key=paths.nodes.__getitem__)
+    out["agg_betweenness_w"] = [paths.betweenness_w[a] for a in by_node]
+    out["agg_betweenness_u"] = [paths.betweenness_u[a] for a in by_node]
+    out["agg_closeness"] = [paths.closeness[a] for a in by_node]
     out["edge_strength"] = [float(w) for _, w in sorted(agg.weights.items())]
     return out
 

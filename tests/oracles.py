@@ -1,11 +1,15 @@
-"""Independent brute-force reference implementations used to check the
-optimized library code. Kept deliberately naive and string-based."""
+"""Independent reference implementations used to check the optimized
+library code: a naive string-based miner, and networkx for the
+shortest-path metrics."""
 
 from __future__ import annotations
 
 from collections import Counter
 
-from etngen import TemporalGraph, bucket_of
+import networkx as nx
+
+from etngen import (AggregatedGraph, MetricReport, TemporalGraph, aggregate,
+                    bucket_of, compute_report, hour_slices)
 
 
 def naive_signature_strings(g: TemporalGraph, ego: int, t_end: int,
@@ -42,3 +46,50 @@ def counts_as_strings(table: dict) -> dict:
             for sig, c in ctr.items():
                 dst[sig.encode()] += c
     return out
+
+
+def nx_graph(agg: AggregatedGraph) -> nx.Graph:
+    """The networkx view metrics builds: edge weight, and distance 1/weight."""
+    graph = nx.Graph()
+    for (i, j), w in agg.weights.items():
+        graph.add_edge(i, j, weight=w, distance=1.0 / w)
+    return graph
+
+
+def nx_path_metrics(graph: nx.Graph) -> tuple[dict, dict, dict, float]:
+    """Weighted and unweighted betweenness and closeness per node, and the
+    average shortest path on the largest connected component."""
+    bw = nx.betweenness_centrality(graph, weight="distance", normalized=True)
+    bu = nx.betweenness_centrality(graph, normalized=True)
+    cl = nx.closeness_centrality(graph)
+    largest = max(nx.connected_components(graph), key=len)
+    asp = float(nx.average_shortest_path_length(graph.subgraph(largest)))
+    return bw, bu, cl, asp
+
+
+def nx_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
+    """compute_report with its seven shortest-path families taken from
+    networkx: per-hour means of the hour graphs, per node (sorted) on the
+    full projection."""
+    samples = dict(compute_report(g, louvain_seed=louvain_seed).samples)
+    hourly: dict[str, list[float]] = {
+        "avg_shortest_path": [], "hour_betweenness_w": [],
+        "hour_betweenness_u": [], "hour_closeness": []}
+    for agg in hour_slices(g):
+        if agg.n_edges == 0:
+            continue
+        bw, bu, cl, asp = nx_path_metrics(nx_graph(agg))
+        hourly["avg_shortest_path"].append(asp)
+        hourly["hour_betweenness_w"].append(float(sum(bw.values()) / len(bw)))
+        hourly["hour_betweenness_u"].append(float(sum(bu.values()) / len(bu)))
+        hourly["hour_closeness"].append(float(sum(cl.values()) / len(cl)))
+    samples.update(hourly)
+    agg = aggregate(g)
+    if agg.n_edges:
+        graph = nx_graph(agg)
+        bw, bu, cl, _ = nx_path_metrics(graph)
+        nodes = sorted(graph.nodes())
+        samples["agg_betweenness_w"] = [float(bw[u]) for u in nodes]
+        samples["agg_betweenness_u"] = [float(bu[u]) for u in nodes]
+        samples["agg_closeness"] = [float(cl[u]) for u in nodes]
+    return MetricReport(samples=samples)

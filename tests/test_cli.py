@@ -310,6 +310,21 @@ class TestEval:
                      "--dynamics", "sir", "--lambdas", "1.5"]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "pipeline"])
+@pytest.mark.parametrize("flag, value", [
+    ("--distances", "ks,bogus"), ("--starts", "late"),
+    ("--dynamics", "bogus"), ("--lambdas", "1.5")])
+def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
+                                             command, flag, value):
+    out_dir = tmp_path / "out"
+    inputs = [train, train] if command == "eval" else [train]
+    assert main([command, *inputs, "--out-dir", str(out_dir), flag, value]) == 1
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "etngen: error:" in captured.err
+
+
 class TestPipeline:
     def test_end_to_end(self, train, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import jensenshannon
 
-from etngen import (DISTANCE_NAMES, METRIC_KINDS, Snapshot, TemporalGraph,
-                    aggregated_metrics, compare, compute_report,
+from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
+                    TemporalGraph, aggregated_metrics, compare, compute_report,
                     contact_durations, emd, hour_metrics, js_divergence,
                     kl_divergence, ks_distance, snapshot_metrics,
                     write_distances_csv, write_samples_csv)
-from etngen.metrics import distance, format_cell
+from etngen.metrics import _path_stats, distance, format_cell
+from oracles import nx_graph, nx_path_metrics, nx_report
+from synth import sinusoidal_graph
 
 GAP = 300
 PER_HOUR = 3600 // GAP
@@ -170,7 +172,77 @@ class TestAggregatedMetrics:
         assert all(v == [] for v in out.values())
 
 
+def assert_paths_match_networkx(agg):
+    """Exact float equality, node by node, with networkx's own algorithms."""
+    stats = _path_stats(agg)
+    graph = nx_graph(agg)
+    bw, bu, cl, asp = nx_path_metrics(graph)
+    assert stats.nodes == list(graph.nodes())
+    assert stats.betweenness_w == list(bw.values())
+    assert stats.betweenness_u == list(bu.values())
+    assert stats.closeness == list(cl.values())
+    assert stats.avg_shortest_path == asp
+
+
+PATH_3 = {(0, 1): 1, (1, 2): 1}
+TRIANGLE = {(3, 4): 1, (4, 5): 1, (3, 5): 1}
+
+
+class TestPathStatsOracle:
+    @pytest.mark.parametrize("weights, expected_asp", [
+        ({**PATH_3, **TRIANGLE}, 4 / 3),  # equal sizes: first component wins
+        ({**TRIANGLE, **PATH_3}, 1.0),
+        ({(0, 1): 2, (1, 2): 2, (0, 2): 1}, 1.0),  # 1/2 + 1/2 == 1/1
+        ({(0, 1): 2, (1, 2): 2, (0, 3): 2, (3, 2): 2, (0, 2): 1,
+          (2, 4): 4, (4, 5): 4, (2, 5): 2}, None),  # three tied 0-2 paths
+        ({(7, 4): 3}, 1.0),  # two nodes: no rescale
+        ({(0, k): k for k in range(1, 7)}, None),  # star
+        ({(i, j): 1 + (i * j) % 3 for i in range(6) for j in range(i + 1, 6)},
+         1.0),  # complete
+    ], ids=["path-then-triangle", "triangle-then-path", "dijkstra-tie",
+            "dijkstra-ties-and-tail", "two-nodes", "star", "complete"])
+    def test_fixed_graphs(self, weights, expected_asp):
+        agg = AggregatedGraph(weights)
+        assert_paths_match_networkx(agg)
+        if expected_asp is not None:
+            assert _path_stats(agg).avg_shortest_path == expected_asp
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.sampled_from((1, 1, 2, 2, 3, 4, 6))),
+                    min_size=1, max_size=30))
+    def test_random_weighted_graphs(self, edges):
+        weights = {(i, j): w for i, j, w in edges if i != j}
+        if weights:
+            assert_paths_match_networkx(AggregatedGraph(weights))
+
+    # A slip in neighbour or tie order changes the sums' rounding only on
+    # dense graphs with many equal-length paths: reversed Dijkstra neighbour
+    # lists showed in 9 of 20 seeds at n=40, p=0.7, and in none at p=0.4.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1))
+    @example(40, 0.7, 0)
+    @example(40, 0.7, 4)
+    def test_random_dense_graphs(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(n).tolist()
+        weights = {}
+        for i, j in rng.permutation(np.argwhere(np.triu(rng.random((n, n)) < p, 1))):
+            weights[(labels[i], labels[j])] = int(rng.integers(1, 13))
+        if weights:
+            assert_paths_match_networkx(AggregatedGraph(weights))
+
+
 class TestComputeReport:
+    def test_samples_match_networkx_report(self):
+        g = sinusoidal_graph(n=24, days=1, peak_p=0.06, seed=5)
+        report = compute_report(g)
+        assert len(report.samples["hour_closeness"]) >= 5
+        ours, theirs = io.StringIO(), io.StringIO()
+        write_samples_csv(report, ours)
+        write_samples_csv(nx_report(g), theirs)
+        assert ours.getvalue() == theirs.getvalue()
+
     def test_all_seventeen_metrics_present(self):
         g = tg(5, [{(0, 1)}, {(1, 2)}])
         report = compute_report(g)
