@@ -90,7 +90,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="SIR transmission probabilities")
         p.add_argument("--mu", type=float, default=0.055)
         p.add_argument("--rw-runs", type=positive_int, default=1000)
-        p.add_argument("--mfpt-repeats", type=positive_int, default=5)
+        p.add_argument("--mfpt-repeats", type=positive_int, default=5,
+                       help="first-passage walks per source node; each walk "
+                            "gives one sample per target")
         p.add_argument("--sir-runs", type=positive_int, default=100)
         p.add_argument("--stability", action="store_true",
                        help="also compare the original against a re-simulation "

@@ -1,18 +1,22 @@
 """Dynamical probes on temporal graphs: random walks, first-passage, SIR.
 
-Every run draws from a numpy substream keyed by (probe, run identifiers), so
-distributions are reproducible bit-exactly from the config seed and do not
-depend on execution order.
+The random-walk probes (coverage and first passage) draw from one numpy
+stream per probe call, keyed by (seed, probe): all of a call's walkers move in
+lockstep, one layer at a time, and each layer's jumps are drawn as one vector
+in walker order. SIR keeps one substream per run, keyed by (seed, probe,
+lambda, run). Either way, results are reproducible bit-exactly from the config
+seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tempgraph import TemporalGraph
+from .tempgraph import Snapshot, TemporalGraph
 
 START_T0 = "t0"
 START_HALF = "half"
@@ -126,56 +130,94 @@ def random_walk(g: TemporalGraph, start_node: int, t_start: int,
     return trace
 
 
+def _layer_csr(snap: Snapshot, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree, offset and neighbor arrays of one layer over n nodes.
+
+    Node u's neighbors are flat[off[u]:off[u] + deg[u]], ascending, the
+    order of `Snapshot.neighbors`.
+    """
+    ends = np.fromiter(chain.from_iterable(snap.edges), dtype=np.intp,
+                       count=2 * len(snap.edges)).reshape(-1, 2)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    flat = dst[np.lexsort((dst, src))]
+    deg = np.bincount(src, minlength=n)
+    off = np.zeros(n, dtype=np.intp)
+    np.cumsum(deg[:-1], out=off[1:])
+    return deg, off, flat
+
+
+def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
+                   rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Advance walkers at `pos` through layers t_start..m-1, one jump each.
+
+    `pos` is updated in place and yielded after every layer. Per layer, each
+    walker with neighbors jumps to a uniform one, drawn as one integer
+    vector in walker order; a walker with no neighbors waits. Empty layers
+    draw nothing. A single walker follows `random_walk` with the same
+    generator draw for draw.
+    """
+    n = g.node_count
+    for t in range(t_start, g.n_snapshots):
+        snap = g.snapshots[t]
+        if snap.edges:
+            deg, off, flat = _layer_csr(snap, n)
+            d = deg[pos]
+            moving = np.flatnonzero(d)
+            pos[moving] = flat[off[pos[moving]] + rng.integers(0, d[moving])]
+        yield pos
+
+
 def coverage_result(g: TemporalGraph, cfg: DynConfig) -> CoverageResult:
-    """rw_runs walks from uniform start nodes; sample = distinct nodes seen."""
+    """rw_runs walks from uniform start nodes; sample = distinct nodes seen.
+
+    One stream per call, keyed (seed, rw probe): the start nodes are one
+    vector draw, then all walkers move in lockstep on the same stream. The
+    visited bitmap takes O(rw_runs x n) memory.
+    """
     cfg.validate()
     t_start = resolve_start(g, cfg.start_policy)
-    horizon = g.n_snapshots - t_start
-    samples: list[int] = []
-    cum = np.zeros(horizon, dtype=np.float64)
-    for run in range(cfg.rw_runs):
-        rng = _stream(cfg.seed, _PROBE_RW, run)
-        start = int(rng.integers(g.node_count))
-        visited = {start}
-        for step, pos in enumerate(random_walk(g, start, t_start, rng)):
-            visited.add(pos)
-            cum[step] += len(visited)
-        samples.append(len(visited))
-    series = [float(x / cfg.rw_runs) for x in cum]
-    return CoverageResult(samples=samples, visited_series=series)
+    rng = _stream(cfg.seed, _PROBE_RW)
+    pos = rng.integers(0, g.node_count, size=cfg.rw_runs)
+    rows = np.arange(cfg.rw_runs)
+    visited = np.zeros((cfg.rw_runs, g.node_count), dtype=bool)
+    visited[rows, pos] = True
+    seen = np.ones(cfg.rw_runs, dtype=np.int64)
+    cum: list[int] = []
+    for pos in _walk_lockstep(g, pos, t_start, rng):
+        seen += ~visited[rows, pos]
+        visited[rows, pos] = True
+        cum.append(int(seen.sum()))
+    series = [x / cfg.rw_runs for x in cum]
+    return CoverageResult(samples=seen.tolist(), visited_series=series)
 
 
 def mfpt_result(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
     """First-hit steps for every ordered (source, target) pair.
 
-    Each pair is walked mfpt_repeats times from t_start; runs that never
-    reach the target are censored and counted, not clamped.
+    mfpt_repeats walks start at each source at t_start, n x mfpt_repeats
+    walkers in (source, repeat) order on one stream keyed (seed, mfpt
+    probe), moving in lockstep. Each walk records its first hit of every
+    other node, so it gives one sample per target, and samples of pairs
+    that share a walk are correlated; each pair's first-passage law is that
+    of a walk of its own. Samples come in (source, target, repeat) order;
+    a target never reached within the horizon is censored and counted, not
+    clamped. The first-hit matrix takes O(n x mfpt_repeats x n) memory.
     """
     cfg.validate()
     t_start = resolve_start(g, cfg.start_policy)
-    n = g.node_count
-    samples: list[int] = []
-    censored = 0
-    for src in range(n):
-        for dst in range(n):
-            if dst == src:
-                continue
-            for rep in range(cfg.mfpt_repeats):
-                rng = _stream(cfg.seed, _PROBE_MFPT, src, dst, rep)
-                cur = src
-                hit = 0
-                for step, t in enumerate(range(t_start, g.n_snapshots), start=1):
-                    nbrs = g.snapshots[t].neighbors(cur)
-                    if nbrs:
-                        cur = nbrs[int(rng.integers(len(nbrs)))]
-                    if cur == dst:
-                        hit = step
-                        break
-                if hit:
-                    samples.append(hit)
-                else:
-                    censored += 1
-    return MfptResult(samples=samples, censored=censored)
+    n, reps = g.node_count, cfg.mfpt_repeats
+    rng = _stream(cfg.seed, _PROBE_MFPT)
+    pos = np.repeat(np.arange(n), reps)
+    rows = np.arange(n * reps)
+    first = np.zeros((n * reps, n), dtype=np.int32)  # 0: not hit yet
+    first[rows, pos] = -1  # a walk's own source is no target
+    for step, pos in enumerate(_walk_lockstep(g, pos, t_start, rng), start=1):
+        new = first[rows, pos] == 0
+        first[rows[new], pos[new]] = step
+    per_pair = first.reshape(n, reps, n).transpose(0, 2, 1)
+    return MfptResult(samples=per_pair[per_pair > 0].tolist(),
+                      censored=int(np.count_nonzero(per_pair == 0)))
 
 
 def _lam_key(lam: float) -> int:

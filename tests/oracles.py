@@ -1,15 +1,20 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, and networkx for the
-shortest-path metrics."""
+library code: a naive string-based miner, networkx for the shortest-path
+metrics, and one `random_walk` per run or pair for the walk probes."""
 
 from __future__ import annotations
 
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 
-from etngen import (AggregatedGraph, MetricReport, TemporalGraph, aggregate,
-                    bucket_of, compute_report, hour_slices)
+from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
+                    MfptResult, TemporalGraph, aggregate, bucket_of,
+                    compute_report, hour_slices, random_walk, resolve_start)
+
+_PROBE_RW = 0
+_PROBE_MFPT = 1
 
 
 def naive_signature_strings(g: TemporalGraph, ego: int, t_end: int,
@@ -93,3 +98,50 @@ def nx_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
         samples["agg_betweenness_u"] = [float(bu[u]) for u in nodes]
         samples["agg_closeness"] = [float(cl[u]) for u in nodes]
     return MetricReport(samples=samples)
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def coverage_per_run(g: TemporalGraph, cfg: DynConfig) -> CoverageResult:
+    """Coverage with one `random_walk` per run, each on its own substream
+    keyed (seed, rw probe, run) that also draws the start node."""
+    cfg.validate()
+    t_start = resolve_start(g, cfg.start_policy)
+    horizon = g.n_snapshots - t_start
+    samples: list[int] = []
+    cum = np.zeros(horizon, dtype=np.float64)
+    for run in range(cfg.rw_runs):
+        rng = _stream(cfg.seed, _PROBE_RW, run)
+        start = int(rng.integers(g.node_count))
+        visited = {start}
+        for step, pos in enumerate(random_walk(g, start, t_start, rng)):
+            visited.add(pos)
+            cum[step] += len(visited)
+        samples.append(len(visited))
+    series = [float(x / cfg.rw_runs) for x in cum]
+    return CoverageResult(samples=samples, visited_series=series)
+
+
+def mfpt_per_pair(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
+    """First passage with one `random_walk` per (source, target, repeat),
+    each on its own substream keyed (seed, mfpt probe, source, target,
+    repeat); samples in that order, unreached targets censored."""
+    cfg.validate()
+    t_start = resolve_start(g, cfg.start_policy)
+    n = g.node_count
+    samples: list[int] = []
+    censored = 0
+    for src in range(n):
+        for dst in range(n):
+            if dst == src:
+                continue
+            for rep in range(cfg.mfpt_repeats):
+                rng = _stream(cfg.seed, _PROBE_MFPT, src, dst, rep)
+                trace = random_walk(g, src, t_start, rng)
+                if dst in trace:
+                    samples.append(trace.index(dst) + 1)
+                else:
+                    censored += 1
+    return MfptResult(samples=samples, censored=censored)

@@ -291,6 +291,28 @@ class TestEval:
                      "--rw-runs", "10", "--stability"]) == 0
         assert (out_dir / "distances_dyn_stability.csv").exists()
 
+    def test_walk_probes_deterministic_per_seed(self, train, tmp_path):
+        flags = ["--dynamics", "rw,mfpt", "--starts", "t0,half",
+                 "--rw-runs", "30", "--mfpt-repeats", "2"]
+        runs = {}
+        for name, seed in (("a", 4), ("b", 4), ("next", 5)):
+            out_dir = tmp_path / name
+            extra = ["--stability"] if name == "a" else []
+            assert main(["eval", train, train, "--out-dir", str(out_dir),
+                         "--seed", str(seed), *flags, *extra]) == 0
+            runs[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        stability = runs["a"].pop("distances_dyn_stability.csv")
+        assert runs["a"] == runs["b"]
+        for start in ("t0", "half"):
+            for probe in ("coverage", "mfpt"):
+                name = f"samples_{probe}_orig_{start}.csv"
+                assert runs["a"][name] != runs["next"][name], name
+        # --stability re-simulates the original with seed+1.
+        means = [row.split(",")[-1] for row in
+                 stability.decode().splitlines()[1:]]
+        assert means == [row.split(",")[-1] for row in
+                         runs["next"]["distances_dyn.csv"].decode().splitlines()[1:]]
+
     def test_gap_mismatch_is_data_error(self, train, tmp_path):
         slow = TemporalGraph(4, [Snapshot({(0, 1)})] * 3, 600, epoch=0)
         other = write_graph(tmp_path / "slow.tsv", slow)

@@ -1,14 +1,45 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from etngen import (DynConfig, Snapshot, TemporalGraph, coverage_result,
                     first_peak, mfpt_result, random_walk, resolve_start,
                     run_dynamics, sir_result, sir_run)
-from synth import random_graph
+from etngen.dynamics import _PROBE_RW, _layer_csr, _stream, _walk_lockstep
+from oracles import coverage_per_run, mfpt_per_pair
+from synth import er_layers, random_graph, sinusoidal_graph
+
+# Oracle and lockstep samples come from differently keyed streams, so the
+# statistical checks compare distributions, on fixed graphs and seeds.
+KS_MIN_P = 0.01
+CENSORED_FRACTION_TOL = 0.05
 
 
 def tg(n, layers, gap=300, epoch=0):
     return TemporalGraph(n, [Snapshot(e) for e in layers], gap, epoch=epoch)
+
+
+def matching_graph(n=9, m=14, keep=0.7, seed=0):
+    """Every layer a matching: each node has at most one neighbor, so every
+    walk is deterministic whatever its random stream."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(m):
+        perm = rng.permutation(n).tolist()
+        pairs = zip(perm[0::2], perm[1::2])
+        layers.append({pair for pair in pairs if rng.random() < keep})
+    return tg(n, layers)
+
+
+def walk_traces(g, starts, t_start, rng):
+    """Per-walker position lists from the lockstep kernel."""
+    steps = [pos.copy() for pos in
+             _walk_lockstep(g, np.array(starts), t_start, rng)]
+    return [[int(step[w]) for step in steps] for w in range(len(starts))]
+
+
+ORACLE_CASES = [(graph_seed, policy) for graph_seed in (0, 1)
+                for policy in ("half", "first_peak")]
 
 
 def star(layers=2, leaves=3):
@@ -76,6 +107,55 @@ class TestRandomWalk:
             assert abs(counts[u] / 10_000 - 1 / 3) <= 0.02
 
 
+class TestLayerCsr:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_are_snapshot_neighbors(self, seed):
+        rng = np.random.default_rng(seed)
+        layers = er_layers(12, 8, [0.0, 0.02, 0.1, 0.3, 0.0, 0.6, 0.05, 1.0], rng)
+        g = tg(12, layers)
+        assert any(not snap.edges for snap in g.snapshots)
+        assert any(0 < len(snap.active_nodes) < 12 for snap in g.snapshots)
+        for snap in g.snapshots:
+            deg, off, flat = _layer_csr(snap, g.node_count)
+            assert len(deg) == len(off) == g.node_count
+            assert len(flat) == 2 * snap.n_edges
+            for u in range(g.node_count):
+                row = flat[off[u]:off[u] + deg[u]].tolist()
+                assert row == list(snap.neighbors(u))
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("t_start", [0, 9])
+    def test_single_walker_follows_random_walk(self, t_start):
+        g = random_graph(n=10, m=30, p=0.2, seed=5)
+        for start in range(10):
+            trace, = walk_traces(g, [start], t_start, np.random.default_rng(start))
+            assert trace == random_walk(g, start, t_start,
+                                        np.random.default_rng(start))
+
+    @pytest.mark.parametrize("t_start", [0, 5])
+    def test_matching_walkers_follow_random_walk(self, t_start):
+        g = matching_graph(seed=3)
+        starts = list(range(9)) * 2
+        traces = walk_traces(g, starts, t_start, np.random.default_rng(0))
+        for start, trace in zip(starts, traces):
+            assert trace == random_walk(g, start, t_start,
+                                        np.random.default_rng(1))
+
+    def test_zero_length_horizon(self):
+        g = random_graph(n=6, m=4, p=0.5, seed=1)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert walk_traces(g, [0, 3], 4, rng) == [[], []]
+        assert rng.bit_generator.state == before
+
+    def test_empty_layers_draw_nothing(self):
+        g = tg(4, [set(), {(0, 1)}, set(), set()])
+        rng = np.random.default_rng(0)
+        assert walk_traces(g, [0, 2, 1], 2, rng) == [[0, 0], [2, 2], [1, 1]]
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 class TestCoverage:
     def test_two_node_graph_fully_covered(self):
         g = tg(2, [{(0, 1)}] * 4)
@@ -112,6 +192,34 @@ class TestCoverage:
         res = coverage_result(g, DynConfig(rw_runs=10, start_policy="half"))
         assert len(res.visited_series) == 4
 
+    def test_zero_length_horizon(self):
+        res = coverage_result(tg(5, []), DynConfig(rw_runs=7))
+        assert res.visited_series == []
+        assert res.samples == [1] * 7
+
+    @pytest.mark.parametrize("policy", ["t0", "half"])
+    def test_matching_graph_counts_each_walk(self, policy):
+        # Deterministic walks: from the starts the stream draws first, each
+        # sample and the mean series follow from random_walk alone.
+        g = matching_graph(seed=4)
+        cfg = DynConfig(start_policy=policy, rw_runs=25, seed=6)
+        t_start = resolve_start(g, policy)
+        starts = _stream(cfg.seed, _PROBE_RW).integers(0, 9, size=25).tolist()
+        seen = []
+        for start in starts:
+            trace = random_walk(g, start, t_start, np.random.default_rng(0))
+            seen.append([len({start, *trace[:k]}) for k in range(1, len(trace) + 1)])
+        res = coverage_result(g, cfg)
+        assert res.samples == [walk[-1] for walk in seen]
+        assert res.visited_series == [sum(col) / 25 for col in zip(*seen)]
+
+    @pytest.mark.parametrize("graph_seed, policy", ORACLE_CASES)
+    def test_distribution_matches_per_run_oracle(self, graph_seed, policy):
+        g = sinusoidal_graph(n=20, days=1, peak_p=0.04, seed=graph_seed)
+        cfg = DynConfig(start_policy=policy, rw_runs=400, seed=0)
+        old, new = coverage_per_run(g, cfg), coverage_result(g, cfg)
+        assert ks_2samp(old.samples, new.samples).pvalue > KS_MIN_P
+
 
 class TestMfpt:
     def test_two_nodes_always_hit_in_one(self):
@@ -142,6 +250,25 @@ class TestMfpt:
         g = random_graph(n=6, m=5, p=0.4, seed=3)
         res = mfpt_result(g, DynConfig(mfpt_repeats=1))
         assert all(1 <= s <= 5 for s in res.samples)
+
+    @pytest.mark.parametrize("policy", ["t0", "half", "first_peak"])
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    def test_matching_graph_equals_per_pair_oracle(self, graph_seed, policy):
+        g = matching_graph(seed=graph_seed)
+        cfg = DynConfig(start_policy=policy, mfpt_repeats=3, seed=graph_seed)
+        expected = mfpt_per_pair(g, cfg)
+        assert expected.samples and expected.censored
+        assert mfpt_result(g, cfg) == expected
+
+    @pytest.mark.parametrize("graph_seed, policy", ORACLE_CASES)
+    def test_distribution_matches_per_pair_oracle(self, graph_seed, policy):
+        g = sinusoidal_graph(n=20, days=1, peak_p=0.04, seed=graph_seed)
+        cfg = DynConfig(start_policy=policy, mfpt_repeats=3, seed=0)
+        old, new = mfpt_per_pair(g, cfg), mfpt_result(g, cfg)
+        pairs = 20 * 19 * 3
+        assert len(new.samples) + new.censored == pairs
+        assert ks_2samp(old.samples, new.samples).pvalue > KS_MIN_P
+        assert abs(old.censored - new.censored) / pairs <= CENSORED_FRACTION_TOL
 
 
 class TestSirRun:
