@@ -21,7 +21,8 @@ from . import gen as gen_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .tempgraph import (PERIODICITIES, ParseError, TemporalGraph,
-                        parse_edge_list, resolve_periodicity, write_edge_list)
+                        parse_edge_list, require_hour_aligned,
+                        resolve_periodicity, write_edge_list)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,8 +69,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                             "explicit flags win")
 
     def add_fit_args(p: _Parser) -> None:
-        p.add_argument("--gap", type=positive_int, default=300,
-                       help="snapshot width in seconds (default 300)")
+        p.add_argument("--gap", type=positive_int, default=None,
+                       help="snapshot width in seconds; needed for a headerless "
+                            "input, must match a #gap header")
         p.add_argument("--k", type=positive_int, default=2,
                        help="window depth (default 2)")
         p.add_argument("--periodicity", choices=("auto",) + PERIODICITIES,
@@ -164,6 +166,14 @@ def _load_graph(path: str, gap: int | None) -> TemporalGraph:
         return parse_edge_list(handle, gap_seconds=gap)
 
 
+def _load_eval_graph(path: str, gap: int | None) -> TemporalGraph:
+    """A graph to evaluate; its hour slices need an hour-aligned gap, checked
+    here before any output or fitting."""
+    g = _load_graph(path, gap)
+    require_hour_aligned(g.gap_seconds)
+    return g
+
+
 def _resolve_alpha(text: str, model: model_mod.LocalModel, n_nodes: int) -> float:
     if text == "auto":
         alpha = gen_mod.expansion_alpha(model.node_count, n_nodes)
@@ -179,10 +189,9 @@ def _resolve_alpha(text: str, model: model_mod.LocalModel, n_nodes: int) -> floa
     return alpha
 
 
-def _fit_stage(args: argparse.Namespace, model_path: str
-               ) -> tuple[TemporalGraph, etn_mod.MinedCounts, model_mod.LocalModel]:
-    """Parse the input, mine it at the resolved periodicity, fit and save."""
-    g = _load_graph(args.input, args.gap)
+def _fit_stage(g: TemporalGraph, args: argparse.Namespace, model_path: str
+               ) -> tuple[etn_mod.MinedCounts, model_mod.LocalModel]:
+    """Mine the input at the resolved periodicity, fit and save."""
     periodicity = args.periodicity
     if periodicity == "auto":
         periodicity = resolve_periodicity(g)
@@ -190,11 +199,12 @@ def _fit_stage(args: argparse.Namespace, model_path: str
     model = model_mod.fit(counts)
     with open(model_path, "w", encoding="utf-8") as handle:
         model_mod.save_model(model, handle)
-    return g, counts, model
+    return counts, model
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    g, counts, model = _fit_stage(args, args.out)
+    g = _load_graph(args.input, args.gap)
+    counts, model = _fit_stage(g, args, args.out)
     if args.counts_out:
         with open(args.counts_out, "w", encoding="utf-8") as handle:
             etn_mod.write_counts(counts, handle)
@@ -433,17 +443,18 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
 
 def cmd_eval(args: argparse.Namespace) -> int:
     flags = _parse_eval_flags(args)
-    g_orig = _load_graph(args.original, args.gap)
-    g_gen = _load_graph(args.surrogate, args.gap)
+    g_orig = _load_eval_graph(args.original, args.gap)
+    g_gen = _load_eval_graph(args.surrogate, args.gap)
     _run_eval(g_orig, g_gen, args, flags)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     flags = _parse_eval_flags(args)
+    g = _load_eval_graph(args.input, args.gap)
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.json")
-    g, _, model = _fit_stage(args, model_path)
+    _, model = _fit_stage(g, args, model_path)
     n_snapshots = args.snapshots if args.snapshots is not None else g.n_snapshots
     surrogate_path = os.path.join(args.out_dir, "surrogate.tsv")
     surrogate, _ = _generate_stage(model, args, n_snapshots, surrogate_path,

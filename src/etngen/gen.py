@@ -182,20 +182,17 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
             if pbits == 0:
                 prov.stubs.extend([ego] * cnt)
                 continue
-            cands = sorted(by_bits.get(pbits, []))
-            take = min(cnt, len(cands))
-            if take == len(cands):
+            # The extension extends the ego's own prefix (the fallback chain
+            # keeps it or drops to the empty prefix, whose strings all have
+            # pbits 0), so at least cnt neighbours carry these bits.
+            cands = sorted(by_bits[pbits])
+            if cnt == len(cands):
                 chosen = cands
             else:
-                idx = rng.choice(len(cands), size=take, replace=False)
+                idx = rng.choice(len(cands), size=cnt, replace=False)
                 chosen = [cands[i] for i in sorted(idx)]
             for u in chosen:
                 prov.requests.add((ego, u))
-            # Unmatched strings only arise when the sampled extension does
-            # not share the ego's prefix, which the fallback chain prevents;
-            # kept as stubs defensively.
-            if cnt > take:
-                prov.stubs.extend([ego] * (cnt - take))
     return prov
 
 

@@ -5,11 +5,25 @@ snapshot, contact duration per node pair, eight per wall-clock hour, and
 four on the full aggregated projection. Reports from two graphs are compared
 with KS, Jensen-Shannon, Kullback-Leibler and earth-mover distances.
 
-Average shortest path, weighted and unweighted betweenness and closeness come
-from one BFS and one Dijkstra sweep per source (Brandes 2001), run in
-networkx's node, neighbour, tie and summation order so that every value
-equals networkx's bit for bit. The other hour metrics (s-metric,
-transitivity, assortativity, Louvain modularity) still use a networkx graph.
+Per hour graph, the average shortest path and the node means of weighted
+and unweighted betweenness and of closeness come from one all-pairs pass
+with no per-node values and no per-source Python search: a hop matrix from
+one frontier expansion of all sources at once, networkx's float Dijkstra
+distances (length 1/weight) from a Bellman-Ford run for all sources at
+once, and shortest-path counts from one forward relaxation over the tight
+arcs. Mean betweenness is a sum over node pairs of the mean interior node
+count of their shortest paths (Brandes 2008), taken as an exact rational.
+Closeness and the average shortest path are bit-identical to networkx's;
+the betweenness means agree with it to about 1e-15 relative, ties being
+networkx's float `==` ties. An hour whose path counts exceed float64's
+exact integers falls back to `_path_stats`.
+
+`_path_stats` gives per-node betweenness and closeness (the full
+aggregate's families) from one BFS and one Dijkstra sweep per source
+(Brandes 2001), run in networkx's node, neighbour, tie and summation order
+so that every value equals networkx's bit for bit. The other hour metrics
+(s-metric, transitivity, assortativity, Louvain modularity) still use a
+networkx graph.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count
 from typing import IO, Iterable, Sequence
 
 import networkx as nx
@@ -288,6 +302,161 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
+def _fan_out(frontier: np.ndarray, n: int, deg: np.ndarray, first: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs out of the node of each flat (source, node) key in `frontier`:
+    their count per key, and their positions in tail-sorted arc order."""
+    node = frontier % n
+    d = deg[node]
+    stop = np.cumsum(d)
+    at = np.repeat(first[node] - stop + d, d)
+    at += np.arange(stop[-1])
+    return d, at
+
+
+def _hop_matrix(n: int, heads: np.ndarray, deg: np.ndarray, first: np.ndarray
+                ) -> np.ndarray:
+    """Hop distance of every ordered node pair, -1 when unreachable.
+
+    One frontier expansion runs all sources at once: each level marks the
+    (source, node) pairs that the pairs first reached at the previous level
+    reach through one arc, so all levels together touch n x arcs entries. A
+    boolean matrix product per level would run in multithreaded BLAS, whose
+    time on a two-core host varied 25-fold from run to run.
+    """
+    hops = np.full(n * n, -1, dtype=np.int64)
+    frontier = np.arange(n) * (n + 1)  # flat (source, node) keys
+    hops[frontier] = 0
+    fresh = np.zeros(n * n, dtype=bool)
+    level = 0
+    while frontier.size:
+        level += 1
+        d, at = _fan_out(frontier, n, deg, first)
+        fresh[:] = False
+        fresh[np.repeat(frontier - frontier % n, d) + heads[at]] = True
+        fresh &= hops < 0
+        frontier = np.flatnonzero(fresh)
+        hops[frontier] = level
+    return hops.reshape(n, n)
+
+
+def _float_distances(n: int, heads: np.ndarray, lengths: np.ndarray,
+                     deg: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Distance from every source to every node as networkx's Dijkstra
+    computes it: the least float sum of arc lengths added one arc at a time
+    from the source; n when unreachable.
+
+    Bellman-Ford for all sources at once, each round extending only the
+    pairs improved in the round before. Rounding is monotone, and an hour's
+    lengths (at least 1/3600) change every sum below n, so the fixed point
+    is unique and equals Dijkstra's.
+    """
+    # In-place sums and early `del`s keep the process's peak RSS lower.
+    dist = np.full(n * n, float(n))  # no path is as long: n-1 arcs of length <= 1
+    frontier = np.arange(n) * (n + 1)
+    dist[frontier] = 0.0
+    fresh = np.zeros(n * n, dtype=bool)
+    while frontier.size:
+        d, at = _fan_out(frontier, n, deg, first)
+        head = np.repeat(frontier - frontier % n, d)
+        head += heads[at]
+        cand = np.repeat(dist[frontier], d)
+        cand += lengths[at]
+        del at
+        better = cand < dist[head]
+        head = head[better]
+        np.minimum.at(dist, head, cand[better])
+        del cand, better
+        fresh[:] = False
+        fresh[head] = True
+        frontier = np.flatnonzero(fresh)
+    return dist.reshape(n, n)
+
+
+def _hour_path_means(agg: AggregatedGraph
+                     ) -> tuple[float, float, float, float] | None:
+    """Average shortest path (first largest component) and the node means of
+    weighted and unweighted betweenness and of closeness, the values
+    `_path_stats` gives, from all-pairs matrices.
+
+    Mean normalised betweenness is the sum over reachable ordered pairs
+    (s, t) of (hops of an average shortest s-t path - 1), over
+    n(n-1)(n-2) when n > 2 (over n otherwise, where the sum is 0).
+    Unweighted, every shortest path has the pair's hop distance. Weighted
+    (length 1/weight), shortest paths are those of networkx's Dijkstra: the
+    tight arcs u -> v of source s are those where dist(s, u) + length equals
+    dist(s, v) in float. sigma (shortest paths) and H (their summed hops)
+    per pair come from one forward relaxation over the tight arcs, level by
+    level for all sources at once, and the sum of H/sigma is exact.
+    Temporaries are O(n x arcs).
+
+    None when the summed H reaches 2**53, beyond which float64 path counts
+    are not exact.
+    """
+    nodes = list(dict.fromkeys(chain.from_iterable(agg.weights)))
+    index = {u: a for a, u in enumerate(nodes)}
+    n = len(nodes)
+    ends = np.array([(index[i], index[j]) for i, j in agg.weights], dtype=np.intp)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    length = 1.0 / np.fromiter(agg.weights.values(), dtype=np.float64,
+                               count=len(ends))
+    length = np.concatenate((length, length))
+    order = np.argsort(src, kind="stable")
+    heads = dst[order]
+    deg = np.bincount(src, minlength=n)
+    first = np.cumsum(deg) - deg
+
+    hops = _hop_matrix(n, heads, deg, first)
+    reached = hops >= 0
+    reach = reached.sum(axis=1)
+    dist_sum = np.maximum(hops, 0).sum(axis=1)
+    # Wasserman-Faust closeness, in `_path_stats`'s operation order.
+    closeness = (reach - 1.0) / dist_sum
+    closeness *= (reach - 1.0) / (n - 1)
+    component = reached.argmax(axis=1)  # its lowest node: components in node order
+    sizes = np.bincount(component, minlength=n)
+    largest = int(sizes.argmax())
+    size = int(sizes[largest])
+    asp = int(dist_sum[component == largest].sum()) / (size * (size - 1))
+    pairs = int(reach.sum()) - n
+    scale = n * (n - 1) * (n - 2) if n > 2 else n
+    betweenness_u = (int(dist_sum.sum()) - pairs) / scale
+
+    dist = _float_distances(n, heads, length[order], deg, first)
+    tight = dist[:, src]
+    tight += length
+    source, arc = np.nonzero(tight == dist[:, dst])
+    del tight
+    tail = source * n + src[arc]
+    head = source * n + dst[arc]
+    paths = np.eye(n).ravel()  # shortest paths of `hop` arcs, per flat (s, t)
+    sigma = np.zeros(n * n)
+    hop_sum = np.zeros(n * n)
+    hop = 0
+    while True:
+        hop += 1
+        paths = np.bincount(head, weights=paths[tail], minlength=n * n)
+        if not paths.any():
+            break
+        sigma += paths
+        hop_sum += hop * paths
+    if hop_sum.sum() >= 2 ** 53:
+        return None
+    # Sum of H/sigma over pairs, grouped by sigma > 1 (most pairs have
+    # sigma 1), on one common denominator in Python ints; int / int
+    # division rounds correctly.
+    multi = sigma > 1
+    sigmas, group = np.unique(sigma[multi], return_inverse=True)
+    group_hops = np.bincount(group, weights=hop_sum[multi]).astype(np.int64)
+    sigmas = sigmas.astype(np.int64).tolist()
+    common = math.lcm(1, *sigmas)
+    total = int(hop_sum[sigma == 1].sum()) * common + sum(
+        h * (common // s) for h, s in zip(group_hops.tolist(), sigmas))
+    betweenness_w = (total - pairs * common) / (common * scale)
+    return asp, betweenness_w, betweenness_u, _mean(closeness.tolist())
+
+
 def _degree_variance_zero(graph: nx.Graph) -> bool:
     degrees = {d for _, d in graph.degree()}
     return len(degrees) <= 1
@@ -313,15 +482,20 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
             r = nx.degree_assortativity_coefficient(graph)
             if not math.isnan(r):
                 out["assortativity"].append(float(r))
-        paths = _path_stats(agg)
-        out["avg_shortest_path"].append(paths.avg_shortest_path)
+        means = _hour_path_means(agg)
+        if means is None:
+            paths = _path_stats(agg)
+            means = (paths.avg_shortest_path, _mean(paths.betweenness_w),
+                     _mean(paths.betweenness_u), _mean(paths.closeness))
+        asp, betweenness_w, betweenness_u, closeness = means
+        out["avg_shortest_path"].append(asp)
         communities = nx.community.louvain_communities(
             graph, weight="weight", seed=louvain_seed)
         out["modularity"].append(
             float(nx.community.modularity(graph, communities, weight="weight")))
-        out["hour_betweenness_w"].append(_mean(paths.betweenness_w))
-        out["hour_betweenness_u"].append(_mean(paths.betweenness_u))
-        out["hour_closeness"].append(_mean(paths.closeness))
+        out["hour_betweenness_w"].append(betweenness_w)
+        out["hour_betweenness_u"].append(betweenness_u)
+        out["hour_closeness"].append(closeness)
     return out
 
 

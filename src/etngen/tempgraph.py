@@ -373,15 +373,19 @@ def aggregate(g: TemporalGraph) -> AggregatedGraph:
     return AggregatedGraph(weights)
 
 
+def require_hour_aligned(gap_seconds: int) -> None:
+    """Raise ValueError unless the gap divides 3600 or 3600 divides the gap,
+    so that no layer straddles an hour boundary."""
+    if SECONDS_PER_HOUR % gap_seconds != 0 and gap_seconds % SECONDS_PER_HOUR != 0:
+        raise ValueError(f"gap {gap_seconds} does not align with hour boundaries")
+
+
 def hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
     """Aggregate per wall-clock hour, in order; empty hours yield empty graphs.
 
-    Requires the gap to divide 3600 or 3600 to divide the gap, so layers do
-    not straddle hour boundaries.
+    Requires an hour-aligned gap (`require_hour_aligned`).
     """
-    gap = g.gap_seconds
-    if SECONDS_PER_HOUR % gap != 0 and gap % SECONDS_PER_HOUR != 0:
-        raise ValueError(f"gap {gap} does not align with hour boundaries")
+    require_hour_aligned(g.gap_seconds)
     if g.n_snapshots < 1:
         return []
     first = g.time_of(0) // SECONDS_PER_HOUR

@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, networkx for the shortest-path
-metrics, and one `random_walk` per run or pair for the walk probes."""
+library code: a naive string-based miner, networkx and an exact enumeration
+of shortest paths for the shortest-path metrics, and one `random_walk` per
+run or pair for the walk probes."""
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -70,6 +72,52 @@ def nx_path_metrics(graph: nx.Graph) -> tuple[dict, dict, dict, float]:
     largest = max(nx.connected_components(graph), key=len)
     asp = float(nx.average_shortest_path_length(graph.subgraph(largest)))
     return bw, bu, cl, asp
+
+
+def exact_betweenness_means(agg: AggregatedGraph) -> tuple[Fraction, Fraction]:
+    """Node means of normalised weighted and unweighted betweenness as exact
+    rationals, from every simple path of the graph (small graphs only).
+
+    A path's weighted length is the float sum of 1/weight added one edge at
+    a time from its source, as networkx's Dijkstra accumulates it, and the
+    paths of least length (float ==) are the shortest. With power-of-two
+    weights those sums are exact, so float ties are exact ties. A node's
+    betweenness sums, over ordered pairs (s, t) it lies inside, the share of
+    shortest s-t paths through it, over (n-1)(n-2) when n > 2.
+    """
+    adj: dict[int, list[tuple[int, float]]] = {}
+    for (i, j), w in agg.weights.items():
+        adj.setdefault(i, []).append((j, 1.0 / w))
+        adj.setdefault(j, []).append((i, 1.0 / w))
+    n = len(adj)
+    scale = (n - 1) * (n - 2) if n > 2 else 1
+
+    def mean(weighted: bool) -> Fraction:
+        through = dict.fromkeys(adj, Fraction(0))
+        for s in adj:
+            shortest: dict[int, tuple[float, list[list[int]]]] = {}
+
+            def extend(path: list[int], length: float) -> None:
+                for v, step in adj[path[-1]]:
+                    if v in path:
+                        continue
+                    d = length + step if weighted else length + 1
+                    longer = path + [v]
+                    best = shortest.get(v)
+                    if best is None or d < best[0]:
+                        shortest[v] = (d, [longer])
+                    elif d == best[0]:
+                        best[1].append(longer)
+                    extend(longer, d)
+
+            extend([s], 0.0)
+            for _, paths in shortest.values():
+                for path in paths:
+                    for v in path[1:-1]:
+                        through[v] += Fraction(1, len(paths))
+        return sum(through.values()) / scale / n
+
+    return mean(True), mean(False)
 
 
 def nx_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:

@@ -71,6 +71,13 @@ class TestFit:
         assert main(["fit", str(raw), "--out", str(tmp_path / "m.json"),
                      "--gap", "300", "--k", "1"]) == 0
 
+    def test_header_gap_needs_no_flag(self, tmp_path):
+        g = TemporalGraph(4, [Snapshot({(0, 1)}), Snapshot({(1, 2)})] * 4, 60)
+        path = write_graph(tmp_path / "gap60.tsv", g)
+        model_path = tmp_path / "m.json"
+        assert main(["fit", path, "--out", str(model_path), "--k", "1"]) == 0
+        assert json.loads(model_path.read_text())["gap"] == 60
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "m.json")]) == 2
@@ -345,6 +352,19 @@ def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "etngen: error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "pipeline"])
+def test_gap_off_the_hour_fails_before_any_work(tmp_path, capsys, command):
+    g = TemporalGraph(4, [Snapshot({(0, 1)}), Snapshot({(1, 2)})] * 8, 7)
+    path = write_graph(tmp_path / "gap7.tsv", g)
+    out_dir = tmp_path / "out"
+    inputs = [path, path] if command == "eval" else [path]
+    assert main([command, *inputs, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gap 7 does not align with hour boundaries" in captured.err
 
 
 class TestPipeline:

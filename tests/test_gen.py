@@ -1,8 +1,11 @@
 import io
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     Snapshot, TemporalGraph, expansion_alpha, extract_etn, fit,
@@ -318,6 +321,48 @@ class TestRollingWindow:
         model.fallback_counts.clear()
         generate(model, GenConfig(n_nodes=10, n_snapshots=12, seed=1))
         assert sum(model.fallback_counts.values()) == 10 * 11
+
+
+def requests_checked(g, k, gen_k, n_nodes, seed):
+    """Generate from a model fitted to `g`, checking every looked-up
+    extension: for each nonzero prefix pattern, the strings that request an
+    edge to a neighbour with that pattern never outnumber the ego's
+    neighbours with it (`propose_layer` then has a target for each).
+    Returns the number of requesting strings checked."""
+    real_lookup = gen.lookup_extension
+    checked = 0
+
+    def lookup(model, bucket, depth, prefix):
+        nonlocal checked
+        dist, level = real_lookup(model, bucket, depth, prefix)
+        if dist is not None:
+            have = Counter(prefix.strings)
+            for ext, _ in dist.extensions:
+                need = Counter(s >> 1 for s in ext.strings if s & 1 and s >> 1)
+                assert need <= have, (prefix, ext)
+                checked += sum(need.values())
+        return dist, level
+
+    model = fit(mine_counts(g, k, "daily"))
+    with mock.patch.object(gen, "lookup_extension", lookup):
+        generate(model, GenConfig(n_nodes=n_nodes, n_snapshots=g.n_snapshots,
+                                  k=gen_k, seed=seed))
+    return checked
+
+
+class TestEveryRequestHasATarget:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 10), st.integers(4, 14), st.floats(0.05, 0.7),
+           st.integers(1, 3), st.data())
+    def test_fitted_models(self, n, m, p, k, data):
+        g = random_graph(n=n, m=m, p=p, seed=data.draw(st.integers(0, 2**16)))
+        requests_checked(g, k, gen_k=data.draw(st.integers(1, k)),
+                         n_nodes=data.draw(st.integers(2, 2 * n)),
+                         seed=data.draw(st.integers(0, 2**16)))
+
+    def test_dense_graph_requests_many_targets(self):
+        assert requests_checked(random_graph(n=10, m=14, p=0.5, seed=4), 3,
+                                gen_k=3, n_nodes=15, seed=1) > 100
 
 
 class TestBootstrap:

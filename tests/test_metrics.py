@@ -1,6 +1,8 @@
 import io
 import math
+from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +12,12 @@ from scipy.spatial.distance import jensenshannon
 
 from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
                     TemporalGraph, aggregated_metrics, compare, compute_report,
-                    contact_durations, emd, hour_metrics, js_divergence,
-                    kl_divergence, ks_distance, snapshot_metrics,
-                    write_distances_csv, write_samples_csv)
-from etngen.metrics import _path_stats, distance, format_cell
-from oracles import nx_graph, nx_path_metrics, nx_report
+                    contact_durations, emd, hour_metrics, hour_slices,
+                    js_divergence, kl_divergence, ks_distance,
+                    snapshot_metrics, write_distances_csv, write_samples_csv)
+from etngen.metrics import _hour_path_means, _path_stats, distance, format_cell
+from oracles import (exact_betweenness_means, nx_graph, nx_path_metrics,
+                     nx_report)
 from synth import sinusoidal_graph
 
 GAP = 300
@@ -231,6 +234,104 @@ class TestPathStatsOracle:
             weights[(labels[i], labels[j])] = int(rng.integers(1, 13))
         if weights:
             assert_paths_match_networkx(AggregatedGraph(weights))
+
+
+def assert_hour_means_match(agg):
+    """The all-pairs hour pass against networkx: ASP and mean closeness
+    bit for bit, the betweenness means within 1e-12 relative, and the
+    betweenness means equal to the exact enumeration, correctly rounded."""
+    asp, bw, bu, cl = _hour_path_means(agg)
+    nbw, nbu, ncl, nasp = nx_path_metrics(nx_graph(agg))
+    assert asp == nasp
+    assert cl == sum(ncl.values()) / len(ncl)
+    assert bw == pytest.approx(sum(nbw.values()) / len(nbw), rel=1e-12, abs=0)
+    assert bu == pytest.approx(sum(nbu.values()) / len(nbu), rel=1e-12, abs=0)
+    if len(ncl) <= 8:
+        ebw, ebu = exact_betweenness_means(agg)
+        assert (bw, bu) == (float(ebw), float(ebu))
+
+
+# From node 0 the path 0-1-2-3-4 (lengths 1/2, 1/3, 1/3, 1/3) sums to
+# 1.4999999999999998 in float and 0-5-4 (1, 1/2) to 1.5, so networkx keeps
+# one shortest 0-4 path where exact lengths tie; from node 4 both sum to 1.5.
+FLOAT_TIE = {(0, 1): 2, (1, 2): 3, (2, 3): 3, (3, 4): 3, (0, 5): 1, (5, 4): 2}
+
+
+def diamond_chain(links):
+    """`links` diamonds in a row: 2**links shortest paths end to end."""
+    weights = {}
+    for d in range(links):
+        a, b, c = 3 * d, 3 * d + 1, 3 * d + 2
+        weights.update({(a, b): 1, (a, c): 1, (b, a + 3): 1, (c, a + 3): 1})
+    return weights
+
+
+class TestHourPathMeans:
+    @pytest.mark.parametrize("weights", [
+        {**PATH_3, **TRIANGLE},
+        {**TRIANGLE, **PATH_3},
+        {(0, 1): 2, (1, 2): 2, (0, 2): 1},
+        {(0, 1): 2, (1, 2): 2, (0, 3): 2, (3, 2): 2, (0, 2): 1,
+         (2, 4): 4, (4, 5): 4, (2, 5): 2},
+        {(7, 4): 3},
+        {(0, k): k for k in range(1, 7)},
+        {(i, j): 1 + (i * j) % 3 for i in range(6) for j in range(i + 1, 6)},
+        FLOAT_TIE,
+        {(0, 1): 2999, (1, 2): 3001, (2, 3): 3011, (0, 3): 3019, (1, 3): 3023},
+    ], ids=["path-then-triangle", "triangle-then-path", "dijkstra-tie",
+            "dijkstra-ties-and-tail", "two-nodes", "star", "complete",
+            "float-tie", "large-prime-weights"])
+    def test_fixed_graphs(self, weights):
+        assert_hour_means_match(AggregatedGraph(weights))
+
+    def test_float_tie_differs_from_exact_ties(self):
+        # networkx with exact lengths keeps both 0-4 paths from node 0 too.
+        agg = AggregatedGraph(FLOAT_TIE)
+        graph = nx_graph(agg)
+        for _, _, data in graph.edges(data=True):
+            data["exact"] = Fraction(1, data["weight"])
+        exact = nx.betweenness_centrality(graph, weight="exact")
+        _, bw, _, _ = _hour_path_means(agg)
+        assert bw != pytest.approx(sum(exact.values()) / len(exact), rel=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                              st.integers(1, 12)),
+                    min_size=1, max_size=12))
+    def test_equal_exact_enumeration(self, edges):
+        weights = {(i, j): w for i, j, w in edges if i != j}
+        if weights:
+            assert_hour_means_match(AggregatedGraph(weights))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1))
+    @example(40, 0.7, 0)
+    def test_random_dense_graphs(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(n).tolist()
+        weights = {}
+        for i, j in rng.permutation(np.argwhere(np.triu(rng.random((n, n)) < p, 1))):
+            weights[(labels[i], labels[j])] = int(rng.integers(1, 13))
+        if weights:
+            assert_hour_means_match(AggregatedGraph(weights))
+
+    def test_uncountable_paths_fall_back_to_path_stats(self):
+        # 2**50 shortest paths of 100 hops end to end: past 2**53 summed hops.
+        weights = diamond_chain(50)
+        g = one_hour(1 + max(max(e) for e in weights), *((e, 1) for e in weights))
+        agg = hour_slices(g)[0]
+        assert _hour_path_means(agg) is None
+        out = hour_metrics(g)
+        bw, bu, cl, asp = nx_path_metrics(nx_graph(agg))
+        assert out["avg_shortest_path"] == [asp]
+        assert out["hour_betweenness_w"] == [sum(bw.values()) / len(bw)]
+        assert out["hour_betweenness_u"] == [sum(bu.values()) / len(bu)]
+        assert out["hour_closeness"] == [sum(cl.values()) / len(cl)]
+
+    def test_countable_chain_stays_exact(self):
+        assert_hour_means_match(AggregatedGraph(diamond_chain(2)))
+        agg = AggregatedGraph(diamond_chain(40))
+        assert _hour_path_means(agg) is not None
 
 
 class TestComputeReport:
