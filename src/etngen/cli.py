@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from . import dynamics as dyn
@@ -31,7 +31,7 @@ EXIT_INTERNAL = 3
 
 _START_TOKENS = {"t0": dyn.START_T0, "half": dyn.START_HALF,
                  "peak": dyn.START_FIRST_PEAK}
-_PROBE_TOKENS = ("rw", "mfpt", "sir")
+_PROBE_TOKENS = {probe: probe for probe in ("rw", "mfpt", "sir")}
 
 
 class UsageError(Exception):
@@ -50,8 +50,39 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _csv_tokens(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0,1], "
+                                         f"got {text!r}")
+    return value
+
+
+def _alpha(text: str) -> str | float:
+    """'auto' (resolved against the model by _generate_stage) or a probability."""
+    return text if text == "auto" else probability(text)
+
+
+def _token(values: dict[str, str]):
+    def parse(text: str) -> str:
+        if text not in values:
+            raise argparse.ArgumentTypeError(
+                f"unknown token {text!r} (expected {', '.join(values)})")
+        return values[text]
+    return parse
+
+
+def _comma_list(item, allow_empty: bool = False):
+    """A `type` for a comma list, each element checked by `item`."""
+    def parse(text: str) -> tuple:
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not tokens and not allow_empty:
+            raise argparse.ArgumentTypeError("must name at least one value")
+        return tuple(map(item, tokens))
+    return parse
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -65,8 +96,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--seed", type=int, default=0,
                        help="rng seed (default 0)")
         p.add_argument("--config", default=None,
-                       help="JSON file with defaults for this subcommand; "
-                            "explicit flags win")
+                       help="JSON object of option values for this subcommand, "
+                            "each checked as its flag; explicit flags win")
 
     def add_fit_args(p: _Parser) -> None:
         p.add_argument("--gap", type=positive_int, default=None,
@@ -83,19 +114,29 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="mining workers (default $ETNGEN_THREADS or 1)")
 
     def add_eval_args(p: _Parser) -> None:
-        p.add_argument("--starts", default="t0,half,peak",
-                       help="comma list of t0,half,peak")
-        p.add_argument("--distances", default="ks,js,kl,emd")
+        # String defaults go through `type` like any given value.
+        p.add_argument("--starts", type=_comma_list(_token(_START_TOKENS)),
+                       default="t0,half,peak",
+                       help="comma list of one or more of t0,half,peak")
+        p.add_argument("--distances", default="ks,js,kl,emd",
+                       type=_comma_list(_token({name: name for name in
+                                                metrics_mod.DISTANCE_FUNCS})),
+                       help="comma list of one or more of ks,js,kl,emd")
         p.add_argument("--dynamics", default="",
+                       type=_comma_list(_token(_PROBE_TOKENS), allow_empty=True),
                        help="comma list of rw,mfpt,sir (empty: topology only)")
-        p.add_argument("--lambdas", default="0.25,0.13,0.01",
-                       help="SIR transmission probabilities")
-        p.add_argument("--mu", type=float, default=0.055)
-        p.add_argument("--rw-runs", type=positive_int, default=1000)
+        p.add_argument("--lambdas", type=_comma_list(probability),
+                       default="0.25,0.13,0.01",
+                       help="comma list of SIR transmission probabilities in [0,1]")
+        p.add_argument("--mu", type=probability, default="0.055",
+                       help="SIR recovery probability in [0,1]")
+        p.add_argument("--rw-runs", type=positive_int, default=1000,
+                       help="coverage walks, >= 1")
         p.add_argument("--mfpt-repeats", type=positive_int, default=5,
                        help="first-passage walks per source node; each walk "
                             "gives one sample per target")
-        p.add_argument("--sir-runs", type=positive_int, default=100)
+        p.add_argument("--sir-runs", type=positive_int, default=100,
+                       help="SIR epidemics per start and lambda, >= 1")
         p.add_argument("--stability", action="store_true",
                        help="also compare the original against a re-simulation "
                             "of itself with seed+1")
@@ -121,7 +162,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="node count (default: model's native)")
     p_gen.add_argument("--k", type=positive_int, default=None,
                        help="window depth (default: model k)")
-    p_gen.add_argument("--alpha", default="0.5",
+    p_gen.add_argument("--alpha", type=_alpha, default="0.5",
                        help="one-directional acceptance in [0,1], or 'auto' "
                             "to preserve training density under expansion")
     p_gen.add_argument("--epoch", type=int, default=None,
@@ -151,7 +192,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pipe.add_argument("--nodes", type=positive_int, default=None)
     p_pipe.add_argument("--snapshots", type=positive_int, default=None,
                         help="layers to generate (default: input length)")
-    p_pipe.add_argument("--alpha", default="0.5")
+    p_pipe.add_argument("--alpha", type=_alpha, default="0.5",
+                        help="as for generate: a probability in [0,1] or 'auto'")
     add_fit_args(p_pipe)
     add_eval_args(p_pipe)
     add_common(p_pipe)
@@ -172,21 +214,6 @@ def _load_eval_graph(path: str, gap: int | None) -> TemporalGraph:
     g = _load_graph(path, gap)
     require_hour_aligned(g.gap_seconds)
     return g
-
-
-def _resolve_alpha(text: str, model: model_mod.LocalModel, n_nodes: int) -> float:
-    if text == "auto":
-        alpha = gen_mod.expansion_alpha(model.node_count, n_nodes)
-        print(f"alpha=auto resolved to {alpha:.2f} "
-              f"(model nodes {model.node_count}, target {n_nodes})")
-        return alpha
-    try:
-        alpha = float(text)
-    except ValueError:
-        raise UsageError(f"--alpha must be a number or 'auto', got {text!r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise UsageError(f"--alpha must be in [0,1], got {alpha}")
-    return alpha
 
 
 def _fit_stage(g: TemporalGraph, args: argparse.Namespace, model_path: str
@@ -240,7 +267,11 @@ def _generate_stage(model: model_mod.LocalModel, args: argparse.Namespace,
     """Build the config, generate, write the surrogate and, given a path,
     the per-layer diagnostics."""
     n_nodes = args.nodes if args.nodes is not None else model.node_count
-    alpha = _resolve_alpha(args.alpha, model, n_nodes)
+    alpha = args.alpha
+    if alpha == "auto":
+        alpha = gen_mod.expansion_alpha(model.node_count, n_nodes)
+        print(f"alpha=auto resolved to {alpha:.2f} "
+              f"(model nodes {model.node_count}, target {n_nodes})")
     seed_degrees = _read_degrees(degrees_path) if degrees_path else None
     cfg = gen_mod.GenConfig(
         n_nodes=n_nodes,
@@ -271,63 +302,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
           f"snapshots={surrogate.n_snapshots} events={surrogate.n_events} "
           f"alpha={cfg.alpha:.4g} seed={args.seed} -> {args.out}")
     return EXIT_OK
-
-
-def _parse_starts(text: str) -> list[str]:
-    tokens = _csv_tokens(text)
-    if not tokens:
-        raise UsageError("--starts must name at least one of t0,half,peak")
-    policies = []
-    for tok in tokens:
-        if tok not in _START_TOKENS:
-            raise UsageError(f"unknown start {tok!r} (expected t0, half or peak)")
-        policies.append(_START_TOKENS[tok])
-    return policies
-
-
-def _parse_distances(text: str) -> tuple[str, ...]:
-    tokens = _csv_tokens(text)
-    if not tokens:
-        raise UsageError("--distances must name at least one of ks,js,kl,emd")
-    for tok in tokens:
-        if tok not in metrics_mod.DISTANCE_FUNCS:
-            raise UsageError(f"unknown distance {tok!r}")
-    return tuple(tokens)
-
-
-def _parse_probes(text: str) -> tuple[str, ...]:
-    tokens = _csv_tokens(text)
-    for tok in tokens:
-        if tok not in _PROBE_TOKENS:
-            raise UsageError(f"unknown dynamics probe {tok!r}")
-    return tuple(tokens)
-
-
-def _parse_lambdas(text: str) -> list[float]:
-    try:
-        lambdas = [float(tok) for tok in _csv_tokens(text)]
-    except ValueError as exc:
-        raise UsageError(f"bad --lambdas value: {exc}")
-    if not lambdas or any(not 0.0 <= lam <= 1.0 for lam in lambdas):
-        raise UsageError("--lambdas must be probabilities in [0,1]")
-    return lambdas
-
-
-@dataclass(frozen=True)
-class _EvalFlags:
-    """The eval list flags, parsed before any work so a bad one costs none."""
-
-    distances: tuple[str, ...]
-    starts: list[str]
-    probes: tuple[str, ...]
-    lambdas: list[float]
-
-
-def _parse_eval_flags(args: argparse.Namespace) -> _EvalFlags:
-    return _EvalFlags(distances=_parse_distances(args.distances),
-                      starts=_parse_starts(args.starts),
-                      probes=_parse_probes(args.dynamics),
-                      lambdas=_parse_lambdas(args.lambdas))
 
 
 def _sample_path(out_dir: str, probe: str, which: str, start: str,
@@ -399,7 +373,7 @@ def _dump_dyn_outputs(out_dir: str, which: str, report: dyn.DynReport) -> None:
 
 
 def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
-              args: argparse.Namespace, flags: _EvalFlags) -> None:
+              args: argparse.Namespace) -> None:
     if g_orig.gap_seconds != g_gen.gap_seconds:
         raise ValueError(f"gap mismatch: original {g_orig.gap_seconds}s vs "
                          f"surrogate {g_gen.gap_seconds}s")
@@ -409,7 +383,7 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
     reports = {which: metrics_mod.compute_report(graph, louvain_seed=args.seed)
                for which, graph in (("orig", g_orig), ("gen", g_gen))}
     report = metrics_mod.compare(reports["orig"], reports["gen"],
-                                 distances=flags.distances)
+                                 distances=args.distances)
     topo_path = os.path.join(out_dir, "distances_topo.csv")
     with open(topo_path, "w", encoding="utf-8", newline="") as handle:
         metrics_mod.write_distances_csv(report, handle)
@@ -421,15 +395,15 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 metrics_mod.write_samples_csv(rep, handle)
 
-    if not flags.probes:
+    if not args.dynamics:
         return
     base = dyn.DynConfig(rw_runs=args.rw_runs, mfpt_repeats=args.mfpt_repeats,
                          sir_runs=args.sir_runs, mu=args.mu, seed=args.seed)
-    run_args = (flags.starts, flags.lambdas, flags.probes)
+    run_args = (args.starts, args.lambdas, args.dynamics)
     rep_orig = dyn.run_dynamics(g_orig, base, *run_args)
     rep_gen = dyn.run_dynamics(g_gen, base, *run_args)
     dyn_path = os.path.join(out_dir, "distances_dyn.csv")
-    _write_dyn_distances(dyn_path, rep_orig, rep_gen, flags.distances)
+    _write_dyn_distances(dyn_path, rep_orig, rep_gen, args.distances)
     _dump_dyn_outputs(out_dir, "orig", rep_orig)
     _dump_dyn_outputs(out_dir, "gen", rep_gen)
     print(f"eval: wrote {dyn_path}")
@@ -437,20 +411,18 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
         rep_orig2 = dyn.run_dynamics(g_orig, replace(base, seed=args.seed + 1),
                                      *run_args)
         stab_path = os.path.join(out_dir, "distances_dyn_stability.csv")
-        _write_dyn_distances(stab_path, rep_orig, rep_orig2, flags.distances)
+        _write_dyn_distances(stab_path, rep_orig, rep_orig2, args.distances)
         print(f"eval: wrote {stab_path}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    flags = _parse_eval_flags(args)
     g_orig = _load_eval_graph(args.original, args.gap)
     g_gen = _load_eval_graph(args.surrogate, args.gap)
-    _run_eval(g_orig, g_gen, args, flags)
+    _run_eval(g_orig, g_gen, args)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    flags = _parse_eval_flags(args)
     g = _load_eval_graph(args.input, args.gap)
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.json")
@@ -462,42 +434,61 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"pipeline: fitted {model_path}, generated {surrogate_path} "
           f"({surrogate.n_events} events)")
 
-    _run_eval(g, surrogate, args, flags)
+    _run_eval(g, surrogate, args)
     return EXIT_OK
 
 
+def _config_tokens(sub: _Parser, conf: object) -> list[str]:
+    """A --config object as option tokens, so that each value meets exactly
+    its flag's check: a switch takes a JSON boolean, null keeps the default."""
+    if not isinstance(conf, dict):
+        raise UsageError("--config file must hold a JSON object")
+    options = {action.dest: action for action in sub._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    unknown = sorted(set(conf) - set(options))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in conf.items():
+        action = options[key]
+        flag = action.option_strings[0]
+        if value is None:
+            continue
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} is a switch: "
+                                 f"expected true or false")
+            tokens += [flag] if value else []
+        elif isinstance(value, (list, dict)):
+            raise UsageError(f"config key {key!r} must be a single value")
+        else:
+            text = value if isinstance(value, str) else json.dumps(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        if args.config:
             with open(args.config, encoding="utf-8") as handle:
                 conf = json.load(handle)
-            if not isinstance(conf, dict):
-                raise UsageError("--config file must hold a JSON object")
-            sub = sub_map[args.command]
-            dests = {action.dest for action in sub._actions} - {"help", "config"}
-            unknown = sorted(set(conf) - dests)
-            if unknown:
-                raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-            sub.set_defaults(**conf)
-            args = parser.parse_args(argv)
+            # Config tokens go before the explicit ones, which win.
+            args = parser.parse_args([argv[0], *_config_tokens(
+                sub_map[args.command], conf), *argv[1:]])
     except UsageError as exc:
         print(f"etngen: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"etngen: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"etngen: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ParseError, model_mod.ModelFormatError, model_mod.FitError,
             ValueError, OSError) as exc:
         print(f"etngen: error: {exc}", file=sys.stderr)

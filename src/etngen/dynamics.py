@@ -275,7 +275,8 @@ def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
     t_start = resolve_start(g, cfg.start_policy)
     connected = sorted(g.snapshots[t_start].active_nodes)
     if not connected:
-        raise ValueError(f"no connected node at t_start={t_start}")
+        raise ValueError(f"start {cfg.start_policy!r} (snapshot t_start={t_start}) "
+                         f"has no node with an edge")
     horizon = g.n_snapshots - t_start
     cum_infected = np.zeros(horizon, dtype=np.float64)
     samples: list[int] = []

@@ -457,11 +457,6 @@ def _hour_path_means(agg: AggregatedGraph
     return asp, betweenness_w, betweenness_u, _mean(closeness.tolist())
 
 
-def _degree_variance_zero(graph: nx.Graph) -> bool:
-    degrees = {d for _, d in graph.degree()}
-    return len(degrees) <= 1
-
-
 def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[float]]:
     """One value per nonempty hour slice, computed on its aggregated graph.
 
@@ -478,7 +473,7 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
         out["s_metric"].append(float(sum(degrees[i] * degrees[j]
                                          for i, j in graph.edges())))
         out["clustering"].append(float(nx.transitivity(graph)))
-        if not _degree_variance_zero(graph):
+        if len(set(degrees.values())) > 1:
             r = nx.degree_assortativity_coefficient(graph)
             if not math.isnan(r):
                 out["assortativity"].append(float(r))

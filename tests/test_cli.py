@@ -1,14 +1,19 @@
 import io
 import json
+import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etngen import (Snapshot, TemporalGraph, parse_edge_list, read_counts,
                     write_edge_list, write_samples_csv)
 from etngen import metrics as metrics_mod
-from etngen.cli import main
+from etngen.cli import build_parser, main
 from synth import er_layers, random_graph
 
 
@@ -133,6 +138,48 @@ class TestConfigFile:
         conf.write_text("{nope")
         assert main(["fit", train, "--out", str(tmp_path / "m.json"),
                      "--config", str(conf)]) == 2
+
+    def test_config_not_utf8_is_data_error(self, train, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_bytes(b"\xff\xfe{}")
+        assert main(["fit", train, "--out", str(tmp_path / "m.json"),
+                     "--config", str(conf)]) == 2
+        assert "etngen: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, conf", [
+        ("eval", {"mu": 2}), ("eval", {"rw_runs": 0}),
+        ("eval", {"distances": 5}), ("eval", {"stability": "no"}),
+        ("fit", {"threads": 0}), ("fit", {"k": 0}), ("fit", {"k": True}),
+        ("fit", {"periodicity": "hourly"})])
+    def test_bad_config_value_fails_like_its_flag(self, train, tmp_path, capsys,
+                                                  command, conf):
+        conf_path = tmp_path / "conf.json"
+        conf_path.write_text(json.dumps(conf))
+        out = tmp_path / "out"
+        target = ([train, train, "--out-dir", str(out), "--dynamics", "rw"]
+                  if command == "eval" else [train, "--out", str(out)])
+        assert main([command, *target, "--config", str(conf_path)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("etngen: error:") == 1
+
+    def test_config_values_equal_flags(self, train, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"lambdas": 0.5, "dump_samples": True,
+                                    "stability": None}))
+        flags = ["--dynamics", "sir", "--starts", "t0", "--sir-runs", "5"]
+        by_conf, by_flags = tmp_path / "conf", tmp_path / "flags"
+        assert main(["eval", train, train, "--out-dir", str(by_conf), *flags,
+                     "--config", str(conf)]) == 0
+        assert main(["eval", train, train, "--out-dir", str(by_flags), *flags,
+                     "--lambdas", "0.5", "--dump-samples"]) == 0
+        names = sorted(os.listdir(by_conf))
+        assert names == sorted(os.listdir(by_flags))
+        assert "samples_sir_r0_orig_t0_lam0.5.csv" in names
+        assert "metric_samples_orig.csv" in names
+        for name in names:
+            assert (by_conf / name).read_bytes() == (by_flags / name).read_bytes()
 
 
 @pytest.fixture()
@@ -342,7 +389,8 @@ class TestEval:
 @pytest.mark.parametrize("command", ["eval", "pipeline"])
 @pytest.mark.parametrize("flag, value", [
     ("--distances", "ks,bogus"), ("--starts", "late"),
-    ("--dynamics", "bogus"), ("--lambdas", "1.5")])
+    ("--dynamics", "bogus"), ("--lambdas", "1.5"),
+    ("--mu", "2"), ("--mu", "nan")])
 def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
                                              command, flag, value):
     out_dir = tmp_path / "out"
@@ -365,6 +413,27 @@ def test_gap_off_the_hour_fails_before_any_work(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gap 7 does not align with hour boundaries" in captured.err
+
+
+@pytest.mark.parametrize("value", ["2", "lots"])
+def test_bad_pipeline_alpha_fails_before_any_work(train, tmp_path, capsys, value):
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", train, "--out-dir", str(out_dir),
+                 "--alpha", value]) == 1
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("etngen: error:") == 1
+
+
+def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
+    g = TemporalGraph(4, [Snapshot(set())] + [Snapshot({(0, 1), (2, 3)})] * 11,
+                      300, epoch=0)
+    path = write_graph(tmp_path / "late.tsv", g)
+    assert main(["eval", path, path, "--out-dir", str(tmp_path / "r"),
+                 "--dynamics", "sir", "--starts", "t0", "--sir-runs", "2"]) == 2
+    assert ("start 't0' (snapshot t_start=0) has no node with an edge"
+            in capsys.readouterr().err)
 
 
 class TestPipeline:
@@ -430,3 +499,80 @@ class TestTopLevel:
         monkeypatch.setenv("ETNGEN_THREADS", "abc")
         assert main(["fit", train, "--out", str(tmp_path / "m.json"),
                      "--threads", "2"]) == 0
+
+
+def _config_keys(command):
+    """The subcommand's option names, plus keys that are not options."""
+    sub = build_parser()[1][command]
+    return sorted(action.dest for action in sub._actions
+                  if action.dest != "help")
+
+
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(),
+    # No digit but 0: a short string must not name a large count.
+    st.text(alphabet="abhklmnorstw0.,- ", max_size=5),
+    st.sampled_from(["auto", "t0", "half", "peak", "rw", "mfpt", "sir", "ks",
+                     "emd", "daily", "weekly", "0.5", "1e-3", ""]),
+    st.lists(st.integers(-2, 4), max_size=2))
+
+_CONFIG_CASES = st.sampled_from(["fit", "generate", "eval", "pipeline"]).flatmap(
+    lambda command: st.tuples(st.just(command), st.dictionaries(
+        st.sampled_from(_config_keys(command)), _CONFIG_VALUES, max_size=4)))
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A 6-node, 12-snapshot recording and its k=2 model."""
+    root = tmp_path_factory.mktemp("tiny")
+    layers = [set(e) | {(0, 1)}
+              for e in er_layers(6, 12, 0.3, np.random.default_rng(3))]
+    train = write_graph(root / "train.tsv",
+                        TemporalGraph(6, [Snapshot(e) for e in layers], 300, epoch=0))
+    model = str(root / "model.json")
+    assert main(["fit", train, "--out", model]) == 0
+    return train, model
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_CONFIG_CASES)
+@example(case=("eval", {"mu": 2}))
+@example(case=("eval", {"rw_runs": 0}))
+@example(case=("eval", {"distances": 5}))
+@example(case=("eval", {"lambdas": 0.5}))
+@example(case=("eval", {"stability": "no"}))
+@example(case=("eval", {"mu": math.nan, "dynamics": "sir"}))
+@example(case=("fit", {"threads": 0}))
+@example(case=("fit", {"k": 0}))
+@example(case=("fit", {"k": True}))
+@example(case=("fit", {"periodicity": "hourly"}))
+@example(case=("pipeline", {"alpha": 2}))
+@example(case=("generate", {"alpha": "lots", "k": [1]}))
+def test_config_file_exit_codes(tiny_inputs, case):
+    """Any config object: exit 0, 1 or 2 (never 3), an error line on failure,
+    and no output at all on a usage error."""
+    command, conf = case
+    train, model = tiny_inputs
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # relative paths drawn for path options land here
+        try:
+            conf_path = os.path.join(work, "conf.json")
+            with open(conf_path, "w", encoding="utf-8") as handle:
+                json.dump(conf, handle)
+            out = os.path.join(work, "out")
+            target = {"fit": [train, "--out", out],
+                      "generate": [model, "--out", out, "--snapshots", "3"],
+                      "eval": [train, train, "--out-dir", out],
+                      "pipeline": [train, "--out-dir", out]}[command]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([command, *target, "--config", conf_path])
+            assert code in (0, 1, 2), stderr.getvalue()
+            if code:
+                assert "etngen: error:" in stderr.getvalue()
+            if code == 1:
+                assert stdout.getvalue() == ""
+                assert not os.path.exists(out)
+        finally:
+            os.chdir(cwd)
