@@ -14,7 +14,7 @@ from .dynamics import (CoverageResult, DynConfig, DynReport, MfptResult,
 from .etn import (EtnPrefix, EtnSignature, MinedCounts, NeighborWindow,
                   etn_cosine_distance, extract_etn, mine_counts, prefix_of,
                   read_counts, write_counts)
-from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer, bootstrap,
+from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer,
                   expansion_alpha, generate, propose_layer, seed_layer,
                   validate_layer, write_diagnostics)
 from .metrics import (DISTANCE_FUNCS, DISTANCE_NAMES, METRIC_KINDS,
@@ -43,7 +43,7 @@ __all__ = [
     "ModelFormatError", "NeighborWindow", "ParseError", "ProvisionalLayer",
     "SirResult", "SirRun",
     "Snapshot", "TemporalGraph", "aggregate", "aggregated_metrics",
-    "bootstrap", "bucket_of", "compare", "compute_report", "contact_durations",
+    "bucket_of", "compare", "compute_report", "contact_durations",
     "coverage_result", "emd", "etn_cosine_distance", "expansion_alpha",
     "extract_etn", "first_peak", "fit", "generate", "hour_metrics",
     "hour_slices", "js_divergence", "kl_divergence", "ks_distance",

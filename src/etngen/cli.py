@@ -43,11 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def probability(text: str) -> float:
@@ -93,8 +101,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub_map: dict[str, _Parser] = {}
 
     def add_common(p: _Parser) -> None:
-        p.add_argument("--seed", type=int, default=0,
-                       help="rng seed (default 0)")
+        p.add_argument("--seed", type=non_negative_int, default=0,
+                       help="rng seed, >= 0 (default 0)")
         p.add_argument("--config", default=None,
                        help="JSON object of option values for this subcommand, "
                             "each checked as its flag; explicit flags win")
@@ -418,12 +426,15 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
 def cmd_eval(args: argparse.Namespace) -> int:
     g_orig = _load_eval_graph(args.original, args.gap)
     g_gen = _load_eval_graph(args.surrogate, args.gap)
+    for g in (g_orig, g_gen):
+        dyn.check_starts(g, args.starts, args.dynamics)
     _run_eval(g_orig, g_gen, args)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     g = _load_eval_graph(args.input, args.gap)
+    dyn.check_starts(g, args.starts, args.dynamics)
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.json")
     _, model = _fit_stage(g, args, model_path)
@@ -431,6 +442,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     surrogate_path = os.path.join(args.out_dir, "surrogate.tsv")
     surrogate, _ = _generate_stage(model, args, n_snapshots, surrogate_path,
                                    os.path.join(args.out_dir, "diagnostics.csv"))
+    dyn.check_starts(surrogate, args.starts, args.dynamics)
     print(f"pipeline: fitted {model_path}, generated {surrogate_path} "
           f"({surrogate.n_events} events)")
 
@@ -483,7 +495,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError,
+            UnicodeDecodeError) as exc:
         print(f"etngen: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

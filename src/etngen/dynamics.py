@@ -268,15 +268,22 @@ def sir_run(g: TemporalGraph, seed_node: int, t_start: int, lam: float,
     return SirRun(r0=r0, infected=inf_series, recovered=rec_series)
 
 
+def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
+    """The start snapshot of `policy` and its nodes with an edge, among
+    which SIR seeds are drawn; a start with no such node is an error."""
+    t_start = resolve_start(g, policy)
+    connected = sorted(g.snapshots[t_start].active_nodes)
+    if not connected:
+        raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
+                         f"has no node with an edge")
+    return t_start, connected
+
+
 def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
     """sir_runs epidemics seeded uniformly among nodes with an edge at
     t_start; the mean infected series treats extinct epidemics as zero."""
     cfg.validate()
-    t_start = resolve_start(g, cfg.start_policy)
-    connected = sorted(g.snapshots[t_start].active_nodes)
-    if not connected:
-        raise ValueError(f"start {cfg.start_policy!r} (snapshot t_start={t_start}) "
-                         f"has no node with an edge")
+    t_start, connected = _sir_seeds(g, cfg.start_policy)
     horizon = g.n_snapshots - t_start
     cum_infected = np.zeros(horizon, dtype=np.float64)
     samples: list[int] = []
@@ -289,6 +296,20 @@ def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
         samples.append(trajectory.r0)
     series = [float(x / cfg.sir_runs) for x in cum_infected]
     return SirResult(samples=samples, infected_series=series)
+
+
+def check_starts(g: TemporalGraph, starts: Sequence[str],
+                 probes: Sequence[str]) -> None:
+    """Raise the error that `run_dynamics` would raise for one of `starts`,
+    before any probe runs: an undefined start or, for SIR, a start snapshot
+    with no node to seed."""
+    if not probes:
+        return
+    for policy in starts:
+        if "sir" in probes:
+            _sir_seeds(g, policy)
+        else:
+            resolve_start(g, policy)
 
 
 def run_dynamics(g: TemporalGraph, cfg: DynConfig,

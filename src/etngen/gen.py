@@ -1,4 +1,4 @@
-"""Surrogate layer generation: seed, bootstrap, propose, validate.
+"""Surrogate layer generation: seed, propose, validate.
 
 Layer t proposes directed edge requests by sampling, for every node, an
 extension of its current width-min(t,k) neighborhood prefix; requests are
@@ -36,8 +36,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class GenConfig:
-    """Generation parameters. `epoch`, `gap_seconds` and `seed_degrees`
-    default to the model's own values when None."""
+    """Generation parameters. `epoch` and `seed_degrees` default to the
+    model's own values when None."""
 
     n_nodes: int
     n_snapshots: int
@@ -45,7 +45,6 @@ class GenConfig:
     alpha: float = 0.5
     seed: int = 0
     epoch: int | None = None
-    gap_seconds: int | None = None
     seed_degrees: tuple[int, ...] | None = None
 
     def validate(self, model_k: int) -> None:
@@ -60,8 +59,6 @@ class GenConfig:
                              f"got {self.n_snapshots}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.gap_seconds is not None and self.gap_seconds <= 0:
-            raise ValueError(f"gap_seconds must be positive, got {self.gap_seconds}")
 
 
 @dataclass
@@ -269,12 +266,21 @@ def _resolve_degrees(model: LocalModel, cfg: GenConfig) -> Sequence[int]:
     return degrees
 
 
-def _grow(layers: list[Snapshot], window: NeighborWindow, t_stop: int,
-          model: LocalModel, cfg: GenConfig, epoch: int, gap: int,
-          diagnostics: list[LayerDiagnostics] | None) -> None:
-    """Append layers up to `t_stop`; `window` holds the layers so far."""
-    for t in range(len(layers), t_stop):
-        bucket = bucket_of(epoch + t * gap, model.periodicity)
+def generate(model: LocalModel, cfg: GenConfig,
+             diagnostics: list[LayerDiagnostics] | None = None) -> TemporalGraph:
+    """Generate a surrogate temporal graph; deterministic given cfg.seed.
+
+    Layer 0 is the seed layer; layer t >= 1 grows from a window of the
+    min(t, k) layers before it. The surrogate has the model's gap, the one
+    its cells were fitted at."""
+    cfg.validate(model.k)
+    epoch = cfg.epoch if cfg.epoch is not None else model.epoch
+    seed_snap = seed_layer(_resolve_degrees(model, cfg), _stream(cfg.seed, PHASE_SEED))
+    layers = [seed_snap]
+    window = NeighborWindow(cfg.k, 0, cfg.n_nodes)
+    window.push(seed_snap.edges)
+    for t in range(1, cfg.n_snapshots):
+        bucket = bucket_of(epoch + t * model.gap_seconds, model.periodicity)
         prov = propose_layer(window, model, bucket,
                              _stream(cfg.seed, PHASE_PROPOSE, t))
         diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
@@ -283,38 +289,7 @@ def _grow(layers: list[Snapshot], window: NeighborWindow, t_stop: int,
         window.push(snap.edges)
         if diagnostics is not None:
             diagnostics.append(diag)
-
-
-def _start(seed_snapshot: Snapshot, cfg: GenConfig) -> tuple[list[Snapshot], NeighborWindow]:
-    window = NeighborWindow(cfg.k, 0, cfg.n_nodes)
-    window.push(seed_snapshot.edges)
-    return [seed_snapshot], window
-
-
-def bootstrap(seed_snapshot: Snapshot, model: LocalModel, cfg: GenConfig,
-              diagnostics: list[LayerDiagnostics] | None = None) -> list[Snapshot]:
-    """First k layers: the seed plus layers grown at depths 1..k-1."""
-    cfg.validate(model.k)
-    epoch = cfg.epoch if cfg.epoch is not None else model.epoch
-    gap = cfg.gap_seconds if cfg.gap_seconds is not None else model.gap_seconds
-    layers, window = _start(seed_snapshot, cfg)
-    _grow(layers, window, cfg.k, model, cfg, epoch, gap, diagnostics)
-    return layers
-
-
-def generate(model: LocalModel, cfg: GenConfig,
-             diagnostics: list[LayerDiagnostics] | None = None) -> TemporalGraph:
-    """Generate a surrogate temporal graph; deterministic given cfg.seed.
-
-    The first k layers are the `bootstrap` ones."""
-    cfg.validate(model.k)
-    epoch = cfg.epoch if cfg.epoch is not None else model.epoch
-    gap = cfg.gap_seconds if cfg.gap_seconds is not None else model.gap_seconds
-    degrees = _resolve_degrees(model, cfg)
-    seed_snap = seed_layer(degrees, _stream(cfg.seed, PHASE_SEED))
-    layers, window = _start(seed_snap, cfg)
-    _grow(layers, window, cfg.n_snapshots, model, cfg, epoch, gap, diagnostics)
-    return TemporalGraph(cfg.n_nodes, layers, gap, epoch=epoch)
+    return TemporalGraph(cfg.n_nodes, layers, model.gap_seconds, epoch=epoch)
 
 
 def expansion_alpha(n_hat: int, n: int) -> float:

@@ -150,7 +150,7 @@ def contact_durations(g: TemporalGraph) -> list[float]:
 def _hour_nx(agg: AggregatedGraph) -> nx.Graph:
     graph = nx.Graph()
     for (i, j), w in agg.weights.items():
-        graph.add_edge(i, j, weight=w, distance=1.0 / w)
+        graph.add_edge(i, j, weight=w)
     return graph
 
 

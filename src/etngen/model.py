@@ -18,7 +18,7 @@ from typing import IO
 import numpy as np
 
 from .etn import EtnPrefix, EtnSignature, MinedCounts, prefix_of
-from .tempgraph import DAILY, PERIODICITIES, WEEKLY, BucketKey
+from .tempgraph import PERIODICITIES, BucketKey
 
 FORMAT_NAME = "etngen-model"
 FORMAT_VERSION = 1
@@ -103,64 +103,39 @@ class LocalModel:
     fallback_counts: Counter = field(default_factory=Counter, compare=False)
 
 
-def _group_by_prefix(ctr: Counter) -> dict[EtnPrefix, Counter]:
-    grouped: dict[EtnPrefix, Counter] = {}
-    for sig, c in ctr.items():
-        grouped.setdefault(prefix_of(sig), Counter())[sig] += c
-    return grouped
-
-
-def _marginalize_daily(table: dict) -> dict:
-    merged: dict[BucketKey, dict[int, Counter]] = {}
-    for bucket, per_depth in table.items():
-        day_bucket = BucketKey(hour_of_day=bucket.hour_of_day)
-        mine = merged.setdefault(day_bucket, {})
-        for depth, ctr in per_depth.items():
-            mine.setdefault(depth, Counter()).update(ctr)
-    return merged
-
-
-def fit(counts: MinedCounts, periodicity: str | None = None) -> LocalModel:
-    """Turn mined counts into per-cell extension distributions.
-
-    `periodicity` defaults to the one the counts were mined at; weekly
-    counts may be refit as daily by summing over the day of week, the
-    reverse is impossible.
-    """
-    target = periodicity or counts.periodicity
-    if target not in PERIODICITIES:
-        raise ValueError(f"unknown periodicity {target!r}")
-    table = counts.table
-    if target != counts.periodicity:
-        if counts.periodicity == WEEKLY and target == DAILY:
-            table = _marginalize_daily(table)
-        else:
-            raise ValueError(f"cannot refit {counts.periodicity} counts as {target}")
-
-    tables: dict[TableKey, ExtensionDistribution] = {}
+def _build_model(cells: dict[TableKey, Counter], **meta) -> LocalModel:
+    """The model whose (bucket, depth, prefix) cell counts are `cells`; its
+    global tables sum each (depth, prefix) over buckets. `meta` holds the
+    remaining `LocalModel` fields."""
     global_acc: dict[GlobalKey, Counter] = {}
-    depth_totals = {d: 0 for d in range(1, counts.k + 1)}
-    for bucket, per_depth in table.items():
-        for depth, ctr in per_depth.items():
-            depth_totals[depth] = depth_totals.get(depth, 0) + sum(ctr.values())
-            for prefix, sub in _group_by_prefix(ctr).items():
-                tables[(bucket, depth, prefix)] = ExtensionDistribution.from_counter(sub)
-                global_acc.setdefault((depth, prefix), Counter()).update(sub)
-    for depth in range(1, counts.k + 1):
-        if depth_totals.get(depth, 0) == 0:
-            raise FitError(f"no observations at depth {depth}")
-    global_tables = {key: ExtensionDistribution.from_counter(ctr)
-                     for key, ctr in global_acc.items()}
+    for (_, depth, prefix), ctr in cells.items():
+        global_acc.setdefault((depth, prefix), Counter()).update(ctr)
     return LocalModel(
-        k=counts.k,
-        periodicity=target,
-        gap_seconds=counts.gap_seconds,
-        epoch=counts.epoch,
-        node_count=counts.node_count,
-        seed_degrees=tuple(counts.first_layer_degrees),
-        tables=tables,
-        global_tables=global_tables,
-    )
+        tables={key: ExtensionDistribution.from_counter(ctr)
+                for key, ctr in cells.items()},
+        global_tables={key: ExtensionDistribution.from_counter(ctr)
+                       for key, ctr in global_acc.items()},
+        **meta)
+
+
+def fit(counts: MinedCounts) -> LocalModel:
+    """Turn mined counts into per-cell extension distributions, bucketed at
+    the periodicity the counts were mined at."""
+    if counts.periodicity not in PERIODICITIES:
+        raise ValueError(f"unknown periodicity {counts.periodicity!r}")
+    cells: dict[TableKey, Counter] = {}
+    for bucket, per_depth in counts.table.items():
+        for depth, ctr in per_depth.items():
+            for sig, c in ctr.items():
+                cells.setdefault((bucket, depth, prefix_of(sig)), Counter())[sig] += c
+    depths = {depth for _, depth, _ in cells}
+    for depth in range(1, counts.k + 1):
+        if depth not in depths:
+            raise FitError(f"no observations at depth {depth}")
+    return _build_model(cells, k=counts.k, periodicity=counts.periodicity,
+                        gap_seconds=counts.gap_seconds, epoch=counts.epoch,
+                        node_count=counts.node_count,
+                        seed_degrees=tuple(counts.first_layer_degrees))
 
 
 def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
@@ -230,23 +205,22 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
     sink.write("\n")
 
 
-def _check_invariants(k: int, periodicity: str, gap: int, nodes: int,
-                      seed_degrees: tuple[int, ...],
-                      tables: dict[TableKey, ExtensionDistribution]) -> None:
+def _check_invariants(model: LocalModel) -> None:
     """Refuse models that `fit` cannot produce and generation would absorb
     silently or fail on late: foreign bucket keys, a seed-degree list that
     does not match the node count, a depth with no cell, a gap that is not
     positive."""
-    if gap <= 0:
-        raise ModelFormatError(f"gap must be positive, got {gap}")
-    for bucket, depth, prefix in tables:
-        if bucket.periodicity != periodicity:
+    if model.gap_seconds <= 0:
+        raise ModelFormatError(f"gap must be positive, got {model.gap_seconds}")
+    for bucket, depth, prefix in model.tables:
+        if bucket.periodicity != model.periodicity:
             raise ModelFormatError(f"cell {bucket.encode()}/{depth}/{prefix.encode()} "
                                    f"has a {bucket.periodicity} bucket in a "
-                                   f"{periodicity} model")
-    if len(seed_degrees) not in (0, nodes):
-        raise ModelFormatError(f"{len(seed_degrees)} seed degrees for {nodes} nodes")
-    missing = sorted(set(range(1, k + 1)) - {depth for _, depth, _ in tables})
+                                   f"{model.periodicity} model")
+    if len(model.seed_degrees) not in (0, model.node_count):
+        raise ModelFormatError(f"{len(model.seed_degrees)} seed degrees for "
+                               f"{model.node_count} nodes")
+    missing = sorted(set(range(1, model.k + 1)) - {depth for _, depth, _ in model.tables})
     if missing:
         raise ModelFormatError(f"no cell at depth {', '.join(map(str, missing))}")
 
@@ -255,7 +229,7 @@ def load_model(source: IO[str]) -> LocalModel:
     """Inverse of `save_model`; global tables are rebuilt by summation."""
     try:
         doc = json.load(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError("not a model file")
@@ -263,21 +237,18 @@ def load_model(source: IO[str]) -> LocalModel:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
         k = int(doc["k"])
-        periodicity = doc["periodicity"]
-        gap = int(doc["gap"])
-        epoch = int(doc["epoch"])
-        nodes = int(doc["nodes"])
-        seed_degrees = tuple(int(d) for d in doc.get("seed_degrees", []))
-        cells = doc["tables"]
+        meta = dict(k=k, periodicity=doc["periodicity"], gap_seconds=int(doc["gap"]),
+                    epoch=int(doc["epoch"]), node_count=int(doc["nodes"]),
+                    seed_degrees=tuple(int(d) for d in doc.get("seed_degrees", [])))
+        doc_cells = doc["tables"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"missing or bad field: {exc}") from exc
-    if periodicity not in PERIODICITIES:
-        raise ModelFormatError(f"unknown periodicity {periodicity!r}")
+    if meta["periodicity"] not in PERIODICITIES:
+        raise ModelFormatError(f"unknown periodicity {meta['periodicity']!r}")
 
-    tables: dict[TableKey, ExtensionDistribution] = {}
-    global_acc: dict[GlobalKey, Counter] = {}
+    cells: dict[TableKey, Counter] = {}
     try:
-        for cell in cells:
+        for cell in doc_cells:
             bucket = BucketKey.decode(cell["bucket"])
             depth = int(cell["depth"])
             if not (1 <= depth <= k):
@@ -294,19 +265,14 @@ def load_model(source: IO[str]) -> LocalModel:
                         f"extension {sig.encode()} does not extend {cell['prefix']}")
                 ctr[sig] += count
             key = (bucket, depth, prefix)
-            if key in tables:
+            if key in cells:
                 raise ModelFormatError(f"duplicate cell {cell['bucket']}/{depth}/"
                                        f"{cell['prefix']}")
-            tables[key] = ExtensionDistribution.from_counter(ctr)
-            global_acc.setdefault((depth, prefix), Counter()).update(ctr)
+            cells[key] = ctr
+        model = _build_model(cells, **meta)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad table cell: {exc}") from exc
-
-    _check_invariants(k, periodicity, gap, nodes, seed_degrees, tables)
-    global_tables = {key: ExtensionDistribution.from_counter(ctr)
-                     for key, ctr in global_acc.items()}
-    return LocalModel(k=k, periodicity=periodicity, gap_seconds=gap, epoch=epoch,
-                      node_count=nodes, seed_degrees=seed_degrees,
-                      tables=tables, global_tables=global_tables)
+    _check_invariants(model)
+    return model

@@ -56,7 +56,8 @@ def counts_as_strings(table: dict) -> dict:
 
 
 def nx_graph(agg: AggregatedGraph) -> nx.Graph:
-    """The networkx view metrics builds: edge weight, and distance 1/weight."""
+    """The aggregated graph in networkx: edge weight, and distance 1/weight
+    for weighted betweenness."""
     graph = nx.Graph()
     for (i, j), w in agg.weights.items():
         graph.add_edge(i, j, weight=w, distance=1.0 / w)

@@ -139,6 +139,14 @@ class TestConfigFile:
         assert main(["fit", train, "--out", str(tmp_path / "m.json"),
                      "--config", str(conf)]) == 2
 
+    def test_config_deeply_nested_is_data_error(self, train, tmp_path, capsys):
+        conf = tmp_path / "deep.json"
+        conf.write_text("[" * 100_000)
+        assert main(["fit", train, "--out", str(tmp_path / "m.json"),
+                     "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.count("etngen: error:") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_config_not_utf8_is_data_error(self, train, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_bytes(b"\xff\xfe{}")
@@ -239,6 +247,22 @@ class TestGenerate:
         broken.write_text(text[: len(text) // 2])
         assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
                      "--snapshots", "12"]) == 2
+
+    def test_deeply_nested_model_is_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["generate", str(deep), "--out", str(tmp_path / "s.tsv"),
+                     "--snapshots", "12"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("etngen: error:") == 1 and "internal" not in err
+
+    def test_negative_seed_fails_before_any_work(self, model_path, tmp_path,
+                                                  capsys):
+        out = tmp_path / "s.tsv"
+        assert main(["generate", model_path, "--out", str(out),
+                     "--snapshots", "12", "--seed", "-1"]) == 1
+        assert not out.exists()
+        assert "etngen: error:" in capsys.readouterr().err
 
     def test_inconsistent_model_is_data_error(self, model_path, tmp_path):
         doc = json.loads(open(model_path, encoding="utf-8").read())
@@ -390,7 +414,7 @@ class TestEval:
 @pytest.mark.parametrize("flag, value", [
     ("--distances", "ks,bogus"), ("--starts", "late"),
     ("--dynamics", "bogus"), ("--lambdas", "1.5"),
-    ("--mu", "2"), ("--mu", "nan")])
+    ("--mu", "2"), ("--mu", "nan"), ("--seed", "-1")])
 def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
                                              command, flag, value):
     out_dir = tmp_path / "out"
@@ -434,6 +458,24 @@ def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
                  "--dynamics", "sir", "--starts", "t0", "--sir-runs", "2"]) == 2
     assert ("start 't0' (snapshot t_start=0) has no node with an edge"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("probes, start, later, message", [
+    ("sir", "t0", {(0, 1)}, "start 't0' (snapshot t_start=0) has no node with an edge"),
+    ("rw", "peak", set(), "graph has no edges; first peak undefined")],
+    ids=["sir-t0", "rw-peak"])
+def test_dynamics_start_checked_before_any_work(tmp_path, capsys, probes, start,
+                                                later, message):
+    g = TemporalGraph(4, [Snapshot(set())] + [Snapshot(later)] * 11, 300, epoch=0)
+    path = write_graph(tmp_path / "late.tsv", g)
+    out_dir = tmp_path / "out"
+    assert main(["eval", path, path, "--out-dir", str(out_dir),
+                 "--dynamics", probes, "--starts", start]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("etngen: error:") == 1
+    assert message in captured.err
 
 
 class TestPipeline:

@@ -13,7 +13,7 @@ from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     validate_layer)
 from etngen import gen
 from etngen.etn import MinedCounts, NeighborWindow
-from etngen.gen import PHASE_PROPOSE, _stream, bootstrap, write_diagnostics
+from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
 from etngen.tempgraph import BucketKey
 from synth import er_layers, random_graph
 
@@ -228,12 +228,11 @@ class TestGenerate:
         assert a != b
 
     def test_shape_and_metadata(self, model):
-        cfg = GenConfig(n_nodes=10, n_snapshots=12, seed=0, epoch=7200,
-                        gap_seconds=600)
+        cfg = GenConfig(n_nodes=10, n_snapshots=12, seed=0, epoch=7200)
         g = generate(model, cfg)
         assert g.node_count == 10
         assert g.n_snapshots == 12
-        assert g.gap_seconds == 600
+        assert g.gap_seconds == model.gap_seconds
         assert g.epoch == 7200
 
     def test_empty_model_emits_nothing_after_seed(self):
@@ -365,20 +364,6 @@ class TestEveryRequestHasATarget:
                                 gen_k=3, n_nodes=15, seed=1) > 100
 
 
-class TestBootstrap:
-    def test_k1_is_seed_only(self):
-        model = fit(mine_counts(random_graph(n=6, m=5, seed=2), 1, "daily"))
-        seed_snap = Snapshot({(0, 1)})
-        layers = bootstrap(seed_snap, model, GenConfig(n_nodes=6, n_snapshots=4, k=1))
-        assert layers == [seed_snap]
-
-    def test_k2_adds_depth1_layer(self):
-        model = fit(mine_counts(random_graph(n=6, m=8, p=0.4, seed=3), 2, "daily"))
-        layers = bootstrap(Snapshot({(0, 1), (2, 3)}), model,
-                           GenConfig(n_nodes=6, n_snapshots=6, k=2))
-        assert len(layers) == 2
-
-
 class TestExpansionAlpha:
     @pytest.mark.parametrize("n_hat,n,want", [
         (38, 126, 0.96), (63, 126, 0.88), (88, 126, 0.76),
@@ -403,3 +388,8 @@ class TestExpansionAlpha:
         a = expansion_alpha(n_hat, n)
         pair_ratio = (n_hat * (n_hat - 1)) / (n * (n - 1))
         assert abs((1 - a) - 0.5 * pair_ratio) <= 1e-12
+
+
+def test_every_exported_name_resolves():
+    import etngen
+    assert [name for name in etngen.__all__ if not hasattr(etngen, name)] == []

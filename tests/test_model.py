@@ -73,21 +73,25 @@ class TestFit:
         dist = model.global_tables[(1, sig("1"))]
         assert dict(dist.extensions) == {sig("10"): 1, sig("11"): 3}
 
-    def test_weekly_counts_refit_as_daily(self):
-        mon8 = BucketKey(hour_of_day=8, day_of_week=0)
-        tue8 = BucketKey(hour_of_day=8, day_of_week=1)
-        counts = make_counts({
-            mon8: {1: Counter({sig("11"): 2})},
-            tue8: {1: Counter({sig("11"): 3})},
-        }, periodicity="weekly")
-        model = fit(counts, periodicity="daily")
-        dist = model.tables[(H8, 1, sig("1"))]
-        assert dist.total == 5
-
-    def test_daily_counts_cannot_become_weekly(self):
-        counts = make_counts({H8: {1: Counter({sig("11"): 1})}})
-        with pytest.raises(ValueError):
-            fit(counts, periodicity="weekly")
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), days=st.integers(1, 9), p=st.floats(0.05, 0.6),
+           k=st.integers(1, 2), gap=st.sampled_from([1800, 3600, 7200]),
+           epoch=st.integers(0, 2_000_000), seed=st.integers(0, 2**16))
+    def test_daily_counts_sum_weekly_over_day_of_week(self, n, days, p, k, gap,
+                                                      epoch, seed):
+        g = random_graph(n=n, m=k + days * 86400 // gap, p=p, gap=gap,
+                         epoch=epoch, seed=seed)
+        daily, weekly = (mine_counts(g, k, per) for per in ("daily", "weekly"))
+        summed: dict = {}
+        for bucket, per_depth in weekly.table.items():
+            for depth, ctr in per_depth.items():
+                summed.setdefault((bucket.hour_of_day, depth), Counter()).update(ctr)
+        assert {key: ctr for key, ctr in summed.items() if +ctr} == {
+            (bucket.hour_of_day, depth): ctr
+            for bucket, per_depth in daily.table.items()
+            for depth, ctr in per_depth.items() if +ctr}
+        assert all(bucket.day_of_week is None for bucket in daily.table)
+        assert fit(daily).periodicity == "daily"
 
     def test_metadata_carried_over(self):
         g = random_graph(n=5, m=4, seed=8, gap=600, epoch=777)
@@ -259,6 +263,10 @@ class TestSaveLoad:
         text = sink.getvalue()[: len(sink.getvalue()) // 2]
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(text))
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ModelFormatError, match="not a model file"):
+            load_model(io.StringIO("[" * 100_000))
 
     def test_version_mismatch_rejected(self):
         doc = ('{"format": "etngen-model", "version": 99, "k": 1, '
