@@ -217,11 +217,21 @@ def _load_graph(path: str, gap: int | None) -> TemporalGraph:
 
 
 def _load_eval_graph(path: str, gap: int | None) -> TemporalGraph:
-    """A graph to evaluate; its hour slices need an hour-aligned gap, checked
-    here before any output or fitting."""
+    """A graph to evaluate; it needs a snapshot, and its hour slices an
+    hour-aligned gap, checked here before any output or fitting."""
     g = _load_graph(path, gap)
+    if g.n_snapshots < 1:
+        raise ValueError(f"{path}: need at least one snapshot")
     require_hour_aligned(g.gap_seconds)
     return g
+
+
+def _check_starts(g: TemporalGraph, path: str, args: argparse.Namespace) -> None:
+    """`dynamics.check_starts`, its error naming the graph's file."""
+    try:
+        dyn.check_starts(g, args.starts, args.dynamics)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _fit_stage(g: TemporalGraph, args: argparse.Namespace, model_path: str
@@ -426,15 +436,15 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
 def cmd_eval(args: argparse.Namespace) -> int:
     g_orig = _load_eval_graph(args.original, args.gap)
     g_gen = _load_eval_graph(args.surrogate, args.gap)
-    for g in (g_orig, g_gen):
-        dyn.check_starts(g, args.starts, args.dynamics)
+    _check_starts(g_orig, args.original, args)
+    _check_starts(g_gen, args.surrogate, args)
     _run_eval(g_orig, g_gen, args)
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     g = _load_eval_graph(args.input, args.gap)
-    dyn.check_starts(g, args.starts, args.dynamics)
+    _check_starts(g, args.input, args)
     os.makedirs(args.out_dir, exist_ok=True)
     model_path = os.path.join(args.out_dir, "model.json")
     _, model = _fit_stage(g, args, model_path)
@@ -442,7 +452,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     surrogate_path = os.path.join(args.out_dir, "surrogate.tsv")
     surrogate, _ = _generate_stage(model, args, n_snapshots, surrogate_path,
                                    os.path.join(args.out_dir, "diagnostics.csv"))
-    dyn.check_starts(surrogate, args.starts, args.dynamics)
+    _check_starts(surrogate, f"generated surrogate {surrogate_path}", args)
     print(f"pipeline: fitted {model_path}, generated {surrogate_path} "
           f"({surrogate.n_events} events)")
 

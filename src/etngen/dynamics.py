@@ -1,11 +1,11 @@
 """Dynamical probes on temporal graphs: random walks, first-passage, SIR.
 
-The random-walk probes (coverage and first passage) draw from one numpy
-stream per probe call, keyed by (seed, probe): all of a call's walkers move in
-lockstep, one layer at a time, and each layer's jumps are drawn as one vector
-in walker order. SIR keeps one substream per run, keyed by (seed, probe,
-lambda, run). Either way, results are reproducible bit-exactly from the config
-seed.
+Every probe call draws from one numpy stream: the random-walk probes
+(coverage and first passage) key it by (seed, probe), SIR by (seed, probe,
+lambda). All of a call's walkers, or all of its epidemics, advance in
+lockstep, one layer at a time, as rows of one state matrix, and each layer's
+draws are vectors in row-major (row, item) order. Memory is O(rows x nodes).
+Results are reproducible bit-exactly from the config seed.
 """
 
 from __future__ import annotations
@@ -130,17 +130,24 @@ def random_walk(g: TemporalGraph, start_node: int, t_start: int,
     return trace
 
 
+def _layer_arcs(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions u->v of every edge of one layer, as source and
+    target arrays sorted by source, then target."""
+    ends = np.fromiter(chain.from_iterable(snap.edges), dtype=np.intp,
+                       count=2 * len(snap.edges)).reshape(-1, 2)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
 def _layer_csr(snap: Snapshot, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degree, offset and neighbor arrays of one layer over n nodes.
 
     Node u's neighbors are flat[off[u]:off[u] + deg[u]], ascending, the
     order of `Snapshot.neighbors`.
     """
-    ends = np.fromiter(chain.from_iterable(snap.edges), dtype=np.intp,
-                       count=2 * len(snap.edges)).reshape(-1, 2)
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    flat = dst[np.lexsort((dst, src))]
+    src, flat = _layer_arcs(snap)
     deg = np.bincount(src, minlength=n)
     off = np.zeros(n, dtype=np.intp)
     np.cumsum(deg[:-1], out=off[1:])
@@ -270,8 +277,12 @@ def sir_run(g: TemporalGraph, seed_node: int, t_start: int, lam: float,
 
 def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
     """The start snapshot of `policy` and its nodes with an edge, among
-    which SIR seeds are drawn; a start with no such node is an error."""
+    which SIR seeds are drawn; a start past the last snapshot, or with no
+    such node, is an error."""
     t_start = resolve_start(g, policy)
+    if not 0 <= t_start < g.n_snapshots:
+        raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
+                         f"is outside the {g.n_snapshots} snapshots")
     connected = sorted(g.snapshots[t_start].active_nodes)
     if not connected:
         raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
@@ -279,23 +290,71 @@ def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
     return t_start, connected
 
 
+def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
+                  lam: float, mu: float, rng: np.random.Generator
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One epidemic per entry of `seeds`, all advancing through layers
+    t_start..m-1 as rows of a (runs x n) infected matrix.
+
+    Per layer: the arcs u->v with u infected and v susceptible at the start
+    of the step each draw one uniform, as one vector in row-major (run,
+    arc) order, arcs in `_layer_arcs` order; v is infected if any of its
+    draws is below lam, and r0 counts the successes whose u is the run's
+    seed. Then every node infected at the start of the step draws one
+    recovery uniform, in row-major (run, node) order, below mu recovering.
+    Only then do the new infections join, so they transmit from the next
+    step. Empty layers draw recoveries only. Yields the infected matrix and
+    the r0 vector, both updated in place, after each layer, and stops after
+    the layer in which the last run dies out. A single run follows
+    `sir_run`'s law; wherever lam and mu are 0 or 1 it equals `sir_run`.
+    """
+    runs, n = len(seeds), g.node_count
+    infected = np.zeros((runs, n), dtype=bool)
+    infected[np.arange(runs), seeds] = True
+    susceptible = ~infected
+    # Flat views: entry run * n + node.
+    infected_flat, susceptible_flat = infected.reshape(-1), susceptible.reshape(-1)
+    r0 = np.zeros(runs, dtype=np.int64)
+    for t in range(t_start, g.n_snapshots):
+        snap = g.snapshots[t]
+        new = None
+        if snap.edges:
+            src, dst = _layer_arcs(snap)
+            tries = np.flatnonzero(infected[:, src] & susceptible[:, dst])
+            run, arc = np.divmod(tries[rng.random(tries.size) < lam], src.size)
+            r0 += np.bincount(run[src[arc] == seeds[run]], minlength=runs)
+            new = run * n + dst[arc]
+        ill = np.flatnonzero(infected)
+        infected_flat[ill[rng.random(ill.size) < mu]] = False
+        if new is not None:
+            infected_flat[new] = True
+            susceptible_flat[new] = False
+        yield infected, r0
+        if not infected.any():
+            return
+
+
 def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
     """sir_runs epidemics seeded uniformly among nodes with an edge at
-    t_start; the mean infected series treats extinct epidemics as zero."""
+    t_start; the mean infected series treats extinct epidemics as zero and
+    keeps the full horizon.
+
+    One stream per call, keyed (seed, sir probe, lambda): the seed nodes are
+    one vector draw, then all epidemics run in lockstep on the same stream,
+    transmissions before recoveries in each layer, row-major (run, arc) and
+    (run, node) order (`_sir_lockstep`). The state takes O(sir_runs x n)
+    memory.
+    """
     cfg.validate()
     t_start, connected = _sir_seeds(g, cfg.start_policy)
-    horizon = g.n_snapshots - t_start
-    cum_infected = np.zeros(horizon, dtype=np.float64)
-    samples: list[int] = []
-    for run in range(cfg.sir_runs):
-        rng = _stream(cfg.seed, _PROBE_SIR, _lam_key(cfg.lam), run)
-        seed_node = connected[int(rng.integers(len(connected)))]
-        trajectory = sir_run(g, seed_node, t_start, cfg.lam, cfg.mu, rng)
-        for step, count in enumerate(trajectory.infected):
-            cum_infected[step] += count
-        samples.append(trajectory.r0)
+    rng = _stream(cfg.seed, _PROBE_SIR, _lam_key(cfg.lam))
+    seeds = np.asarray(connected)[rng.integers(len(connected), size=cfg.sir_runs)]
+    cum_infected = np.zeros(g.n_snapshots - t_start, dtype=np.int64)
+    for step, (infected, r0) in enumerate(
+            _sir_lockstep(g, seeds, t_start, cfg.lam, cfg.mu, rng)):
+        cum_infected[step] = np.count_nonzero(infected)
     series = [float(x / cfg.sir_runs) for x in cum_infected]
-    return SirResult(samples=samples, infected_series=series)
+    return SirResult(samples=r0.tolist(), infected_series=series)
 
 
 def check_starts(g: TemporalGraph, starts: Sequence[str],

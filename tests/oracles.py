@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the optimized
 library code: a naive string-based miner, networkx and an exact enumeration
-of shortest paths for the shortest-path metrics, and one `random_walk` per
-run or pair for the walk probes."""
+of shortest paths for the shortest-path metrics, one `random_walk` per
+run or pair for the walk probes, and one `sir_run` per epidemic for SIR."""
 
 from __future__ import annotations
 
@@ -12,11 +12,14 @@ import networkx as nx
 import numpy as np
 
 from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
-                    MfptResult, TemporalGraph, aggregate, bucket_of,
-                    compute_report, hour_slices, random_walk, resolve_start)
+                    MfptResult, SirResult, TemporalGraph, aggregate, bucket_of,
+                    compute_report, hour_slices, random_walk, resolve_start,
+                    sir_run)
+from etngen.dynamics import _sir_seeds
 
 _PROBE_RW = 0
 _PROBE_MFPT = 1
+_PROBE_SIR = 2
 
 
 def naive_signature_strings(g: TemporalGraph, ego: int, t_end: int,
@@ -194,3 +197,26 @@ def mfpt_per_pair(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
                 else:
                     censored += 1
     return MfptResult(samples=samples, censored=censored)
+
+
+def _lam_key(lam: float) -> int:
+    return int(round(lam * 1_000_000))
+
+
+def sir_per_run(g: TemporalGraph, cfg: DynConfig) -> SirResult:
+    """SIR with one `sir_run` per epidemic, each on its own substream keyed
+    (seed, sir probe, lambda, run) that also draws the seed node."""
+    cfg.validate()
+    t_start, connected = _sir_seeds(g, cfg.start_policy)
+    horizon = g.n_snapshots - t_start
+    cum_infected = np.zeros(horizon, dtype=np.float64)
+    samples: list[int] = []
+    for run in range(cfg.sir_runs):
+        rng = _stream(cfg.seed, _PROBE_SIR, _lam_key(cfg.lam), run)
+        seed_node = connected[int(rng.integers(len(connected)))]
+        trajectory = sir_run(g, seed_node, t_start, cfg.lam, cfg.mu, rng)
+        for step, count in enumerate(trajectory.infected):
+            cum_infected[step] += count
+        samples.append(trajectory.r0)
+    series = [float(x / cfg.sir_runs) for x in cum_infected]
+    return SirResult(samples=samples, infected_series=series)

@@ -391,6 +391,30 @@ class TestEval:
         assert means == [row.split(",")[-1] for row in
                          runs["next"]["distances_dyn.csv"].decode().splitlines()[1:]]
 
+    def test_sir_deterministic_per_seed(self, train, tmp_path):
+        flags = ["--dynamics", "sir", "--starts", "t0,half",
+                 "--lambdas", "0.25,0.13", "--sir-runs", "30"]
+        runs = {}
+        for name, seed in (("a", 4), ("b", 4), ("next", 5)):
+            out_dir = tmp_path / name
+            extra = ["--stability"] if name == "a" else []
+            assert main(["eval", train, train, "--out-dir", str(out_dir),
+                         "--seed", str(seed), *flags, *extra]) == 0
+            runs[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        stability = runs["a"].pop("distances_dyn_stability.csv")
+        assert runs["a"] == runs["b"]
+        for start in ("t0", "half"):
+            for lam in ("0.25", "0.13"):
+                for kind in ("samples_sir_r0", "series_infected"):
+                    name = f"{kind}_orig_{start}_lam{lam}.csv"
+                    assert runs["a"][name] != runs["next"][name], name
+        # --stability re-simulates the original with seed+1.
+        means = [row.split(",")[-1] for row in
+                 stability.decode().splitlines()[1:]]
+        assert len(means) == 4
+        assert means == [row.split(",")[-1] for row in
+                         runs["next"]["distances_dyn.csv"].decode().splitlines()[1:]]
+
     def test_gap_mismatch_is_data_error(self, train, tmp_path):
         slow = TemporalGraph(4, [Snapshot({(0, 1)})] * 3, 600, epoch=0)
         other = write_graph(tmp_path / "slow.tsv", slow)
@@ -476,6 +500,71 @@ def test_dynamics_start_checked_before_any_work(tmp_path, capsys, probes, start,
     assert captured.out == ""
     assert captured.err.count("etngen: error:") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "pipeline"])
+@pytest.mark.parametrize("probes", ["", "sir", "rw,mfpt"])
+def test_zero_snapshots_fail_before_any_work(tmp_path, capsys, command, probes):
+    path = tmp_path / "empty.tsv"
+    path.write_text("#snapshots=0 #gap=300 #epoch=0 #nodes=3\n")
+    out_dir = tmp_path / "out"
+    inputs = [str(path)] * (2 if command == "eval" else 1)
+    assert main([command, *inputs, "--out-dir", str(out_dir),
+                 "--dynamics", probes, "--starts", "t0"]) == 2
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("etngen: error:") == 1
+    assert f"{path}: need at least one snapshot" in captured.err
+
+
+def late_graph(n=8, m=24):
+    """First snapshot empty, every later one with an edge."""
+    return TemporalGraph(n, [Snapshot(set())] + [Snapshot({(0, 1)})] * (m - 1),
+                         300, epoch=0)
+
+
+@pytest.mark.parametrize("late_is_original", [True, False])
+def test_eval_start_error_names_the_failing_file(train, tmp_path, capsys,
+                                                 late_is_original):
+    late = write_graph(tmp_path / "late.tsv", late_graph())
+    inputs = [late, train] if late_is_original else [train, late]
+    out_dir = tmp_path / "out"
+    assert main(["eval", *inputs, "--out-dir", str(out_dir),
+                 "--dynamics", "sir", "--starts", "t0"]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.count("etngen: error:") == 1
+    assert (f"{late}: start 't0' (snapshot t_start=0) has no node with an edge"
+            in err)
+    assert train not in err
+
+
+def test_pipeline_start_error_names_the_input(tmp_path, capsys):
+    late = write_graph(tmp_path / "late.tsv", late_graph())
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", late, "--out-dir", str(out_dir),
+                 "--dynamics", "sir", "--starts", "t0"]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert f"{late}: start 't0' (snapshot t_start=0)" in err
+
+
+def test_pipeline_start_error_names_the_surrogate(tmp_path, capsys):
+    # One edge among 40 nodes in the first snapshot: the seed degrees of a
+    # 3-node surrogate, drawn from the model's 40, make no edge.
+    layers = [{(0, 1)}] + [{(i, i + 1) for i in range(0, 40, 2)}] * 23
+    g = TemporalGraph(40, [Snapshot(e) for e in layers], 300, epoch=0)
+    path = write_graph(tmp_path / "sparse.tsv", g)
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", path, "--out-dir", str(out_dir), "--nodes", "3",
+                 "--dynamics", "sir", "--starts", "t0"]) == 2
+    assert not load_graph(out_dir / "surrogate.tsv").snapshots[0].edges
+    err = capsys.readouterr().err
+    assert err.count("etngen: error:") == 1
+    assert (f"generated surrogate {out_dir / 'surrogate.tsv'}: start 't0' "
+            f"(snapshot t_start=0) has no node with an edge" in err)
+    assert path not in err
 
 
 class TestPipeline:

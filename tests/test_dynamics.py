@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -5,8 +7,9 @@ from scipy.stats import ks_2samp
 from etngen import (DynConfig, Snapshot, TemporalGraph, coverage_result,
                     first_peak, mfpt_result, random_walk, resolve_start,
                     run_dynamics, sir_result, sir_run)
-from etngen.dynamics import _PROBE_RW, _layer_csr, _stream, _walk_lockstep
-from oracles import coverage_per_run, mfpt_per_pair
+from etngen.dynamics import (_PROBE_RW, _PROBE_SIR, _lam_key, _layer_csr,
+                             _sir_lockstep, _sir_seeds, _stream, _walk_lockstep)
+from oracles import coverage_per_run, mfpt_per_pair, sir_per_run
 from synth import er_layers, random_graph, sinusoidal_graph
 
 # Oracle and lockstep samples come from differently keyed streams, so the
@@ -40,6 +43,22 @@ def walk_traces(g, starts, t_start, rng):
 
 ORACLE_CASES = [(graph_seed, policy) for graph_seed in (0, 1)
                 for policy in ("half", "first_peak")]
+
+
+def padded(run, horizon):
+    """A `sir_run` infected series with zeros after extinction."""
+    return run.infected + [0] * (horizon - len(run.infected))
+
+
+def sir_rows(g, seeds, t_start, lam, mu, rng):
+    """Per-run r0 and infected series over the full horizon, from the
+    lockstep kernel."""
+    counts, r0 = [], None
+    for infected, r0 in _sir_lockstep(g, np.array(seeds), t_start, lam, mu, rng):
+        counts.append(infected.sum(axis=1).tolist())
+    horizon = g.n_snapshots - t_start
+    series = [list(col) + [0] * (horizon - len(counts)) for col in zip(*counts)]
+    return r0.tolist(), series
 
 
 def star(layers=2, leaves=3):
@@ -355,6 +374,88 @@ class TestSirResult:
         g = tg(3, [set(), {(0, 1)}])
         with pytest.raises(ValueError, match="t_start=0"):
             sir_result(g, DynConfig(sir_runs=5))
+
+
+class TestSirLockstep:
+    @pytest.mark.parametrize("lam, mu", list(product((0.0, 1.0), repeat=2)))
+    @pytest.mark.parametrize("t_start", [0, 5])
+    def test_rows_equal_sir_run_where_deterministic(self, lam, mu, t_start):
+        # With lam and mu in {0, 1} every draw decides the same way, so each
+        # row must equal sir_run from its seed node, whatever the streams.
+        seeds = list(range(12)) * 2
+        for graph_seed in range(30):
+            p = float(np.random.default_rng(graph_seed).uniform(0.05, 0.4))
+            g = random_graph(n=12, m=10, p=p, seed=graph_seed)
+            r0, series = sir_rows(g, seeds, t_start, lam, mu,
+                                  np.random.default_rng(0))
+            for run, seed in enumerate(seeds):
+                ref = sir_run(g, seed, t_start, lam, mu, np.random.default_rng(1))
+                assert (r0[run], series[run]) == (ref.r0, padded(ref, 10 - t_start))
+
+    @pytest.mark.parametrize("mu, draws", [(0.0, 14), (1.0, 6)])
+    def test_draws_per_layer(self, mu, draws):
+        # Layer 0: run 0 (seed 1) tries 1->0 and 1->2, run 1 (seed 3, alone)
+        # tries nothing; both seeds draw a recovery. With mu = 0, layer 1
+        # (empty) draws 3 + 1 recoveries, layer 2 tries 2->3 and 3->2, then
+        # 3 + 1 recoveries. With mu = 1 all die by layer 1, which draws the
+        # recoveries of 0 and 2 and ends the run.
+        g = tg(4, [{(0, 1), (1, 2)}, set(), {(2, 3)}])
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        sir_rows(g, [1, 3], 0, 1.0, mu, rng)
+        ref.random(draws)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_result_runs_from_the_streams_seed_draw(self):
+        g = random_graph(n=12, m=10, p=0.3, seed=3)
+        cfg = DynConfig(start_policy="half", sir_runs=40, lam=1.0, mu=1.0, seed=7)
+        t_start, connected = _sir_seeds(g, "half")
+        draw = _stream(7, _PROBE_SIR, _lam_key(1.0)).integers(len(connected),
+                                                              size=40)
+        runs = [sir_run(g, connected[i], t_start, 1.0, 1.0,
+                        np.random.default_rng(0)) for i in draw]
+        res = sir_result(g, cfg)
+        assert res.samples == [run.r0 for run in runs]
+        assert res.infected_series == [
+            sum(col) / 40 for col in zip(*(padded(run, 5) for run in runs))]
+
+    def test_seeds_drawn_among_nodes_with_an_edge_at_start(self):
+        # Only the star 0-{1,2,3} has edges at the start; nodes 4-9 get
+        # edges later. With lam = mu = 1 a seed's R0 is its start degree:
+        # 3 for the hub, 1 for a leaf, 0 for an isolated node.
+        g = tg(10, [{(0, 1), (0, 2), (0, 3)}]
+               + [{(i, i + 1) for i in range(9)}] * 5)
+        res = sir_result(g, DynConfig(sir_runs=200, lam=1.0, mu=1.0, seed=1))
+        assert set(res.samples) == {1, 3}
+
+    @pytest.mark.parametrize("policy", ["t0", "half"])
+    def test_series_keeps_horizon_when_all_die_at_once(self, policy):
+        g = random_graph(n=10, m=8, p=0.5, seed=1)
+        res = sir_result(g, DynConfig(start_policy=policy, sir_runs=20,
+                                      lam=0.0, mu=1.0))
+        horizon = 8 - resolve_start(g, policy)
+        assert res.samples == [0] * 20
+        assert res.infected_series == [0.0] * horizon
+
+    @pytest.mark.parametrize("graph_seed, policy, lam",
+                             [(0, "half", 0.25), (1, "first_peak", 0.13)])
+    def test_distribution_matches_per_run_oracle(self, graph_seed, policy, lam):
+        g = sinusoidal_graph(n=20, days=1, peak_p=0.04, seed=graph_seed)
+        old_r0, new_r0, old_sums, new_sums = [], [], [], []
+        for seed in range(15):
+            cfg = DynConfig(start_policy=policy, sir_runs=100, lam=lam, seed=seed)
+            old, new = sir_per_run(g, cfg), sir_result(g, cfg)
+            old_r0 += old.samples
+            new_r0 += new.samples
+            old_sums.append(sum(old.infected_series))
+            new_sums.append(sum(new.infected_series))
+        assert ks_2samp(old_r0, new_r0).pvalue > KS_MIN_P
+        assert ks_2samp(old_sums, new_sums).pvalue > KS_MIN_P
+
+    def test_start_outside_snapshots_rejected(self):
+        with pytest.raises(ValueError, match="t_start=0"):
+            _sir_seeds(tg(3, []), "t0")
+        with pytest.raises(ValueError, match="t_start=0"):
+            sir_result(tg(3, []), DynConfig(sir_runs=2))
 
 
 class TestDynConfig:
