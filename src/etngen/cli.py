@@ -264,7 +264,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_degrees(path: str) -> tuple[int, ...]:
+def _read_degrees(path: str, n_nodes: int) -> tuple[int, ...]:
+    """One seed-layer degree per line; a simple graph on `n_nodes` nodes
+    carries only degrees 0..n_nodes-1."""
     degrees: list[int] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -272,9 +274,13 @@ def _read_degrees(path: str) -> tuple[int, ...]:
             if not line or line.startswith("#"):
                 continue
             try:
-                degrees.append(int(line))
+                degree = int(line)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad degree {line!r}") from exc
+            if not 0 <= degree < n_nodes:
+                raise ParseError(f"{path}:{lineno}: degree {degree} outside "
+                                 f"0..{n_nodes - 1} for {n_nodes} nodes")
+            degrees.append(degree)
     return tuple(degrees)
 
 
@@ -285,12 +291,12 @@ def _generate_stage(model: model_mod.LocalModel, args: argparse.Namespace,
     """Build the config, generate, write the surrogate and, given a path,
     the per-layer diagnostics."""
     n_nodes = args.nodes if args.nodes is not None else model.node_count
+    seed_degrees = _read_degrees(degrees_path, n_nodes) if degrees_path else None
     alpha = args.alpha
     if alpha == "auto":
         alpha = gen_mod.expansion_alpha(model.node_count, n_nodes)
         print(f"alpha=auto resolved to {alpha:.2f} "
               f"(model nodes {model.node_count}, target {n_nodes})")
-    seed_degrees = _read_degrees(degrees_path) if degrees_path else None
     cfg = gen_mod.GenConfig(
         n_nodes=n_nodes,
         n_snapshots=n_snapshots,

@@ -2,7 +2,9 @@
 
 Layer t proposes directed edge requests by sampling, for every node, an
 extension of its current width-min(t,k) neighborhood prefix; requests are
-then validated into undirected edges. Every node's prefix is read from a
+then validated into undirected edges. Unmatched half-edges (stubs), the
+seed layer's from its degrees and later layers' from their extensions, are
+all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
 rolling window (`etn.NeighborWindow`) that each new layer advances. All
 randomness flows through numpy substreams keyed by (phase, layer), and
 within a layer nodes draw in node order, so output depends only on the
@@ -83,52 +85,45 @@ def _norm(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _has_legal_pair(stubs: Sequence[int], edges: set[tuple[int, int]]) -> bool:
-    distinct = sorted(set(stubs))
-    for a in range(len(distinct)):
-        for b in range(a + 1, len(distinct)):
-            if (distinct[a], distinct[b]) not in edges:
-                return True
-    return False
+def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
+                rng: np.random.Generator) -> tuple[int, int]:
+    """Pair half-edges at random into `edges`, in place; returns (added,
+    dropped). An odd count first drops one uniformly chosen stub. Pairs are
+    then drawn uniformly, skipping self-loops and duplicates, with attempts
+    capped at 10x the stub count; the stubs left over are dropped."""
+    stubs = list(stubs)
+    dropped = len(stubs) % 2
+    if dropped:
+        stubs.pop(int(rng.integers(len(stubs))))
+    budget = 10 * len(stubs)
+    added = 0
+    while len(stubs) >= 2 and budget > 0:
+        budget -= 1
+        a = int(rng.integers(len(stubs)))
+        b = int(rng.integers(len(stubs) - 1))
+        if b >= a:
+            b += 1
+        i, j = stubs[a], stubs[b]
+        e = _norm(i, j)
+        if i != j and e not in edges:
+            edges.add(e)
+            added += 1
+            for idx in sorted((a, b), reverse=True):
+                stubs.pop(idx)
+    return added, dropped + len(stubs)
 
 
 def seed_layer(degrees: Sequence[int], rng: np.random.Generator) -> Snapshot:
     """Configuration-model layer realizing `degrees` as closely as possible.
 
-    Stubs are shuffled and paired in rounds; pairs that would form a
-    self-loop or duplicate edge are re-queued for the next round, and the
-    leftover is discarded once no legal pair remains. An odd degree sum is
-    evened out first by decrementing one uniformly chosen positive degree.
+    Node i contributes degrees[i] stubs, which are paired by the one rule
+    every layer's stubs follow (`validate_layer`): an odd sum drops one
+    uniformly chosen stub, then random pairs skip self-loops and duplicates.
     """
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
-    degrees = list(degrees)
-    if sum(degrees) % 2 == 1:
-        positive = [i for i, d in enumerate(degrees) if d > 0]
-        degrees[positive[int(rng.integers(len(positive)))]] -= 1
-    stubs = [i for i, d in enumerate(degrees) for _ in range(d)]
     edges: set[tuple[int, int]] = set()
-    stale = 0
-    while len(stubs) >= 2:
-        rng.shuffle(stubs)
-        requeued: list[int] = []
-        added = 0
-        for a in range(0, len(stubs), 2):
-            i, j = stubs[a], stubs[a + 1]
-            e = _norm(i, j)
-            if i != j and e not in edges:
-                edges.add(e)
-                added += 1
-            else:
-                requeued.append(i)
-                requeued.append(j)
-        stubs = requeued
-        if added:
-            stale = 0
-        else:
-            stale += 1
-            if stale > 20 or not _has_legal_pair(stubs, edges):
-                break
+    _pair_stubs([i for i, d in enumerate(degrees) for _ in range(d)], edges, rng)
     return Snapshot(edges)
 
 
@@ -198,7 +193,8 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
     """Resolve requests into undirected edges.
 
     Reciprocal request pairs always become edges; a one-directional request
-    survives with probability `alpha` (independent coins); stubs are paired
+    survives with probability `alpha` (independent coins); stubs are then
+    paired by `_pair_stubs`, the one rule the seed layer's stubs follow too:
     uniformly at random, skipping self-loops and duplicates, with attempts
     capped at 10x the stub count and the remainder discarded.
     """
@@ -224,26 +220,7 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
         else:
             rejected += 1
 
-    stubs = list(prov.stubs)
-    dropped_stubs = 0
-    if len(stubs) % 2 == 1:
-        stubs.pop(int(rng.integers(len(stubs))))
-        dropped_stubs += 1
-    budget = 10 * len(stubs)
-    stub_edges = 0
-    while len(stubs) >= 2 and budget > 0:
-        budget -= 1
-        a = int(rng.integers(len(stubs)))
-        b = int(rng.integers(len(stubs) - 1))
-        if b >= a:
-            b += 1
-        i, j = stubs[a], stubs[b]
-        if i != j and _norm(i, j) not in edges:
-            edges.add(_norm(i, j))
-            stub_edges += 1
-            for idx in sorted((a, b), reverse=True):
-                stubs.pop(idx)
-    dropped_stubs += len(stubs)
+    stub_edges, dropped_stubs = _pair_stubs(prov.stubs, edges, rng)
 
     if diag is not None:
         diag.reciprocal = reciprocal

@@ -208,7 +208,8 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
 def _check_invariants(model: LocalModel) -> None:
     """Refuse models that `fit` cannot produce and generation would absorb
     silently or fail on late: foreign bucket keys, a seed-degree list that
-    does not match the node count, a depth with no cell, a gap that is not
+    does not match the node count, a seed degree no simple graph on the
+    model's nodes can carry, a depth with no cell, a gap that is not
     positive."""
     if model.gap_seconds <= 0:
         raise ModelFormatError(f"gap must be positive, got {model.gap_seconds}")
@@ -220,26 +221,46 @@ def _check_invariants(model: LocalModel) -> None:
     if len(model.seed_degrees) not in (0, model.node_count):
         raise ModelFormatError(f"{len(model.seed_degrees)} seed degrees for "
                                f"{model.node_count} nodes")
+    for node, d in enumerate(model.seed_degrees):
+        if not 0 <= d < model.node_count:
+            raise ModelFormatError(f"seed degree {d} of node {node} outside "
+                                   f"0..{model.node_count - 1}")
     missing = sorted(set(range(1, model.k + 1)) - {depth for _, depth, _ in model.tables})
     if missing:
         raise ModelFormatError(f"no cell at depth {', '.join(map(str, missing))}")
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(value, kind: type, name: str):
+    """`value` if it has JSON type `kind`; a bool is not an integer, and
+    nothing is converted."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def load_model(source: IO[str]) -> LocalModel:
-    """Inverse of `save_model`; global tables are rebuilt by summation."""
+    """Inverse of `save_model`; global tables are rebuilt by summation.
+    Integer fields must be JSON integers and codes JSON strings."""
     try:
         doc = json.load(source)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError("not a model file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported model version {version!r}")
     try:
-        k = int(doc["k"])
-        meta = dict(k=k, periodicity=doc["periodicity"], gap_seconds=int(doc["gap"]),
-                    epoch=int(doc["epoch"]), node_count=int(doc["nodes"]),
-                    seed_degrees=tuple(int(d) for d in doc.get("seed_degrees", [])))
+        k = _typed(doc["k"], int, "k")
+        degrees = _typed(doc.get("seed_degrees", []), list, "seed_degrees")
+        meta = dict(k=k, periodicity=doc["periodicity"],
+                    gap_seconds=_typed(doc["gap"], int, "gap"),
+                    epoch=_typed(doc["epoch"], int, "epoch"),
+                    node_count=_typed(doc["nodes"], int, "nodes"),
+                    seed_degrees=tuple(_typed(d, int, "seed degree") for d in degrees))
         doc_cells = doc["tables"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"missing or bad field: {exc}") from exc
@@ -249,15 +270,15 @@ def load_model(source: IO[str]) -> LocalModel:
     cells: dict[TableKey, Counter] = {}
     try:
         for cell in doc_cells:
-            bucket = BucketKey.decode(cell["bucket"])
-            depth = int(cell["depth"])
+            bucket = BucketKey.decode(_typed(cell["bucket"], str, "bucket"))
+            depth = _typed(cell["depth"], int, "depth")
             if not (1 <= depth <= k):
                 raise ModelFormatError(f"depth {depth} outside 1..{k}")
-            prefix = EtnSignature.decode(cell["prefix"], depth)
+            prefix = EtnSignature.decode(_typed(cell["prefix"], str, "prefix"), depth)
             ctr: Counter = Counter()
             for ext in cell["extensions"]:
-                sig = EtnSignature.decode(ext["sig"], depth + 1)
-                count = int(ext["count"])
+                sig = EtnSignature.decode(_typed(ext["sig"], str, "sig"), depth + 1)
+                count = _typed(ext["count"], int, "count")
                 if count <= 0:
                     raise ModelFormatError(f"non-positive count {count}")
                 if not (sig.is_empty and prefix.is_empty) and prefix_of(sig) != prefix:

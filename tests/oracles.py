@@ -83,8 +83,11 @@ def exact_betweenness_means(agg: AggregatedGraph) -> tuple[Fraction, Fraction]:
     rationals, from every simple path of the graph (small graphs only).
 
     A path's weighted length is the float sum of 1/weight added one edge at
-    a time from its source, as networkx's Dijkstra accumulates it, and the
-    paths of least length (float ==) are the shortest. With power-of-two
+    a time from its source, as networkx's Dijkstra accumulates it. A path is
+    shortest when it and each of its prefixes has the least such length to
+    its own end. The prefix rule is Dijkstra's: it extends only paths that
+    are shortest to their end, so where float rounding makes a path tie the
+    least length only at its end, it is not counted. With power-of-two
     weights those sums are exact, so float ties are exact ties. A node's
     betweenness sums, over ordered pairs (s, t) it lies inside, the share of
     shortest s-t paths through it, over (n-1)(n-2) when n > 2.
@@ -99,23 +102,28 @@ def exact_betweenness_means(agg: AggregatedGraph) -> tuple[Fraction, Fraction]:
     def mean(weighted: bool) -> Fraction:
         through = dict.fromkeys(adj, Fraction(0))
         for s in adj:
-            shortest: dict[int, tuple[float, list[list[int]]]] = {}
+            least: dict[int, float] = {}
+            shortest: dict[int, list[list[int]]] = {}
 
-            def extend(path: list[int], length: float) -> None:
+            def extend(path: list[int], length: float, keep: bool) -> None:
+                # keep=False: record each end's least length over all simple
+                # paths; keep=True: collect the paths shortest at every prefix.
                 for v, step in adj[path[-1]]:
                     if v in path:
                         continue
                     d = length + step if weighted else length + 1
                     longer = path + [v]
-                    best = shortest.get(v)
-                    if best is None or d < best[0]:
-                        shortest[v] = (d, [longer])
-                    elif d == best[0]:
-                        best[1].append(longer)
-                    extend(longer, d)
+                    if not keep:
+                        least[v] = min(d, least.get(v, d))
+                    elif d == least[v]:
+                        shortest.setdefault(v, []).append(longer)
+                    else:
+                        continue
+                    extend(longer, d, keep)
 
-            extend([s], 0.0)
-            for _, paths in shortest.values():
+            extend([s], 0.0, False)
+            extend([s], 0.0, True)
+            for paths in shortest.values():
                 for path in paths:
                     for v in path[1:-1]:
                         through[v] += Fraction(1, len(paths))

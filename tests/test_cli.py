@@ -287,6 +287,32 @@ class TestGenerate:
         assert main(["generate", model_path, "--out", str(tmp_path / "s.tsv"),
                      "--snapshots", "12", "--seed-degrees", str(degrees)]) == 2
 
+    @pytest.mark.parametrize("degree", [-1, 8, 60])
+    def test_model_seed_degree_outside_node_range(self, model_path, tmp_path,
+                                                   capsys, degree):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["seed_degrees"][0] = degree  # 8 nodes
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "s.tsv"
+        assert main(["generate", str(broken), "--out", str(out),
+                     "--snapshots", "12"]) == 2
+        assert f"seed degree {degree} of node 0 outside 0..7" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, nodes, line", [
+        ("3\n70\n", ["--nodes", "2"], 1), ("1\n-1\n", ["--nodes", "2"], 2),
+        ("# per-node\n2\n8\n", [], 3)])
+    def test_seed_degrees_file_outside_node_range(self, model_path, tmp_path,
+                                                   capsys, text, nodes, line):
+        degrees = tmp_path / "deg.txt"
+        degrees.write_text(text)
+        out = tmp_path / "s.tsv"
+        assert main(["generate", model_path, "--out", str(out), "--snapshots",
+                     "12", "--seed-degrees", str(degrees), *nodes]) == 2
+        assert f"etngen: error: {degrees}:{line}: degree" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnostics_written(self, model_path, tmp_path):
         diag = tmp_path / "diag.csv"
         assert main(["generate", model_path, "--out", str(tmp_path / "s.tsv"),
@@ -707,3 +733,79 @@ def test_config_file_exit_codes(tiny_inputs, case):
                 assert not os.path.exists(out)
         finally:
             os.chdir(cwd)
+
+
+def _model_field_paths(doc):
+    """Every top-level field of a model document, every field of its first
+    cell and of that cell's first extension, and its first seed degree."""
+    cell = doc["tables"][0]
+    return ([(key,) for key in doc]
+            + [("tables", 0, key) for key in cell]
+            + [("tables", 0, "extensions", 0, key) for key in cell["extensions"][0]]
+            + [("seed_degrees", 0)])
+
+
+def _json_type(value):
+    return type(value).__name__  # bool, int and float are distinct types
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=5),
+    st.lists(st.integers(-2, 4), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 4), max_size=2))
+
+
+def _load_doc(model):
+    with open(model, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _slot(doc, path):
+    """The container and the key of the field at `path` in `doc`."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def _generate_retyped(model, path, value):
+    """generate from the model at `model` with the field at `path` set to
+    `value`: exit 2, one error line, no --out file."""
+    doc = _load_doc(model)
+    target, key = _slot(doc, path)
+    target[key] = value
+    with tempfile.TemporaryDirectory() as work:
+        broken = os.path.join(work, "model.json")
+        with open(broken, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(work, "out.tsv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["generate", broken, "--out", out, "--snapshots", "3"])
+        assert code == 2, stderr.getvalue()
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("etngen: error:"), lines
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tables", 0, "bucket"), 5), (("tables", 0, "prefix"), None),
+    (("tables", 0, "extensions", 0, "sig"), 7), (("tables", 0, "depth"), 1.5),
+    (("tables", 0, "extensions", 0, "count"), 2.7), (("k",), "2"),
+    (("epoch",), False), (("seed_degrees",), "111111"), (("seed_degrees", 0), 1.0)])
+def test_retyped_model_field_is_data_error(tiny_inputs, path, value):
+    _generate_retyped(tiny_inputs[1], path, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_retyped_model_fields_exit_2(tiny_inputs, data):
+    """Any one model field given a value of another JSON type: generate
+    exits 2 with one error line and writes no surrogate."""
+    model = tiny_inputs[1]
+    doc = _load_doc(model)
+    path = data.draw(st.sampled_from(_model_field_paths(doc)))
+    target, key = _slot(doc, path)
+    old = target[key]
+    value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    _generate_retyped(model, path, value)

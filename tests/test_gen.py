@@ -91,6 +91,28 @@ class TestSeedLayer:
         b = seed_layer([3, 2, 2, 1, 0, 2], np.random.default_rng(9))
         assert a == b
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_pairs_stubs_as_validation_does(self, degrees, seed, alpha):
+        stubs = [i for i, d in enumerate(degrees) for _ in range(d)]
+        snap = seed_layer(degrees, np.random.default_rng(seed))
+        want = validate_layer(ProvisionalLayer(stubs=stubs), alpha,
+                              np.random.default_rng(seed))
+        assert snap.edges == want.edges
+
+    def test_odd_sum_drops_a_uniform_stub(self):
+        # Stubs 0, 0, 1: dropping either stub of node 0 (2 in 3) leaves an edge.
+        hits = sum(seed_layer([2, 1], np.random.default_rng(s)).n_edges
+                   for s in range(600))
+        assert hits / 600 == pytest.approx(2 / 3, abs=0.06)
+
+    def test_hub_sequence_realized(self):
+        degrees = [20] + [1] * 20 + [3] * 10  # 35 edges wanted
+        edges = [seed_layer(degrees, np.random.default_rng(s)).n_edges
+                 for s in range(300)]
+        assert np.mean(edges) >= 32
+
 
 class TestProposeLayer:
     def test_persistent_neighbor_requested(self):

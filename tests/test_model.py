@@ -331,6 +331,28 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="gap must be positive"):
             self.load_doc(doc)
 
+    @pytest.mark.parametrize("degree", [-1, 8, 60])
+    def test_seed_degree_outside_node_range_rejected(self, degree):
+        doc = self.saved_doc()  # 8 nodes
+        doc["seed_degrees"][3] = degree
+        with pytest.raises(ModelFormatError,
+                           match=f"seed degree {degree} of node 3 outside 0..7"):
+            self.load_doc(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("epoch",), True), (("k",), 2.0), (("gap",), "300"), (("version",), True),
+        (("seed_degrees",), "11111111"), (("seed_degrees", 0), 1.0),
+        (("tables", 0, "depth"), 1.5), (("tables", 0, "bucket"), 5),
+        (("tables", 0, "extensions", 0, "count"), 2.7)])
+    def test_retyped_field_rejected(self, path, value):
+        doc = self.saved_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelFormatError):
+            self.load_doc(doc)
+
     def test_loaded_model_renormalizes_identically(self):
         g = random_graph(n=9, m=7, seed=17)
         model = fit(mine_counts(g, 2, "daily"))
