@@ -5,6 +5,11 @@ snapshot, contact duration per node pair, eight per wall-clock hour, and
 four on the full aggregated projection. Reports from two graphs are compared
 with KS, Jensen-Shannon, Kullback-Leibler and earth-mover distances.
 
+Every graph metric works on one `_Graph` encoding per aggregated graph,
+built without networkx, which keeps networkx's node and neighbour order for
+a graph built edge by edge from the aggregate's weights. Each value equals
+networkx 3.6.1's bit for bit, except the hour betweenness means (below).
+
 Per hour graph, the average shortest path and the node means of weighted
 and unweighted betweenness and of closeness come from one all-pairs pass
 with no per-node values and no per-source Python search: a hop matrix from
@@ -22,21 +27,25 @@ exact integers falls back to `_path_stats`.
 aggregate's families) from one BFS and one Dijkstra sweep per source
 (Brandes 2001), run in networkx's node, neighbour, tie and summation order
 so that every value equals networkx's bit for bit. The other hour metrics
-(s-metric, transitivity, assortativity, Louvain modularity) still use a
-networkx graph.
+are ports of networkx's functions that keep its operation order: the
+s-metric, transitivity, degree assortativity (Newman 2003) and Louvain
+communities (Blondel et al. 2008) with their modularity.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, count
 from typing import IO, Iterable, Sequence
 
-import networkx as nx
+# Unused here. The benchmark harness records the networkx version from the
+# modules that importing etngen loads; the import goes once it stops.
+import networkx  # noqa: F401
 import numpy as np
 
 from .tempgraph import AggregatedGraph, TemporalGraph, aggregate, hour_slices
@@ -147,17 +156,40 @@ def contact_durations(g: TemporalGraph) -> list[float]:
     return [sum(r) / len(r) for _, r in sorted(runs.items())]
 
 
-def _hour_nx(agg: AggregatedGraph) -> nx.Graph:
-    graph = nx.Graph()
+@dataclass
+class _Graph:
+    """An aggregated graph encoded once for every metric on it, in networkx's
+    order for a graph built edge by edge from `weights`: nodes are numbered
+    in the order they first appear there, and each node's neighbours are
+    listed in that edge order."""
+
+    labels: list[int]  # node number -> node
+    ends: list[tuple[int, int]]  # each edge's node numbers, in `weights` order
+    weights: list[int]  # each edge's weight, in that order
+    adj: list[dict[int, int]]  # per node: neighbour number -> edge weight
+
+
+def _encode(agg: AggregatedGraph) -> _Graph:
+    index: dict[int, int] = {}
+    adj: list[dict[int, int]] = []
+    ends: list[tuple[int, int]] = []
     for (i, j), w in agg.weights.items():
-        graph.add_edge(i, j, weight=w)
-    return graph
+        for u in (i, j):
+            if u not in index:
+                index[u] = len(adj)
+                adj.append({})
+        a, b = index[i], index[j]
+        ends.append((a, b))
+        adj[a][b] = w
+        adj[b][a] = w
+    return _Graph(labels=list(index), ends=ends, weights=list(agg.weights.values()),
+                  adj=adj)
 
 
 @dataclass
 class _PathStats:
     """Shortest-path quantities of one aggregated graph. Per-node lists follow
-    `nodes`, the order in which `nx.Graph.add_edge` meets them in `weights`."""
+    `nodes`, the node order of its `_Graph`."""
 
     nodes: list[int]
     betweenness_w: list[float]
@@ -240,30 +272,17 @@ def _accumulate(betweenness: list[float], order: list[int],
         betweenness[w] += delta[w]
 
 
-def _path_stats(agg: AggregatedGraph) -> _PathStats:
+def _path_stats(graph: _Graph) -> _PathStats:
     """Unweighted and weighted (distance 1/weight) betweenness, closeness and
     the largest component's average shortest path, from one BFS and one
     Dijkstra per source.
 
     Every search, tie rule and sum runs in networkx's order (the node and
-    neighbour order of `_hour_nx`), so the values equal networkx's bit for
+    neighbour order of `_Graph`), so the values equal networkx's bit for
     bit.
     """
-    index: dict[int, int] = {}
-    adj: list[list[int]] = []
-    wadj: list[list[tuple[int, float]]] = []
-    for (i, j), w in agg.weights.items():
-        for u in (i, j):
-            if u not in index:
-                index[u] = len(adj)
-                adj.append([])
-                wadj.append([])
-        a, b = index[i], index[j]
-        dist = 1.0 / w
-        adj[a].append(b)
-        adj[b].append(a)
-        wadj[a].append((b, dist))
-        wadj[b].append((a, dist))
+    adj = [list(a) for a in graph.adj]
+    wadj = [[(v, 1.0 / w) for v, w in a.items()] for a in graph.adj]
     n = len(adj)
     bu = [0.0] * n
     bw = [0.0] * n
@@ -293,7 +312,7 @@ def _path_stats(agg: AggregatedGraph) -> _PathStats:
         bw = [b * scale for b in bw]
     largest = max(range(len(comp_size)), key=comp_size.__getitem__)
     size = comp_size[largest]
-    return _PathStats(nodes=list(index), betweenness_w=bw, betweenness_u=bu,
+    return _PathStats(nodes=graph.labels, betweenness_w=bw, betweenness_u=bu,
                       closeness=closeness,
                       avg_shortest_path=comp_dist_sum[largest] / (size * (size - 1)))
 
@@ -373,8 +392,7 @@ def _float_distances(n: int, heads: np.ndarray, lengths: np.ndarray,
     return dist.reshape(n, n)
 
 
-def _hour_path_means(agg: AggregatedGraph
-                     ) -> tuple[float, float, float, float] | None:
+def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     """Average shortest path (first largest component) and the node means of
     weighted and unweighted betweenness and of closeness, the values
     `_path_stats` gives, from all-pairs matrices.
@@ -393,14 +411,11 @@ def _hour_path_means(agg: AggregatedGraph
     None when the summed H reaches 2**53, beyond which float64 path counts
     are not exact.
     """
-    nodes = list(dict.fromkeys(chain.from_iterable(agg.weights)))
-    index = {u: a for a, u in enumerate(nodes)}
-    n = len(nodes)
-    ends = np.array([(index[i], index[j]) for i, j in agg.weights], dtype=np.intp)
+    n = len(graph.labels)
+    ends = np.array(graph.ends, dtype=np.intp)
     src = np.concatenate((ends[:, 0], ends[:, 1]))
     dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    length = 1.0 / np.fromiter(agg.weights.values(), dtype=np.float64,
-                               count=len(ends))
+    length = 1.0 / np.array(graph.weights, dtype=np.float64)
     length = np.concatenate((length, length))
     order = np.argsort(src, kind="stable")
     heads = dst[order]
@@ -457,6 +472,178 @@ def _hour_path_means(agg: AggregatedGraph
     return asp, betweenness_w, betweenness_u, _mean(closeness.tolist())
 
 
+def _transitivity(graph: _Graph, degrees: list[int]) -> float:
+    """networkx's `transitivity`: six times the triangles (twice the common
+    neighbours summed over edges) over the triads, sum d(d-1), int by int."""
+    triangles = 2 * sum(len(graph.adj[a].keys() & graph.adj[b].keys())
+                        for a, b in graph.ends)
+    return triangles / sum(d * (d - 1) for d in degrees) if triangles else 0.0
+
+
+def _assortativity(graph: _Graph, degrees: list[int]) -> float:
+    """networkx's `degree_assortativity_coefficient` (Newman 2003): Pearson
+    correlation of the degrees at either end of an edge, from the degree
+    mixing matrix.
+
+    The matrix is laid out by the set of degrees that networkx builds, in its
+    iteration order, normalised once as `degree_mixing_matrix` does and again
+    where its sum is not exactly 1.0, as `_numeric_ac` does; the last lines
+    are `_numeric_ac`'s. Then every sum runs over the same array in the same
+    order, and the value is networkx's bit for bit.
+    """
+    # Built as networkx builds it, element by element, for the same order.
+    mapping = {d: i for i, d in enumerate({d for d in degrees})}
+    at = np.array([mapping[d] for d in degrees], dtype=np.intp)
+    ends = np.array(graph.ends, dtype=np.intp)
+    du, dv = at[ends[:, 0]], at[ends[:, 1]]
+    k = len(mapping)
+    M = np.bincount(np.concatenate((du * k + dv, dv * k + du)),
+                    minlength=k * k).reshape(k, k).astype(np.float64)
+    M = M / M.sum()
+    if M.sum() != 1.0:
+        M = M / M.sum()
+    x = np.array(list(mapping.keys()))
+    y = x
+    idx = list(mapping.values())
+    a = M.sum(axis=0)
+    b = M.sum(axis=1)
+    vara = (a[idx] * x**2).sum() - ((a[idx] * x).sum()) ** 2
+    varb = (b[idx] * y**2).sum() - ((b[idx] * y).sum()) ** 2
+    xy = np.outer(x, y)
+    ab = np.outer(a[idx], b[idx])
+    return float((xy * (M - ab)).sum() / np.sqrt(vara * varb))
+
+
+# Louvain and modularity run on level graphs: per node, neighbour -> summed
+# edge weight, in networkx's insertion order, a self-loop under the node
+# itself. Weights are integer snapshot counts, so every degree and every
+# community weight is an exact integer.
+
+def _degrees(adj: list[dict[int, int]]) -> list[int]:
+    """Weighted degrees, a self-loop counted twice."""
+    return [sum(a.values()) + a.get(u, 0) for u, a in enumerate(adj)]
+
+
+def _modularity(adj: list[dict[int, int]], communities: list[list[int]]) -> float:
+    """networkx's `modularity` at resolution 1: per community, in partition
+    order, internal weight over m minus squared degree sum over (2m)^2. A
+    self-loop counts once in the internal weight."""
+    degree = _degrees(adj)
+    deg_sum = sum(degree)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+
+    def contribution(community: list[int]) -> float:
+        inside = set(community)
+        internal = sum(w for u in community for v, w in adj[u].items()
+                       if v >= u and v in inside)
+        d = sum(degree[u] for u in community)
+        return internal / m - d * d * norm
+
+    return sum(map(contribution, communities))
+
+
+def _one_level(adj: list[dict[int, int]], m: float, rng: random.Random
+               ) -> tuple[list[int], bool]:
+    """One Louvain level, as networkx's `_one_level`: each node's community
+    number after moving nodes, in one shuffled order, to the neighbouring
+    community of largest modularity gain until no node moves, and whether
+    any node moved.
+
+    The arithmetic is networkx's. Ties go to the first candidate, and a gain
+    must exceed 0: candidates are the neighbours' communities in neighbour
+    order, then the node's own community if no neighbour shares it.
+    """
+    n = len(adj)
+    com = list(range(n))
+    degrees = _degrees(adj)
+    stot = degrees.copy()
+    nbrs = [[(v, w) for v, w in a.items() if v != u] for u, a in enumerate(adj)]
+    two_m2 = 2 * m**2
+    order = list(range(n))
+    rng.shuffle(order)
+    improvement = False
+    moves = 1
+    while moves:
+        moves = 0
+        for u in order:
+            own = com[u]
+            to_com: dict[int, float] = {}
+            for v, w in nbrs[u]:
+                c = com[v]
+                to_com[c] = to_com.get(c, 0.0) + w
+            degree = degrees[u]
+            stot[own] -= degree
+            own_weight = to_com.setdefault(own, 0.0)
+            remove_cost = -own_weight / m + (stot[own] * degree) / two_m2
+            best, best_gain = own, 0
+            for c, wt in to_com.items():
+                gain = remove_cost + wt / m - (stot[c] * degree) / two_m2
+                if gain > best_gain:
+                    best, best_gain = c, gain
+            stot[best] += degree
+            if best != own:
+                com[u] = best
+                improvement = True
+                moves += 1
+    return com, improvement
+
+
+def _gen_graph(adj: list[dict[int, int]], groups: list[list[int]]
+               ) -> list[dict[int, int]]:
+    """The next level graph, as networkx's `_gen_graph`: one node per group,
+    edges merged in `G.edges()` order (node order, then neighbour order,
+    each edge once), a group's inner edges becoming its self-loop."""
+    group_of = [0] * len(adj)
+    for i, group in enumerate(groups):
+        for u in group:
+            group_of[u] = i
+    out: list[dict[int, int]] = [{} for _ in groups]
+    for u, a in enumerate(adj):
+        cu = group_of[u]
+        for v, w in a.items():
+            if v >= u:
+                cv = group_of[v]
+                w += out[cu].get(cv, 0)
+                out[cu][cv] = w
+                out[cv][cu] = w
+    return out
+
+
+def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
+    """Louvain communities (Blondel et al. 2008) as lists of node numbers,
+    the partition that networkx 3.6.1's `louvain_communities(G, seed=seed)`
+    returns, in its order.
+
+    One `random.Random(seed)` shuffles every level's node order. networkx
+    first rebuilds the graph from `G.edges()`, which reorders neighbours:
+    `_gen_graph` with one group per node. Levels stop once a level's
+    modularity, on its own level graph, gains at most 1e-7 over the level
+    before.
+    """
+    rng = random.Random(seed)
+    partition = [[u] for u in range(len(graph.adj))]
+    adj = _gen_graph(graph.adj, partition)
+    m = sum(_degrees(adj)) / 2
+    mod = _modularity(adj, partition)
+    com, _ = _one_level(adj, m, rng)  # the first level counts as an improvement
+    while True:
+        groups: dict[int, list[int]] = {}
+        for u, c in enumerate(com):
+            groups.setdefault(c, []).append(u)
+        inner = [groups[c] for c in sorted(groups)]
+        partition = [list(chain.from_iterable(partition[u] for u in group))
+                     for group in inner]
+        new_mod = _modularity(adj, inner)
+        if new_mod - mod <= 1e-7:
+            return partition
+        mod = new_mod
+        adj = _gen_graph(adj, inner)
+        com, improvement = _one_level(adj, m, rng)
+        if not improvement:
+            return partition
+
+
 def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[float]]:
     """One value per nonempty hour slice, computed on its aggregated graph.
 
@@ -468,26 +655,24 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
     for agg in hour_slices(g):
         if agg.n_edges == 0:
             continue
-        graph = _hour_nx(agg)
-        degrees = dict(graph.degree())
-        out["s_metric"].append(float(sum(degrees[i] * degrees[j]
-                                         for i, j in graph.edges())))
-        out["clustering"].append(float(nx.transitivity(graph)))
-        if len(set(degrees.values())) > 1:
-            r = nx.degree_assortativity_coefficient(graph)
+        graph = _encode(agg)
+        degrees = [len(a) for a in graph.adj]
+        out["s_metric"].append(float(sum(degrees[a] * degrees[b]
+                                         for a, b in graph.ends)))
+        out["clustering"].append(_transitivity(graph, degrees))
+        if len(set(degrees)) > 1:
+            r = _assortativity(graph, degrees)
             if not math.isnan(r):
-                out["assortativity"].append(float(r))
-        means = _hour_path_means(agg)
+                out["assortativity"].append(r)
+        means = _hour_path_means(graph)
         if means is None:
-            paths = _path_stats(agg)
+            paths = _path_stats(graph)
             means = (paths.avg_shortest_path, _mean(paths.betweenness_w),
                      _mean(paths.betweenness_u), _mean(paths.closeness))
         asp, betweenness_w, betweenness_u, closeness = means
         out["avg_shortest_path"].append(asp)
-        communities = nx.community.louvain_communities(
-            graph, weight="weight", seed=louvain_seed)
         out["modularity"].append(
-            float(nx.community.modularity(graph, communities, weight="weight")))
+            _modularity(graph.adj, _louvain(graph, louvain_seed)))
         out["hour_betweenness_w"].append(betweenness_w)
         out["hour_betweenness_u"].append(betweenness_u)
         out["hour_closeness"].append(closeness)
@@ -500,7 +685,7 @@ def aggregated_metrics(g: TemporalGraph) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {name: [] for name in AGG_METRICS}
     if agg.n_edges == 0:
         return out
-    paths = _path_stats(agg)
+    paths = _path_stats(_encode(agg))
     by_node = sorted(range(len(paths.nodes)), key=paths.nodes.__getitem__)
     out["agg_betweenness_w"] = [paths.betweenness_w[a] for a in by_node]
     out["agg_betweenness_u"] = [paths.betweenness_u[a] for a in by_node]

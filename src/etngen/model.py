@@ -225,9 +225,12 @@ def _check_invariants(model: LocalModel) -> None:
         if not 0 <= d < model.node_count:
             raise ModelFormatError(f"seed degree {d} of node {node} outside "
                                    f"0..{model.node_count - 1}")
-    missing = sorted(set(range(1, model.k + 1)) - {depth for _, depth, _ in model.tables})
-    if missing:
-        raise ModelFormatError(f"no cell at depth {', '.join(map(str, missing))}")
+    # `load_model` keeps every cell's depth in 1..k, so fewer distinct depths
+    # than k means one is missing; the first is found without listing 1..k.
+    depths = {depth for _, depth, _ in model.tables}
+    if len(depths) < model.k:
+        missing = next(d for d in range(1, model.k + 1) if d not in depths)
+        raise ModelFormatError(f"no cell at depth {missing}")
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list"}

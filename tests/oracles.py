@@ -133,18 +133,32 @@ def exact_betweenness_means(agg: AggregatedGraph) -> tuple[Fraction, Fraction]:
 
 
 def nx_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
-    """compute_report with its seven shortest-path families taken from
-    networkx: per-hour means of the hour graphs, per node (sorted) on the
-    full projection."""
+    """compute_report with every hour family and the aggregate's
+    shortest-path families taken from networkx: hour graph values (the
+    path families as node means), then per node (sorted) on the full
+    projection. Only the snapshot, duration and edge-strength families come
+    from compute_report."""
     samples = dict(compute_report(g, louvain_seed=louvain_seed).samples)
     hourly: dict[str, list[float]] = {
-        "avg_shortest_path": [], "hour_betweenness_w": [],
+        "s_metric": [], "clustering": [], "assortativity": [],
+        "avg_shortest_path": [], "modularity": [], "hour_betweenness_w": [],
         "hour_betweenness_u": [], "hour_closeness": []}
     for agg in hour_slices(g):
         if agg.n_edges == 0:
             continue
-        bw, bu, cl, asp = nx_path_metrics(nx_graph(agg))
+        graph = nx_graph(agg)
+        hourly["s_metric"].append(nx.s_metric(graph))
+        hourly["clustering"].append(float(nx.transitivity(graph)))
+        if len({d for _, d in graph.degree()}) > 1:
+            r = nx.degree_assortativity_coefficient(graph)
+            if not np.isnan(r):
+                hourly["assortativity"].append(float(r))
+        bw, bu, cl, asp = nx_path_metrics(graph)
         hourly["avg_shortest_path"].append(asp)
+        communities = nx.community.louvain_communities(
+            graph, weight="weight", seed=louvain_seed)
+        hourly["modularity"].append(
+            float(nx.community.modularity(graph, communities, weight="weight")))
         hourly["hour_betweenness_w"].append(float(sum(bw.values()) / len(bw)))
         hourly["hour_betweenness_u"].append(float(sum(bu.values()) / len(bu)))
         hourly["hour_closeness"].append(float(sum(cl.values()) / len(cl)))

@@ -272,6 +272,18 @@ class TestGenerate:
         assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
                      "--snapshots", "12"]) == 2
 
+    def test_huge_k_names_one_missing_depth(self, model_path, tmp_path, capsys):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        assert {cell["depth"] for cell in doc["tables"]} == {1, 2}
+        doc["k"] = 100_000
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
+                     "--snapshots", "12"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert "no cell at depth 3" in lines[0]
+
     def test_seed_degrees_file(self, model_path, tmp_path):
         degrees = tmp_path / "deg.txt"
         degrees.write_text("# per-node\n2\n2\n2\n2\n2\n2\n2\n2\n")

@@ -15,7 +15,9 @@ from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
                     contact_durations, emd, hour_metrics, hour_slices,
                     js_divergence, kl_divergence, ks_distance,
                     snapshot_metrics, write_distances_csv, write_samples_csv)
-from etngen.metrics import _hour_path_means, _path_stats, distance, format_cell
+from etngen.metrics import (_assortativity, _encode, _hour_path_means, _louvain,
+                            _modularity, _path_stats, _transitivity, distance,
+                            format_cell)
 from oracles import (exact_betweenness_means, nx_graph, nx_path_metrics,
                      nx_report)
 from synth import sinusoidal_graph
@@ -177,7 +179,7 @@ class TestAggregatedMetrics:
 
 def assert_paths_match_networkx(agg):
     """Exact float equality, node by node, with networkx's own algorithms."""
-    stats = _path_stats(agg)
+    stats = _path_stats(_encode(agg))
     graph = nx_graph(agg)
     bw, bu, cl, asp = nx_path_metrics(graph)
     assert stats.nodes == list(graph.nodes())
@@ -208,7 +210,7 @@ class TestPathStatsOracle:
         agg = AggregatedGraph(weights)
         assert_paths_match_networkx(agg)
         if expected_asp is not None:
-            assert _path_stats(agg).avg_shortest_path == expected_asp
+            assert _path_stats(_encode(agg)).avg_shortest_path == expected_asp
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
@@ -240,7 +242,7 @@ def assert_hour_means_match(agg):
     """The all-pairs hour pass against networkx: ASP and mean closeness
     bit for bit, the betweenness means within 1e-12 relative, and the
     betweenness means equal to the exact enumeration, correctly rounded."""
-    asp, bw, bu, cl = _hour_path_means(agg)
+    asp, bw, bu, cl = _hour_path_means(_encode(agg))
     nbw, nbu, ncl, nasp = nx_path_metrics(nx_graph(agg))
     assert asp == nasp
     assert cl == sum(ncl.values()) / len(ncl)
@@ -291,7 +293,7 @@ class TestHourPathMeans:
         for _, _, data in graph.edges(data=True):
             data["exact"] = Fraction(1, data["weight"])
         exact = nx.betweenness_centrality(graph, weight="exact")
-        _, bw, _, _ = _hour_path_means(agg)
+        _, bw, _, _ = _hour_path_means(_encode(agg))
         assert bw != pytest.approx(sum(exact.values()) / len(exact), rel=1e-6)
 
     @settings(max_examples=150, deadline=None)
@@ -324,7 +326,7 @@ class TestHourPathMeans:
         weights = diamond_chain(50)
         g = one_hour(1 + max(max(e) for e in weights), *((e, 1) for e in weights))
         agg = hour_slices(g)[0]
-        assert _hour_path_means(agg) is None
+        assert _hour_path_means(_encode(agg)) is None
         out = hour_metrics(g)
         bw, bu, cl, asp = nx_path_metrics(nx_graph(agg))
         assert out["avg_shortest_path"] == [asp]
@@ -335,7 +337,97 @@ class TestHourPathMeans:
     def test_countable_chain_stays_exact(self):
         assert_hour_means_match(AggregatedGraph(diamond_chain(2)))
         agg = AggregatedGraph(diamond_chain(40))
-        assert _hour_path_means(agg) is not None
+        assert _hour_path_means(_encode(agg)) is not None
+
+
+def _edge_dict(edges) -> dict:
+    return {(i, j): w for i, j, w in edges if i != j}
+
+
+_WEIGHT = st.integers(1, 12)
+_RANDOM = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _WEIGHT),
+                   min_size=1, max_size=30).map(_edge_dict)
+# All weights equal: many modularity gains tie exactly.
+_EQUAL = st.tuples(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                            min_size=1, max_size=30), _WEIGHT).map(
+    lambda pairs_w: {(i, j): pairs_w[1] for i, j in pairs_w[0] if i != j})
+_COMPONENTS = st.lists(_RANDOM | _EQUAL, min_size=2, max_size=3).map(
+    lambda parts: {(i + 12 * c, j + 12 * c): w for c, part in enumerate(parts)
+                   for (i, j), w in part.items()})
+_STAR = st.tuples(st.integers(0, 12), st.lists(_WEIGHT, min_size=1, max_size=12)).map(
+    lambda cw: {(cw[0], cw[0] + 1 + k): w for k, w in enumerate(cw[1])})
+_SINGLE_EDGE = st.tuples(st.integers(0, 40), st.integers(0, 40), _WEIGHT).map(
+    lambda e: _edge_dict([e]))
+HOUR_GRAPHS = (_RANDOM | _EQUAL | _COMPONENTS | _STAR | _SINGLE_EDGE).filter(bool)
+
+
+def assert_hour_ports_match_networkx(weights, seed):
+    """Louvain's partition (as an ordered list of sets), modularity to the
+    bit, transitivity and assortativity equal to networkx's on the same
+    graph; a regular graph's assortativity is NaN in networkx, and
+    `hour_metrics` skips it."""
+    agg = AggregatedGraph(weights)
+    graph = _encode(agg)
+    reference = nx_graph(agg)
+    communities = nx.community.louvain_communities(reference, weight="weight",
+                                                   seed=seed)
+    ours = _louvain(graph, seed)
+    assert [{graph.labels[u] for u in c} for c in ours] == communities
+    q = nx.community.modularity(reference, communities, weight="weight")
+    assert _modularity(graph.adj, ours).hex() == q.hex()
+    degrees = [len(a) for a in graph.adj]
+    clustering = float(nx.transitivity(reference))
+    assert _transitivity(graph, degrees).hex() == clustering.hex()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = nx.degree_assortativity_coefficient(reference)
+    if len(set(degrees)) > 1:
+        assert _assortativity(graph, degrees).hex() == r.hex()
+    else:
+        assert math.isnan(r)
+
+
+class TestHourPortsOracle:
+    # Each pinned example tells networkx's rules from a plausible slip: a
+    # gain >= 0 or >= the best so far moves a node on ties (the path of
+    # three edges); leaving the node's own community out of the candidates
+    # lets a rival whose gain only rounds above zero win (the equal
+    # weights); keeping the input's neighbour order instead of rebuilding
+    # from G.edges() breaks a tie the other way (the 4-cycle, seed 1); and a
+    # single normalisation of the mixing matrix rounds differently (the
+    # star with a tail).
+    @settings(max_examples=300, deadline=None)
+    @given(HOUR_GRAPHS, st.integers(0, 3))
+    @example({(1, 4): 1, (0, 2): 1, (1, 3): 1}, 0)
+    @example({(10, 7): 7, (10, 9): 7, (1, 0): 7, (2, 3): 7, (8, 0): 7, (5, 9): 7,
+              (9, 4): 7}, 0)
+    @example({(9, 8): 1, (1, 9): 1, (6, 1): 1, (6, 8): 1}, 1)
+    @example({(0, 1): 1, (0, 3): 1, (0, 4): 1, (0, 5): 1, (0, 6): 1, (1, 2): 1}, 0)
+    def test_random_graphs(self, weights, seed):
+        assert_hour_ports_match_networkx(weights, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.integers(0, 3))
+    @example(56, 0.05078125, 0, 0)
+    def test_random_dense_graphs(self, n, p, graph_seed, seed):
+        rng = np.random.default_rng(graph_seed)
+        labels = rng.permutation(n).tolist()
+        weights = {}
+        for i, j in rng.permutation(np.argwhere(np.triu(rng.random((n, n)) < p, 1))):
+            weights[(labels[i], labels[j])] = int(rng.integers(1, 13))
+        if weights:
+            assert_hour_ports_match_networkx(weights, seed)
+
+    @pytest.mark.parametrize("weights", [
+        {(0, 1): 3},
+        {(0, 1): 1, (1, 2): 1, (0, 2): 1},
+        {(i, (i + 1) % 6): 2 for i in range(6)},
+        {(0, 1): 1, (2, 3): 5, (4, 5): 12},
+    ], ids=["edge", "triangle", "cycle", "matching"])
+    def test_regular_hours_skip_assortativity(self, weights):
+        assert_hour_ports_match_networkx(weights, 0)
+        g = one_hour(1 + max(max(e) for e in weights), *weights.items())
+        assert hour_metrics(g)["assortativity"] == []
 
 
 class TestComputeReport:
@@ -347,6 +439,16 @@ class TestComputeReport:
         write_samples_csv(report, ours)
         write_samples_csv(nx_report(g), theirs)
         assert ours.getvalue() == theirs.getvalue()
+
+    def test_builds_no_networkx_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a networkx graph was built")
+
+        g = sinusoidal_graph(n=24, days=1, peak_p=0.06, seed=5)
+        monkeypatch.setattr(nx.Graph, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            nx.Graph()
+        assert compute_report(g).samples["modularity"]
 
     def test_all_seventeen_metrics_present(self):
         g = tg(5, [{(0, 1)}, {(1, 2)}])
