@@ -5,13 +5,14 @@ Every probe call draws from one numpy stream: the random-walk probes
 lambda). All of a call's walkers, or all of its epidemics, advance in
 lockstep, one layer at a time, as rows of one state matrix, and each layer's
 draws are vectors in row-major (row, item) order. Memory is O(rows x nodes).
-Results are reproducible bit-exactly from the config seed.
+Results are reproducible bit-exactly from the config seed. A layer's arcs
+are built once, on first use, and kept on its `Snapshot` (`Snapshot.arcs`),
+so every probe, start and lambda on a graph shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -130,24 +131,13 @@ def random_walk(g: TemporalGraph, start_node: int, t_start: int,
     return trace
 
 
-def _layer_arcs(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions u->v of every edge of one layer, as source and
-    target arrays sorted by source, then target."""
-    ends = np.fromiter(chain.from_iterable(snap.edges), dtype=np.intp,
-                       count=2 * len(snap.edges)).reshape(-1, 2)
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
-
-
 def _layer_csr(snap: Snapshot, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degree, offset and neighbor arrays of one layer over n nodes.
 
     Node u's neighbors are flat[off[u]:off[u] + deg[u]], ascending, the
     order of `Snapshot.neighbors`.
     """
-    src, flat = _layer_arcs(snap)
+    src, flat = snap.arcs
     deg = np.bincount(src, minlength=n)
     off = np.zeros(n, dtype=np.intp)
     np.cumsum(deg[:-1], out=off[1:])
@@ -298,7 +288,7 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
 
     Per layer: the arcs u->v with u infected and v susceptible at the start
     of the step each draw one uniform, as one vector in row-major (run,
-    arc) order, arcs in `_layer_arcs` order; v is infected if any of its
+    arc) order, arcs in `Snapshot.arcs` order; v is infected if any of its
     draws is below lam, and r0 counts the successes whose u is the run's
     seed. Then every node infected at the start of the step draws one
     recovery uniform, in row-major (run, node) order, below mu recovering.
@@ -319,7 +309,7 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
         snap = g.snapshots[t]
         new = None
         if snap.edges:
-            src, dst = _layer_arcs(snap)
+            src, dst = snap.arcs
             tries = np.flatnonzero(infected[:, src] & susceptible[:, dst])
             run, arc = np.divmod(tries[rng.random(tries.size) < lam], src.size)
             r0 += np.bincount(run[src[arc] == seeds[run]], minlength=runs)

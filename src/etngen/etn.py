@@ -278,7 +278,8 @@ def write_counts(counts: MinedCounts, sink: IO[str]) -> None:
 
 
 def read_counts(source: IO[str] | Iterable[str]) -> dict[BucketKey, dict[int, Counter]]:
-    """Inverse of `write_counts` (table only; metadata is not in the dump)."""
+    """Inverse of `write_counts`, the writer of `fit --counts-out` files:
+    bucket -> depth -> signature counts (metadata is not in the dump)."""
     table: dict[BucketKey, dict[int, Counter]] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()

@@ -8,28 +8,31 @@ with KS, Jensen-Shannon, Kullback-Leibler and earth-mover distances.
 Every graph metric works on one `_Graph` encoding per aggregated graph,
 built without networkx, which keeps networkx's node and neighbour order for
 a graph built edge by edge from the aggregate's weights. Each value equals
-networkx 3.6.1's bit for bit, except the hour betweenness means (below).
+networkx 3.6.1's bit for bit, except the betweenness values (below).
 
-Per hour graph, the average shortest path and the node means of weighted
-and unweighted betweenness and of closeness come from one all-pairs pass
-with no per-node values and no per-source Python search: a hop matrix from
-one frontier expansion of all sources at once, networkx's float Dijkstra
-distances (length 1/weight) from a Bellman-Ford run for all sources at
-once, and shortest-path counts from one forward relaxation over the tight
-arcs. Mean betweenness is a sum over node pairs of the mean interior node
-count of their shortest paths (Brandes 2008), taken as an exact rational.
-Closeness and the average shortest path are bit-identical to networkx's;
-the betweenness means agree with it to about 1e-15 relative, ties being
-networkx's float `==` ties. An hour whose path counts exceed float64's
-exact integers falls back to `_path_stats`.
+The shortest-path families start from two all-pairs matrices with no
+per-source Python search: hop distances, and networkx's float Dijkstra
+distances (length 1/weight) as Bellman-Ford computes them for all sources
+at once. Sparse graphs get them from frontier expansions over the arcs,
+dense ones from a kernel on n x n matrices; both give the same bytes.
+Closeness and the average shortest path follow from the hop matrix in
+networkx's operation order, bit-identical to networkx's.
 
-`_path_stats` gives per-node betweenness and closeness (the full
-aggregate's families) from one BFS and one Dijkstra sweep per source
-(Brandes 2001), run in networkx's node, neighbour, tie and summation order
-so that every value equals networkx's bit for bit. The other hour metrics
-are ports of networkx's functions that keep its operation order: the
-s-metric, transitivity, degree assortativity (Newman 2003) and Louvain
-communities (Blondel et al. 2008) with their modularity.
+Per hour graph, the node means of weighted and unweighted betweenness come
+from the matrices with no per-node values: a sum over node pairs of the
+mean interior node count of their shortest paths (Brandes 2008), taken as
+an exact rational, with shortest-path counts from one forward relaxation
+over the tight arcs. They agree with networkx to about 1e-15 relative, ties
+being networkx's float `==` ties. An hour whose path counts exceed
+float64's exact integers takes the means of the per-node values instead.
+
+The full aggregate's per-node betweenness comes from Brandes' dependency
+recursion (Brandes 2001) run for a chunk of sources at once, over the same
+tight arcs: path counts forward, dependencies backward by DAG depth. It
+agrees with networkx to about 1e-15 relative. The other hour metrics are
+ports of networkx's functions that keep its operation order: the s-metric,
+transitivity, degree assortativity (Newman 2003) and Louvain communities
+(Blondel et al. 2008) with their modularity.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import chain, count
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, Sequence
 
 # Unused here. The benchmark harness records the networkx version from the
 # modules that importing etngen loads; the import goes once it stops.
@@ -186,163 +188,67 @@ def _encode(agg: AggregatedGraph) -> _Graph:
                   adj=adj)
 
 
-@dataclass
-class _PathStats:
-    """Shortest-path quantities of one aggregated graph. Per-node lists follow
-    `nodes`, the node order of its `_Graph`."""
-
-    nodes: list[int]
-    betweenness_w: list[float]
-    betweenness_u: list[float]
-    closeness: list[float]
-    avg_shortest_path: float  # on the first largest connected component
-
-
-def _bfs(adj: list[list[int]], s: int
-         ) -> tuple[list[int], list[list[int]], list[float], int]:
-    """Visit order, shortest-path predecessors and path counts from `s`, and
-    the sum of hop distances to the nodes reached."""
-    n = len(adj)
-    sigma = [0.0] * n
-    sigma[s] = 1.0
-    hops = [-1] * n
-    hops[s] = 0
-    preds: list = [None] * n  # a node's list is made when it is reached
-    order = [s]
-    dist_sum = 0
-    for v in order:  # `order` doubles as the FIFO queue
-        nxt = hops[v] + 1
-        sigma_v = sigma[v]
-        for w in adj[v]:
-            hops_w = hops[w]
-            if hops_w < 0:
-                hops[w] = nxt
-                order.append(w)
-                dist_sum += nxt
-                sigma[w] = sigma_v
-                preds[w] = [v]
-            elif hops_w == nxt:
-                sigma[w] += sigma_v
-                preds[w].append(v)
-    return order, preds, sigma, dist_sum
-
-
-def _dijkstra(wadj: list[list[tuple[int, float]]], s: int
-              ) -> tuple[list[int], list[list[int]], list[float]]:
-    """Settle order, predecessors and path counts from `s`, with networkx's
-    heap entries (dist, counter, pred, node) and exact `==` for ties."""
-    n = len(wadj)
-    sigma = [0.0] * n
-    sigma[s] = 1.0
-    preds: list = [None] * n
-    seen = [math.inf] * n
-    seen[s] = 0
-    done = [False] * n
-    order = []
-    counter = count()
-    heap = [(0, next(counter), s, s)]
-    while heap:
-        dist, _, pred, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        sigma[v] += sigma[pred]
-        order.append(v)
-        for w, step in wadj[v]:
-            vw_dist = dist + step
-            if not done[w] and vw_dist < seen[w]:
-                seen[w] = vw_dist
-                heappush(heap, (vw_dist, next(counter), v, w))
-                sigma[w] = 0.0
-                preds[w] = [v]
-            elif vw_dist == seen[w]:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma
-
-
-def _accumulate(betweenness: list[float], order: list[int],
-                preds: list[list[int]], sigma: list[float]) -> None:
-    """Brandes dependency accumulation for one source, `order[0]`."""
-    delta = [0.0] * len(sigma)
-    for w in order[:0:-1]:
-        coeff = (1 + delta[w]) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-        betweenness[w] += delta[w]
-
-
-def _path_stats(graph: _Graph) -> _PathStats:
-    """Unweighted and weighted (distance 1/weight) betweenness, closeness and
-    the largest component's average shortest path, from one BFS and one
-    Dijkstra per source.
-
-    Every search, tie rule and sum runs in networkx's order (the node and
-    neighbour order of `_Graph`), so the values equal networkx's bit for
-    bit.
-    """
-    adj = [list(a) for a in graph.adj]
-    wadj = [[(v, 1.0 / w) for v, w in a.items()] for a in graph.adj]
-    n = len(adj)
-    bu = [0.0] * n
-    bw = [0.0] * n
-    closeness = [0.0] * n
-    component = [-1] * n
-    comp_size: list[int] = []
-    comp_dist_sum: list[int] = []
-    for s in range(n):
-        order, preds, sigma, dist_sum = _bfs(adj, s)
-        # Wasserman-Faust closeness; every node has a neighbour, so reach >= 2.
-        reach = len(order)
-        c = (reach - 1.0) / dist_sum
-        c *= (reach - 1.0) / (n - 1)
-        closeness[s] = c
-        if component[s] < 0:
-            for v in order:
-                component[v] = len(comp_size)
-            comp_size.append(reach)
-            comp_dist_sum.append(0)
-        comp_dist_sum[component[s]] += dist_sum
-        _accumulate(bu, order, preds, sigma)
-        _accumulate(bw, *_dijkstra(wadj, s))
-
-    if n > 2:  # normalise by the (n-1)(n-2) ordered pairs that avoid v
-        scale = 1 / ((n - 1) * (n - 2))
-        bu = [b * scale for b in bu]
-        bw = [b * scale for b in bw]
-    largest = max(range(len(comp_size)), key=comp_size.__getitem__)
-    size = comp_size[largest]
-    return _PathStats(nodes=graph.labels, betweenness_w=bw, betweenness_u=bu,
-                      closeness=closeness,
-                      avg_shortest_path=comp_dist_sum[largest] / (size * (size - 1)))
-
-
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def _fan_out(frontier: np.ndarray, n: int, deg: np.ndarray, first: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+# Arc density (arcs over n(n-1) ordered pairs) from which the dense kernel
+# gives the hop and distance matrices. Its rounds cost about n^2 per source
+# whatever the arc count, while the frontier kernels' cost grows with the
+# arcs; on random graphs of 60 to 400 nodes the two cost the same near 0.2.
+_DENSE = 0.2
+# Sources per chunk of the dense kernel and of the Brandes pass. No value
+# depends on it. It bounds their temporaries, (S, n, n) and (S, arcs) arrays
+# of about 1 MB each at 126 nodes: 16 sources raised the pipeline-126
+# bench's peak RSS by 5.6 MB, 8 sources by 2.4 MB, in the same time.
+_CHUNK = 8
+
+
+@dataclass
+class _Arcs:
+    """Both directions of every edge of a `_Graph`, sorted by tail, then
+    head."""
+
+    n: int
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray  # 1/weight, networkx's distance
+    deg: np.ndarray  # arcs per tail node
+    first: np.ndarray  # each tail node's first arc
+
+
+def _arcs(graph: _Graph) -> _Arcs:
+    n = len(graph.labels)
+    ends = np.array(graph.ends, dtype=np.intp)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    length = 1.0 / np.array(graph.weights, dtype=np.float64)
+    order = np.lexsort((dst, src))
+    deg = np.bincount(src, minlength=n)
+    return _Arcs(n=n, tail=src[order], head=dst[order],
+                 length=np.concatenate((length, length))[order], deg=deg,
+                 first=np.cumsum(deg) - deg)
+
+
+def _fan_out(frontier: np.ndarray, arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
     """Arcs out of the node of each flat (source, node) key in `frontier`:
-    their count per key, and their positions in tail-sorted arc order."""
-    node = frontier % n
-    d = deg[node]
+    their count per key, and their positions in arc order."""
+    node = frontier % arcs.n
+    d = arcs.deg[node]
     stop = np.cumsum(d)
-    at = np.repeat(first[node] - stop + d, d)
+    at = np.repeat(arcs.first[node] - stop + d, d)
     at += np.arange(stop[-1])
     return d, at
 
 
-def _hop_matrix(n: int, heads: np.ndarray, deg: np.ndarray, first: np.ndarray
-                ) -> np.ndarray:
+def _hop_matrix(arcs: _Arcs) -> np.ndarray:
     """Hop distance of every ordered node pair, -1 when unreachable.
 
     One frontier expansion runs all sources at once: each level marks the
     (source, node) pairs that the pairs first reached at the previous level
-    reach through one arc, so all levels together touch n x arcs entries. A
-    boolean matrix product per level would run in multithreaded BLAS, whose
-    time on a two-core host varied 25-fold from run to run.
+    reach through one arc, so all levels together touch n x arcs entries.
     """
+    n = arcs.n
     hops = np.full(n * n, -1, dtype=np.int64)
     frontier = np.arange(n) * (n + 1)  # flat (source, node) keys
     hops[frontier] = 0
@@ -350,37 +256,38 @@ def _hop_matrix(n: int, heads: np.ndarray, deg: np.ndarray, first: np.ndarray
     level = 0
     while frontier.size:
         level += 1
-        d, at = _fan_out(frontier, n, deg, first)
+        d, at = _fan_out(frontier, arcs)
         fresh[:] = False
-        fresh[np.repeat(frontier - frontier % n, d) + heads[at]] = True
+        fresh[np.repeat(frontier - frontier % n, d) + arcs.head[at]] = True
         fresh &= hops < 0
         frontier = np.flatnonzero(fresh)
         hops[frontier] = level
     return hops.reshape(n, n)
 
 
-def _float_distances(n: int, heads: np.ndarray, lengths: np.ndarray,
-                     deg: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _float_distances(arcs: _Arcs) -> np.ndarray:
     """Distance from every source to every node as networkx's Dijkstra
     computes it: the least float sum of arc lengths added one arc at a time
     from the source; n when unreachable.
 
     Bellman-Ford for all sources at once, each round extending only the
-    pairs improved in the round before. Rounding is monotone, and an hour's
-    lengths (at least 1/3600) change every sum below n, so the fixed point
-    is unique and equals Dijkstra's.
+    pairs improved in the round before. Rounding is monotone, and a length
+    1/weight (weight at most the snapshot count) changes every sum below n,
+    so the fixed point is unique and equals Dijkstra's, whatever order the
+    rounds take.
     """
     # In-place sums and early `del`s keep the process's peak RSS lower.
+    n = arcs.n
     dist = np.full(n * n, float(n))  # no path is as long: n-1 arcs of length <= 1
     frontier = np.arange(n) * (n + 1)
     dist[frontier] = 0.0
     fresh = np.zeros(n * n, dtype=bool)
     while frontier.size:
-        d, at = _fan_out(frontier, n, deg, first)
+        d, at = _fan_out(frontier, arcs)
         head = np.repeat(frontier - frontier % n, d)
-        head += heads[at]
+        head += arcs.head[at]
         cand = np.repeat(dist[frontier], d)
-        cand += lengths[at]
+        cand += arcs.length[at]
         del at
         better = cand < dist[head]
         head = head[better]
@@ -392,10 +299,162 @@ def _float_distances(n: int, heads: np.ndarray, lengths: np.ndarray,
     return dist.reshape(n, n)
 
 
+def _dense_paths(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of `_hop_matrix` and `_float_distances`, from n x n
+    adjacency and length matrices, `_CHUNK` sources at a time.
+
+    Hop levels come from boolean matrix products, which numpy runs in its
+    own loop, not in BLAS. Distances come from min-plus Bellman-Ford rounds
+    that extend the chunk's distances through the nodes whose distance from
+    one of its sources changed in the round before; they reach the same
+    unique fixed point.
+    """
+    n = arcs.n
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[arcs.tail, arcs.head] = True
+    step = np.full((n, n), np.inf)
+    step[arcs.tail, arcs.head] = arcs.length
+    hops = np.full((n, n), -1, dtype=np.int64)
+    dist = np.full((n, n), float(n))
+    for start in range(0, n, _CHUNK):
+        hop, d = hops[start:start + _CHUNK], dist[start:start + _CHUNK]  # views
+        sources = np.arange(start, start + len(hop))
+        own = (sources - start, sources)
+        frontier = np.zeros(hop.shape, dtype=bool)
+        frontier[own] = True
+        hop[own] = 0
+        level = 0
+        while frontier.any():
+            level += 1
+            frontier = frontier @ adjacent
+            frontier &= hop < 0
+            hop[frontier] = level
+        d[own] = 0.0
+        changed = sources
+        while changed.size:
+            cand = (d[:, changed, None] + step[changed]).min(axis=1)
+            better = cand < d
+            d[better] = cand[better]
+            changed = np.flatnonzero(better.any(axis=0))
+    return hops, dist
+
+
+def _all_pairs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Hop and float-distance matrices, from the kernel for the graph's arc
+    density; both kernels give the same arrays."""
+    n = arcs.n
+    if arcs.tail.size >= _DENSE * n * (n - 1):
+        return _dense_paths(arcs)
+    return _hop_matrix(arcs), _float_distances(arcs)
+
+
+def _path_counts(tail: np.ndarray, head: np.ndarray, paths: np.ndarray
+                 ) -> Iterator[np.ndarray]:
+    """Shortest paths of 1, 2, ... tight arcs per flat (source, node) key,
+    from `paths`, those of 0 arcs, until no longer path is left. The arcs
+    tail -> head are the tight ones, as flat keys."""
+    while True:
+        paths = np.bincount(head, weights=paths[tail], minlength=paths.size)
+        if not paths.any():
+            return
+        yield paths
+
+
+def _hop_sums(hops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nodes reached and hop distances summed per source, closeness per
+    node and the average shortest path on the first largest component, in
+    networkx's operation order."""
+    n = len(hops)
+    reached = hops >= 0
+    reach = reached.sum(axis=1)
+    dist_sum = np.maximum(hops, 0).sum(axis=1)
+    # Wasserman-Faust closeness; every node has a neighbour, so reach >= 2.
+    closeness = (reach - 1.0) / dist_sum
+    closeness *= (reach - 1.0) / (n - 1)
+    component = reached.argmax(axis=1)  # its lowest node: components in node order
+    sizes = np.bincount(component, minlength=n)
+    largest = int(sizes.argmax())
+    size = int(sizes[largest])
+    asp = int(dist_sum[component == largest].sum()) / (size * (size - 1))
+    return reach, dist_sum, closeness, asp
+
+
+def _betweenness(arcs: _Arcs, matrix: np.ndarray, step: np.ndarray | int
+                 ) -> np.ndarray:
+    """Brandes' dependencies summed over sources in node order, before
+    normalisation. Arc u -> v is on a shortest path from s where
+    matrix[s, u] + step == matrix[s, v]: hops and 1, or float distances
+    and arc lengths.
+
+    For `_CHUNK` sources at a time, sigma (shortest paths) comes from a
+    forward relaxation over the tight arcs, and a node's DAG depth is the
+    most tight arcs on a path to it. The dependencies then come from a
+    backward pass over depths, deepest first, each term as networkx's
+    sigma(v) * ((1 + delta(w)) / sigma(w)).
+    """
+    n = arcs.n
+    total = np.zeros(n)
+    for start in range(0, n, _CHUNK):
+        block = matrix[start:start + _CHUNK]
+        size = block.size
+        source, arc = np.nonzero(block[:, arcs.tail] + step == block[:, arcs.head])
+        tail = source * n + arcs.tail[arc]
+        head = source * n + arcs.head[arc]
+        own = np.arange(len(block)) * (n + 1) + start  # flat (s, s) keys
+        sigma = np.zeros(size)
+        sigma[own] = 1.0
+        depth = np.zeros(size, dtype=np.intp)
+        for level, paths in enumerate(_path_counts(tail, head, sigma.copy()), 1):
+            sigma += paths
+            depth[paths > 0] = level
+        head_depth = depth[head]
+        order = np.argsort(head_depth, kind="stable")
+        tail, head = tail[order], head[order]
+        bounds = np.searchsorted(head_depth[order], np.arange(depth.max() + 2))
+        delta = np.zeros(size)
+        for d in range(depth.max(), 0, -1):
+            w, v = head[bounds[d]:bounds[d + 1]], tail[bounds[d]:bounds[d + 1]]
+            coeff = (1 + delta[w]) / sigma[w]
+            delta += np.bincount(v, weights=sigma[v] * coeff, minlength=size)
+        delta[own] = 0.0
+        for row in delta.reshape(-1, n):
+            total += row
+    return total
+
+
+@dataclass
+class _Centralities:
+    """Per-node shortest-path values of one aggregated graph, in the node
+    order of its `_Graph`."""
+
+    betweenness_w: list[float]
+    betweenness_u: list[float]
+    closeness: list[float]
+    avg_shortest_path: float  # on the first largest connected component
+
+
+def _centralities(graph: _Graph) -> _Centralities:
+    """Weighted (length 1/weight) and unweighted betweenness, closeness and
+    the largest component's average shortest path, from the all-pairs
+    matrices and one Brandes pass per weighting."""
+    arcs = _arcs(graph)
+    hops, dist = _all_pairs(arcs)
+    _, _, closeness, asp = _hop_sums(hops)
+    bw = _betweenness(arcs, dist, arcs.length)
+    bu = _betweenness(arcs, hops, 1)
+    n = arcs.n
+    if n > 2:  # normalise by the (n-1)(n-2) ordered pairs that avoid v
+        scale = 1 / ((n - 1) * (n - 2))
+        bw *= scale
+        bu *= scale
+    return _Centralities(betweenness_w=bw.tolist(), betweenness_u=bu.tolist(),
+                         closeness=closeness.tolist(), avg_shortest_path=asp)
+
+
 def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     """Average shortest path (first largest component) and the node means of
-    weighted and unweighted betweenness and of closeness, the values
-    `_path_stats` gives, from all-pairs matrices.
+    weighted and unweighted betweenness and of closeness, from the all-pairs
+    matrices with no per-node betweenness.
 
     Mean normalised betweenness is the sum over reachable ordered pairs
     (s, t) of (hops of an average shortest s-t path - 1), over
@@ -409,51 +468,26 @@ def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     Temporaries are O(n x arcs).
 
     None when the summed H reaches 2**53, beyond which float64 path counts
-    are not exact.
+    are not exact; `_centralities` gives the per-node values then.
     """
-    n = len(graph.labels)
-    ends = np.array(graph.ends, dtype=np.intp)
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    length = 1.0 / np.array(graph.weights, dtype=np.float64)
-    length = np.concatenate((length, length))
-    order = np.argsort(src, kind="stable")
-    heads = dst[order]
-    deg = np.bincount(src, minlength=n)
-    first = np.cumsum(deg) - deg
-
-    hops = _hop_matrix(n, heads, deg, first)
-    reached = hops >= 0
-    reach = reached.sum(axis=1)
-    dist_sum = np.maximum(hops, 0).sum(axis=1)
-    # Wasserman-Faust closeness, in `_path_stats`'s operation order.
-    closeness = (reach - 1.0) / dist_sum
-    closeness *= (reach - 1.0) / (n - 1)
-    component = reached.argmax(axis=1)  # its lowest node: components in node order
-    sizes = np.bincount(component, minlength=n)
-    largest = int(sizes.argmax())
-    size = int(sizes[largest])
-    asp = int(dist_sum[component == largest].sum()) / (size * (size - 1))
+    arcs = _arcs(graph)
+    n = arcs.n
+    hops, dist = _all_pairs(arcs)
+    reach, dist_sum, closeness, asp = _hop_sums(hops)
+    del hops
     pairs = int(reach.sum()) - n
     scale = n * (n - 1) * (n - 2) if n > 2 else n
     betweenness_u = (int(dist_sum.sum()) - pairs) / scale
 
-    dist = _float_distances(n, heads, length[order], deg, first)
-    tight = dist[:, src]
-    tight += length
-    source, arc = np.nonzero(tight == dist[:, dst])
-    del tight
-    tail = source * n + src[arc]
-    head = source * n + dst[arc]
-    paths = np.eye(n).ravel()  # shortest paths of `hop` arcs, per flat (s, t)
+    tight = dist[:, arcs.tail]
+    tight += arcs.length
+    source, arc = np.nonzero(tight == dist[:, arcs.head])
+    del tight, dist
+    tail = source * n + arcs.tail[arc]
+    head = source * n + arcs.head[arc]
     sigma = np.zeros(n * n)
     hop_sum = np.zeros(n * n)
-    hop = 0
-    while True:
-        hop += 1
-        paths = np.bincount(head, weights=paths[tail], minlength=n * n)
-        if not paths.any():
-            break
+    for hop, paths in enumerate(_path_counts(tail, head, np.eye(n).ravel()), 1):
         sigma += paths
         hop_sum += hop * paths
     if hop_sum.sum() >= 2 ** 53:
@@ -666,7 +700,7 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
                 out["assortativity"].append(r)
         means = _hour_path_means(graph)
         if means is None:
-            paths = _path_stats(graph)
+            paths = _centralities(graph)
             means = (paths.avg_shortest_path, _mean(paths.betweenness_w),
                      _mean(paths.betweenness_u), _mean(paths.closeness))
         asp, betweenness_w, betweenness_u, closeness = means
@@ -685,8 +719,9 @@ def aggregated_metrics(g: TemporalGraph) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {name: [] for name in AGG_METRICS}
     if agg.n_edges == 0:
         return out
-    paths = _path_stats(_encode(agg))
-    by_node = sorted(range(len(paths.nodes)), key=paths.nodes.__getitem__)
+    graph = _encode(agg)
+    paths = _centralities(graph)
+    by_node = sorted(range(len(graph.labels)), key=graph.labels.__getitem__)
     out["agg_betweenness_w"] = [paths.betweenness_w[a] for a in by_node]
     out["agg_betweenness_u"] = [paths.betweenness_u[a] for a in by_node]
     out["agg_closeness"] = [paths.closeness[a] for a in by_node]

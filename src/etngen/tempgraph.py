@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -31,11 +34,11 @@ def _norm_edge(i: int, j: int) -> tuple[int, int]:
 class Snapshot:
     """One time layer: an undirected simple graph over integer node ids.
 
-    Edges are stored as a frozenset of (min, max) pairs; adjacency is built
-    lazily and cached.
+    Edges are stored as a frozenset of (min, max) pairs; adjacency and arcs
+    are built lazily and cached.
     """
 
-    __slots__ = ("edges", "_adj")
+    __slots__ = ("edges", "_adj", "_arcs")
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         norm = frozenset(_norm_edge(i, j) for i, j in edges)
@@ -44,6 +47,7 @@ class Snapshot:
                 raise ValueError(f"self-loop on node {i}")
         self.edges = norm
         self._adj: dict[int, tuple[int, ...]] | None = None
+        self._arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -54,6 +58,21 @@ class Snapshot:
                 acc.setdefault(j, []).append(i)
             self._adj = {u: tuple(sorted(vs)) for u, vs in acc.items()}
         return self._adj
+
+    @property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions u->v of every edge, as read-only source and
+        target arrays sorted by source, then target."""
+        if self._arcs is None:
+            ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                               count=2 * len(self.edges)).reshape(-1, 2)
+            src = np.concatenate((ends[:, 0], ends[:, 1]))
+            dst = np.concatenate((ends[:, 1], ends[:, 0]))
+            order = np.lexsort((dst, src))
+            self._arcs = (src[order], dst[order])
+            for a in self._arcs:
+                a.flags.writeable = False
+        return self._arcs
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency.get(u, ())

@@ -1,12 +1,17 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, networkx and an exact enumeration
-of shortest paths for the shortest-path metrics, one `random_walk` per
-run or pair for the walk probes, and one `sir_run` per epidemic for SIR."""
+library code: a naive string-based miner, networkx, a per-source Brandes
+sweep and an exact enumeration of shortest paths for the shortest-path
+metrics, one `random_walk` per run or pair for the walk probes, and one
+`sir_run` per epidemic for SIR."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 
 import networkx as nx
 import numpy as np
@@ -16,6 +21,7 @@ from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
                     compute_report, hour_slices, random_walk, resolve_start,
                     sir_run)
 from etngen.dynamics import _sir_seeds
+from etngen.metrics import _Graph
 
 _PROBE_RW = 0
 _PROBE_MFPT = 1
@@ -76,6 +82,141 @@ def nx_path_metrics(graph: nx.Graph) -> tuple[dict, dict, dict, float]:
     largest = max(nx.connected_components(graph), key=len)
     asp = float(nx.average_shortest_path_length(graph.subgraph(largest)))
     return bw, bu, cl, asp
+
+
+# The per-source reference for the shortest-path metrics: one BFS and one
+# Dijkstra sweep per source (Brandes 2001), in networkx's node, neighbour, tie
+# and summation order, so that every value equals networkx's bit for bit.
+
+@dataclass
+class _PathStats:
+    """Shortest-path quantities of one aggregated graph. Per-node lists follow
+    `nodes`, the node order of its `_Graph`."""
+
+    nodes: list[int]
+    betweenness_w: list[float]
+    betweenness_u: list[float]
+    closeness: list[float]
+    avg_shortest_path: float  # on the first largest connected component
+
+
+def _bfs(adj: list[list[int]], s: int
+         ) -> tuple[list[int], list[list[int]], list[float], int]:
+    """Visit order, shortest-path predecessors and path counts from `s`, and
+    the sum of hop distances to the nodes reached."""
+    n = len(adj)
+    sigma = [0.0] * n
+    sigma[s] = 1.0
+    hops = [-1] * n
+    hops[s] = 0
+    preds: list = [None] * n  # a node's list is made when it is reached
+    order = [s]
+    dist_sum = 0
+    for v in order:  # `order` doubles as the FIFO queue
+        nxt = hops[v] + 1
+        sigma_v = sigma[v]
+        for w in adj[v]:
+            hops_w = hops[w]
+            if hops_w < 0:
+                hops[w] = nxt
+                order.append(w)
+                dist_sum += nxt
+                sigma[w] = sigma_v
+                preds[w] = [v]
+            elif hops_w == nxt:
+                sigma[w] += sigma_v
+                preds[w].append(v)
+    return order, preds, sigma, dist_sum
+
+
+def _dijkstra(wadj: list[list[tuple[int, float]]], s: int
+              ) -> tuple[list[int], list[list[int]], list[float]]:
+    """Settle order, predecessors and path counts from `s`, with networkx's
+    heap entries (dist, counter, pred, node) and exact `==` for ties."""
+    n = len(wadj)
+    sigma = [0.0] * n
+    sigma[s] = 1.0
+    preds: list = [None] * n
+    seen = [math.inf] * n
+    seen[s] = 0
+    done = [False] * n
+    order = []
+    counter = count()
+    heap = [(0, next(counter), s, s)]
+    while heap:
+        dist, _, pred, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        sigma[v] += sigma[pred]
+        order.append(v)
+        for w, step in wadj[v]:
+            vw_dist = dist + step
+            if not done[w] and vw_dist < seen[w]:
+                seen[w] = vw_dist
+                heappush(heap, (vw_dist, next(counter), v, w))
+                sigma[w] = 0.0
+                preds[w] = [v]
+            elif vw_dist == seen[w]:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma
+
+
+def _accumulate(betweenness: list[float], order: list[int],
+                preds: list[list[int]], sigma: list[float]) -> None:
+    """Brandes dependency accumulation for one source, `order[0]`."""
+    delta = [0.0] * len(sigma)
+    for w in order[:0:-1]:
+        coeff = (1 + delta[w]) / sigma[w]
+        for v in preds[w]:
+            delta[v] += sigma[v] * coeff
+        betweenness[w] += delta[w]
+
+
+def _path_stats(graph: _Graph) -> _PathStats:
+    """Unweighted and weighted (distance 1/weight) betweenness, closeness and
+    the largest component's average shortest path, from one BFS and one
+    Dijkstra per source.
+
+    Every search, tie rule and sum runs in networkx's order (the node and
+    neighbour order of `_Graph`), so the values equal networkx's bit for
+    bit.
+    """
+    adj = [list(a) for a in graph.adj]
+    wadj = [[(v, 1.0 / w) for v, w in a.items()] for a in graph.adj]
+    n = len(adj)
+    bu = [0.0] * n
+    bw = [0.0] * n
+    closeness = [0.0] * n
+    component = [-1] * n
+    comp_size: list[int] = []
+    comp_dist_sum: list[int] = []
+    for s in range(n):
+        order, preds, sigma, dist_sum = _bfs(adj, s)
+        # Wasserman-Faust closeness; every node has a neighbour, so reach >= 2.
+        reach = len(order)
+        c = (reach - 1.0) / dist_sum
+        c *= (reach - 1.0) / (n - 1)
+        closeness[s] = c
+        if component[s] < 0:
+            for v in order:
+                component[v] = len(comp_size)
+            comp_size.append(reach)
+            comp_dist_sum.append(0)
+        comp_dist_sum[component[s]] += dist_sum
+        _accumulate(bu, order, preds, sigma)
+        _accumulate(bw, *_dijkstra(wadj, s))
+
+    if n > 2:  # normalise by the (n-1)(n-2) ordered pairs that avoid v
+        scale = 1 / ((n - 1) * (n - 2))
+        bu = [b * scale for b in bu]
+        bw = [b * scale for b in bw]
+    largest = max(range(len(comp_size)), key=comp_size.__getitem__)
+    size = comp_size[largest]
+    return _PathStats(nodes=graph.labels, betweenness_w=bw, betweenness_u=bu,
+                      closeness=closeness,
+                      avg_shortest_path=comp_dist_sum[largest] / (size * (size - 1)))
 
 
 def exact_betweenness_means(agg: AggregatedGraph) -> tuple[Fraction, Fraction]:

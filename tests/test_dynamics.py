@@ -143,6 +143,34 @@ class TestLayerCsr:
                 assert row == list(snap.neighbors(u))
 
 
+class TestLayerArcs:
+    def test_sorted_read_only_and_cached(self):
+        snap = Snapshot({(3, 1), (0, 2), (1, 2)})
+        src, dst = snap.arcs
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (3, 1)]
+        assert snap.arcs[0] is src and snap.arcs[1] is dst
+        with pytest.raises(ValueError):
+            src[0] = 5
+        assert [a.size for a in Snapshot().arcs] == [0, 0]
+
+    def test_built_once_per_graph(self, monkeypatch):
+        # Every probe, start and lambda on a graph reuses each layer's arcs.
+        builds: dict[int, int] = {}
+        build = Snapshot.arcs.fget
+
+        def counting(snap):
+            if snap._arcs is None:
+                builds[id(snap)] = builds.get(id(snap), 0) + 1
+            return build(snap)
+
+        monkeypatch.setattr(Snapshot, "arcs", property(counting))
+        g = random_graph(n=10, m=30, p=0.2, seed=5)
+        run_dynamics(g, DynConfig(rw_runs=5, mfpt_repeats=1, sir_runs=5),
+                     starts=("t0", "half"), lambdas=(0.25, 0.13, 0.01))
+        assert len(builds) == sum(1 for snap in g.snapshots if snap.edges)
+        assert set(builds.values()) == {1}
+
 class TestLockstepKernel:
     @pytest.mark.parametrize("t_start", [0, 9])
     def test_single_walker_follows_random_walk(self, t_start):

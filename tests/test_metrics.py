@@ -15,11 +15,14 @@ from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
                     contact_durations, emd, hour_metrics, hour_slices,
                     js_divergence, kl_divergence, ks_distance,
                     snapshot_metrics, write_distances_csv, write_samples_csv)
-from etngen.metrics import (_assortativity, _encode, _hour_path_means, _louvain,
-                            _modularity, _path_stats, _transitivity, distance,
+from etngen import metrics
+from etngen.metrics import (_DENSE, _all_pairs, _arcs, _assortativity,
+                            _betweenness, _centralities, _dense_paths, _encode,
+                            _float_distances, _hop_matrix, _hour_path_means,
+                            _louvain, _modularity, _transitivity, distance,
                             format_cell)
-from oracles import (exact_betweenness_means, nx_graph, nx_path_metrics,
-                     nx_report)
+from oracles import (_path_stats, exact_betweenness_means, nx_graph,
+                     nx_path_metrics, nx_report)
 from synth import sinusoidal_graph
 
 GAP = 300
@@ -360,6 +363,122 @@ _SINGLE_EDGE = st.tuples(st.integers(0, 40), st.integers(0, 40), _WEIGHT).map(
     lambda e: _edge_dict([e]))
 HOUR_GRAPHS = (_RANDOM | _EQUAL | _COMPONENTS | _STAR | _SINGLE_EDGE).filter(bool)
 
+
+def assert_centralities_match(agg):
+    """The all-sources engine against networkx and the per-source oracle,
+    node by node: closeness and the average shortest path bit for bit,
+    betweenness within 1e-12 relative."""
+    graph = _encode(agg)
+    ours = _centralities(graph)
+    oracle = _path_stats(graph)
+    nbw, nbu, ncl, nasp = nx_path_metrics(nx_graph(agg))
+    assert ours.closeness == oracle.closeness == list(ncl.values())
+    assert ours.avg_shortest_path == oracle.avg_shortest_path == nasp
+    for mine, theirs, reference in ((ours.betweenness_w, oracle.betweenness_w, nbw),
+                                    (ours.betweenness_u, oracle.betweenness_u, nbu)):
+        assert mine == pytest.approx(theirs, rel=1e-12, abs=0)
+        assert mine == pytest.approx(list(reference.values()), rel=1e-12, abs=0)
+
+
+def assert_kernels_agree(agg):
+    """The dense and the frontier kernel give the same bytes: hops,
+    distances, and the betweenness computed from either."""
+    arcs = _arcs(_encode(agg))
+    hops, dist = _dense_paths(arcs)
+    sparse_hops, sparse_dist = _hop_matrix(arcs), _float_distances(arcs)
+    assert hops.dtype == sparse_hops.dtype and dist.dtype == sparse_dist.dtype
+    assert hops.tobytes() == sparse_hops.tobytes()
+    assert dist.tobytes() == sparse_dist.tobytes()
+    for dense, sparse, step in ((dist, sparse_dist, arcs.length),
+                                (hops, sparse_hops, 1)):
+        assert (_betweenness(arcs, dense, step).tobytes()
+                == _betweenness(arcs, sparse, step).tobytes())
+
+
+def random_weights(n, p, seed, top=12):
+    """A G(n, p) graph with labels shuffled, edges in shuffled order and
+    weights 1..top."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(n).tolist()
+    weights = {}
+    for i, j in rng.permutation(np.argwhere(np.triu(rng.random((n, n)) < p, 1))):
+        weights[(labels[i], labels[j])] = int(rng.integers(1, top + 1))
+    return weights
+
+
+# An 11-cycle has 22 arcs of 110 ordered pairs: exactly the dense density.
+CYCLE_11 = {(i, (i + 1) % 11): 1 + i % 4 for i in range(11)}
+# 256 shortest paths from node 0 to node 1: a per-level product that counts
+# paths in uint8 wraps to 0 there, and node 1 looks unreachable.
+FAN_256 = {**{(0, k): 1 for k in range(2, 258)}, **{(k, 1): 2 for k in range(2, 258)}}
+PINNED_CENTRALITY_GRAPHS = [
+    FLOAT_TIE,
+    {(7, 4): 3},  # two nodes: no normalisation
+    {**PATH_3, **TRIANGLE, (10, 11): 5, (12, 13): 1, (13, 14): 2},  # components
+    {(0, 1): 1152, (1, 2): 1151, (0, 2): 1, (2, 3): 577, (1, 3): 576,
+     (3, 4): 1152, (0, 4): 2},  # weights up to the snapshot count of 4 days
+    CYCLE_11,
+    {(0, k): 1 + k % 7 for k in range(1, 301)},  # star with 300 leaves
+    FAN_256,
+]
+_CENTRALITY_GRAPHS = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(1, 1152)),
+    min_size=1, max_size=30).map(_edge_dict) | HOUR_GRAPHS
+
+
+class TestCentralities:
+    """`_centralities`, the aggregate's per-node engine: networkx's values,
+    from either all-pairs kernel."""
+
+    @pytest.mark.parametrize("weights", PINNED_CENTRALITY_GRAPHS,
+                             ids=["float-tie", "two-nodes", "components",
+                                  "weights-to-1152", "at-threshold", "star-300",
+                                  "fan-256"])
+    def test_pinned_graphs(self, weights):
+        agg = AggregatedGraph(weights)
+        assert_kernels_agree(agg)
+        assert_centralities_match(agg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CENTRALITY_GRAPHS.filter(bool))
+    def test_random_weighted_graphs(self, weights):
+        agg = AggregatedGraph(weights)
+        assert_kernels_agree(agg)
+        assert_centralities_match(agg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 70), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1),
+           st.sampled_from((12, 1152)))
+    @example(40, 0.7, 0, 12)
+    @example(60, 0.9, 1, 1152)
+    def test_random_dense_graphs(self, n, p, seed, top):
+        weights = random_weights(n, p, seed, top)
+        if weights:
+            agg = AggregatedGraph(weights)
+            assert_kernels_agree(agg)
+            assert_centralities_match(agg)
+
+    def test_density_selects_the_kernel(self, monkeypatch):
+        dense = []
+        monkeypatch.setattr(metrics, "_dense_paths",
+                            lambda arcs: dense.append(arcs.n) or _dense_paths(arcs))
+        path_10 = {e: w for e, w in CYCLE_11.items() if e != (10, 0)}
+        assert 22 == _DENSE * 11 * 10
+        _all_pairs(_arcs(_encode(AggregatedGraph(CYCLE_11))))
+        _all_pairs(_arcs(_encode(AggregatedGraph(path_10))))
+        assert dense == [11]
+
+    def test_aggregated_metrics_sorted_by_node(self):
+        weights = random_weights(30, 0.5, 3)
+        g = one_hour(30, *((e, 1 + w % PER_HOUR) for e, w in weights.items()))
+        agg = hour_slices(g)[0]
+        bw, bu, cl, _ = nx_path_metrics(nx_graph(agg))
+        out = aggregated_metrics(g)
+        assert out["agg_closeness"] == [cl[u] for u in range(30)]
+        assert out["agg_betweenness_w"] == pytest.approx(
+            [bw[u] for u in range(30)], rel=1e-12, abs=0)
+        assert out["agg_betweenness_u"] == pytest.approx(
+            [bu[u] for u in range(30)], rel=1e-12, abs=0)
 
 def assert_hour_ports_match_networkx(weights, seed):
     """Louvain's partition (as an ordered list of sets), modularity to the
