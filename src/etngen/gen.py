@@ -90,22 +90,49 @@ def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
     """Pair half-edges at random into `edges`, in place; returns (added,
     dropped). An odd count first drops one uniformly chosen stub. Pairs are
     then drawn uniformly, skipping self-loops and duplicates, with attempts
-    capped at 10x the stub count; the stubs left over are dropped."""
+    capped at 10x the stub count; the stubs left over are dropped.
+
+    A pair is two draws, an index below the stubs left and one below one
+    fewer. A round draws the indices of several pairs in one vector, with
+    the bounds n, n-1, n-2, ... that hold while every pair succeeds; numpy
+    draws them from the same stream as one scalar call per index. At the
+    first rejected pair, the stream is rewound to the round's start and
+    exactly the pairs used so far are drawn again, so the stream advances
+    as the scalar draws would. Rejections come in runs (once one ego holds
+    the stubs left, every pair is a self-loop), so a round after a
+    rejection is one pair, drawn by scalar calls, and each round that
+    succeeds throughout doubles the next.
+    """
     stubs = list(stubs)
     dropped = len(stubs) % 2
     if dropped:
         stubs.pop(int(rng.integers(len(stubs))))
     budget = 10 * len(stubs)
     added = 0
+    batch = len(stubs) // 2
     while len(stubs) >= 2 and budget > 0:
-        budget -= 1
-        a = int(rng.integers(len(stubs)))
-        b = int(rng.integers(len(stubs) - 1))
-        if b >= a:
-            b += 1
-        i, j = stubs[a], stubs[b]
-        e = _norm(i, j)
-        if i != j and e not in edges:
+        n = len(stubs)
+        pairs = min(n // 2, budget, batch)
+        if pairs == 1:
+            draws = [int(rng.integers(n)), int(rng.integers(n - 1))]
+        else:
+            bounds = np.arange(n, n - 2 * pairs, -1)
+            state = rng.bit_generator.state
+            draws = rng.integers(0, bounds).tolist()
+        batch *= 2
+        for used in range(1, pairs + 1):
+            budget -= 1
+            a, b = draws[2 * used - 2], draws[2 * used - 1]
+            if b >= a:
+                b += 1
+            i, j = stubs[a], stubs[b]
+            e = _norm(i, j)
+            if i == j or e in edges:
+                if used < pairs:
+                    rng.bit_generator.state = state
+                    rng.integers(0, bounds[:2 * used])
+                batch = 1
+                break
             edges.add(e)
             added += 1
             for idx in sorted((a, b), reverse=True):
@@ -193,10 +220,11 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
     """Resolve requests into undirected edges.
 
     Reciprocal request pairs always become edges; a one-directional request
-    survives with probability `alpha` (independent coins); stubs are then
-    paired by `_pair_stubs`, the one rule the seed layer's stubs follow too:
-    uniformly at random, skipping self-loops and duplicates, with attempts
-    capped at 10x the stub count and the remainder discarded.
+    survives with probability `alpha` (independent coins, one vector of
+    them in sorted request order); stubs are then paired by `_pair_stubs`,
+    the one rule the seed layer's stubs follow too: uniformly at random,
+    skipping self-loops and duplicates, with attempts capped at 10x the
+    stub count and the remainder discarded.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
@@ -212,13 +240,11 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
         else:
             singles.append((i, j))
     one_dir = 0
-    rejected = 0
-    for i, j in singles:
-        if rng.random() < alpha:
+    for (i, j), coin in zip(singles, rng.random(len(singles)).tolist()):
+        if coin < alpha:
             edges.add(_norm(i, j))
             one_dir += 1
-        else:
-            rejected += 1
+    rejected = len(singles) - one_dir
 
     stub_edges, dropped_stubs = _pair_stubs(prov.stubs, edges, rng)
 

@@ -242,14 +242,16 @@ def _fan_out(frontier: np.ndarray, arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]
 
 
 def _hop_matrix(arcs: _Arcs) -> np.ndarray:
-    """Hop distance of every ordered node pair, -1 when unreachable.
+    """Hop distance of every ordered node pair, -1 when unreachable, as
+    int32: half the bytes of int64 in `_betweenness`' tight-arc gathers,
+    and every sum over it accumulates in int64.
 
     One frontier expansion runs all sources at once: each level marks the
     (source, node) pairs that the pairs first reached at the previous level
     reach through one arc, so all levels together touch n x arcs entries.
     """
     n = arcs.n
-    hops = np.full(n * n, -1, dtype=np.int64)
+    hops = np.full(n * n, -1, dtype=np.int32)
     frontier = np.arange(n) * (n + 1)  # flat (source, node) keys
     hops[frontier] = 0
     fresh = np.zeros(n * n, dtype=bool)
@@ -314,7 +316,7 @@ def _dense_paths(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
     adjacent[arcs.tail, arcs.head] = True
     step = np.full((n, n), np.inf)
     step[arcs.tail, arcs.head] = arcs.length
-    hops = np.full((n, n), -1, dtype=np.int64)
+    hops = np.full((n, n), -1, dtype=np.int32)
     dist = np.full((n, n), float(n))
     for start in range(0, n, _CHUNK):
         hop, d = hops[start:start + _CHUNK], dist[start:start + _CHUNK]  # views

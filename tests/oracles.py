@@ -1,5 +1,6 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, networkx, a per-source Brandes
+library code: a naive string-based miner, stub pairing and request
+validation with one scalar draw per index and per coin, networkx, a per-source Brandes
 sweep and an exact enumeration of shortest paths for the shortest-path
 metrics, one `random_walk` per run or pair for the walk probes, and one
 `sir_run` per epidemic for SIR."""
@@ -21,6 +22,7 @@ from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
                     compute_report, hour_slices, random_walk, resolve_start,
                     sir_run)
 from etngen.dynamics import _sir_seeds
+from etngen.gen import _norm
 from etngen.metrics import _Graph
 
 _PROBE_RW = 0
@@ -62,6 +64,55 @@ def counts_as_strings(table: dict) -> dict:
             for sig, c in ctr.items():
                 dst[sig.encode()] += c
     return out
+
+
+def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],
+                      rng: np.random.Generator) -> tuple[int, int]:
+    """`gen._pair_stubs` with one scalar draw per index: an odd count drops
+    one uniform stub, then uniform pairs skip self-loops and duplicates,
+    attempts capped at 10x the stubs. Returns (added, dropped)."""
+    stubs = list(stubs)
+    dropped = len(stubs) % 2
+    if dropped:
+        stubs.pop(int(rng.integers(len(stubs))))
+    budget = 10 * len(stubs)
+    added = 0
+    while len(stubs) >= 2 and budget > 0:
+        budget -= 1
+        a = int(rng.integers(len(stubs)))
+        b = int(rng.integers(len(stubs) - 1))
+        if b >= a:
+            b += 1
+        i, j = stubs[a], stubs[b]
+        e = _norm(i, j)
+        if i != j and e not in edges:
+            edges.add(e)
+            added += 1
+            for idx in sorted((a, b), reverse=True):
+                stubs.pop(idx)
+    return added, dropped + len(stubs)
+
+
+def scalar_validate_layer(requests: set[tuple[int, int]], stubs: list[int],
+                          alpha: float, rng: np.random.Generator
+                          ) -> tuple[set[tuple[int, int]], tuple[int, ...]]:
+    """`gen.validate_layer` with one scalar coin per one-directional request
+    in sorted order: the edges, and (reciprocal, one-directional, stub
+    edges, dropped requests, dropped stubs)."""
+    edges: set[tuple[int, int]] = set()
+    reciprocal = one_dir = rejected = 0
+    for i, j in sorted(requests):
+        if (j, i) in requests:
+            if i < j:
+                edges.add((i, j))
+                reciprocal += 1
+        elif rng.random() < alpha:
+            edges.add(_norm(i, j))
+            one_dir += 1
+        else:
+            rejected += 1
+    stub_edges, dropped = scalar_pair_stubs(stubs, edges, rng)
+    return edges, (reciprocal, one_dir, stub_edges, rejected, dropped)
 
 
 def nx_graph(agg: AggregatedGraph) -> nx.Graph:

@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from etngen import (EtnSignature, NeighborWindow, TemporalGraph,
                     etn_cosine_distance, extract_etn, mine_counts, prefix_of,
                     read_counts, write_counts)
+from etngen import etn
 from etngen.tempgraph import BucketKey
 from oracles import counts_as_strings, naive_mine, naive_signature_strings
 from synth import random_graph
@@ -229,6 +231,105 @@ class TestMineCounts:
         assert counts.epoch == 1234
         assert counts.node_count == 5
         assert counts.first_layer_degrees == tuple(g.first_layer_degrees())
+
+
+def mined(g, k, periodicity="daily", threads=1, block=None):
+    """`mine_counts`' table with string keys, mined in blocks of `block`
+    window ends (the module's own size when None)."""
+    with mock.patch.object(etn, "_BLOCK", block or etn._BLOCK):
+        return counts_as_strings(mine_counts(g, k, periodicity, threads=threads).table)
+
+
+@st.composite
+def mining_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=k + 1, max_value=k + 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    layers = [draw(st.lists(pair, max_size=10)) if n > 1 else [] for _ in range(m)]
+    gap = draw(st.sampled_from([300, 3600, 7 * 3600]))
+    epoch = draw(st.integers(min_value=0, max_value=14 * 86400))
+    return TemporalGraph(n, layers, gap, epoch=epoch), k
+
+
+@given(mining_cases(), st.sampled_from(["daily", "weekly"]),
+       st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 5, None]))
+@settings(max_examples=80, deadline=None)
+def test_mine_counts_matches_oracle(case, periodicity, threads, block):
+    g, k = case
+    assert mined(g, k, periodicity, threads, block) == naive_mine(g, k, periodicity)
+
+
+def star(leaves, snapshots):
+    """Node 0 in contact with every leaf in every snapshot."""
+    return TemporalGraph(leaves + 1, [[(0, u) for u in range(1, leaves + 1)]] * snapshots,
+                         300)
+
+
+class TestMiningCases:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_star_runs_longer_than_one_pack(self, k):
+        # 40 strings: 31 fit a pack at width 2, 15 at width 4
+        g = star(40, k + 3)
+        counts = mine_counts(g, k, "daily")
+        assert counts.aggregate_depth(k)[EtnSignature(k + 1, ((1 << (k + 1)) - 1,) * 40)] == 3
+        assert counts_as_strings(counts.table) == naive_mine(g, k, "daily")
+
+    def test_stars_differing_in_one_late_string(self):
+        # The hubs' runs (40 and 39 strings "11" plus one "10") share their
+        # first pack and differ in the second.
+        layers = [[(0, u) for u in range(1, 41)] + [(41, u) for u in range(42, 82)]] * 2
+        layers[1] = layers[1][:-1]
+        g = TemporalGraph(82, layers, 300)
+        assert mined(g, 1) == naive_mine(g, 1, "daily")
+        assert len(mine_counts(g, 1, "daily").aggregate_depth(1)) == 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_all_empty_graph(self, threads):
+        g = TemporalGraph(4, [[]] * 5, 300)
+        assert mined(g, 3, threads=threads) == naive_mine(g, 3, "daily")
+
+    def test_isolated_nodes(self):
+        g = TemporalGraph(9, [[(1, 2)], [], [(2, 5)], [(1, 2), (5, 7)]], 300)
+        assert mined(g, 2, threads=3) == naive_mine(g, 2, "daily")
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_snapshots_equal_k_plus_one(self, k):
+        g = random_graph(n=7, m=k + 1, p=0.4, seed=k)
+        assert mined(g, k) == naive_mine(g, k, "daily")
+        assert mine_counts(g, k, "daily").depth_total(k) == 7
+
+    @pytest.mark.parametrize("block", [1, 7, None, 300])
+    def test_events_straddle_blocks(self, block):
+        # Contacts on both sides of every default block edge, and windows
+        # ending just after one.
+        size = etn._BLOCK
+        layers = [[] for _ in range(3 * size + 5)]
+        for edge in range(1, 4):
+            for t in (edge * size - 1, edge * size, edge * size + 1):
+                layers[t] += [(0, 1), (t % 5 + 1, 6)]
+        g = TemporalGraph(7, layers, 300)
+        assert mined(g, 3, block=block) == naive_mine(g, 3, "daily")
+
+    def test_result_does_not_depend_on_block(self):
+        g = random_graph(n=12, m=90, p=0.2, seed=4, gap=600)
+        want = mined(g, 3, "weekly")
+        for block in (1, 13, g.n_snapshots, 1000):
+            assert mined(g, 3, "weekly", block=block) == want
+
+    def test_widest_window(self):
+        # width 62: one string per pack, and (end, ego) too wide for one
+        # int64 sort key
+        k = etn.MAX_MINING_K
+        layers = [[(0, 1), (1, 2)] if t % 3 else [(2, 3)] for t in range(k + 3)]
+        g = TemporalGraph(4, layers, 300)
+        assert mined(g, k, block=2) == naive_mine(g, k, "daily")
+
+    def test_k_beyond_pack_width_rejected(self):
+        g = TemporalGraph(2, [[(0, 1)]] * 70, 300)
+        with pytest.raises(ValueError, match="k must be <="):
+            mine_counts(g, etn.MAX_MINING_K + 1, "daily")
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

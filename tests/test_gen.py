@@ -15,6 +15,7 @@ from etngen import gen
 from etngen.etn import MinedCounts, NeighborWindow
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
 from etngen.tempgraph import BucketKey
+from oracles import scalar_pair_stubs, scalar_validate_layer
 from synth import er_layers, random_graph
 
 H8 = BucketKey(hour_of_day=8)
@@ -232,6 +233,57 @@ class TestValidateLayer:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
             validate_layer(ProvisionalLayer(), 1.5, np.random.default_rng(0))
+
+
+# Few egos, so that stub lists repeat egos and draws pick self-loops; edges
+# already present make some pairs duplicates. Both force rejected pairs.
+STUBS = st.lists(st.integers(0, 5), max_size=40)
+PRESENT = st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                  .filter(lambda e: e[0] < e[1]), max_size=8)
+REQUESTS = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                   .filter(lambda e: e[0] != e[1]), max_size=20)
+
+
+class TestVectorDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(STUBS, PRESENT, st.integers(0, 2 ** 63 - 1))
+    def test_pair_stubs_matches_scalar_draws(self, stubs, present, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        edges, want = set(present), set(present)
+        assert gen._pair_stubs(stubs, edges, rng) == scalar_pair_stubs(stubs, want, ref)
+        assert edges == want
+        assert rng.random() == ref.random()
+
+    def test_rejections_rewind_the_stream(self):
+        # One ego's stubs only: every pair is a self-loop, and the budget
+        # of 10 attempts per stub runs out in rejections.
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        edges, want = set(), set()
+        assert gen._pair_stubs([3] * 6, edges, rng) == (0, 6)
+        assert scalar_pair_stubs([3] * 6, want, ref) == (0, 6)
+        assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_many_stubs(self, seed):
+        stubs = [i % 50 for i in range(2001)]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        edges, want = set(), set()
+        assert gen._pair_stubs(stubs, edges, rng) == scalar_pair_stubs(stubs, want, ref)
+        assert edges == want
+        assert rng.random() == ref.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(REQUESTS, STUBS, st.floats(0.0, 1.0), st.integers(0, 2 ** 63 - 1))
+    def test_validate_layer_matches_scalar_coins(self, requests, stubs, alpha, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
+        snap = validate_layer(ProvisionalLayer(set(requests), list(stubs)), alpha,
+                              rng, diag)
+        edges, tally = scalar_validate_layer(requests, stubs, alpha, ref)
+        assert snap.edges == frozenset(edges)
+        assert (diag.reciprocal, diag.one_directional, diag.stub_edges,
+                diag.dropped_requests, diag.dropped_stubs) == tally
+        assert rng.random() == ref.random()
 
 
 @pytest.fixture(scope="module")
