@@ -58,6 +58,11 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def node_count(text: str) -> int:
+    """A generated node count: a layer needs two nodes for an edge."""
+    return _int_at_least(text, 2)
+
+
 def probability(text: str) -> float:
     try:
         value = float(text)
@@ -166,7 +171,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_gen.add_argument("--out", required=True, help="surrogate edge list path")
     p_gen.add_argument("--snapshots", type=positive_int, required=True,
                        help="number of layers to generate")
-    p_gen.add_argument("--nodes", type=positive_int, default=None,
+    p_gen.add_argument("--nodes", type=node_count, default=None,
                        help="node count (default: model's native)")
     p_gen.add_argument("--k", type=positive_int, default=None,
                        help="window depth (default: model k)")
@@ -197,7 +202,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pipe = subs.add_parser("pipeline", help="fit, generate and eval in one go")
     p_pipe.add_argument("input")
     p_pipe.add_argument("--out-dir", required=True)
-    p_pipe.add_argument("--nodes", type=positive_int, default=None)
+    p_pipe.add_argument("--nodes", type=node_count, default=None)
     p_pipe.add_argument("--snapshots", type=positive_int, default=None,
                         help="layers to generate (default: input length)")
     p_pipe.add_argument("--alpha", type=_alpha, default="0.5",
@@ -449,6 +454,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    # Generation grows each layer from the k before it (GenConfig.validate);
+    # checked here, before reading the input, mining or writing anything.
+    if args.snapshots is not None and args.snapshots <= args.k:
+        raise UsageError(f"--snapshots must be > --k = {args.k}, "
+                         f"got {args.snapshots}")
     g = _load_eval_graph(args.input, args.gap)
     _check_starts(g, args.input, args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -518,6 +528,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"etngen: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ParseError, model_mod.ModelFormatError, model_mod.FitError,
             ValueError, OSError) as exc:
         print(f"etngen: error: {exc}", file=sys.stderr)

@@ -175,9 +175,14 @@ class NeighborWindow:
     pushing snapshots 0..t, `strings(ego, w)` is the ego's width-w window
     ending at t, for any w <= width. `depth` counts the snapshots held, up
     to `width`.
+
+    Only the active egos, those with a neighbor in the window, hold a
+    state; `active` lists them in ascending order (do not mutate). Most
+    egos of a sparse network are idle in most layers, so `push` ages only
+    the active ones, and every other ego's window is empty.
     """
 
-    __slots__ = ("width", "lo", "hi", "depth", "_mask", "_states")
+    __slots__ = ("width", "lo", "hi", "depth", "active", "_mask", "_states")
 
     def __init__(self, width: int, lo: int, hi: int):
         if width < 1:
@@ -186,22 +191,32 @@ class NeighborWindow:
         self.lo = lo
         self.hi = hi
         self.depth = 0
+        self.active: list[int] = []
         self._mask = (1 << width) - 1
         self._states: list[dict[int, int]] = [{} for _ in range(hi - lo)]
 
     def push(self, edges: Iterable[tuple[int, int]]) -> None:
         states, mask, lo, hi = self._states, self._mask, self.lo, self.hi
-        for idx, state in enumerate(states):
-            if state:
-                states[idx] = {u: aged for u, bits in state.items()
-                               if (aged := (bits << 1) & mask)}
+        active = []
+        for ego in self.active:
+            aged = {u: a for u, bits in states[ego - lo].items()
+                    if (a := (bits << 1) & mask)}
+            states[ego - lo] = aged
+            if aged:
+                active.append(ego)
         for i, j in edges:
             if lo <= i < hi:
                 state = states[i - lo]
+                if not state:
+                    active.append(i)
                 state[j] = state.get(j, 0) | 1
             if lo <= j < hi:
                 state = states[j - lo]
+                if not state:
+                    active.append(j)
                 state[i] = state.get(i, 0) | 1
+        active.sort()
+        self.active = active
         if self.depth < self.width:
             self.depth += 1
 

@@ -5,10 +5,13 @@ extension of its current width-min(t,k) neighborhood prefix; requests are
 then validated into undirected edges. Unmatched half-edges (stubs), the
 seed layer's from its degrees and later layers' from their extensions, are
 all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
-rolling window (`etn.NeighborWindow`) that each new layer advances. All
-randomness flows through numpy substreams keyed by (phase, layer), and
-within a layer nodes draw in node order, so output depends only on the
-model and the config, not on scheduling.
+rolling window (`etn.NeighborWindow`) that each new layer advances; only
+the nodes with a neighbor in the window name theirs, the others share the
+empty prefix. A layer's extensions are picked by one search of the
+model's `pick_index` for all nodes at once. All randomness flows through
+numpy substreams keyed by (phase, layer), and within a layer nodes draw in
+node order, so output depends only on the model and the config, not on
+scheduling.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .etn import EtnSignature, NeighborWindow
-from .model import ExtensionDistribution, LocalModel, lookup_extension
+from .model import LocalModel, lookup_extension
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
@@ -159,48 +162,56 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
     """Sample one extension per ego and turn new-activity bits into requests.
 
     Every ego's prefix is its window at width `window.depth`. One integer
-    vector drawn from `rng` picks all egos' extensions, in ego order; tie
-    choices then draw from `rng` in ego order too. An extension string whose
-    final bit is set points at a neighbor whose window activity equals the
-    string's prefix part, chosen uniformly among ties; strings active only
-    in the final bit have no identifiable target and become stubs.
+    vector drawn from `rng` picks all egos' extensions, in ego order (an ego
+    with no distribution draws from [0, 1)); tie choices then draw from
+    `rng` in ego order too. An extension string whose final bit is set
+    points at a neighbor whose window activity equals the string's prefix
+    part, chosen uniformly among ties; strings active only in the final
+    bit have no identifiable target and become stubs.
+
+    Each distinct prefix of the layer is looked up once, and each ego is
+    one lookup in `model.fallback_counts`. Only the window's active egos
+    name their prefix; the others share the empty one. The model's
+    `pick_index` then turns all draws into extensions with one search, so
+    the numpy calls of a layer do not grow with the egos or the
+    distributions, and Python work per ego is left to egos whose extension
+    requests a neighbor.
     """
     depth = window.depth
-    egos = range(window.lo, window.hi)
-    # Egos sharing a prefix share its lookup; each ego is still one lookup
-    # in `model.fallback_counts`.
-    cells: dict[tuple[int, ...], tuple[ExtensionDistribution | None, str]] = {}
-    dists: list[ExtensionDistribution | None] = []
-    levels: list[str] = []
-    for ego in egos:
+    lo, hi = window.lo, window.hi
+    index = model.pick_index
+    tally = model.fallback_counts
+    cells: dict[tuple[int, ...], list] = {}  # strings -> [position, level, egos]
+    positions = []
+    for ego in window.active:
         strings = window.strings(ego, depth)
         cell = cells.get(strings)
         if cell is None:
-            cell = cells[strings] = lookup_extension(
-                model, bucket, depth, EtnSignature(depth, strings))
-        dists.append(cell[0])
-        levels.append(cell[1])
-    model.fallback_counts.update(levels)
-    draws = rng.integers(0, [d.total if d is not None else 1 for d in dists]).tolist()
-    prov = ProvisionalLayer()
-    for ego, dist, r in zip(egos, dists, draws):
-        if dist is None:
-            continue
-        ext = dist.pick(r)
-        need: dict[int, int] = {}
-        for s in ext.strings:
-            if s & 1:
-                need[s >> 1] = need.get(s >> 1, 0) + 1
-        if not need:
-            continue
+            dist, level = lookup_extension(model, bucket, depth,
+                                           EtnSignature(depth, strings))
+            cell = cells[strings] = [index.position(dist), level, 0]
+        cell[2] += 1
+        positions.append(cell[0])
+    idle = hi - lo - len(positions)
+    dist_of = np.empty(hi - lo, dtype=np.int64)
+    if idle:
+        dist, level = lookup_extension(model, bucket, depth, EtnSignature(depth))
+        tally[level] += idle
+        dist_of.fill(index.position(dist))
+    for _, level, egos in cells.values():
+        tally[level] += egos
+    if positions:
+        dist_of[np.subtract(window.active, lo)] = positions
+    draws = rng.integers(0, index.total[dist_of])
+    picks = np.searchsorted(index.cum, index.base[dist_of] + draws, side="right")
+    prov = ProvisionalLayer(
+        stubs=np.repeat(np.arange(lo, hi), index.stubs[picks]).tolist())
+    asking = np.flatnonzero(index.asks[picks])
+    for ego, pick in zip((asking + lo).tolist(), picks[asking].tolist()):
         by_bits: dict[int, list[int]] = {}
         for u, bits in window.bits(ego).items():
             by_bits.setdefault(bits, []).append(u)
-        for pbits in sorted(need):
-            cnt = need[pbits]
-            if pbits == 0:
-                prov.stubs.extend([ego] * cnt)
-                continue
+        for pbits, cnt in index.requests[pick]:
             # The extension extends the ego's own prefix (the fallback chain
             # keeps it or drops to the empty prefix, whose strings all have
             # pbits 0), so at least cnt neighbours carry these bits.

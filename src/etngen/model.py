@@ -12,7 +12,8 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import IO
 
 import numpy as np
@@ -82,6 +83,56 @@ TableKey = tuple[BucketKey, int, EtnPrefix]
 GlobalKey = tuple[int, EtnPrefix]
 
 
+class PickIndex:
+    """Every distribution of a model laid end to end, so that one search
+    picks the extensions of many draws from many distributions.
+
+    Distribution i (the values of `tables`, then of `global_tables`, then a
+    stand-in for "no distribution" of total 1) gets the base `base[i]`, the
+    sum of the totals before it. `cum` holds every distribution's running
+    counts plus its base, so for a draw r in [0, total[i]),
+    `searchsorted(cum, base[i] + r, side="right")` is the global position
+    of the extension that the distribution's `pick(r)` returns. Per
+    extension position, `stubs` counts the strings equal to 1 (contacts new
+    in the last snapshot) and `requests` lists the (prefix bits, count)
+    pairs of the other strings whose last bit is set, sorted by bits;
+    `asks` marks the positions with requests. The stand-in's one extension
+    has neither.
+    """
+
+    def __init__(self, tables: dict, global_tables: dict):
+        dists = [*tables.values(), *global_tables.values()]
+        # Holding the distributions keeps their ids unique while the index
+        # lives, so `position` can key on them without hashing a table.
+        self._dists = dists
+        self._position = {id(dist): i for i, dist in enumerate(dists)}
+        sizes = [len(dist.extensions) for dist in dists] + [1]
+        self.total = np.array([dist.total for dist in dists] + [1], dtype=np.int64)
+        self.base = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(self.total[:-1], out=self.base[1:])
+        self.cum = np.fromiter(
+            chain(chain.from_iterable(dist._cumulative for dist in dists), (1,)),
+            dtype=np.int64, count=sum(sizes))
+        self.cum += np.repeat(self.base, sizes)
+        parsed: dict[EtnSignature, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        stubs, requests = [], []
+        for dist in dists:
+            for sig, _ in dist.extensions:
+                entry = parsed.get(sig)
+                if entry is None:
+                    need = Counter(s >> 1 for s in sig.strings if s & 1)
+                    entry = parsed[sig] = (need.pop(0, 0), tuple(sorted(need.items())))
+                stubs.append(entry[0])
+                requests.append(entry[1])
+        self.stubs = np.array(stubs + [0], dtype=np.int64)
+        self.requests = requests + [()]
+        self.asks = np.array([bool(r) for r in self.requests])
+
+    def position(self, dist: ExtensionDistribution | None) -> int:
+        """The index of `dist`, one of the model's distributions or None."""
+        return len(self._dists) if dist is None else self._position[id(dist)]
+
+
 @dataclass
 class LocalModel:
     """Fitted extension tables plus everything needed to generate.
@@ -90,6 +141,8 @@ class LocalModel:
     `global_tables` marginalizes out the bucket and backs fallback at
     generation time. `fallback_counts` tallies which lookup level served
     each query; it is diagnostic state, not part of model identity.
+    `pick_index`, built on first use, serves generation; the tables must
+    not change after it is built.
     """
 
     k: int
@@ -101,6 +154,10 @@ class LocalModel:
     tables: dict[TableKey, ExtensionDistribution]
     global_tables: dict[GlobalKey, ExtensionDistribution]
     fallback_counts: Counter = field(default_factory=Counter, compare=False)
+
+    @cached_property
+    def pick_index(self) -> PickIndex:
+        return PickIndex(self.tables, self.global_tables)
 
 
 def _build_model(cells: dict[TableKey, Counter], **meta) -> LocalModel:
@@ -270,6 +327,23 @@ def load_model(source: IO[str]) -> LocalModel:
     if meta["periodicity"] not in PERIODICITIES:
         raise ModelFormatError(f"unknown periodicity {meta['periodicity']!r}")
 
+    # The same texts recur in many cells (one per bucket), so each distinct
+    # (text, width) is decoded once and each signature's prefix taken once.
+    decoded: dict[tuple[str, int], EtnSignature] = {}
+    parents: dict[EtnSignature, EtnPrefix] = {}
+
+    def decode(text: str, width: int) -> EtnSignature:
+        sig = decoded.get((text, width))
+        if sig is None:
+            sig = decoded[text, width] = EtnSignature.decode(text, width)
+        return sig
+
+    def parent(sig: EtnSignature) -> EtnPrefix:
+        prefix = parents.get(sig)
+        if prefix is None:
+            prefix = parents[sig] = prefix_of(sig)
+        return prefix
+
     cells: dict[TableKey, Counter] = {}
     try:
         for cell in doc_cells:
@@ -277,14 +351,14 @@ def load_model(source: IO[str]) -> LocalModel:
             depth = _typed(cell["depth"], int, "depth")
             if not (1 <= depth <= k):
                 raise ModelFormatError(f"depth {depth} outside 1..{k}")
-            prefix = EtnSignature.decode(_typed(cell["prefix"], str, "prefix"), depth)
+            prefix = decode(_typed(cell["prefix"], str, "prefix"), depth)
             ctr: Counter = Counter()
             for ext in cell["extensions"]:
-                sig = EtnSignature.decode(_typed(ext["sig"], str, "sig"), depth + 1)
+                sig = decode(_typed(ext["sig"], str, "sig"), depth + 1)
                 count = _typed(ext["count"], int, "count")
                 if count <= 0:
                     raise ModelFormatError(f"non-positive count {count}")
-                if not (sig.is_empty and prefix.is_empty) and prefix_of(sig) != prefix:
+                if not (sig.is_empty and prefix.is_empty) and parent(sig) != prefix:
                     raise ModelFormatError(
                         f"extension {sig.encode()} does not extend {cell['prefix']}")
                 ctr[sig] += count

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, stub pairing and request
-validation with one scalar draw per index and per coin, networkx, a per-source Brandes
-sweep and an exact enumeration of shortest paths for the shortest-path
-metrics, one `random_walk` per run or pair for the walk probes, and one
-`sir_run` per epidemic for SIR."""
+library code: a naive string-based miner, layer proposal ego by ego, stub
+pairing and request validation with one scalar draw per index and per
+coin, networkx, a per-source Brandes sweep and an exact enumeration of
+shortest paths for the shortest-path metrics, one `random_walk` per run or
+pair for the walk probes, and one `sir_run` per epidemic for SIR."""
 
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
                     compute_report, hour_slices, random_walk, resolve_start,
                     sir_run)
 from etngen.dynamics import _sir_seeds
-from etngen.gen import _norm
+from etngen.etn import EtnSignature, NeighborWindow
+from etngen.gen import ProvisionalLayer, _norm
+from etngen.model import ExtensionDistribution, LocalModel, lookup_extension
+from etngen.tempgraph import BucketKey
 from etngen.metrics import _Graph
 
 _PROBE_RW = 0
@@ -113,6 +116,63 @@ def scalar_validate_layer(requests: set[tuple[int, int]], stubs: list[int],
             rejected += 1
     stub_edges, dropped = scalar_pair_stubs(stubs, edges, rng)
     return edges, (reciprocal, one_dir, stub_edges, rejected, dropped)
+
+
+def scalar_propose_layer(window: NeighborWindow, model: LocalModel,
+                         bucket: BucketKey, rng: np.random.Generator
+                         ) -> ProvisionalLayer:
+    """`gen.propose_layer` ego by ego: every ego names its prefix and looks
+    it up (egos sharing a prefix share the lookup), one integer vector
+    picks all extensions in ego order, each by the distribution's own
+    bisection, and tie choices draw in ego order."""
+    depth = window.depth
+    egos = range(window.lo, window.hi)
+    # Egos sharing a prefix share its lookup; each ego is still one lookup
+    # in `model.fallback_counts`.
+    cells: dict[tuple[int, ...], tuple[ExtensionDistribution | None, str]] = {}
+    dists: list[ExtensionDistribution | None] = []
+    levels: list[str] = []
+    for ego in egos:
+        strings = window.strings(ego, depth)
+        cell = cells.get(strings)
+        if cell is None:
+            cell = cells[strings] = lookup_extension(
+                model, bucket, depth, EtnSignature(depth, strings))
+        dists.append(cell[0])
+        levels.append(cell[1])
+    model.fallback_counts.update(levels)
+    draws = rng.integers(0, [d.total if d is not None else 1 for d in dists]).tolist()
+    prov = ProvisionalLayer()
+    for ego, dist, r in zip(egos, dists, draws):
+        if dist is None:
+            continue
+        ext = dist.pick(r)
+        need: dict[int, int] = {}
+        for s in ext.strings:
+            if s & 1:
+                need[s >> 1] = need.get(s >> 1, 0) + 1
+        if not need:
+            continue
+        by_bits: dict[int, list[int]] = {}
+        for u, bits in window.bits(ego).items():
+            by_bits.setdefault(bits, []).append(u)
+        for pbits in sorted(need):
+            cnt = need[pbits]
+            if pbits == 0:
+                prov.stubs.extend([ego] * cnt)
+                continue
+            # The extension extends the ego's own prefix (the fallback chain
+            # keeps it or drops to the empty prefix, whose strings all have
+            # pbits 0), so at least cnt neighbours carry these bits.
+            cands = sorted(by_bits[pbits])
+            if cnt == len(cands):
+                chosen = cands
+            else:
+                idx = rng.choice(len(cands), size=cnt, replace=False)
+                chosen = [cands[i] for i in sorted(idx)]
+            for u in chosen:
+                prov.requests.add((ego, u))
+    return prov
 
 
 def nx_graph(agg: AggregatedGraph) -> nx.Graph:

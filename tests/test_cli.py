@@ -512,6 +512,66 @@ def test_bad_pipeline_alpha_fails_before_any_work(train, tmp_path, capsys, value
     assert captured.err.count("etngen: error:") == 1
 
 
+def _fails_as_usage_error(argv, out, capsys, message):
+    """`argv` exits 1 with one error line naming `message`, no stdout and
+    nothing at `out`."""
+    assert main(argv) == 1
+    assert not os.path.exists(out)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("etngen: error:"), lines
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("nodes", ["1", "0"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bad_generate_node_count_fails_before_loading(model_path, tmp_path, capsys,
+                                                      nodes, via_config):
+    out = tmp_path / "s.tsv"
+    argv = ["generate", model_path, "--out", str(out), "--snapshots", "12"]
+    if via_config:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"nodes": int(nodes)}))
+        argv += ["--config", str(conf)]
+    else:
+        argv += ["--nodes", nodes]
+    _fails_as_usage_error(argv, out, capsys, f"must be >= 2, got {nodes}")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bad_pipeline_node_count_fails_before_fitting(train, tmp_path, capsys,
+                                                      via_config):
+    out_dir = tmp_path / "out"
+    argv = ["pipeline", train, "--out-dir", str(out_dir)]
+    if via_config:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"nodes": 1}))
+        argv += ["--config", str(conf)]
+    else:
+        argv += ["--nodes", "1"]
+    _fails_as_usage_error(argv, out_dir, capsys, "must be >= 2, got 1")
+
+
+@pytest.mark.parametrize("k, snapshots", [("2", "2"), ("2", "1"), ("1", "1"),
+                                          ("3", "2")])
+def test_pipeline_snapshots_not_above_k_fail_before_reading(tmp_path, capsys,
+                                                            k, snapshots):
+    # The input does not exist: the flags fail first.
+    out_dir = tmp_path / "out"
+    argv = ["pipeline", str(tmp_path / "absent.tsv"), "--out-dir", str(out_dir),
+            "--k", k, "--snapshots", snapshots]
+    _fails_as_usage_error(argv, out_dir, capsys,
+                          f"--snapshots must be > --k = {k}, got {snapshots}")
+
+
+def test_pipeline_snapshots_just_above_k_run(train, tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", train, "--out-dir", str(out_dir), "--k", "2",
+                 "--snapshots", "3"]) == 0
+    assert load_graph(out_dir / "surrogate.tsv").n_snapshots == 3
+
+
 def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
     g = TemporalGraph(4, [Snapshot(set())] + [Snapshot({(0, 1), (2, 3)})] * 11,
                       300, epoch=0)

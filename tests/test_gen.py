@@ -14,8 +14,9 @@ from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
 from etngen import gen
 from etngen.etn import MinedCounts, NeighborWindow
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
+from etngen.model import LocalModel, load_model, save_model
 from etngen.tempgraph import BucketKey
-from oracles import scalar_pair_stubs, scalar_validate_layer
+from oracles import scalar_pair_stubs, scalar_propose_layer, scalar_validate_layer
 from synth import er_layers, random_graph
 
 H8 = BucketKey(hour_of_day=8)
@@ -169,6 +170,93 @@ class TestProposeLayer:
             for ego, u in prov.requests:
                 assert u in active[ego]
                 assert ego != u
+
+
+def without_empty_prefix(model, depth):
+    """`model` with no cell for the empty prefix at `depth`, in the bucket
+    tables or the global ones: there, egos with an unseen prefix and idle
+    egos have no distribution."""
+    fields = {name: getattr(model, name) for name in (
+        "k", "periodicity", "gap_seconds", "epoch", "node_count", "seed_degrees")}
+    return LocalModel(
+        tables={key: dist for key, dist in model.tables.items()
+                if not (key[1] == depth and key[2].is_empty)},
+        global_tables={key: dist for key, dist in model.global_tables.items()
+                       if not (key[0] == depth and key[1].is_empty)},
+        **fields)
+
+
+class TestProposeMatchesScalar:
+    """`propose_layer` against the ego-by-ego oracle on fitted models and
+    random windows: the same requests, the same stubs in the same order,
+    the same fallback tallies, the same lookups and the same stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(3, 9), st.floats(0.05, 0.8), st.data())
+    def test_fitted_models(self, k, n, p, data):
+        g = random_graph(n=n, m=data.draw(st.integers(k + 1, 10)), p=p,
+                         seed=data.draw(st.integers(0, 2 ** 16)))
+        model = fit(mine_counts(g, k, "daily"))
+        if data.draw(st.booleans()):
+            model = without_empty_prefix(model, data.draw(st.integers(1, k)))
+        # Hour 0 holds every window of the graph; hour 13 none, so its
+        # lookups fall back to the global tables.
+        bucket = BucketKey(hour_of_day=data.draw(st.sampled_from([0, 13])))
+        nodes = data.draw(st.integers(2, 2 * n))
+        lo = data.draw(st.integers(0, nodes - 1))
+        window = NeighborWindow(data.draw(st.integers(1, k)), lo,
+                                data.draw(st.integers(lo + 1, nodes)))
+        # p = 1 makes every ego active; the layer count sets the depth.
+        layer_p = data.draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        for edges in er_layers(nodes, data.draw(st.integers(1, 4)), layer_p, rng):
+            window.push(edges)
+        seed = data.draw(st.integers(0, 2 ** 63 - 1))
+        assert_matches_scalar(window, model, bucket, seed)
+
+    def test_every_ego_active_and_ties(self):
+        g = random_graph(n=8, m=12, p=0.6, seed=3)
+        model = fit(mine_counts(g, 2, "daily"))
+        window = window_of([Snapshot(e) for e in er_layers(
+            8, 2, 1.0, np.random.default_rng(0))], 8)
+        assert len(window.active) == 8
+        for seed in range(20):
+            assert_matches_scalar(window, model, BucketKey(hour_of_day=0), seed)
+
+    def test_no_distribution_draws_from_one(self):
+        model = without_empty_prefix(
+            tiny_model({sig("11"): Counter({sig("111"): 1})}), 2)
+        window = window_of([Snapshot({(0, 1)}), Snapshot(set())], 4)
+        tally = assert_matches_scalar(window, model, H8, 7)
+        assert tally == Counter({"empty_signature": 4})
+
+
+def assert_matches_scalar(window, model, bucket, seed):
+    """Propose from `window` with both implementations; returns the tally."""
+    looked_up = []
+    real_lookup = gen.lookup_extension
+
+    def lookup(model, bucket, depth, prefix):
+        looked_up.append(prefix)
+        return real_lookup(model, bucket, depth, prefix)
+
+    model.fallback_counts.clear()
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(gen, "lookup_extension", lookup):
+        prov = propose_layer(window, model, bucket, rng)
+    tally = Counter(model.fallback_counts)
+    model.fallback_counts.clear()
+    ref_rng = np.random.default_rng(seed)
+    ref = scalar_propose_layer(window, model, bucket, ref_rng)
+    assert prov.requests == ref.requests
+    assert prov.stubs == ref.stubs
+    assert tally == model.fallback_counts
+    assert sum(tally.values()) == window.hi - window.lo
+    prefixes = {EtnSignature(window.depth, window.strings(ego, window.depth))
+                for ego in range(window.lo, window.hi)}
+    assert len(looked_up) == len(prefixes) and set(looked_up) == prefixes
+    assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+    return tally
 
 
 class TestValidateLayer:
@@ -348,6 +436,20 @@ class TestGenerate:
         assert [d.layer for d in diags] == list(range(1, 12))
         for d, snap in zip(diags, g.snapshots[1:]):
             assert d.reciprocal + d.one_directional + d.stub_edges == snap.n_edges
+
+    @pytest.mark.parametrize("k, seed", [(1, 0), (2, 1), (3, 2)])
+    def test_loaded_model_generates_the_same(self, k, seed):
+        model = fit(mine_counts(random_graph(n=12, m=16, p=0.3, seed=seed), k,
+                                "daily"))
+        sink = io.StringIO()
+        save_model(model, sink)
+        loaded = load_model(io.StringIO(sink.getvalue()))
+        cfg = GenConfig(n_nodes=15, n_snapshots=20, k=k, seed=seed)
+        diags, loaded_diags = [], []
+        assert (generate(model, cfg, diags)
+                == generate(loaded, cfg, loaded_diags))
+        assert diags == loaded_diags
+        assert model.fallback_counts == loaded.fallback_counts
 
     def test_diagnostics_csv(self, model):
         diags = []

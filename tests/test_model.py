@@ -362,3 +362,43 @@ class TestSaveLoad:
         for key, dist in model.tables.items():
             assert back.tables[key].probabilities() == dist.probabilities()
         assert back.global_tables == model.global_tables
+
+
+class TestPickIndex:
+    @pytest.fixture()
+    def model(self):
+        return fit(mine_counts(random_graph(n=9, m=10, p=0.4, seed=23), 2, "daily"))
+
+    def test_search_picks_as_each_distribution(self, model):
+        index = model.pick_index
+        dists = [*model.tables.values(), *model.global_tables.values()]
+        for dist in dists:
+            i = index.position(dist)
+            draws = np.arange(dist.total)
+            picks = np.searchsorted(index.cum, index.base[i] + draws, side="right")
+            first = picks[0]
+            assert [dist.extensions[p - first][0] for p in picks.tolist()] == [
+                dist.pick(r) for r in range(dist.total)]
+            for p, (ext, _) in zip(range(first, first + len(dist.extensions)),
+                                   dist.extensions):
+                need = Counter(s >> 1 for s in ext.strings if s & 1)
+                assert index.stubs[p] == need.pop(0, 0)
+                assert index.requests[p] == tuple(sorted(need.items()))
+                assert index.asks[p] == bool(need)
+        none = index.position(None)
+        assert none == len(dists) and index.total[none] == 1
+        pick = np.searchsorted(index.cum, index.base[none], side="right")
+        assert index.stubs[pick] == 0 and not index.asks[pick]
+
+    def test_built_on_use_only(self, model):
+        sink = io.StringIO()
+        save_model(model, sink)
+        back = load_model(io.StringIO(sink.getvalue()))
+        assert "pick_index" not in vars(model) and "pick_index" not in vars(back)
+        before = repr(model)
+        model.pick_index
+        assert "pick_index" in vars(model)
+        assert model == back and repr(model) == before
+        again = io.StringIO()
+        save_model(model, again)
+        assert again.getvalue() == sink.getvalue()
