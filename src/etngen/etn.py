@@ -177,9 +177,10 @@ class NeighborWindow:
     to `width`.
 
     Only the active egos, those with a neighbor in the window, hold a
-    state; `active` lists them in ascending order (do not mutate). Most
-    egos of a sparse network are idle in most layers, so `push` ages only
-    the active ones, and every other ego's window is empty.
+    state; `active` lists them in ascending order (do not mutate), and
+    `prefixes()` gives their strings at width `depth`. Most egos of a
+    sparse network are idle in most layers, so `push` ages only the active
+    ones, and every other ego's window is empty.
     """
 
     __slots__ = ("width", "lo", "hi", "depth", "active", "_mask", "_states")
@@ -199,9 +200,10 @@ class NeighborWindow:
         states, mask, lo, hi = self._states, self._mask, self.lo, self.hi
         active = []
         for ego in self.active:
-            aged = {u: a for u, bits in states[ego - lo].items()
+            idx = ego - lo
+            aged = {u: a for u, bits in states[idx].items()
                     if (a := (bits << 1) & mask)}
-            states[ego - lo] = aged
+            states[idx] = aged
             if aged:
                 active.append(ego)
         for i, j in edges:
@@ -223,6 +225,11 @@ class NeighborWindow:
     def bits(self, ego: int) -> dict[int, int]:
         """Neighbor -> activity bits over the full width (do not mutate)."""
         return self._states[ego - self.lo]
+
+    def prefixes(self) -> list[tuple[int, ...]]:
+        """`strings(ego, depth)` of every active ego, in `active` order."""
+        states, lo = self._states, self.lo
+        return [tuple(sorted(states[ego - lo].values())) for ego in self.active]
 
     def strings(self, ego: int, width: int) -> tuple[int, ...]:
         """Sorted nonzero strings of the width-`width` window, the body of

@@ -183,8 +183,7 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
     tally = model.fallback_counts
     cells: dict[tuple[int, ...], list] = {}  # strings -> [position, level, egos]
     positions = []
-    for ego in window.active:
-        strings = window.strings(ego, depth)
+    for strings in window.prefixes():
         cell = cells.get(strings)
         if cell is None:
             dist, level = lookup_extension(model, bucket, depth,

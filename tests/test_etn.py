@@ -152,6 +152,9 @@ def test_neighbor_window_matches_extract(case, extra):
         window.push(g.snapshots[t].edges)
     assert window.depth == min(t_end + 1, width + extra)
     assert window.strings(ego, width) == extract_etn(g, ego, t_end, width).strings
+    full = [window.strings(e, window.depth) for e in range(g.node_count)]
+    assert window.active == [e for e, strings in enumerate(full) if strings]
+    assert window.prefixes() == [full[e] for e in window.active]
 
 
 def test_neighbor_window_ego_range():
@@ -161,9 +164,11 @@ def test_neighbor_window_ego_range():
     assert window.bits(2) == {0: 2, 3: 1}
     assert window.bits(3) == {5: 2, 2: 1}
     assert window.strings(3, 1) == (1,)
+    assert window.active == [2, 3] and window.prefixes() == [(1, 2), (1, 2)]
     window.push([])
     window.push([])
     assert window.bits(2) == {} and window.bits(3) == {}
+    assert window.active == [] and window.prefixes() == []
 
 
 class TestMineCounts:
