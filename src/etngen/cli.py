@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -401,44 +402,64 @@ def _dump_dyn_outputs(out_dir: str, which: str, report: dyn.DynReport) -> None:
                       sir.infected_series)
 
 
+def _side(graph: TemporalGraph, louvain_seed: int, base: dyn.DynConfig | None,
+          run_args: tuple) -> tuple[metrics_mod.MetricReport, dyn.DynReport | None]:
+    """One graph's side of an eval: its topology report and, given a
+    dynamics config, its dynamics report."""
+    report = metrics_mod.compute_report(graph, louvain_seed=louvain_seed)
+    if base is None:
+        return report, None
+    return report, dyn.run_dynamics(graph, base, *run_args)
+
+
 def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
               args: argparse.Namespace) -> None:
+    """Compare the two graphs and write every output.
+
+    The surrogate's side, and the --stability re-run of the original's
+    dynamics, run in worker processes while this process computes the
+    original's side; every output is written afterwards. Each job is a
+    serial library call on its own seed, so the bytes do not depend on this.
+    """
     if g_orig.gap_seconds != g_gen.gap_seconds:
         raise ValueError(f"gap mismatch: original {g_orig.gap_seconds}s vs "
                          f"surrogate {g_gen.gap_seconds}s")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    base = dyn.DynConfig(rw_runs=args.rw_runs, mfpt_repeats=args.mfpt_repeats,
+                         sir_runs=args.sir_runs, mu=args.mu,
+                         seed=args.seed) if args.dynamics else None
+    run_args = (args.starts, args.lambdas, args.dynamics)
+    stability = base is not None and args.stability
+    with ProcessPoolExecutor(max_workers=1 + stability) as pool:
+        gen_side = pool.submit(_side, g_gen, args.seed, base, run_args)
+        if stability:
+            orig_again = pool.submit(dyn.run_dynamics, g_orig,
+                                     replace(base, seed=args.seed + 1), *run_args)
+        topo_orig, rep_orig = _side(g_orig, args.seed, base, run_args)
+        topo_gen, rep_gen = gen_side.result()
+        rep_orig2 = orig_again.result() if stability else None
 
-    reports = {which: metrics_mod.compute_report(graph, louvain_seed=args.seed)
-               for which, graph in (("orig", g_orig), ("gen", g_gen))}
-    report = metrics_mod.compare(reports["orig"], reports["gen"],
-                                 distances=args.distances)
+    report = metrics_mod.compare(topo_orig, topo_gen, distances=args.distances)
     topo_path = os.path.join(out_dir, "distances_topo.csv")
     with open(topo_path, "w", encoding="utf-8", newline="") as handle:
         metrics_mod.write_distances_csv(report, handle)
     print(f"eval: wrote {topo_path}")
 
     if args.dump_samples:
-        for which, rep in reports.items():
+        for which, rep in (("orig", topo_orig), ("gen", topo_gen)):
             path = os.path.join(out_dir, f"metric_samples_{which}.csv")
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 metrics_mod.write_samples_csv(rep, handle)
 
-    if not args.dynamics:
+    if base is None:
         return
-    base = dyn.DynConfig(rw_runs=args.rw_runs, mfpt_repeats=args.mfpt_repeats,
-                         sir_runs=args.sir_runs, mu=args.mu, seed=args.seed)
-    run_args = (args.starts, args.lambdas, args.dynamics)
-    rep_orig = dyn.run_dynamics(g_orig, base, *run_args)
-    rep_gen = dyn.run_dynamics(g_gen, base, *run_args)
     dyn_path = os.path.join(out_dir, "distances_dyn.csv")
     _write_dyn_distances(dyn_path, rep_orig, rep_gen, args.distances)
     _dump_dyn_outputs(out_dir, "orig", rep_orig)
     _dump_dyn_outputs(out_dir, "gen", rep_gen)
     print(f"eval: wrote {dyn_path}")
-    if args.stability:
-        rep_orig2 = dyn.run_dynamics(g_orig, replace(base, seed=args.seed + 1),
-                                     *run_args)
+    if stability:
         stab_path = os.path.join(out_dir, "distances_dyn_stability.csv")
         _write_dyn_distances(stab_path, rep_orig, rep_orig2, args.distances)
         print(f"eval: wrote {stab_path}")

@@ -163,7 +163,9 @@ class _Graph:
     """An aggregated graph encoded once for every metric on it, in networkx's
     order for a graph built edge by edge from `weights`: nodes are numbered
     in the order they first appear there, and each node's neighbours are
-    listed in that edge order."""
+    listed in that edge order. `aggregate` and `hour_slices` list edges in
+    sorted (i, j) order, so that order, not snapshot set order, fixes the
+    numbering."""
 
     labels: list[int]  # node number -> node
     ends: list[tuple[int, int]]  # each edge's node numbers, in `weights` order
@@ -172,6 +174,8 @@ class _Graph:
 
 
 def _encode(agg: AggregatedGraph) -> _Graph:
+    """`agg` as a `_Graph`, nodes numbered in its edge order (sorted (i, j)
+    for the aggregates eval builds)."""
     index: dict[int, int] = {}
     adj: list[dict[int, int]] = []
     ends: list[tuple[int, int]] = []

@@ -382,14 +382,16 @@ def write_edge_list(g: TemporalGraph, sink: IO[str]) -> None:
 
 
 def aggregate(g: TemporalGraph) -> AggregatedGraph:
-    """Sum snapshots into one weighted static graph."""
+    """Sum snapshots into one weighted static graph, its edges in sorted
+    (i, j) order: the metrics number nodes in edge order, and a snapshot's
+    set order can differ between equal graphs."""
     if g.n_snapshots < 1:
         raise ValueError("cannot aggregate an empty snapshot sequence")
     weights: dict[tuple[int, int], int] = {}
     for snap in g.snapshots:
         for e in snap.edges:
             weights[e] = weights.get(e, 0) + 1
-    return AggregatedGraph(weights)
+    return AggregatedGraph(dict(sorted(weights.items())))
 
 
 def require_hour_aligned(gap_seconds: int) -> None:
@@ -401,6 +403,7 @@ def require_hour_aligned(gap_seconds: int) -> None:
 
 def hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
     """Aggregate per wall-clock hour, in order; empty hours yield empty graphs.
+    Each slice lists its edges in sorted (i, j) order, as `aggregate` does.
 
     Requires an hour-aligned gap (`require_hour_aligned`).
     """
@@ -415,7 +418,7 @@ def hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
         weights = acc[idx]
         for e in snap.edges:
             weights[e] = weights.get(e, 0) + 1
-    return [AggregatedGraph(w) for w in acc]
+    return [AggregatedGraph(dict(sorted(w.items()))) for w in acc]
 
 
 @dataclass(frozen=True)

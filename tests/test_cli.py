@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etngen import (Snapshot, TemporalGraph, parse_edge_list, read_counts,
-                    write_edge_list, write_samples_csv)
+                    write_distances_csv, write_edge_list, write_samples_csv)
+from etngen import cli
+from etngen import dynamics as dyn
 from etngen import metrics as metrics_mod
 from etngen.cli import build_parser, main
-from synth import er_layers, random_graph
+from synth import er_layers, random_graph, sinusoidal_graph
 
 
 def write_graph(path, g):
@@ -359,18 +363,21 @@ class TestEval:
 
     def test_dump_samples_reuses_compared_reports(self, train, tmp_path,
                                                   monkeypatch):
-        calls = []
+        # The surrogate's report is computed in a worker process, so each
+        # call appends a line to a file rather than to a list in this one.
+        calls = tmp_path / "calls.txt"
         real = metrics_mod.compute_report
 
         def counting(graph, louvain_seed=0):
-            calls.append(louvain_seed)
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
             return real(graph, louvain_seed=louvain_seed)
 
         monkeypatch.setattr(metrics_mod, "compute_report", counting)
         out_dir = tmp_path / "report"
         assert main(["eval", train, train, "--out-dir", str(out_dir),
                      "--dump-samples"]) == 0
-        assert len(calls) == 2
+        assert len(calls.read_text().splitlines()) == 2
         sink = io.StringIO()
         write_samples_csv(real(load_graph(train)), sink)
         with open(out_dir / "metric_samples_orig.csv", encoding="utf-8",
@@ -470,6 +477,91 @@ class TestEval:
     def test_bad_lambda(self, train, tmp_path):
         assert main(["eval", train, train, "--out-dir", str(tmp_path / "r"),
                      "--dynamics", "sir", "--lambdas", "1.5"]) == 1
+
+    def test_files_equal_serial_composition(self, tmp_path):
+        # The CLI computes the surrogate's side and the --stability re-run
+        # in worker processes; every file must equal one built here from
+        # the library calls made one after the other. The graphs are sparse
+        # enough that Louvain's partitions depend on the seed.
+        def sparse(seed):
+            layers = er_layers(16, 24, 0.03, np.random.default_rng(seed))
+            return TemporalGraph(16, [Snapshot(set(e) | {(0, 1)})
+                                      for e in layers], 300, epoch=0)
+
+        train = write_graph(tmp_path / "train.tsv", sparse(11))
+        sur = write_graph(tmp_path / "sur.tsv", sparse(12))
+        flags = ["--seed", "4", "--dynamics", "rw,mfpt,sir", "--starts",
+                 "t0,half", "--lambdas", "0.25,0.13", "--rw-runs", "30",
+                 "--mfpt-repeats", "2", "--sir-runs", "20", "--stability",
+                 "--dump-samples"]
+        out_dir = tmp_path / "cli"
+        assert main(["eval", train, sur, "--out-dir", str(out_dir), *flags]) == 0
+
+        want = tmp_path / "serial"
+        want.mkdir()
+        g_orig, g_gen = load_graph(train), load_graph(sur)
+        topo = {which: metrics_mod.compute_report(g, louvain_seed=4)
+                for which, g in (("orig", g_orig), ("gen", g_gen))}
+        with open(want / "distances_topo.csv", "w", encoding="utf-8",
+                  newline="") as handle:
+            write_distances_csv(metrics_mod.compare(topo["orig"], topo["gen"]),
+                                handle)
+        for which, report in topo.items():
+            with open(want / f"metric_samples_{which}.csv", "w",
+                      encoding="utf-8", newline="") as handle:
+                write_samples_csv(report, handle)
+        cfg = dyn.DynConfig(rw_runs=30, mfpt_repeats=2, sir_runs=20, seed=4)
+        run_args = ((dyn.START_T0, dyn.START_HALF), (0.25, 0.13),
+                    ("rw", "mfpt", "sir"))
+        rep_orig = dyn.run_dynamics(g_orig, cfg, *run_args)
+        rep_gen = dyn.run_dynamics(g_gen, cfg, *run_args)
+        rep_again = dyn.run_dynamics(g_orig, replace(cfg, seed=5), *run_args)
+        distances = tuple(metrics_mod.DISTANCE_FUNCS)
+        cli._write_dyn_distances(str(want / "distances_dyn.csv"), rep_orig,
+                                 rep_gen, distances)
+        cli._write_dyn_distances(str(want / "distances_dyn_stability.csv"),
+                                 rep_orig, rep_again, distances)
+        cli._dump_dyn_outputs(str(want), "orig", rep_orig)
+        cli._dump_dyn_outputs(str(want), "gen", rep_gen)
+
+        names = sorted(os.listdir(out_dir))
+        assert names == sorted(os.listdir(want))
+        for name in names:
+            assert (out_dir / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("probes", [[], ["--dynamics", "rw", "--starts",
+                                              "t0", "--rw-runs", "5"]])
+    @pytest.mark.parametrize("which", ["original", "surrogate"])
+    def test_side_failure_is_one_data_error(self, train, tmp_path, capsys,
+                                            monkeypatch, which, probes):
+        # The surrogate's side runs in a forked worker, which inherits the
+        # patched function.
+        sur_path = write_graph(tmp_path / "sur.tsv", busy_graph(seed=11))
+        failing_graph = load_graph(train if which == "original" else sur_path)
+        real = metrics_mod.compute_report
+
+        def failing(graph, louvain_seed=0):
+            if graph == failing_graph:
+                raise ValueError(f"{which} side failed")
+            return real(graph, louvain_seed=louvain_seed)
+
+        monkeypatch.setattr(metrics_mod, "compute_report", failing)
+        out_dir = tmp_path / "report"
+        assert main(["eval", train, sur_path, "--out-dir", str(out_dir),
+                     *probes, "--stability"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("etngen: error:") == 1
+        assert f"etngen: error: {which} side failed" in err
+        assert os.listdir(out_dir) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_no_worker_left_after_success(self, train, tmp_path, command):
+        inputs = [train, train] if command == "eval" else [train]
+        assert main([command, *inputs, "--out-dir", str(tmp_path / "out"),
+                     "--dynamics", "rw", "--starts", "t0", "--rw-runs", "5",
+                     "--stability"]) == 0
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", ["eval", "pipeline"])
@@ -678,23 +770,40 @@ class TestPipeline:
         assert sur.node_count == 8
         assert "pipeline: fitted" in capsys.readouterr().out
 
-    def test_same_files_as_separate_steps(self, train, tmp_path):
-        flags = ["--seed", "3", "--dynamics", "rw,mfpt,sir", "--dump-samples",
-                 "--stability", "--rw-runs", "50", "--sir-runs", "20"]
+    @staticmethod
+    def pipeline_and_steps(train, tmp_path, seed, snapshots, flags):
+        """Run `pipeline` and fit -> generate -> eval on `train`; check that
+        both write the same files and return their names."""
+        flags = ["--seed", seed, *flags]
         pipe, steps = tmp_path / "pipe", tmp_path / "steps"
         assert main(["pipeline", train, "--out-dir", str(pipe), *flags]) == 0
         steps.mkdir()
         model, sur = str(steps / "model.json"), str(steps / "surrogate.tsv")
         assert main(["fit", train, "--out", model]) == 0
-        assert main(["generate", model, "--out", sur, "--snapshots", "24",
-                     "--seed", "3",
+        assert main(["generate", model, "--out", sur, "--snapshots", snapshots,
+                     "--seed", seed,
                      "--diagnostics", str(steps / "diagnostics.csv")]) == 0
         assert main(["eval", train, sur, "--out-dir", str(steps), *flags]) == 0
         names = sorted(os.listdir(pipe))
         assert names == sorted(os.listdir(steps))
-        assert len(names) == 62
         for name in names:
             assert (pipe / name).read_bytes() == (steps / name).read_bytes(), name
+        return names
+
+    def test_same_files_as_separate_steps(self, train, tmp_path):
+        names = self.pipeline_and_steps(
+            train, tmp_path, "3", "24",
+            ["--dynamics", "rw,mfpt,sir", "--dump-samples", "--stability",
+             "--rw-runs", "50", "--sir-runs", "20"])
+        assert len(names) == 62
+
+    def test_same_topology_files_as_separate_steps(self, tmp_path):
+        # Large enough that node numbering matters: with aggregates built in
+        # snapshot set order, the pipeline's in-memory surrogate and the
+        # surrogate read back from its file gave different rows here.
+        train = write_graph(tmp_path / "train.tsv",
+                            sinusoidal_graph(n=30, days=1, peak_p=0.02, seed=1))
+        self.pipeline_and_steps(train, tmp_path, "1", "288", ["--dump-samples"])
 
 
 class TestTopLevel:

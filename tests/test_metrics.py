@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 from fractions import Fraction
 
 import networkx as nx
@@ -568,6 +569,17 @@ class TestComputeReport:
         with pytest.raises(AssertionError):
             nx.Graph()
         assert compute_report(g).samples["modularity"]
+
+    @pytest.mark.parametrize("n, days, seed", [(30, 1, 1), (50, 2, 2)])
+    def test_same_report_after_pickle_round_trip(self, n, days, seed):
+        # Unpickling rebuilds each snapshot's frozenset and may change its
+        # iteration order; the report must not follow it. With aggregates
+        # built in set order these graphs gave different hour_closeness
+        # (first) and modularity and aggregate betweenness (second).
+        g = sinusoidal_graph(n=n, days=days, seed=seed)
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g
+        assert compute_report(again) == compute_report(g)
 
     def test_all_seventeen_metrics_present(self):
         g = tg(5, [{(0, 1)}, {(1, 2)}])

@@ -150,6 +150,13 @@ class TestAggregate:
         g = TemporalGraph(2, [[(0, 1)]] * 5, 300)
         assert aggregate(g).weights == {(0, 1): 5}
 
+    def test_edges_in_sorted_order(self):
+        # Set order would follow how each snapshot's frozenset was built.
+        layers = [[(5, 6), (0, 9), (2, 3)], [(1, 2), (0, 4)], [(2, 3), (0, 1)]]
+        g = TemporalGraph(10, layers, 300)
+        assert list(aggregate(g).weights) == [(0, 1), (0, 4), (0, 9), (1, 2),
+                                              (2, 3), (5, 6)]
+
 
 class TestHourSlices:
     def test_two_full_hours(self):
@@ -173,6 +180,13 @@ class TestHourSlices:
         g = TemporalGraph(2, [[(0, 1)]], 7, epoch=0)
         with pytest.raises(ValueError):
             hour_slices(g)
+
+    def test_edges_in_sorted_order(self):
+        layers = [[(7, 8), (0, 3)], [(2, 5), (0, 1)], [(4, 6)]]
+        g = TemporalGraph(9, layers, 1800, epoch=0)
+        slices = hour_slices(g)
+        assert [list(s.weights) for s in slices] == [
+            [(0, 1), (0, 3), (2, 5), (7, 8)], [(4, 6)]]
 
     def test_slice_count_covers_span(self):
         g = TemporalGraph(2, [[(0, 1)]] * 30, 300, epoch=1800)
