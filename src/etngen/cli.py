@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -416,10 +417,12 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
               args: argparse.Namespace) -> None:
     """Compare the two graphs and write every output.
 
-    The surrogate's side, and the --stability re-run of the original's
-    dynamics, run in worker processes while this process computes the
+    The surrogate's side, then the --stability re-run of the original's
+    dynamics, run in one forked worker while this process computes the
     original's side; every output is written afterwards. Each job is a
     serial library call on its own seed, so the bytes do not depend on this.
+    The worker is forked, not spawned or served, because a fresh interpreter
+    would import this package again, which costs more than the side.
     """
     if g_orig.gap_seconds != g_gen.gap_seconds:
         raise ValueError(f"gap mismatch: original {g_orig.gap_seconds}s vs "
@@ -431,7 +434,8 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
                          seed=args.seed) if args.dynamics else None
     run_args = (args.starts, args.lambdas, args.dynamics)
     stability = base is not None and args.stability
-    with ProcessPoolExecutor(max_workers=1 + stability) as pool:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
         gen_side = pool.submit(_side, g_gen, args.seed, base, run_args)
         if stability:
             orig_again = pool.submit(dyn.run_dynamics, g_orig,

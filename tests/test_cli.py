@@ -480,7 +480,7 @@ class TestEval:
 
     def test_files_equal_serial_composition(self, tmp_path):
         # The CLI computes the surrogate's side and the --stability re-run
-        # in worker processes; every file must equal one built here from
+        # in one forked worker; every file must equal one built here from
         # the library calls made one after the other. The graphs are sparse
         # enough that Louvain's partitions depend on the seed.
         def sparse(seed):
