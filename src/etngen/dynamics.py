@@ -6,8 +6,9 @@ lambda). All of a call's walkers, or all of its epidemics, advance in
 lockstep, one layer at a time, as rows of one state matrix, and each layer's
 draws are vectors in row-major (row, item) order. Memory is O(rows x nodes).
 Results are reproducible bit-exactly from the config seed. A layer's arcs
-are built once, on first use, and kept on its `Snapshot` (`Snapshot.arcs`),
-so every probe, start and lambda on a graph shares them.
+are built once, on first use, from its slice of the graph's edge table, and
+cached on its `Snapshot` view (`Snapshot.arcs`). A graph makes its views
+once, so every probe, start and lambda on a graph shares them.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
     n = g.node_count
     for t in range(t_start, g.n_snapshots):
         snap = g.snapshots[t]
-        if snap.edges:
+        if snap.n_edges:
             deg, off, flat = _layer_csr(snap, n)
             d = deg[pos]
             moving = np.flatnonzero(d)
@@ -308,7 +309,7 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
     for t in range(t_start, g.n_snapshots):
         snap = g.snapshots[t]
         new = None
-        if snap.edges:
+        if snap.n_edges:
             src, dst = snap.arcs
             tries = np.flatnonzero(infected[:, src] & susceptible[:, dst])
             run, arc = np.divmod(tries[rng.random(tries.size) < lam], src.size)

@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -262,8 +261,10 @@ MAX_MINING_K = _PACK_BITS - 1
 class _Arcs:
     """Contacts as directed arcs, both directions of every edge, in
     snapshot order: arc i runs from ego[i] to nbr[i], and the arcs of
-    snapshot t are [offsets[t], offsets[t + 1]). `bucket` holds each
-    snapshot's index into `keys`, the bucket of its wall-clock time."""
+    snapshot t are [offsets[t], offsets[t + 1]). `of` reads them from the
+    graph's edge table, each row (i, j) giving arcs i->j and j->i. `bucket`
+    holds each snapshot's index into `keys`, the bucket of its wall-clock
+    time."""
 
     ego: np.ndarray
     nbr: np.ndarray
@@ -274,19 +275,13 @@ class _Arcs:
 
     @classmethod
     def of(cls, g: TemporalGraph, periodicity: str) -> "_Arcs":
-        sizes = np.fromiter((s.n_edges for s in g.snapshots), dtype=np.int64,
-                            count=g.n_snapshots)
-        offsets = np.zeros(g.n_snapshots + 1, dtype=np.int64)
-        np.cumsum(2 * sizes, out=offsets[1:])
-        ends = np.fromiter(
-            chain.from_iterable(chain.from_iterable(s.edges for s in g.snapshots)),
-            dtype=np.int32, count=offsets[-1]).reshape(-1, 2)
         index: dict[BucketKey, int] = {}
         bucket = np.array([index.setdefault(bucket_of(g.time_of(t), periodicity),
                                             len(index))
                            for t in range(g.n_snapshots)], dtype=np.int64)
-        return cls(ego=ends.ravel(), nbr=ends[:, ::-1].ravel(), offsets=offsets,
-                   node_count=g.node_count, bucket=bucket, keys=tuple(index))
+        return cls(ego=g.pairs.ravel(), nbr=g.pairs[:, ::-1].ravel(),
+                   offsets=2 * g.offsets, node_count=g.node_count, bucket=bucket,
+                   keys=tuple(index))
 
     def of_egos(self, lo: int, hi: int) -> "_Arcs":
         """The arcs whose ego is in [lo, hi)."""
@@ -436,7 +431,7 @@ def mine_counts(g: TemporalGraph, k: int, periodicity: str,
     wall-clock time of its final snapshot. Every ego contributes to every
     window position, including the empty signature when isolated throughout.
     k is at most `MAX_MINING_K`, the widest window whose strings fit the
-    packed int64 chunks. The graph's arcs are gathered into arrays once;
+    packed int64 chunks. The arcs are read from the graph's edge table;
     with `threads` > 1, each worker process receives the arcs of one
     contiguous ego range, not the graph. Worker counts merge commutatively,
     so the result does not depend on `threads`.

@@ -27,7 +27,7 @@ from .model import LocalModel, lookup_extension
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
-from .tempgraph import BucketKey, Snapshot, TemporalGraph, bucket_of
+from .tempgraph import BucketKey, TemporalGraph, bucket_of
 
 PHASE_SEED = 0
 PHASE_DEGREES = 1
@@ -143,8 +143,10 @@ def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
     return added, dropped + len(stubs)
 
 
-def seed_layer(degrees: Sequence[int], rng: np.random.Generator) -> Snapshot:
-    """Configuration-model layer realizing `degrees` as closely as possible.
+def seed_layer(degrees: Sequence[int], rng: np.random.Generator
+               ) -> set[tuple[int, int]]:
+    """Configuration-model layer realizing `degrees` as closely as possible,
+    as its set of (i, j) edges with i < j.
 
     Node i contributes degrees[i] stubs, which are paired by the one rule
     every layer's stubs follow (`validate_layer`): an odd sum drops one
@@ -154,7 +156,7 @@ def seed_layer(degrees: Sequence[int], rng: np.random.Generator) -> Snapshot:
         raise ValueError("degrees must be non-negative")
     edges: set[tuple[int, int]] = set()
     _pair_stubs([i for i, d in enumerate(degrees) for _ in range(d)], edges, rng)
-    return Snapshot(edges)
+    return edges
 
 
 def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
@@ -226,8 +228,8 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
 
 
 def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generator,
-                   diag: LayerDiagnostics | None = None) -> Snapshot:
-    """Resolve requests into undirected edges.
+                   diag: LayerDiagnostics | None = None) -> set[tuple[int, int]]:
+    """Resolve requests into undirected edges, the set of (i, j) with i < j.
 
     Reciprocal request pairs always become edges; a one-directional request
     survives with probability `alpha` (independent coins, one vector of
@@ -264,7 +266,7 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
         diag.stub_edges = stub_edges
         diag.dropped_requests = rejected
         diag.dropped_stubs = dropped_stubs
-    return Snapshot(edges)
+    return edges
 
 
 def _resolve_degrees(model: LocalModel, cfg: GenConfig) -> Sequence[int]:
@@ -284,22 +286,23 @@ def generate(model: LocalModel, cfg: GenConfig,
     """Generate a surrogate temporal graph; deterministic given cfg.seed.
 
     Layer 0 is the seed layer; layer t >= 1 grows from a window of the
-    min(t, k) layers before it. The surrogate has the model's gap, the one
-    its cells were fitted at."""
+    min(t, k) layers before it. Each layer's edge set feeds the window, and
+    the surrogate's edge table is built once, from all of them. The
+    surrogate has the model's gap, the one its cells were fitted at."""
     cfg.validate(model.k)
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
-    seed_snap = seed_layer(_resolve_degrees(model, cfg), _stream(cfg.seed, PHASE_SEED))
-    layers = [seed_snap]
+    edges = seed_layer(_resolve_degrees(model, cfg), _stream(cfg.seed, PHASE_SEED))
+    layers = [edges]
     window = NeighborWindow(cfg.k, 0, cfg.n_nodes)
-    window.push(seed_snap.edges)
+    window.push(edges)
     for t in range(1, cfg.n_snapshots):
         bucket = bucket_of(epoch + t * model.gap_seconds, model.periodicity)
         prov = propose_layer(window, model, bucket,
                              _stream(cfg.seed, PHASE_PROPOSE, t))
         diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
-        snap = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
-        layers.append(snap)
-        window.push(snap.edges)
+        edges = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
+        layers.append(edges)
+        window.push(edges)
         if diagnostics is not None:
             diagnostics.append(diag)
     return TemporalGraph(cfg.n_nodes, layers, model.gap_seconds, epoch=epoch)

@@ -235,16 +235,25 @@ def sample_extension(model: LocalModel, bucket: BucketKey, depth: int,
 
 def save_model(model: LocalModel, sink: IO[str]) -> None:
     """Serialize to JSON. Counts are integers, ordering canonical, output
-    byte-stable for a given model."""
+    byte-stable for a given model. The same signatures recur in many cells,
+    so each distinct one is encoded once."""
+    codes: dict[EtnSignature | BucketKey, str] = {}
+
+    def code(item: EtnSignature | BucketKey) -> str:
+        text = codes.get(item)
+        if text is None:
+            text = codes[item] = item.encode()
+        return text
+
     cells = []
     for (bucket, depth, prefix), dist in sorted(
             model.tables.items(),
-            key=lambda kv: (kv[0][0].encode(), kv[0][1], kv[0][2].strings)):
+            key=lambda kv: (code(kv[0][0]), kv[0][1], kv[0][2].strings)):
         cells.append({
-            "bucket": bucket.encode(),
+            "bucket": code(bucket),
             "depth": depth,
-            "prefix": prefix.encode(),
-            "extensions": [{"sig": sig.encode(), "count": c}
+            "prefix": code(prefix),
+            "extensions": [{"sig": code(sig), "count": c}
                            for sig, c in dist.extensions],
         })
     doc = {
@@ -258,8 +267,7 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
         "seed_degrees": list(model.seed_degrees),
         "tables": cells,
     }
-    json.dump(doc, sink, ensure_ascii=False, indent=1)
-    sink.write("\n")
+    sink.write(json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
 
 
 def _check_invariants(model: LocalModel) -> None:

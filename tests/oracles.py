@@ -1,5 +1,6 @@
 """Independent reference implementations used to check the optimized
-library code: a naive string-based miner, layer proposal ego by ego, stub
+library code: a naive string-based miner, aggregation and hour slices
+summed edge by edge over each snapshot's `edges`, layer proposal ego by ego, stub
 pairing and request validation with one scalar draw per index and per
 coin, networkx, a per-source Brandes sweep and an exact enumeration of
 shortest paths for the shortest-path metrics, one `random_walk` per run or
@@ -25,7 +26,7 @@ from etngen.dynamics import _sir_seeds
 from etngen.etn import EtnSignature, NeighborWindow
 from etngen.gen import ProvisionalLayer, _norm
 from etngen.model import ExtensionDistribution, LocalModel, lookup_extension
-from etngen.tempgraph import BucketKey
+from etngen.tempgraph import SECONDS_PER_HOUR, BucketKey, require_hour_aligned
 from etngen.metrics import _Graph
 
 _PROBE_RW = 0
@@ -67,6 +68,34 @@ def counts_as_strings(table: dict) -> dict:
             for sig, c in ctr.items():
                 dst[sig.encode()] += c
     return out
+
+
+def dict_aggregate(g: TemporalGraph) -> AggregatedGraph:
+    """`tempgraph.aggregate`, one dict update per snapshot edge: the sum of
+    all snapshots, its edges in sorted (i, j) order."""
+    if g.n_snapshots < 1:
+        raise ValueError("cannot aggregate an empty snapshot sequence")
+    weights: dict[tuple[int, int], int] = {}
+    for snap in g.snapshots:
+        for e in snap.edges:
+            weights[e] = weights.get(e, 0) + 1
+    return AggregatedGraph(dict(sorted(weights.items())))
+
+
+def dict_hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
+    """`tempgraph.hour_slices`, one dict per wall-clock hour: each hour's
+    sum, empty hours included, its edges in sorted (i, j) order."""
+    require_hour_aligned(g.gap_seconds)
+    if g.n_snapshots < 1:
+        return []
+    first = g.time_of(0) // SECONDS_PER_HOUR
+    last = g.time_of(g.n_snapshots - 1) // SECONDS_PER_HOUR
+    acc: list[dict[tuple[int, int], int]] = [{} for _ in range(last - first + 1)]
+    for t, snap in enumerate(g.snapshots):
+        weights = acc[g.time_of(t) // SECONDS_PER_HOUR - first]
+        for e in snap.edges:
+            weights[e] = weights.get(e, 0) + 1
+    return [AggregatedGraph(dict(sorted(w.items()))) for w in acc]
 
 
 def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],

@@ -97,6 +97,17 @@ class TestFit:
         assert main(["fit", str(bad), "--out", str(tmp_path / "m.json"),
                      "--gap", "300"]) == 2
 
+    def test_far_event_is_data_error(self, tmp_path, capsys):
+        # 10**12 one-second snapshots: refused before any is allocated.
+        far = tmp_path / "far.tsv"
+        far.write_text("#gap=1\n0\ta\tb\n1000000000000\ta\tb\n")
+        model_path = tmp_path / "m.json"
+        assert main(["fit", str(far), "--out", str(model_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("etngen: error:"), err
+        assert "events span 1000000000001 snapshots, more than the limit" in err[0]
+        assert not model_path.exists()
+
     def test_zero_k_is_usage_error(self, train, tmp_path):
         assert main(["fit", train, "--out", str(tmp_path / "m.json"),
                      "--k", "0"]) == 1

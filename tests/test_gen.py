@@ -54,24 +54,22 @@ def window_of(snapshots, n_nodes):
 
 class TestSeedLayer:
     def test_pair(self):
-        snap = seed_layer([1, 1], np.random.default_rng(0))
-        assert snap.edges == frozenset({(0, 1)})
+        assert seed_layer([1, 1], np.random.default_rng(0)) == {(0, 1)}
 
     def test_all_zero(self):
-        snap = seed_layer([0, 0, 0], np.random.default_rng(0))
-        assert snap.n_edges == 0
+        assert not seed_layer([0, 0, 0], np.random.default_rng(0))
 
     def test_triangle_almost_always_realized(self):
-        full = sum(seed_layer([2, 2, 2], np.random.default_rng(s)).n_edges == 3
+        full = sum(len(seed_layer([2, 2, 2], np.random.default_rng(s))) == 3
                    for s in range(300))
         assert full >= 285
 
     def test_odd_sum_drops_one_unit(self):
         seen = set()
         for s in range(300):
-            snap = seed_layer([1, 1, 1], np.random.default_rng(s))
-            assert snap.n_edges == 1
-            seen |= set(snap.edges)
+            edges = seed_layer([1, 1, 1], np.random.default_rng(s))
+            assert len(edges) == 1
+            seen |= edges
         assert seen == {(0, 1), (0, 2), (1, 2)}
 
     def test_negative_degree_rejected(self):
@@ -82,7 +80,8 @@ class TestSeedLayer:
         rng = np.random.default_rng(5)
         for _ in range(50):
             degrees = [int(d) for d in rng.integers(0, 5, size=12)]
-            snap = seed_layer(degrees, np.random.default_rng(int(rng.integers(1 << 30))))
+            snap = Snapshot(seed_layer(degrees,
+                                       np.random.default_rng(int(rng.integers(1 << 30)))))
             for node, want in enumerate(degrees):
                 assert snap.degree(node) <= want
             for i, j in snap.edges:
@@ -98,20 +97,20 @@ class TestSeedLayer:
            st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_pairs_stubs_as_validation_does(self, degrees, seed, alpha):
         stubs = [i for i, d in enumerate(degrees) for _ in range(d)]
-        snap = seed_layer(degrees, np.random.default_rng(seed))
+        edges = seed_layer(degrees, np.random.default_rng(seed))
         want = validate_layer(ProvisionalLayer(stubs=stubs), alpha,
                               np.random.default_rng(seed))
-        assert snap.edges == want.edges
+        assert edges == want
 
     def test_odd_sum_drops_a_uniform_stub(self):
         # Stubs 0, 0, 1: dropping either stub of node 0 (2 in 3) leaves an edge.
-        hits = sum(seed_layer([2, 1], np.random.default_rng(s)).n_edges
+        hits = sum(len(seed_layer([2, 1], np.random.default_rng(s)))
                    for s in range(600))
         assert hits / 600 == pytest.approx(2 / 3, abs=0.06)
 
     def test_hub_sequence_realized(self):
         degrees = [20] + [1] * 20 + [3] * 10  # 35 edges wanted
-        edges = [seed_layer(degrees, np.random.default_rng(s)).n_edges
+        edges = [len(seed_layer(degrees, np.random.default_rng(s)))
                  for s in range(300)]
         assert np.mean(edges) >= 32
 
@@ -263,58 +262,58 @@ class TestValidateLayer:
     def test_reciprocal_always_kept(self):
         prov = ProvisionalLayer(requests={(0, 1), (1, 0)})
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 0.0, np.random.default_rng(0), diag)
-        assert snap.edges == frozenset({(0, 1)})
+        edges = validate_layer(prov, 0.0, np.random.default_rng(0), diag)
+        assert edges == {(0, 1)}
         assert diag.reciprocal == 1
         assert diag.one_directional == 0
 
     def test_alpha_zero_rejects_singles(self):
         prov = ProvisionalLayer(requests={(0, 1)})
-        snap = validate_layer(prov, 0.0, np.random.default_rng(0))
-        assert snap.n_edges == 0
+        edges = validate_layer(prov, 0.0, np.random.default_rng(0))
+        assert not edges
 
     def test_alpha_one_keeps_singles(self):
         prov = ProvisionalLayer(requests={(0, 1), (2, 3)})
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 1.0, np.random.default_rng(0), diag)
-        assert snap.edges == frozenset({(0, 1), (2, 3)})
+        edges = validate_layer(prov, 1.0, np.random.default_rng(0), diag)
+        assert edges == {(0, 1), (2, 3)}
         assert diag.one_directional == 2
 
     def test_alpha_half_acceptance_rate(self):
         n = 50_000
         prov = ProvisionalLayer(requests={(2 * i, 2 * i + 1) for i in range(n)})
-        snap = validate_layer(prov, 0.5, np.random.default_rng(7))
-        assert abs(snap.n_edges / n - 0.5) <= 0.01
+        edges = validate_layer(prov, 0.5, np.random.default_rng(7))
+        assert abs(len(edges) / n - 0.5) <= 0.01
 
     def test_stub_pair_forms_edge(self):
         prov = ProvisionalLayer(stubs=[0, 1])
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 0.5, np.random.default_rng(0), diag)
-        assert snap.edges == frozenset({(0, 1)})
+        edges = validate_layer(prov, 0.5, np.random.default_rng(0), diag)
+        assert edges == {(0, 1)}
         assert diag.stub_edges == 1
         assert diag.dropped_stubs == 0
 
     def test_self_loop_stubs_discarded(self):
         prov = ProvisionalLayer(stubs=[0, 0, 0, 1])
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 0.5, np.random.default_rng(3), diag)
-        assert snap.edges == frozenset({(0, 1)})
+        edges = validate_layer(prov, 0.5, np.random.default_rng(3), diag)
+        assert edges == {(0, 1)}
         assert diag.stub_edges == 1
         assert diag.dropped_stubs == 2
 
     def test_stub_duplicate_of_request_edge_discarded(self):
         prov = ProvisionalLayer(requests={(0, 1), (1, 0)}, stubs=[0, 1, 0, 1])
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 0.5, np.random.default_rng(4), diag)
-        assert snap.edges == frozenset({(0, 1)})
+        edges = validate_layer(prov, 0.5, np.random.default_rng(4), diag)
+        assert edges == {(0, 1)}
         assert diag.stub_edges == 0
         assert diag.dropped_stubs == 4
 
     def test_odd_stub_dropped(self):
         prov = ProvisionalLayer(stubs=[0, 1, 2])
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(prov, 0.5, np.random.default_rng(0), diag)
-        assert snap.n_edges == 1
+        edges = validate_layer(prov, 0.5, np.random.default_rng(0), diag)
+        assert len(edges) == 1
         assert diag.stub_edges == 1
         assert diag.dropped_stubs == 1
 
@@ -365,10 +364,10 @@ class TestVectorDraws:
     def test_validate_layer_matches_scalar_coins(self, requests, stubs, alpha, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
-        snap = validate_layer(ProvisionalLayer(set(requests), list(stubs)), alpha,
-                              rng, diag)
+        got = validate_layer(ProvisionalLayer(set(requests), list(stubs)), alpha,
+                             rng, diag)
         edges, tally = scalar_validate_layer(requests, stubs, alpha, ref)
-        assert snap.edges == frozenset(edges)
+        assert got == edges
         assert (diag.reciprocal, diag.one_directional, diag.stub_edges,
                 diag.dropped_requests, diag.dropped_stubs) == tally
         assert rng.random() == ref.random()

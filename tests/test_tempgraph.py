@@ -1,5 +1,7 @@
 import io
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from etngen import (AggregatedGraph, BucketKey, ParseError, Snapshot,
                     TemporalGraph, aggregate, bucket_of, hour_slices,
                     parse_edge_list, resolve_periodicity, weekday,
                     write_edge_list)
+from etngen.tempgraph import MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict
+from oracles import dict_aggregate, dict_hour_slices
 from synth import MONDAY_EPOCH, weekly_graph
 
 
@@ -85,6 +89,38 @@ class TestParse:
     def test_duplicate_events_collapse(self):
         g = parse_edge_list(lines("0\ta\tb\n10\tb\ta\n"), gap_seconds=300)
         assert g.snapshots[0].n_edges == 1
+
+
+class TestLimits:
+    def test_event_span_above_cap(self):
+        text = f"#gap=1\n0\ta\tb\n{MAX_SNAPSHOTS}\ta\tb\n"
+        with pytest.raises(ParseError, match=f"events span {MAX_SNAPSHOTS + 1} "
+                                             f"snapshots, more than the limit"):
+            parse_edge_list(lines(text))
+
+    def test_header_snapshots_above_cap(self):
+        text = f"#snapshots={MAX_SNAPSHOTS + 1} #gap=1\n0\ta\tb\n"
+        with pytest.raises(ParseError, match="header declares snapshots=.*limit"):
+            parse_edge_list(lines(text))
+
+    def test_header_nodes_above_limit(self):
+        text = f"#nodes={MAX_NODES + 1} #gap=1\n0\t0\t1\n"
+        with pytest.raises(ParseError, match="header declares nodes=.*limit"):
+            parse_edge_list(lines(text))
+
+    def test_far_event_exact_beyond_int64(self):
+        # Times past int64 are binned in exact integer arithmetic.
+        far = 10 ** 30
+        g = parse_edge_list(lines(f"{far}\ta\tb\n{far + 600}\tb\tc\n"),
+                            gap_seconds=300)
+        assert g.epoch == far
+        assert [s.edges for s in g.snapshots] == [{(0, 1)}, set(), {(1, 2)}]
+        # A time that fits int64 but whose offset from the epoch does not.
+        text = ("#gap=1000000000000000000 #epoch=-9000000000000000000\n"
+                "900000000000000000\t0\t1\n")
+        assert _read_strict(text) is not None
+        g = parse_edge_list(lines(text))
+        assert g.n_snapshots == 10 and g.snapshots[9].edges == {(0, 1)}
 
 
 class TestWrite:
@@ -282,3 +318,145 @@ class TestAggregatedGraph:
         assert agg.nodes == [0, 2, 5]
         assert agg.n_edges == 2
         assert agg.total_weight == 4
+
+
+@st.composite
+def raw_layers(draw):
+    """A node count, layers of (i, j) pairs in either order and with
+    repeats, an hour-aligned gap and an epoch."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    layers = [draw(st.lists(pair, max_size=10)) for _ in range(m)]
+    gap = draw(st.sampled_from([60, 300, 1200, 3600, 7200]))
+    epoch = draw(st.integers(min_value=0, max_value=10 ** 6))
+    return n, layers, gap, epoch
+
+
+class TestEdgeTable:
+    def test_layout(self):
+        g = TemporalGraph(5, [[(3, 1), (0, 4)], [], [(2, 1), (1, 2), (0, 3)]], 300)
+        assert g.pairs.tolist() == [[0, 4], [1, 3], [0, 3], [1, 2]]
+        assert g.offsets.tolist() == [0, 2, 2, 4]
+        assert g.pairs.dtype == np.int32 and not g.pairs.flags.writeable
+        assert g.n_events == 4 and g.n_snapshots == 3
+
+    def test_distinct_ranks_pairs_when_keys_overflow(self):
+        # 3 groups x (2**31)**2 node pairs do not fit one int64 key.
+        group = np.array([1, 0, 1, 0, 0])
+        i = np.array([0, 5, 0, 5, 5])
+        j = np.array([2 ** 31 - 1, 7, 2 ** 31 - 1, 6, 7])
+        want = [[0, 0, 1], [5, 5, 0], [6, 7, 2 ** 31 - 1], [1, 2, 2]]
+        assert [a.tolist() for a in _distinct(group, i, j, 3)] == want
+        small = j % 8
+        assert [a.tolist() for a in _distinct(group, i, small, 3)] == [
+            [0, 0, 1], [5, 5, 0], [6, 7, 7], [1, 2, 2]]
+
+    def test_rejects_negative_id(self):
+        with pytest.raises(ValueError):
+            Snapshot([(-1, 2)])
+
+    @given(raw_layers())
+    @settings(max_examples=150, deadline=None)
+    def test_aggregates_match_dict_oracles(self, drawn):
+        n, layers, gap, epoch = drawn
+        g = TemporalGraph(n, layers, gap, epoch=epoch)
+        assert list(aggregate(g).weights.items()) == list(dict_aggregate(g).weights.items())
+        assert ([list(s.weights.items()) for s in hour_slices(g)]
+                == [list(s.weights.items()) for s in dict_hour_slices(g)])
+
+    @given(raw_layers())
+    @settings(max_examples=100, deadline=None)
+    def test_views_match_standalone_snapshots(self, drawn):
+        n, layers, gap, epoch = drawn
+        g = TemporalGraph(n, layers, gap, epoch=epoch)
+        assert len(g.snapshots) == len(layers)
+        for view, layer in zip(g.snapshots, layers):
+            alone = Snapshot(layer)
+            assert view.edges == alone.edges == {(min(e), max(e)) for e in layer}
+            assert view.adjacency == alone.adjacency
+            for a, b in zip(view.arcs, alone.arcs):
+                assert a.tolist() == b.tolist()
+            assert all(view.neighbors(u) == alone.neighbors(u) for u in range(n))
+            assert view == alone and hash(view) == hash(alone)
+
+    @given(raw_layers())
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_round_trip(self, drawn):
+        n, layers, gap, epoch = drawn
+        g = TemporalGraph(n, layers, gap, epoch=epoch)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.labels == g.labels
+        assert back.snapshots == g.snapshots
+
+
+# Parse inputs for the differential test. A clean text is in the strict
+# grammar that `parse_edge_list` checks by regex and reads with one numpy
+# call; any text is a mix of everything the per-line path accepts or rejects.
+_HEADER_TOKENS = st.sampled_from(["#gap=300", "#gap=60", "#epoch=0", "#epoch=600",
+                                  "#nodes=7", "#nodes=3", "#snapshots=40",
+                                  "#snapshots=2", "#gap=x", "# note"])
+_CLEAN_LABELS = st.integers(0, 12).map(str)
+_ANY_LABELS = st.one_of(
+    st.integers(0, 8).map(str),
+    st.sampled_from(["a", "b", "03", "00", "+2", "1_0", " 4", "7" * 19, "10" * 10]))
+_ANY_TIMES = st.one_of(
+    st.integers(0, 3000), st.integers(-600, 600), st.integers(10 ** 17, 10 ** 20),
+    st.integers(0, 20).map(lambda t: f"{t:03d}"),
+    st.sampled_from(["+60", "6_0", "x", "1" * 19]))
+
+
+@st.composite
+def edge_list_texts(draw, clean: bool):
+    header = draw(st.lists(st.lists(_HEADER_TOKENS, min_size=1, max_size=3)
+                           .map(" ".join), max_size=2))
+    if clean:
+        event = st.tuples(st.integers(0, 3000), _CLEAN_LABELS, _CLEAN_LABELS)
+        body = draw(st.lists(event.map(lambda e: "\t".join(map(str, e))), max_size=12))
+        return "".join(line + "\n" for line in header + body)
+    event = st.tuples(_ANY_TIMES, _ANY_LABELS, _ANY_LABELS).map(
+        lambda e: "\t".join(map(str, e)))
+    other = st.sampled_from(["", "  ", "# note", "#gap=300", "#nodes=7",
+                             "5 x y", "1\t2", "1\t2\t3\t4"])
+    body = draw(st.lists(st.one_of(event, event, event, other), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(header + body)
+    return text + end if draw(st.booleans()) else text
+
+
+def _outcome(source, gap):
+    """The graph, its labels and dropped self-loops, or the error."""
+    try:
+        g = parse_edge_list(source, gap_seconds=gap)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g, g.labels, g.dropped_self_loops
+
+
+_GAPS = st.sampled_from([None, 1, 60, 300])
+
+
+class TestStrictGrammarOracle:
+    """A file is read by the strict grammar where it fits; a list of its
+    lines always goes line by line. Both give equal graphs (labels and
+    dropped self-loops included) or the same error."""
+
+    @given(edge_list_texts(clean=True), _GAPS)
+    @settings(max_examples=200, deadline=None)
+    def test_clean_texts_take_the_grammar(self, text, gap):
+        assert _read_strict(text) is not None
+        assert _outcome(io.StringIO(text), gap) == _outcome(
+            io.StringIO(text).readlines(), gap)
+
+    @given(edge_list_texts(clean=False), _GAPS)
+    @settings(max_examples=400, deadline=None)
+    def test_any_text(self, text, gap):
+        assert _outcome(io.StringIO(text), gap) == _outcome(
+            io.StringIO(text).readlines(), gap)
+
+    def test_grammar_refuses(self):
+        for text in ("0\t01\t2\n", "0\t1\t2", "0\t1\t2\r\n", "0\t1\t2\n\n",
+                     "0\t1\t2\n#c\n", "-1\t1\t2\n", f"{'1' * 19}\t1\t2\n",
+                     "0\t+1\t2\n", "0\t1 \t2\n", "\u0661\t1\t2\n"):
+            assert _read_strict(text) is None, text
