@@ -5,10 +5,9 @@ Every probe call draws from one numpy stream: the random-walk probes
 lambda). All of a call's walkers, or all of its epidemics, advance in
 lockstep, one layer at a time, as rows of one state matrix, and each layer's
 draws are vectors in row-major (row, item) order. Memory is O(rows x nodes).
-Results are reproducible bit-exactly from the config seed. A layer's arcs
-are built once, on first use, from its slice of the graph's edge table, and
-cached on its `Snapshot` view (`Snapshot.arcs`). A graph makes its views
-once, so every probe, start and lambda on a graph shares them.
+Results are reproducible bit-exactly from the config seed. Each probe call
+builds the graph's arc table once (`tempgraph.layer_arcs`) and reads every
+layer as a slice of it; nothing is cached on the graph.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tempgraph import Snapshot, TemporalGraph
+from .tempgraph import TemporalGraph, layer_arcs
 
 START_T0 = "t0"
 START_HALF = "half"
@@ -93,13 +92,12 @@ class DynReport:
 
 def first_peak(g: TemporalGraph) -> int:
     """Smallest snapshot index with the maximum edge count."""
-    counts = [snap.n_edges for snap in g.snapshots]
-    if not counts:
+    counts = np.diff(g.offsets)
+    if not counts.size:
         raise ValueError("empty snapshot sequence")
-    best = max(counts)
-    if best == 0:
+    if not counts.any():
         raise ValueError("graph has no edges; first peak undefined")
-    return counts.index(best)
+    return int(counts.argmax())
 
 
 def resolve_start(g: TemporalGraph, policy: str) -> int:
@@ -132,13 +130,23 @@ def random_walk(g: TemporalGraph, start_node: int, t_start: int,
     return trace
 
 
-def _layer_csr(snap: Snapshot, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degree, offset and neighbor arrays of one layer over n nodes.
+def _layers(g: TemporalGraph, t_start: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The arcs (source, target) of layers t_start..m-1, slices of one
+    `layer_arcs` table."""
+    src, dst = layer_arcs(g)
+    bounds = (2 * g.offsets).tolist()
+    for a, b in zip(bounds[t_start:], bounds[t_start + 1:]):
+        yield src[a:b], dst[a:b]
+
+
+def _layer_csr(src: np.ndarray, flat: np.ndarray, n: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree, offset and neighbor arrays of the arcs src -> flat over n
+    nodes.
 
     Node u's neighbors are flat[off[u]:off[u] + deg[u]], ascending, the
     order of `Snapshot.neighbors`.
     """
-    src, flat = snap.arcs
     deg = np.bincount(src, minlength=n)
     off = np.zeros(n, dtype=np.intp)
     np.cumsum(deg[:-1], out=off[1:])
@@ -156,10 +164,9 @@ def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
     generator draw for draw.
     """
     n = g.node_count
-    for t in range(t_start, g.n_snapshots):
-        snap = g.snapshots[t]
-        if snap.n_edges:
-            deg, off, flat = _layer_csr(snap, n)
+    for src, dst in _layers(g, t_start):
+        if src.size:
+            deg, off, flat = _layer_csr(src, dst, n)
             d = deg[pos]
             moving = np.flatnonzero(d)
             pos[moving] = flat[off[pos[moving]] + rng.integers(0, d[moving])]
@@ -274,7 +281,7 @@ def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
     if not 0 <= t_start < g.n_snapshots:
         raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
                          f"is outside the {g.n_snapshots} snapshots")
-    connected = sorted(g.snapshots[t_start].active_nodes)
+    connected = np.unique(g.pairs[g.offsets[t_start]:g.offsets[t_start + 1]]).tolist()
     if not connected:
         raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
                          f"has no node with an edge")
@@ -289,7 +296,7 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
 
     Per layer: the arcs u->v with u infected and v susceptible at the start
     of the step each draw one uniform, as one vector in row-major (run,
-    arc) order, arcs in `Snapshot.arcs` order; v is infected if any of its
+    arc) order, arcs in `layer_arcs` order; v is infected if any of its
     draws is below lam, and r0 counts the successes whose u is the run's
     seed. Then every node infected at the start of the step draws one
     recovery uniform, in row-major (run, node) order, below mu recovering.
@@ -306,11 +313,9 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
     # Flat views: entry run * n + node.
     infected_flat, susceptible_flat = infected.reshape(-1), susceptible.reshape(-1)
     r0 = np.zeros(runs, dtype=np.int64)
-    for t in range(t_start, g.n_snapshots):
-        snap = g.snapshots[t]
+    for src, dst in _layers(g, t_start):
         new = None
-        if snap.n_edges:
-            src, dst = snap.arcs
+        if src.size:
             tries = np.flatnonzero(infected[:, src] & susceptible[:, dst])
             run, arc = np.divmod(tries[rng.random(tries.size) < lam], src.size)
             r0 += np.bincount(run[src[arc] == seeds[run]], minlength=runs)

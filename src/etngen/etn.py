@@ -141,13 +141,6 @@ class MinedCounts:
     first_layer_degrees: tuple[int, ...]
     table: dict[BucketKey, dict[int, Counter]] = field(default_factory=dict)
 
-    def bucket_depth(self, bucket: BucketKey, depth: int) -> Counter:
-        return self.table.get(bucket, {}).get(depth, Counter())
-
-    def depth_total(self, depth: int) -> int:
-        return sum(sum(per_depth.get(depth, {}).values())
-                   for per_depth in self.table.values())
-
     def aggregate_depth(self, depth: int) -> Counter:
         """Bucket-marginal signature counts at one depth."""
         out: Counter = Counter()

@@ -52,8 +52,6 @@ import numpy as np
 
 from .tempgraph import AggregatedGraph, TemporalGraph, aggregate, hour_slices
 
-SNAPSHOT_METRICS = ("density", "interacting_individuals", "new_conversations",
-                    "connected_components")
 HOUR_METRICS = ("s_metric", "clustering", "assortativity", "avg_shortest_path",
                 "modularity", "hour_betweenness_w", "hour_betweenness_u",
                 "hour_closeness")
@@ -102,60 +100,73 @@ class DistanceReport:
     distances: tuple[str, ...] = DISTANCE_NAMES
 
 
-def _components(adjacency: dict[int, tuple[int, ...]]) -> int:
-    """Connected components among nodes that have at least one edge."""
-    seen: set[int] = set()
-    count = 0
-    for start in adjacency:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return count
+def _pair_ranks(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each table row's layer and the rank of its (i, j) among the distinct
+    pairs P, whose number it returns too: layer * P + rank ascends."""
+    i, j = g.pairs.T.astype(np.int64)
+    layer = np.repeat(np.arange(g.n_snapshots, dtype=np.int64), np.diff(g.offsets))
+    distinct, rank = np.unique(i * g.node_count + j, return_inverse=True)
+    return layer, rank, distinct.size
+
+
+def _layer_components(g: TemporalGraph, layer: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer, the nodes with an edge and their connected components,
+    `layer` being each table row's layer: min-label propagation over the
+    sorted (layer, node) keys. Each round hooks both ends' labels to the
+    smaller one, then jumps labels to their labels' labels until each
+    labels itself; a component is a key that labels itself once every
+    edge's ends share a label."""
+    n, m = g.node_count, g.n_snapshots
+    keys, at = np.unique(g.pairs.T.astype(np.int64) + layer * n, return_inverse=True)
+    a, b = at.reshape(2, -1)
+    label = np.arange(keys.size)
+    while not np.array_equal(la := label[a], lb := label[b]):
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while not np.array_equal(label, jumped := label[label]):
+            label = jumped
+    key_layer = keys // max(n, 1)
+    roots = key_layer[label == np.arange(keys.size)]
+    return np.bincount(key_layer, minlength=m), np.bincount(roots, minlength=m)
 
 
 def snapshot_metrics(g: TemporalGraph) -> dict[str, list[float]]:
-    """Per-layer density, active node count, new edges, component count.
-
-    Density uses all N nodes in the denominator; new_conversations compares
-    each layer with its predecessor, so it has m-1 samples.
-    """
+    """Per-layer density, active node count, new edges, component count,
+    from the edge table. Density uses all N nodes in the denominator;
+    new_conversations has m-1 samples: a row is new unless its pair's key
+    one layer earlier (`_pair_ranks`) is a row too."""
     if g.n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     n = g.node_count
     possible = n * (n - 1) / 2
-    out: dict[str, list[float]] = {name: [] for name in SNAPSHOT_METRICS}
-    prev: frozenset = frozenset()
-    for t, snap in enumerate(g.snapshots):
-        out["density"].append(snap.n_edges / possible if possible else 0.0)
-        out["interacting_individuals"].append(float(len(snap.active_nodes)))
-        out["connected_components"].append(float(_components(snap.adjacency)))
-        if t >= 1:
-            out["new_conversations"].append(float(len(snap.edges - prev)))
-        prev = snap.edges
-    return out
+    sizes = np.diff(g.offsets)
+    layer, rank, n_pairs = _pair_ranks(g)
+    active, components = _layer_components(g, layer)
+    key = layer * n_pairs + rank
+    before = key - n_pairs
+    seen = key[np.minimum(np.searchsorted(key, before), key.size - 1)] == before
+    new = sizes - np.bincount(layer[seen], minlength=g.n_snapshots)
+    return {
+        "density": (sizes / possible).tolist() if possible else [0.0] * g.n_snapshots,
+        "interacting_individuals": active.astype(float).tolist(),
+        "new_conversations": new[1:].astype(float).tolist(),
+        "connected_components": components.astype(float).tolist(),
+    }
 
 
 def contact_durations(g: TemporalGraph) -> list[float]:
-    """Mean length of maximal consecutive-presence runs, one value per pair."""
-    runs: dict[tuple[int, int], list[int]] = {}
-    open_runs: dict[tuple[int, int], int] = {}
-    for snap in g.snapshots:
-        ended = [e for e in open_runs if e not in snap.edges]
-        for e in ended:
-            runs.setdefault(e, []).append(open_runs.pop(e))
-        for e in snap.edges:
-            open_runs[e] = open_runs.get(e, 0) + 1
-    for e, length in open_runs.items():
-        runs.setdefault(e, []).append(length)
-    return [sum(r) / len(r) for _, r in sorted(runs.items())]
+    """Mean length of maximal consecutive-presence runs, one value per pair
+    in sorted (i, j) order: its rows over its runs, a run starting where the
+    pair's previous row is not in the layer before."""
+    layer, rank, n_pairs = _pair_ranks(g)
+    order = np.argsort(rank, kind="stable")  # by (rank, layer)
+    rank, layer = rank[order], layer[order]
+    starts = np.ones(rank.size, dtype=bool)
+    starts[1:] = (rank[1:] != rank[:-1]) | (layer[1:] != layer[:-1] + 1)
+    runs = np.bincount(rank[starts], minlength=n_pairs)
+    return (np.bincount(rank, minlength=n_pairs) / runs).tolist()
 
 
 @dataclass

@@ -104,7 +104,6 @@ def _view(pairs: np.ndarray) -> Snapshot:
     """The Snapshot whose edges are the table rows `pairs`."""
     snap = Snapshot.__new__(Snapshot)
     snap.pairs = pairs
-    snap._edges = snap._adj = snap._arcs = None
     return snap
 
 
@@ -114,61 +113,33 @@ class Snapshot:
     Its edges are `pairs`, a read-only int32 array of (i, j) rows with
     i < j, sorted: in a graph, the layer's slice of the graph's edge table.
     `Snapshot(edges)` builds the same array for a standalone layer. The
-    `edges` frozenset of (i, j) tuples, the adjacency and the arcs are
-    built from it on first use and cached.
+    `edges` set, neighbours, degrees and active nodes are computed from
+    `pairs` on each call; nothing is cached.
     """
 
-    __slots__ = ("pairs", "_edges", "_adj", "_arcs")
+    __slots__ = ("pairs",)
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         self.pairs = _edge_table([edges])[0]
-        self._edges: frozenset[tuple[int, int]] | None = None
-        self._adj: dict[int, tuple[int, ...]] | None = None
-        self._arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __reduce__(self):
         return _view, (self.pairs,)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(zip(*self.pairs.T.tolist()))
-        return self._edges
-
-    @property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Node -> ascending neighbours, for the nodes with an edge."""
-        if self._adj is None:
-            acc: dict[int, list[int]] = {}
-            for i, j in zip(*self.pairs.T.tolist()):
-                acc.setdefault(i, []).append(j)
-                acc.setdefault(j, []).append(i)
-            self._adj = {u: tuple(sorted(vs)) for u, vs in acc.items()}
-        return self._adj
-
-    @property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions u->v of every edge, as read-only source and
-        target arrays sorted by source, then target."""
-        if self._arcs is None:
-            i, j = self.pairs.T.astype(np.intp)
-            src = np.concatenate((i, j))
-            dst = np.concatenate((j, i))
-            order = np.lexsort((dst, src))
-            self._arcs = (src[order], dst[order])
-            for a in self._arcs:
-                a.flags.writeable = False
-        return self._arcs
+        return frozenset(zip(*self.pairs.T.tolist()))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency.get(u, ())
+        """Ascending: the rows (v, u), v < u, precede the rows (u, v)."""
+        ends = self.pairs.ravel().tolist()
+        return tuple(ends[k ^ 1] for k, v in enumerate(ends) if v == u)
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency.get(u, ()))
+        return int(np.count_nonzero(self.pairs == u))
 
     @property
     def active_nodes(self) -> frozenset[int]:
-        return frozenset(self.adjacency)
+        return frozenset(self.pairs.ravel().tolist())
 
     @property
     def n_edges(self) -> int:
@@ -194,12 +165,12 @@ class TemporalGraph:
     that snapshot t's rows are pairs[offsets[t]:offsets[t + 1]]. The
     `snapshots` are views of those slices, made on first use.
 
-    Node ids are dense integers in [0, node_count); `labels` keeps the
-    original input labels by index for export. Equality compares structure
-    and timing, not labels.
+    Node ids are dense integers in [0, node_count); `labels` gives each
+    one's input label, the stored labels the input named padded with str(i)
+    on access. Equality compares structure and timing, not labels.
     """
 
-    __slots__ = ("node_count", "pairs", "offsets", "gap_seconds", "epoch", "labels",
+    __slots__ = ("node_count", "pairs", "offsets", "gap_seconds", "epoch", "_named",
                  "dropped_self_loops", "_snapshots")
 
     def __init__(
@@ -211,19 +182,23 @@ class TemporalGraph:
         labels: Sequence[str] | None = None,
         dropped_self_loops: int = 0,
     ):
-        self._set(node_count, *_edge_table(snapshots), gap_seconds, epoch, labels,
+        named = () if labels is None else tuple(labels)
+        if labels is not None and len(named) != node_count:
+            raise ValueError("labels length must equal node_count")
+        self._set(node_count, *_edge_table(snapshots), gap_seconds, epoch, named,
                   dropped_self_loops)
 
     @classmethod
     def _from_table(cls, node_count: int, pairs: np.ndarray, offsets: np.ndarray,
-                    gap_seconds: int, epoch: int = 0, labels: Sequence[str] | None = None,
+                    gap_seconds: int, epoch: int = 0, named: tuple[str, ...] = (),
                     dropped_self_loops: int = 0) -> "TemporalGraph":
-        """The graph of an edge table as `_table` builds it."""
+        """The graph of an edge table as `_table` builds it; `named` labels
+        its first nodes."""
         g = cls.__new__(cls)
-        g._set(node_count, pairs, offsets, gap_seconds, epoch, labels, dropped_self_loops)
+        g._set(node_count, pairs, offsets, gap_seconds, epoch, named, dropped_self_loops)
         return g
 
-    def _set(self, node_count, pairs, offsets, gap_seconds, epoch, labels,
+    def _set(self, node_count, pairs, offsets, gap_seconds, epoch, named,
              dropped_self_loops) -> None:
         if gap_seconds <= 0:
             raise ValueError(f"gap_seconds must be positive, got {gap_seconds}")
@@ -235,25 +210,23 @@ class TemporalGraph:
             i, j = pairs[row].tolist()
             t = int(np.searchsorted(offsets, row, side="right")) - 1
             raise ValueError(f"edge ({i},{j}) at layer {t} outside [0,{node_count})")
-        if labels is None:
-            labels = tuple(str(i) for i in range(node_count))
-        else:
-            labels = tuple(labels)
-            if len(labels) != node_count:
-                raise ValueError("labels length must equal node_count")
         self.node_count = node_count
         self.pairs = pairs
         self.offsets = offsets
         self.gap_seconds = int(gap_seconds)
         self.epoch = int(epoch)
-        self.labels = labels
+        self._named = named
         self.dropped_self_loops = dropped_self_loops
         self._snapshots: tuple[Snapshot, ...] | None = None
 
     def __reduce__(self):
         return TemporalGraph._from_table, (
             self.node_count, self.pairs, self.offsets, self.gap_seconds, self.epoch,
-            self.labels, self.dropped_self_loops)
+            self._named, self.dropped_self_loops)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._named + tuple(map(str, range(len(self._named), self.node_count)))
 
     @property
     def snapshots(self) -> tuple[Snapshot, ...]:
@@ -295,6 +268,20 @@ class TemporalGraph:
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.node_count}, m={self.n_snapshots}, "
                 f"gap={self.gap_seconds}, epoch={self.epoch})")
+
+
+def layer_arcs(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of every edge, as source and target arrays sorted by
+    (layer, source, target), layer t's at [2 * offsets[t], 2 * offsets[t + 1]).
+    A stable argsort of layer * n + source over the rows' arcs j -> i, then
+    i -> j, puts a source's lower targets before its higher ones, each in
+    row order."""
+    i, j = g.pairs.T.astype(np.intp)
+    layer = np.repeat(np.arange(g.n_snapshots, dtype=np.intp), np.diff(g.offsets))
+    src = np.concatenate((j, i))
+    dst = np.concatenate((i, j))
+    order = np.argsort(np.tile(layer, 2) * g.node_count + src, kind="stable")
+    return src[order], dst[order]
 
 
 class AggregatedGraph:
@@ -509,16 +496,15 @@ def _bin_events(comments: list[str], times: np.ndarray, codes: np.ndarray,
 
     if as_indices:
         node_count = header_nodes
-        labels = tuple(str(i) for i in range(node_count))
+        named = ()
     else:
         node_count = order.size
-        labels = tuple(texts[c] for c in order.tolist())
+        named = tuple(texts[c] for c in order.tolist())
         if header_nodes is not None and node_count > header_nodes:
             raise ParseError(f"header declares nodes={header_nodes} but "
                              f"{node_count} distinct labels found")
         if header_nodes is not None:
             node_count = header_nodes
-            labels = labels + tuple(str(i) for i in range(len(labels), node_count))
 
     if not ends.size and "snapshots" not in meta:
         raise ParseError("no events")
@@ -558,7 +544,7 @@ def _bin_events(comments: list[str], times: np.ndarray, codes: np.ndarray,
     pairs, offsets = _table(bins.astype(np.int64), ends.min(axis=1), ends.max(axis=1),
                             n_snapshots)
     return TemporalGraph._from_table(node_count, pairs, offsets, gap, epoch=epoch,
-                                     labels=labels, dropped_self_loops=dropped)
+                                     named=named, dropped_self_loops=dropped)
 
 
 # Rows per formatted chunk in `write_edge_list`.

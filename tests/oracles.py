@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the optimized
 library code: a naive string-based miner, aggregation and hour slices
-summed edge by edge over each snapshot's `edges`, layer proposal ego by ego, stub
-pairing and request validation with one scalar draw per index and per
-coin, networkx, a per-source Brandes sweep and an exact enumeration of
-shortest paths for the shortest-path metrics, one `random_walk` per run or
-pair for the walk probes, and one `sir_run` per epidemic for SIR."""
+summed edge by edge over each snapshot's `edges`, snapshot metrics from
+networkx and contact durations from a dict of open runs, layer proposal
+ego by ego, stub pairing and request validation with one scalar draw per
+index and per coin, networkx, a per-source Brandes sweep and an exact
+enumeration of shortest paths for the shortest-path metrics, one
+`random_walk` per run or pair for the walk probes, and one `sir_run` per
+epidemic for SIR."""
 
 from __future__ import annotations
 
@@ -96,6 +98,45 @@ def dict_hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
         for e in snap.edges:
             weights[e] = weights.get(e, 0) + 1
     return [AggregatedGraph(dict(sorted(w.items()))) for w in acc]
+
+
+def nx_snapshot_metrics(g: TemporalGraph) -> dict[str, list[float]]:
+    """`metrics.snapshot_metrics` from one networkx graph per snapshot,
+    built from its `edges` alone (so without isolated nodes): edge and node
+    counts, `number_connected_components`, and new conversations as a set
+    difference with the snapshot before."""
+    n = g.node_count
+    possible = n * (n - 1) / 2
+    out: dict[str, list[float]] = {"density": [], "interacting_individuals": [],
+                                   "new_conversations": [], "connected_components": []}
+    prev: frozenset = frozenset()
+    for t, snap in enumerate(g.snapshots):
+        layer = nx.Graph(snap.edges)
+        out["density"].append(layer.number_of_edges() / possible if possible else 0.0)
+        out["interacting_individuals"].append(float(layer.number_of_nodes()))
+        out["connected_components"].append(float(nx.number_connected_components(layer)))
+        if t >= 1:
+            out["new_conversations"].append(float(len(snap.edges - prev)))
+        prev = snap.edges
+    return out
+
+
+def dict_contact_durations(g: TemporalGraph) -> list[float]:
+    """`metrics.contact_durations` with one dict of open runs carried from
+    snapshot to snapshot: per pair in sorted order, the mean length of its
+    maximal consecutive-presence runs."""
+    runs: dict[tuple[int, int], list[int]] = {}
+    open_runs: dict[tuple[int, int], int] = {}
+    for snap in g.snapshots:
+        edges = snap.edges
+        ended = [e for e in open_runs if e not in edges]
+        for e in ended:
+            runs.setdefault(e, []).append(open_runs.pop(e))
+        for e in edges:
+            open_runs[e] = open_runs.get(e, 0) + 1
+    for e, length in open_runs.items():
+        runs.setdefault(e, []).append(length)
+    return [sum(r) / len(r) for _, r in sorted(runs.items())]
 
 
 def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],

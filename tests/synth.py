@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from etngen import TemporalGraph
 
@@ -58,3 +59,17 @@ def weekly_graph(n: int = 50, weeks: int = 1, gap: int = 3600,
         probs.append(weekend_p if dow >= 5 else weekday_p)
     rng = np.random.default_rng(seed)
     return TemporalGraph(n, er_layers(n, m, probs, rng), gap, epoch=epoch)
+
+
+@st.composite
+def layered_graphs(draw, gap: int = 300) -> TemporalGraph:
+    """A graph of 0 to 9 nodes over 1 to 7 layers, each drawn as a list of
+    pairs in either order with repeats; empty layers and isolated nodes
+    occur."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=7))
+    if n < 2:
+        return TemporalGraph(n, [[]] * m, gap)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    return TemporalGraph(n, [draw(st.lists(pair, max_size=12)) for _ in range(m)], gap)

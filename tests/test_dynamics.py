@@ -7,8 +7,10 @@ from scipy.stats import ks_2samp
 from etngen import (DynConfig, Snapshot, TemporalGraph, coverage_result,
                     first_peak, mfpt_result, random_walk, resolve_start,
                     run_dynamics, sir_result, sir_run)
+from etngen import dynamics
 from etngen.dynamics import (_PROBE_RW, _PROBE_SIR, _lam_key, _layer_csr,
                              _sir_lockstep, _sir_seeds, _stream, _walk_lockstep)
+from etngen.tempgraph import layer_arcs
 from oracles import coverage_per_run, mfpt_per_pair, sir_per_run
 from synth import er_layers, random_graph, sinusoidal_graph
 
@@ -134,8 +136,10 @@ class TestLayerCsr:
         g = tg(12, layers)
         assert any(not snap.edges for snap in g.snapshots)
         assert any(0 < len(snap.active_nodes) < 12 for snap in g.snapshots)
-        for snap in g.snapshots:
-            deg, off, flat = _layer_csr(snap, g.node_count)
+        src, dst = layer_arcs(g)
+        bounds = (2 * g.offsets).tolist()
+        for snap, a, b in zip(g.snapshots, bounds, bounds[1:]):
+            deg, off, flat = _layer_csr(src[a:b], dst[a:b], g.node_count)
             assert len(deg) == len(off) == g.node_count
             assert len(flat) == 2 * snap.n_edges
             for u in range(g.node_count):
@@ -143,33 +147,21 @@ class TestLayerCsr:
                 assert row == list(snap.neighbors(u))
 
 
-class TestLayerArcs:
-    def test_sorted_read_only_and_cached(self):
-        snap = Snapshot({(3, 1), (0, 2), (1, 2)})
-        src, dst = snap.arcs
-        assert list(zip(src.tolist(), dst.tolist())) == [
-            (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (3, 1)]
-        assert snap.arcs[0] is src and snap.arcs[1] is dst
-        with pytest.raises(ValueError):
-            src[0] = 5
-        assert [a.size for a in Snapshot().arcs] == [0, 0]
+class TestArcTable:
+    def test_one_table_per_probe_call(self, monkeypatch):
+        # Each coverage, first-passage and SIR call reads one arc table.
+        calls = []
 
-    def test_built_once_per_graph(self, monkeypatch):
-        # Every probe, start and lambda on a graph reuses each layer's arcs.
-        builds: dict[int, int] = {}
-        build = Snapshot.arcs.fget
+        def counting(g):
+            calls.append(g)
+            return layer_arcs(g)
 
-        def counting(snap):
-            if snap._arcs is None:
-                builds[id(snap)] = builds.get(id(snap), 0) + 1
-            return build(snap)
-
-        monkeypatch.setattr(Snapshot, "arcs", property(counting))
+        monkeypatch.setattr(dynamics, "layer_arcs", counting)
         g = random_graph(n=10, m=30, p=0.2, seed=5)
         run_dynamics(g, DynConfig(rw_runs=5, mfpt_repeats=1, sir_runs=5),
                      starts=("t0", "half"), lambdas=(0.25, 0.13, 0.01))
-        assert len(builds) == sum(1 for snap in g.snapshots if snap.edges)
-        assert set(builds.values()) == {1}
+        assert len(calls) == 2 * (1 + 1 + 3) and all(c is g for c in calls)
+
 
 class TestLockstepKernel:
     @pytest.mark.parametrize("t_start", [0, 9])

@@ -171,18 +171,24 @@ def test_neighbor_window_ego_range():
     assert window.active == [] and window.prefixes() == []
 
 
+def windows(counts, depth):
+    """Windows of width depth+1 counted in every bucket."""
+    return sum(sum(per_depth.get(depth, {}).values())
+               for per_depth in counts.table.values())
+
+
 class TestMineCounts:
     def test_two_snapshot_single_edge(self):
         g = TemporalGraph(2, [[(0, 1)], [(0, 1)]], 300, epoch=0)
         counts = mine_counts(g, 1, "daily")
         bucket = BucketKey(hour_of_day=0)
-        assert counts.bucket_depth(bucket, 1) == Counter({sig("11"): 2})
+        assert counts.table[bucket][1] == Counter({sig("11"): 2})
 
     def test_isolated_third_node_counts_empty(self):
         g = TemporalGraph(3, [[(0, 1)], [(0, 1)]], 300, epoch=0)
         counts = mine_counts(g, 1, "daily")
         bucket = BucketKey(hour_of_day=0)
-        assert counts.bucket_depth(bucket, 1)[EtnSignature(2)] == 1
+        assert counts.table[bucket][1][EtnSignature(2)] == 1
 
     def test_empty_graph_counts_only_empty(self):
         g = TemporalGraph(3, [[], [], []], 300, epoch=0)
@@ -193,8 +199,8 @@ class TestMineCounts:
     def test_window_count_totals(self):
         g = random_graph(n=6, m=5, seed=3)
         counts = mine_counts(g, 2, "daily")
-        assert counts.depth_total(1) == 6 * 4
-        assert counts.depth_total(2) == 6 * 3
+        assert windows(counts, 1) == 6 * 4
+        assert windows(counts, 2) == 6 * 3
 
     def test_requires_enough_snapshots(self):
         g = TemporalGraph(2, [[(0, 1)]] * 2, 300)
@@ -303,7 +309,7 @@ class TestMiningCases:
     def test_snapshots_equal_k_plus_one(self, k):
         g = random_graph(n=7, m=k + 1, p=0.4, seed=k)
         assert mined(g, k) == naive_mine(g, k, "daily")
-        assert mine_counts(g, k, "daily").depth_total(k) == 7
+        assert windows(mine_counts(g, k, "daily"), k) == 7
 
     @pytest.mark.parametrize("block", [1, 7, None, 300])
     def test_events_straddle_blocks(self, block):

@@ -22,9 +22,9 @@ from etngen.metrics import (_DENSE, _all_pairs, _arcs, _assortativity,
                             _float_distances, _hop_matrix, _hour_path_means,
                             _louvain, _modularity, _transitivity, distance,
                             format_cell)
-from oracles import (_path_stats, exact_betweenness_means, nx_graph,
-                     nx_path_metrics, nx_report)
-from synth import sinusoidal_graph
+from oracles import (_path_stats, dict_contact_durations, exact_betweenness_means,
+                     nx_graph, nx_path_metrics, nx_report, nx_snapshot_metrics)
+from synth import layered_graphs, sinusoidal_graph
 
 GAP = 300
 PER_HOUR = 3600 // GAP
@@ -42,6 +42,14 @@ def one_hour(n, *aggregated_edges):
         for t in range(mult):
             layers[t].add((i, j))
     return tg(n, layers)
+
+
+def descending_path(n):
+    """One layer holding the path n-1, n-2, ..., 0, then the same path
+    without its middle edge: label propagation from the lowest id alone
+    would need n rounds to cross it."""
+    path = list(zip(range(n - 1, 0, -1), range(n - 2, -1, -1)))
+    return TemporalGraph(n, [path, path[:n // 2] + path[n // 2 + 1:]], GAP)
 
 
 class TestSnapshotMetrics:
@@ -74,6 +82,21 @@ class TestSnapshotMetrics:
         out = snapshot_metrics(tg(50, [{(0, 1)}]))
         assert out["connected_components"] == [1.0]
 
+    @given(layered_graphs())
+    @example(TemporalGraph(0, [[]], GAP))
+    @example(TemporalGraph(1, [[], []], GAP))
+    @example(TemporalGraph(2, [[(0, 1)], [], [(1, 0)]], GAP))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_networkx(self, g):
+        assert snapshot_metrics(g) == nx_snapshot_metrics(g)
+
+    def test_long_descending_path(self):
+        g = descending_path(5000)
+        out = snapshot_metrics(g)
+        assert out["interacting_individuals"] == [5000.0, 5000.0]
+        assert out["connected_components"] == [1.0, 2.0]
+        assert out == nx_snapshot_metrics(g)
+
 
 class TestContactDurations:
     def test_single_run(self):
@@ -94,6 +117,13 @@ class TestContactDurations:
     def test_run_open_at_end_counted(self):
         g = tg(3, [set(), {(1, 2)}])
         assert contact_durations(g) == [1.0]
+
+    @given(layered_graphs())
+    @example(TemporalGraph(0, [[]], GAP))
+    @example(TemporalGraph(2, [[(0, 1)], [], [(1, 0)], [(0, 1)]], GAP))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dict_runs(self, g):
+        assert contact_durations(g) == dict_contact_durations(g)
 
 
 class TestHourMetrics:

@@ -1,5 +1,6 @@
 import io
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from etngen import (AggregatedGraph, BucketKey, ParseError, Snapshot,
                     TemporalGraph, aggregate, bucket_of, hour_slices,
                     parse_edge_list, resolve_periodicity, weekday,
                     write_edge_list)
-from etngen.tempgraph import MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict
+from etngen.tempgraph import (MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict,
+                              layer_arcs)
 from oracles import dict_aggregate, dict_hour_slices
-from synth import MONDAY_EPOCH, weekly_graph
+from synth import MONDAY_EPOCH, layered_graphs, weekly_graph
 
 
 def lines(text):
@@ -53,6 +55,20 @@ class TestParse:
     def test_bad_timestamp(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_edge_list(lines("zero\ta\tb\n"), gap_seconds=300)
+
+    @pytest.mark.parametrize("event", ["0\t0\t1\n", "0\ta\tb\n"])
+    def test_nodes_header_stores_no_index_labels(self, event):
+        # Labels that are the indices are made on access, not at parse.
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(lines("#gap=1 #nodes=1000000\n" + event))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        labels = g.labels
+        assert peak < 8 << 20
+        assert g.node_count == len(labels) == 1_000_000 and labels[999_999] == "999999"
+        assert labels[:3] == (("0", "1", "2") if event[2] == "0" else ("a", "b", "2"))
 
     def test_self_loops_dropped_and_counted(self):
         g = parse_edge_list(lines("0\ta\ta\n0\ta\tb\n"), gap_seconds=300)
@@ -334,6 +350,38 @@ def raw_layers(draw):
     return n, layers, gap, epoch
 
 
+class TestSnapshotQueries:
+    @given(layered_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_match_edge_set(self, g):
+        for snap in g.snapshots:
+            edges = snap.edges
+            assert snap.active_nodes == {u for e in edges for u in e}
+            for u in range(g.node_count):
+                nbrs = sorted({v for e in edges if u in e for v in e} - {u})
+                assert snap.neighbors(u) == tuple(nbrs)
+                assert snap.degree(u) == len(nbrs)
+
+
+class TestLayerArcs:
+    def test_layout(self):
+        g = TemporalGraph(4, [[(3, 1), (0, 2), (1, 2)], [], [(0, 3)]], 300)
+        src, dst = layer_arcs(g)
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (3, 1), (0, 3), (3, 0)]
+        assert (2 * g.offsets).tolist() == [0, 6, 6, 8]
+        assert [a.size for a in layer_arcs(TemporalGraph(0, [[]], 300))] == [0, 0]
+
+    @given(layered_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_slices_match_snapshot_edges(self, g):
+        src, dst = layer_arcs(g)
+        bounds = (2 * g.offsets).tolist()
+        for snap, a, b in zip(g.snapshots, bounds, bounds[1:]):
+            arcs = sorted(arc for i, j in snap.edges for arc in ((i, j), (j, i)))
+            assert list(zip(src[a:b].tolist(), dst[a:b].tolist())) == arcs
+
+
 class TestEdgeTable:
     def test_layout(self):
         g = TemporalGraph(5, [[(3, 1), (0, 4)], [], [(2, 1), (1, 2), (0, 3)]], 300)
@@ -375,9 +423,6 @@ class TestEdgeTable:
         for view, layer in zip(g.snapshots, layers):
             alone = Snapshot(layer)
             assert view.edges == alone.edges == {(min(e), max(e)) for e in layer}
-            assert view.adjacency == alone.adjacency
-            for a, b in zip(view.arcs, alone.arcs):
-                assert a.tolist() == b.tolist()
             assert all(view.neighbors(u) == alone.neighbors(u) for u in range(n))
             assert view == alone and hash(view) == hash(alone)
 
