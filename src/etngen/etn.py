@@ -13,8 +13,12 @@ motifs" (Data Min. Knowl. Disc. 2022): each contact sets one bit of one
 in, strings are sorted into one run per (window end, ego), and runs get
 exact ids from their strings packed into int64 chunks, with no hashing.
 Time is mined in blocks of `_BLOCK` window ends, which bounds the memory
-that these arrays take. `NeighborWindow`, a rolling per-ego window, is the
-encoding that generation advances layer by layer; mining does not use it.
+that these arrays take.
+
+Generation advances a rolling window instead (`NeighborWindow`): sorted
+(ego, neighbor) keys with their strings, one array each. It names every
+active ego's prefix by the same packing (`_pack`), and `PrefixKeys` finds
+those packed prefixes among a model's with one search per chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping
+from itertools import chain
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +50,8 @@ class EtnSignature:
 
     width: int
     strings: tuple[int, ...] = ()
+    # Signatures key most of the model's dicts, so the hash is taken once.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
@@ -57,6 +64,10 @@ class EtnSignature:
             if s < prev:
                 raise ValueError("strings must be sorted ascending")
             prev = s
+        object.__setattr__(self, "_hash", hash((self.width, self.strings)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_empty(self) -> bool:
@@ -156,26 +167,32 @@ class MinedCounts:
                 mine.setdefault(depth, Counter()).update(ctr)
 
 
+# Bits of a node id: `NeighborWindow` keys an (ego, neighbour) pair as
+# ego << _NODE_BITS | neighbour, which fits an int64 for every node id that
+# a temporal graph allows (below tempgraph.MAX_NODES = 2**31).
+_NODE_BITS = 31
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
 class NeighborWindow:
     """Rolling neighborhood window of the egos in [lo, hi), which generation
     advances one layer at a time (mining counts windows from arrays).
 
-    Each ego maps every neighbor seen in the last `width` snapshots to its
+    Every (ego, neighbor) pair seen in the last `width` snapshots holds its
     activity bit-string, newest snapshot in bit 0, the order signature
-    strings use. `push` ages every string by one snapshot, drops those that
-    fall out of the window, and ORs in the new snapshot's edges; after
-    pushing snapshots 0..t, `strings(ego, w)` is the ego's width-w window
-    ending at t, for any w <= width. `depth` counts the snapshots held, up
-    to `width`.
+    strings use. The pairs live in two int64 arrays sorted by pair key
+    (ego << 31 | neighbor): the keys and the bits. `push` ages every string
+    by one shift and one mask, drops those that fall out of the window, and
+    merges the new snapshot's arcs with one sort; after pushing snapshots
+    0..t, `strings(ego, w)` is the ego's width-w window ending at t, for
+    any w <= width. `depth` counts the snapshots held, up to `width`.
 
-    Only the active egos, those with a neighbor in the window, hold a
-    state; `active` lists them in ascending order (do not mutate), and
-    `prefixes()` gives their strings at width `depth`. Most egos of a
-    sparse network are idle in most layers, so `push` ages only the active
-    ones, and every other ego's window is empty.
+    The active egos are those with a neighbor in the window; `active`
+    lists them in ascending order, and `prefix_rows` looks up all their
+    width-`depth` windows at once. Every other ego's window is empty.
     """
 
-    __slots__ = ("width", "lo", "hi", "depth", "active", "_mask", "_states")
+    __slots__ = ("width", "lo", "hi", "depth", "_mask", "_range", "_keys", "_bits")
 
     def __init__(self, width: int, lo: int, hi: int):
         if width < 1:
@@ -184,53 +201,132 @@ class NeighborWindow:
         self.lo = lo
         self.hi = hi
         self.depth = 0
-        self.active: list[int] = []
         self._mask = (1 << width) - 1
-        self._states: list[dict[int, int]] = [{} for _ in range(hi - lo)]
+        self._range = np.array([lo, hi], dtype=np.int64) << _NODE_BITS
+        self._keys = self._bits = _EMPTY
 
-    def push(self, edges: Iterable[tuple[int, int]]) -> None:
-        states, mask, lo, hi = self._states, self._mask, self.lo, self.hi
-        active = []
-        for ego in self.active:
-            idx = ego - lo
-            aged = {u: a for u, bits in states[idx].items()
-                    if (a := (bits << 1) & mask)}
-            states[idx] = aged
-            if aged:
-                active.append(ego)
-        for i, j in edges:
-            if lo <= i < hi:
-                state = states[i - lo]
-                if not state:
-                    active.append(i)
-                state[j] = state.get(j, 0) | 1
-            if lo <= j < hi:
-                state = states[j - lo]
-                if not state:
-                    active.append(j)
-                state[i] = state.get(i, 0) | 1
-        active.sort()
-        self.active = active
+    def push(self, edges: Collection[tuple[int, int]]) -> None:
         if self.depth < self.width:
             self.depth += 1
+        if not edges:
+            if self._keys.size:
+                bits = (self._bits << 1) & self._mask
+                live = bits.nonzero()[0]
+                self._keys, self._bits = self._keys[live], bits[live]
+            return
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                           count=2 * len(edges)).reshape(-1, 2)
+        arcs = ends << _NODE_BITS
+        arcs += ends[:, ::-1]  # rows (i << 31 | j, j << 31 | i)
+        keys = np.concatenate((self._keys, arcs.ravel()))
+        bits = np.ones(keys.size, dtype=np.int64)
+        np.left_shift(self._bits, 1, out=bits[:self._bits.size])
+        order = keys.argsort(kind="stable")  # merges the sorted run in one pass
+        keys = keys[order]
+        first = _run_starts(keys)
+        keys = keys[first]
+        bits = np.bitwise_or.reduceat(bits[order], first)
+        bits &= self._mask
+        a, b = keys.searchsorted(self._range).tolist()  # egos in [lo, hi)
+        live = bits[a:b].nonzero()[0] + a
+        self._keys, self._bits = keys[live], bits[live]
+
+    @property
+    def active(self) -> list[int]:
+        """The egos with a neighbor in the window, ascending."""
+        ego = self._keys >> _NODE_BITS
+        return ego[_run_starts(ego)].tolist()
 
     def bits(self, ego: int) -> dict[int, int]:
-        """Neighbor -> activity bits over the full width (do not mutate)."""
-        return self._states[ego - self.lo]
+        """Neighbor -> activity bits over the full width, in ascending
+        neighbor order."""
+        a, b = self._keys.searchsorted((ego << _NODE_BITS,
+                                        (ego + 1) << _NODE_BITS)).tolist()
+        nbrs = self._keys[a:b] & ((1 << _NODE_BITS) - 1)
+        return dict(zip(nbrs.tolist(), self._bits[a:b].tolist()))
 
     def prefixes(self) -> list[tuple[int, ...]]:
         """`strings(ego, depth)` of every active ego, in `active` order."""
-        states, lo = self._states, self.lo
-        return [tuple(sorted(states[ego - lo].values())) for ego in self.active]
+        return [self.strings(ego, self.depth) for ego in self.active]
 
     def strings(self, ego: int, width: int) -> tuple[int, ...]:
         """Sorted nonzero strings of the width-`width` window, the body of
         that window's signature."""
-        state = self._states[ego - self.lo]
-        if width >= self.depth:
-            return tuple(sorted(state.values()))
         mask = (1 << width) - 1
-        return tuple(sorted(v for bits in state.values() if (v := bits & mask)))
+        return tuple(sorted(v for bits in self.bits(ego).values() if (v := bits & mask)))
+
+    def prefix_rows(self, known: "PrefixKeys") -> np.ndarray:
+        """Each ego's row in `known`, in ego order: `known.find` of its
+        width-`depth` prefix for an active ego, -1 for an idle one. All
+        active prefixes are packed at once, strings sorted within each ego
+        (below 2**depth, since the window holds only `depth` snapshots)."""
+        rows = np.full(self.hi - self.lo, -1)
+        keys, bits = self._keys, self._bits
+        if keys.size:
+            ego = keys >> _NODE_BITS
+            run_start = _run_starts(ego)
+            packed, chunks = _pack(bits[_pair_order(ego, bits, self.depth)],
+                                   run_start, self.depth)
+            rows[ego[run_start] - self.lo] = known.find(packed, chunks)
+        return rows
+
+
+class PrefixKeys:
+    """Exact lookup of window prefixes among `prefixes`, the non-empty
+    prefixes of one width, by their packed strings (`_pack`).
+
+    A prefix is the sequence of its chunks, padded with 0 (which no chunk
+    is) to the most any prefix has. Level 0 ranks the first chunks; level
+    c > 0 ranks the pairs (prefix's rank at level c-1, rank of its chunk c
+    among level c's chunks), one int64 each. The last level's rank names
+    the prefix. Each level's sorted values end in a sentinel above every
+    chunk and pair, so a search never runs off the end.
+    """
+
+    _SENTINEL = np.iinfo(np.int64).max
+
+    def __init__(self, prefixes: Sequence[EtnSignature], width: int):
+        self.prefixes = list(prefixes)
+        lengths = np.array([len(p.strings) for p in self.prefixes], dtype=np.int64)
+        strings = np.fromiter(chain.from_iterable(p.strings for p in self.prefixes),
+                              dtype=np.int64, count=int(lengths.sum()))
+        packed, chunks = _pack(strings, np.cumsum(lengths) - lengths, width)
+        first = np.cumsum(chunks) - chunks
+        self._levels: list[tuple[np.ndarray, np.ndarray | None]] = []
+        rank = pairs = None
+        for c in range(int(chunks.max(initial=1))):
+            chunk = _chunk_at(packed, first, chunks, c)
+            # With return_inverse, np.unique sorts: its hash-table path costs
+            # 17 ms and 1.6 MB of resident memory on first use (numpy 2.4).
+            values, rank_c = np.unique(chunk, return_inverse=True)
+            values = np.append(values, self._SENTINEL)
+            if rank is not None:
+                pairs, rank_c = np.unique(rank * values.size + rank_c, return_inverse=True)
+                pairs = np.append(pairs, self._SENTINEL)
+            self._levels.append((values, pairs))
+            rank = rank_c
+        self._row = np.full((values if pairs is None else pairs).size,
+                            len(self.prefixes), dtype=np.int64)
+        self._row[rank] = np.arange(len(self.prefixes))
+
+    def find(self, packed: np.ndarray, chunks: np.ndarray) -> np.ndarray:
+        """For each run of `packed` (`chunks` per run, as `_pack` gives
+        them), the index of its equal prefix in `prefixes`, or
+        len(prefixes) when there is none."""
+        single = packed.size == chunks.size  # no run takes a second chunk
+        first = np.arange(chunks.size) if single else np.cumsum(chunks) - chunks
+        found = chunks <= len(self._levels)
+        rank = None
+        for c, (values, pairs) in enumerate(self._levels):
+            chunk = packed if single and not c else _chunk_at(packed, first, chunks, c)
+            rank_c = values.searchsorted(chunk)
+            found &= values[rank_c] == chunk
+            if pairs is not None:
+                pair = rank * values.size + rank_c
+                rank_c = pairs.searchsorted(pair)
+                found &= pairs[rank_c] == pair
+            rank = rank_c
+        return np.where(found, self._row[rank], len(self.prefixes))
 
 
 # Window ends mined per block of time. A block's temporaries hold about a
@@ -312,7 +408,7 @@ def _window_values(arcs: _Arcs, k: int, lo: int, hi: int, start: int, stop: int
     order = np.argsort(key)
     key, bit = key[order], bit[order]
     del order
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    first = _run_starts(key)
     return key[first] // n, np.bitwise_or.reduceat(bit, first)
 
 
@@ -324,29 +420,57 @@ def _pair_order(group: np.ndarray, values: np.ndarray, width: int) -> np.ndarray
     return np.lexsort((values, group))
 
 
+def _pack(values: np.ndarray, run_start: np.ndarray, width: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each run of `values` (runs begin at `run_start`) packed into int64
+    chunks: the chunks of every run in run order, and each run's count.
+
+    Strings are nonzero and below 2**width, so `_PACK_BITS // width` of
+    them pack into one chunk, the first string in the low bits; no chunk is
+    0. Equal runs pack to equal chunks.
+    """
+    per_chunk = _PACK_BITS // width
+    run_len = np.empty_like(run_start)
+    run_len[:-1] = run_start[1:]
+    run_len[-1:] = values.size
+    run_len -= run_start
+    slot = np.arange(values.size) - run_start.repeat(run_len)
+    slot %= per_chunk
+    packed = np.bitwise_or.reduceat(values << (width * slot), (slot == 0).nonzero()[0])
+    return packed, -(-run_len // per_chunk)
+
+
+def _chunk_at(packed: np.ndarray, first: np.ndarray, chunks: np.ndarray, c: int
+              ) -> np.ndarray:
+    """Chunk c of every run packed by `_pack` (runs begin at chunk
+    `first`), 0 for a run with no chunk c."""
+    chunk = np.zeros(chunks.size, dtype=np.int64)
+    longer = chunks > c
+    chunk[longer] = packed[first[longer] + c]
+    return chunk
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the array begins."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts.nonzero()[0]
+
+
 def _run_ids(values: np.ndarray, run_start: np.ndarray, width: int) -> np.ndarray:
     """An exact id for each run of `values` (runs begin at `run_start`),
     equal for runs of equal sequences.
 
-    Strings are nonzero and below 2**width, so `_PACK_BITS // width` of
-    them pack into one int64 chunk, the first string in the low bits. Runs
-    are ranked by their first chunk, then the rank is refined by each
-    further chunk, a missing chunk counting as 0, which no real chunk is.
+    Runs are packed by `_pack`, ranked by their first chunk, then the rank
+    is refined by each further chunk, a missing chunk counting as 0, which
+    no real chunk is.
     """
-    per_chunk = _PACK_BITS // width
-    run_len = np.diff(run_start, append=values.size)
-    slot = np.arange(values.size) - np.repeat(run_start, run_len)
-    slot %= per_chunk
-    packed = np.bitwise_or.reduceat(values << (width * slot),
-                                    np.flatnonzero(slot == 0))
-    chunks = -(-run_len // per_chunk)
+    packed, chunks = _pack(values, run_start, width)
     first = np.cumsum(chunks) - chunks  # index of each run's first chunk
     ids = np.unique(packed[first], return_inverse=True)[1]
     for c in range(1, int(chunks.max(initial=0))):
-        chunk = np.zeros(run_start.size, dtype=np.int64)
-        longer = chunks > c
-        chunk[longer] = packed[first[longer] + c]
-        rank = np.unique(chunk, return_inverse=True)[1]
+        rank = np.unique(_chunk_at(packed, first, chunks, c), return_inverse=True)[1]
         ids = np.unique(ids * (int(rank.max()) + 1) + rank, return_inverse=True)[1]
     return ids
 
@@ -380,7 +504,7 @@ def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
             values, group = values[live], groups[live]
             order = _pair_order(group, values, depth + 1)
             values, group = values[order], group[order]
-            run_start = np.flatnonzero(np.diff(group, prepend=-1))
+            run_start = _run_starts(group)
             ids = _run_ids(values, run_start, depth + 1)
             first = np.empty(int(ids.max(initial=-1)) + 1, dtype=np.int64)
             first[ids] = np.arange(ids.size)  # any run of an id spells its tuple

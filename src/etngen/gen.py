@@ -5,13 +5,14 @@ extension of its current width-min(t,k) neighborhood prefix; requests are
 then validated into undirected edges. Unmatched half-edges (stubs), the
 seed layer's from its degrees and later layers' from their extensions, are
 all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
-rolling window (`etn.NeighborWindow`) that each new layer advances; only
-the nodes with a neighbor in the window name theirs, the others share the
-empty prefix. A layer's extensions are picked by one search of the
-model's `pick_index` for all nodes at once. All randomness flows through
-numpy substreams keyed by (phase, layer), and within a layer nodes draw in
-node order, so output depends only on the model and the config, not on
-scheduling.
+rolling window (`etn.NeighborWindow`, sorted arrays) that each new layer
+advances; the nodes with a neighbor in the window name theirs as packed
+int64 keys, all at once, and the others share the empty prefix. One
+search of the model's prefix table gives every node its distribution,
+and one search of its `pick_index` picks every extension. All randomness
+flows through numpy substreams keyed by (phase, layer), and within a layer
+nodes draw in node order, so output depends only on the model and the
+config, not on scheduling.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .etn import EtnSignature, NeighborWindow
-from .model import LocalModel, lookup_extension
+from .etn import NeighborWindow
+from .model import FALLBACK_LEVELS, LocalModel
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
@@ -107,9 +108,10 @@ def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
     succeeds throughout doubles the next.
     """
     stubs = list(stubs)
+    pop, add = stubs.pop, edges.add
     dropped = len(stubs) % 2
     if dropped:
-        stubs.pop(int(rng.integers(len(stubs))))
+        pop(int(rng.integers(len(stubs))))
     budget = 10 * len(stubs)
     added = 0
     batch = len(stubs) // 2
@@ -129,17 +131,21 @@ def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
             if b >= a:
                 b += 1
             i, j = stubs[a], stubs[b]
-            e = _norm(i, j)
+            e = (i, j) if i < j else (j, i)
             if i == j or e in edges:
                 if used < pairs:
                     rng.bit_generator.state = state
                     rng.integers(0, bounds[:2 * used])
                 batch = 1
                 break
-            edges.add(e)
+            add(e)
             added += 1
-            for idx in sorted((a, b), reverse=True):
-                stubs.pop(idx)
+            if a > b:  # the higher index first, so the lower one stays put
+                pop(a)
+                pop(b)
+            else:
+                pop(b)
+                pop(a)
     return added, dropped + len(stubs)
 
 
@@ -171,43 +177,29 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
     part, chosen uniformly among ties; strings active only in the final
     bit have no identifiable target and become stubs.
 
-    Each distinct prefix of the layer is looked up once, and each ego is
-    one lookup in `model.fallback_counts`. Only the window's active egos
-    name their prefix; the others share the empty one. The model's
-    `pick_index` then turns all draws into extensions with one search, so
-    the numpy calls of a layer do not grow with the egos or the
-    distributions, and Python work per ego is left to egos whose extension
-    requests a neighbor.
+    The window names the active egos' prefixes as packed keys, and one
+    search of the model's prefix table gives each ego the distribution
+    `lookup_extension` answers with and its fallback level; the others
+    share the empty prefix. Each ego is one lookup in
+    `model.fallback_counts`. The model's `pick_index` then turns all draws
+    into extensions with one search, so the numpy calls of a layer do not
+    grow with the egos or the distributions, and Python work per ego is
+    left to egos whose extension requests a neighbor.
     """
-    depth = window.depth
     lo, hi = window.lo, window.hi
     index = model.pick_index
+    table = index.prefix_table(bucket, window.depth)
+    row = window.prefix_rows(table.keys)
+    dist_of = table.position[row]
     tally = model.fallback_counts
-    cells: dict[tuple[int, ...], list] = {}  # strings -> [position, level, egos]
-    positions = []
-    for strings in window.prefixes():
-        cell = cells.get(strings)
-        if cell is None:
-            dist, level = lookup_extension(model, bucket, depth,
-                                           EtnSignature(depth, strings))
-            cell = cells[strings] = [index.position(dist), level, 0]
-        cell[2] += 1
-        positions.append(cell[0])
-    idle = hi - lo - len(positions)
-    dist_of = np.empty(hi - lo, dtype=np.int64)
-    if idle:
-        dist, level = lookup_extension(model, bucket, depth, EtnSignature(depth))
-        tally[level] += idle
-        dist_of.fill(index.position(dist))
-    for _, level, egos in cells.values():
-        tally[level] += egos
-    if positions:
-        dist_of[np.subtract(window.active, lo)] = positions
+    for level, egos_at in zip(FALLBACK_LEVELS, np.bincount(
+            table.level[row], minlength=len(FALLBACK_LEVELS)).tolist()):
+        if egos_at:
+            tally[level] += egos_at
     draws = rng.integers(0, index.total[dist_of])
-    picks = np.searchsorted(index.cum, index.base[dist_of] + draws, side="right")
-    prov = ProvisionalLayer(
-        stubs=np.repeat(np.arange(lo, hi), index.stubs[picks]).tolist())
-    asking = np.flatnonzero(index.asks[picks])
+    picks = index.cum.searchsorted(index.base[dist_of] + draws, side="right")
+    prov = ProvisionalLayer(stubs=np.arange(lo, hi).repeat(index.stubs[picks]).tolist())
+    asking = index.asks[picks].nonzero()[0]
     for ego, pick in zip((asking + lo).tolist(), picks[asking].tolist()):
         by_bits: dict[int, list[int]] = {}
         for u, bits in window.bits(ego).items():
@@ -216,7 +208,7 @@ def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
             # The extension extends the ego's own prefix (the fallback chain
             # keeps it or drops to the empty prefix, whose strings all have
             # pbits 0), so at least cnt neighbours carry these bits.
-            cands = sorted(by_bits[pbits])
+            cands = by_bits[pbits]  # ascending, as bits() lists neighbours
             if cnt == len(cands):
                 chosen = cands
             else:

@@ -18,7 +18,8 @@ from typing import IO
 
 import numpy as np
 
-from .etn import EtnPrefix, EtnSignature, MinedCounts, prefix_of
+from .etn import (MAX_MINING_K, EtnPrefix, EtnSignature, MinedCounts, PrefixKeys,
+                  prefix_of)
 from .tempgraph import PERIODICITIES, BucketKey
 
 FORMAT_NAME = "etngen-model"
@@ -30,6 +31,8 @@ FALLBACK_GLOBAL = "global"
 FALLBACK_EMPTY_BUCKET = "empty_bucket"
 FALLBACK_EMPTY_GLOBAL = "empty_global"
 FALLBACK_EMPTY_SIG = "empty_signature"
+FALLBACK_LEVELS = (FALLBACK_NONE, FALLBACK_GLOBAL, FALLBACK_EMPTY_BUCKET,
+                   FALLBACK_EMPTY_GLOBAL, FALLBACK_EMPTY_SIG)
 
 
 class ModelFormatError(ValueError):
@@ -98,9 +101,15 @@ class PickIndex:
     pairs of the other strings whose last bit is set, sorted by bits;
     `asks` marks the positions with requests. The stand-in's one extension
     has neither.
+
+    `prefix_table(bucket, depth)` gives, for every prefix at once, the
+    distribution `lookup_extension` answers with; it is built on first use.
     """
 
     def __init__(self, tables: dict, global_tables: dict):
+        self._tables, self._global_tables = tables, global_tables
+        self._prefix_keys: dict[int, PrefixKeys] = {}
+        self._prefix_tables: dict[tuple[BucketKey, int], PrefixTable] = {}
         dists = [*tables.values(), *global_tables.values()]
         # Holding the distributions keeps their ids unique while the index
         # lives, so `position` can key on them without hashing a table.
@@ -131,6 +140,39 @@ class PickIndex:
     def position(self, dist: ExtensionDistribution | None) -> int:
         """The index of `dist`, one of the model's distributions or None."""
         return len(self._dists) if dist is None else self._position[id(dist)]
+
+    def prefix_table(self, bucket: BucketKey, depth: int) -> "PrefixTable":
+        """The lookups of every prefix at (bucket, depth). Its keys are the
+        depth's non-empty global prefixes: every bucket cell's prefix is
+        one of them, so any other prefix falls back as a miss does."""
+        table = self._prefix_tables.get((bucket, depth))
+        if table is None:
+            keys = self._prefix_keys.get(depth)
+            if keys is None:
+                keys = self._prefix_keys[depth] = PrefixKeys(
+                    [p for d, p in self._global_tables if d == depth and p.strings],
+                    depth)
+            answers = [_lookup(self._tables, self._global_tables, bucket, depth, p)
+                       for p in (*keys.prefixes, None, EtnSignature(depth))]
+            table = self._prefix_tables[bucket, depth] = PrefixTable(
+                keys,
+                np.array([self.position(d) for d, _ in answers], dtype=np.int64),
+                np.array([FALLBACK_LEVELS.index(lv) for _, lv in answers],
+                         dtype=np.int64))
+        return table
+
+
+@dataclass(frozen=True)
+class PrefixTable:
+    """`lookup_extension`'s answer for every prefix at one (bucket, depth),
+    by row: row i < len(keys.prefixes) answers `keys.prefixes[i]`, the next
+    row a prefix that no table holds (the row `keys.find` gives a miss),
+    and the last row, -1, the empty prefix. `position` is the answer's
+    `PickIndex` position, `level` its index in `FALLBACK_LEVELS`."""
+
+    keys: PrefixKeys
+    position: np.ndarray
+    level: np.ndarray
 
 
 @dataclass
@@ -203,17 +245,23 @@ def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
     prefix in the same bucket, the empty prefix globally, and finally no
     distribution (the empty signature). Nothing is tallied.
     """
-    dist = model.tables.get((bucket, depth, prefix))
+    return _lookup(model.tables, model.global_tables, bucket, depth, prefix)
+
+
+def _lookup(tables: dict, global_tables: dict, bucket: BucketKey, depth: int,
+            prefix: EtnPrefix | None) -> tuple[ExtensionDistribution | None, str]:
+    """`lookup_extension` on the tables; a None prefix is in none of them."""
+    dist = tables.get((bucket, depth, prefix))
     if dist is not None:
         return dist, FALLBACK_NONE
-    dist = model.global_tables.get((depth, prefix))
+    dist = global_tables.get((depth, prefix))
     if dist is not None:
         return dist, FALLBACK_GLOBAL
     empty = EtnSignature(depth)
-    dist = model.tables.get((bucket, depth, empty))
+    dist = tables.get((bucket, depth, empty))
     if dist is not None:
         return dist, FALLBACK_EMPTY_BUCKET
-    dist = model.global_tables.get((depth, empty))
+    dist = global_tables.get((depth, empty))
     if dist is not None:
         return dist, FALLBACK_EMPTY_GLOBAL
     return None, FALLBACK_EMPTY_SIG
@@ -334,6 +382,9 @@ def load_model(source: IO[str]) -> LocalModel:
         raise ModelFormatError(f"missing or bad field: {exc}") from exc
     if meta["periodicity"] not in PERIODICITIES:
         raise ModelFormatError(f"unknown periodicity {meta['periodicity']!r}")
+    # Generation packs prefix strings as mining does, so k has mining's cap.
+    if k > MAX_MINING_K:
+        raise ModelFormatError(f"k={k} exceeds the limit of {MAX_MINING_K}")
 
     # The same texts recur in many cells (one per bucket), so each distinct
     # (text, width) is decoded once and each signature's prefix taken once.

@@ -18,6 +18,7 @@ from etngen import cli
 from etngen import dynamics as dyn
 from etngen import metrics as metrics_mod
 from etngen.cli import build_parser, main
+from etngen.etn import MAX_MINING_K
 from synth import er_layers, random_graph, sinusoidal_graph
 
 
@@ -290,7 +291,7 @@ class TestGenerate:
     def test_huge_k_names_one_missing_depth(self, model_path, tmp_path, capsys):
         doc = json.loads(open(model_path, encoding="utf-8").read())
         assert {cell["depth"] for cell in doc["tables"]} == {1, 2}
-        doc["k"] = 100_000
+        doc["k"] = MAX_MINING_K  # the largest k a model may declare
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
@@ -298,6 +299,20 @@ class TestGenerate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and len(lines[0]) < 200
         assert "no cell at depth 3" in lines[0]
+
+    def test_k_above_the_packing_limit_is_data_error(self, model_path, tmp_path,
+                                                     capsys):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["k"] = MAX_MINING_K + 1
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "s.tsv"
+        assert main(["generate", str(broken), "--out", str(out),
+                     "--snapshots", "70"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"etngen: error: k={MAX_MINING_K + 1} exceeds the limit "
+                         f"of {MAX_MINING_K}"]
+        assert not out.exists()
 
     def test_seed_degrees_file(self, model_path, tmp_path):
         degrees = tmp_path / "deg.txt"

@@ -1,4 +1,5 @@
 import io
+import pickle
 from collections import Counter
 from unittest import mock
 
@@ -11,9 +12,10 @@ from etngen import (EtnSignature, NeighborWindow, TemporalGraph,
                     etn_cosine_distance, extract_etn, mine_counts, prefix_of,
                     read_counts, write_counts)
 from etngen import etn
+from etngen.etn import PrefixKeys
 from etngen.tempgraph import BucketKey
 from oracles import counts_as_strings, naive_mine, naive_signature_strings
-from synth import random_graph
+from synth import er_layers, random_graph
 
 
 def sig(*strings):
@@ -55,6 +57,16 @@ class TestSignature:
     def test_decode_width_mismatch(self):
         with pytest.raises(ValueError):
             EtnSignature.decode("011", 2)
+
+    def test_equal_signatures_hash_equal(self):
+        a = sig("011", "110", "110")
+        b = EtnSignature.decode("011|110|110", 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((3, a.strings))
+        assert {a: 1}[b] == 1 and EtnSignature(2) in {EtnSignature(2): 0}
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+        assert a != sig("011", "110") and a != EtnSignature(4, a.strings)
 
 
 class TestPrefix:
@@ -169,6 +181,89 @@ def test_neighbor_window_ego_range():
     window.push([])
     assert window.bits(2) == {} and window.bits(3) == {}
     assert window.active == [] and window.prefixes() == []
+
+
+def test_neighbor_window_empty_layers():
+    window = NeighborWindow(3, 0, 5)
+    window.push([])  # an empty window meets an empty layer
+    window.push(set())
+    assert window.depth == 2 and window.active == [] and window.prefixes() == []
+    assert window.prefix_rows(PrefixKeys([sig("01")], 2)).tolist() == [-1] * 5
+    window.push([(1, 3)])
+    window.push([])
+    assert window.depth == 3 and window.active == [1, 3]
+    assert window.bits(1) == {3: 2} and window.strings(3, 3) == (2,)
+    known = PrefixKeys([sig("010"), sig("001")], 3)
+    assert window.prefix_rows(known).tolist() == [-1, 0, -1, 0, -1]
+    window.push([])
+    window.push([])
+    assert window.active == [] and window.bits(1) == {}
+    assert window.prefix_rows(known).tolist() == [-1] * 5
+
+
+def packed_runs(prefixes, width):
+    """The strings of `prefixes` packed as `PrefixKeys.find` reads them."""
+    lengths = np.array([len(p) for p in prefixes], dtype=np.int64)
+    strings = np.array([s for p in prefixes for s in p], dtype=np.int64)
+    return etn._pack(strings, np.cumsum(lengths) - lengths, width)
+
+
+@st.composite
+def long_prefixes(draw):
+    """A width and prefixes of it drawn as a count per string value, so that
+    many share their first chunks and differ in a later one: up to 8
+    copies of each of the 2**width - 1 strings, which for width 3 is up to
+    56 strings, three chunks of 20."""
+    width = draw(st.integers(1, 4))
+    counts = st.lists(st.integers(0, 8), min_size=(1 << width) - 1,
+                      max_size=(1 << width) - 1).filter(any)
+    drawn = draw(st.lists(counts, min_size=1, max_size=12))
+    return width, [tuple(v for v, c in enumerate(cs, start=1) for _ in range(c))
+                   for cs in drawn]
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_prefixes(), st.data())
+def test_prefix_keys_find_long_prefixes(case, data):
+    width, prefixes = case
+    distinct = list(dict.fromkeys(prefixes))
+    members = data.draw(st.lists(st.sampled_from(distinct), unique=True))
+    known = PrefixKeys([EtnSignature(width, p) for p in members], width)
+    packed, chunks = packed_runs(prefixes, width)
+    want = [members.index(p) if p in members else len(members) for p in prefixes]
+    assert known.find(packed, chunks).tolist() == want
+
+
+def test_prefix_keys_tell_apart_later_chunks():
+    # 20 strings of width 3 fill a chunk: these share their first chunk.
+    one = (1,) * 20
+    prefixes = [one, one + (1,), one + (2,), one + (1, 1), one + one + (7,)]
+    known = PrefixKeys([EtnSignature(3, p) for p in prefixes[1:]], 3)
+    assert known.find(*packed_runs(prefixes, 3)).tolist() == [4, 0, 1, 2, 3]
+    assert packed_runs(prefixes, 3)[1].tolist() == [1, 2, 2, 2, 3]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(25, 40), st.integers(0, 4),
+       st.one_of(st.just(1.0), st.floats(0.6, 1.0)), st.integers(0, 2 ** 32),
+       st.data())
+def test_neighbor_window_rows_of_long_prefixes(n, lo, p, seed, data):
+    # Dense layers on 25 or more nodes give width-3 windows of more than 20
+    # strings, more than one chunk.
+    window = NeighborWindow(3, lo, n)
+    for edges in er_layers(n, 3, p, np.random.default_rng(seed)):
+        window.push(edges)
+    prefixes = [window.strings(ego, 3) for ego in range(lo, n)]
+    distinct = sorted(set(prefixes) - {()})
+    # Decoys one string shorter or longer share a first chunk with a window.
+    decoys = {d for s in distinct for d in (s[:-1], s + (7,)) if len(d) > 20}
+    members = data.draw(st.lists(st.sampled_from(sorted(set(distinct) | decoys)),
+                                 unique=True))
+    known = PrefixKeys([EtnSignature(3, s) for s in members], 3)
+    want = [-1 if not s else members.index(s) if s in members else len(members)
+            for s in prefixes]
+    assert window.prefix_rows(known).tolist() == want
+    assert any(len(s) > 20 for s in prefixes)
 
 
 def windows(counts, depth):

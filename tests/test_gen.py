@@ -1,5 +1,7 @@
+import hashlib
 import io
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     Snapshot, TemporalGraph, expansion_alpha, extract_etn, fit,
                     generate, mine_counts, propose_layer, seed_layer,
-                    validate_layer)
+                    validate_layer, write_edge_list)
 from etngen import gen
 from etngen.etn import MinedCounts, NeighborWindow
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
-from etngen.model import LocalModel, load_model, save_model
+from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extension,
+                          save_model)
 from etngen.tempgraph import BucketKey
 from oracles import scalar_pair_stubs, scalar_propose_layer, scalar_validate_layer
 from synth import er_layers, random_graph
@@ -222,6 +225,26 @@ class TestProposeMatchesScalar:
         for seed in range(20):
             assert_matches_scalar(window, model, BucketKey(hour_of_day=0), seed)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prefixes_longer_than_one_chunk(self, seed):
+        # Complete layers on 26 nodes: every width-3 window holds 25
+        # strings, more than the 20 that one packed chunk takes, in the
+        # model's cells and in the window.
+        g = random_graph(n=26, m=8, p=0.9, seed=seed)
+        model = fit(mine_counts(g, 3, "daily"))
+        assert max(len(prefix.strings) for _, prefix in model.global_tables) > 20
+        hour0 = BucketKey(hour_of_day=0)
+        # The graph's own first windows are cells of the model.
+        window = window_of(g.snapshots[:3], 26)
+        assert min(len(s) for s in window.prefixes()) > 20
+        assert assert_matches_scalar(window, model, hour0, seed)["bucket"] == 26
+        window.push([(0, 1)])
+        assert_matches_scalar(window, model, hour0, seed)
+        window = window_of([Snapshot(e) for e in er_layers(
+            26, 3, 1.0, np.random.default_rng(seed))], 26)
+        assert all(len(s) == 25 for s in window.prefixes())
+        assert_matches_scalar(window, model, hour0, seed)
+
     def test_no_distribution_draws_from_one(self):
         model = without_empty_prefix(
             tiny_model({sig("11"): Counter({sig("111"): 1})}), 2)
@@ -230,18 +253,50 @@ class TestProposeMatchesScalar:
         assert tally == Counter({"empty_signature": 4})
 
 
+@contextmanager
+def rows_recorded():
+    """Record the rows that every `NeighborWindow.prefix_rows` call gives,
+    with the prefix keys it searched."""
+    seen: list[tuple] = []
+    real = NeighborWindow.prefix_rows
+
+    def prefix_rows(window, known):
+        rows = real(window, known)
+        seen.append((known, rows))
+        return rows
+
+    with mock.patch.object(NeighborWindow, "prefix_rows", prefix_rows):
+        yield seen
+
+
+def assert_rows_answer_as_lookup(model, bucket, depth, prefixes, known, rows):
+    """Each ego's row of the model's (bucket, depth) prefix table answers
+    as `lookup_extension` on the ego's prefix (`prefixes`, in ego order):
+    the same distribution and fallback level. Returns each ego's
+    distribution."""
+    index = model.pick_index
+    table = index.prefix_table(bucket, depth)
+    assert known is table.keys
+    assert len(rows) == len(prefixes)
+    dists = []
+    for prefix, row in zip(prefixes, rows.tolist()):
+        dist, level = lookup_extension(model, bucket, depth, prefix)
+        assert table.position[row] == index.position(dist), prefix
+        assert FALLBACK_LEVELS[table.level[row]] == level, prefix
+        dists.append(dist)
+    return dists
+
+
+def window_prefixes(window):
+    return [EtnSignature(window.depth, window.strings(ego, window.depth))
+            for ego in range(window.lo, window.hi)]
+
+
 def assert_matches_scalar(window, model, bucket, seed):
     """Propose from `window` with both implementations; returns the tally."""
-    looked_up = []
-    real_lookup = gen.lookup_extension
-
-    def lookup(model, bucket, depth, prefix):
-        looked_up.append(prefix)
-        return real_lookup(model, bucket, depth, prefix)
-
     model.fallback_counts.clear()
     rng = np.random.default_rng(seed)
-    with mock.patch.object(gen, "lookup_extension", lookup):
+    with rows_recorded() as seen:
         prov = propose_layer(window, model, bucket, rng)
     tally = Counter(model.fallback_counts)
     model.fallback_counts.clear()
@@ -251,9 +306,9 @@ def assert_matches_scalar(window, model, bucket, seed):
     assert prov.stubs == ref.stubs
     assert tally == model.fallback_counts
     assert sum(tally.values()) == window.hi - window.lo
-    prefixes = {EtnSignature(window.depth, window.strings(ego, window.depth))
-                for ego in range(window.lo, window.hi)}
-    assert len(looked_up) == len(prefixes) and set(looked_up) == prefixes
+    (known, rows), = seen
+    assert_rows_answer_as_lookup(model, bucket, window.depth, window_prefixes(window),
+                                 known, rows)
     assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
     return tally
 
@@ -461,34 +516,57 @@ class TestGenerate:
         assert len(lines) == 5
 
 
+class TestGolden:
+    """Surrogate and diagnostics bytes of two small fixed-seed runs, equal
+    to those that generation made before its window became arrays."""
+
+    @pytest.mark.parametrize("k, n_nodes, alpha, seed, surrogate, diagnostics", [
+        (2, 20, 0.5, 7,
+         "ec4c882b1ec9ea7bc573f6af29c1f3152de82807aa73760d56ef908190be6117",
+         "fc5a2229f6d5d82747211f4d5e395ad54fe34f22575813f7f57f1bb290f0d873"),
+        (3, 30, 1.0, 11,
+         "576fa80234de5a765d7197d7af6e5a967ba0300cd777c055cb47fa1f872b0e31",
+         "a61589cfac8a5c06e2c803f6b3f99ed881336043c2c3937066614995a11d0b5e"),
+    ])
+    def test_bytes(self, k, n_nodes, alpha, seed, surrogate, diagnostics):
+        model = fit(mine_counts(random_graph(n=12, m=40, p=0.25, seed=seed), k,
+                                "daily"))
+        diags = []
+        g = generate(model, GenConfig(n_nodes=n_nodes, n_snapshots=48, k=k,
+                                      alpha=alpha, seed=seed), diags)
+        edges, rows = io.StringIO(), io.StringIO()
+        write_edge_list(g, edges)
+        write_diagnostics(diags, rows)
+        assert hashlib.sha256(edges.getvalue().encode()).hexdigest() == surrogate
+        assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == diagnostics
+
+
 class TestRollingWindow:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_prefixes_match_windows_of_graph_so_far(self, monkeypatch, k):
         n, m = 9, 16
         model = fit(mine_counts(random_graph(n=n, m=m, p=0.3, seed=21), k, "daily"))
         prefixes: list[list[EtnSignature]] = []  # per layer, per ego
-        looked_up: list[set[EtnSignature]] = []  # per layer
-        real_propose, real_lookup = gen.propose_layer, gen.lookup_extension
+        layers: list[tuple] = []  # per layer: bucket, depth, prefix keys, rows
+        real_propose = gen.propose_layer
 
         def propose(window, model, bucket, rng):
-            prefixes.append([EtnSignature(window.depth, window.strings(ego, window.depth))
-                             for ego in range(window.lo, window.hi)])
-            looked_up.append(set())
-            return real_propose(window, model, bucket, rng)
-
-        def lookup(model, bucket, depth, prefix):
-            looked_up[-1].add(prefix)
-            return real_lookup(model, bucket, depth, prefix)
+            prefixes.append(window_prefixes(window))
+            with rows_recorded() as seen:
+                prov = real_propose(window, model, bucket, rng)
+            (known, rows), = seen
+            layers.append((bucket, window.depth, known, rows))
+            return prov
 
         monkeypatch.setattr(gen, "propose_layer", propose)
-        monkeypatch.setattr(gen, "lookup_extension", lookup)
         out = generate(model, GenConfig(n_nodes=n, n_snapshots=m, k=k, seed=5))
         assert len(prefixes) == m - 1
         for t in range(1, m):
             partial = TemporalGraph(n, out.snapshots[:t], out.gap_seconds)
             want = [extract_etn(partial, ego, t - 1, min(t, k)) for ego in range(n)]
             assert prefixes[t - 1] == want, f"layer {t}"
-            assert looked_up[t - 1] == set(want), f"layer {t}"
+            assert_rows_answer_as_lookup(model, *layers[t - 1][:2], want,
+                                         *layers[t - 1][2:])
         assert sum(not p.is_empty for layer in prefixes for p in layer) > m
 
     def test_one_lookup_tallied_per_ego_and_layer(self, model):
@@ -498,27 +576,35 @@ class TestRollingWindow:
 
 
 def requests_checked(g, k, gen_k, n_nodes, seed):
-    """Generate from a model fitted to `g`, checking every looked-up
-    extension: for each nonzero prefix pattern, the strings that request an
+    """Generate from a model fitted to `g`, checking the extensions of every
+    ego's distribution, which must be the one `lookup_extension` gives its
+    prefix: for each nonzero prefix pattern, the strings that request an
     edge to a neighbour with that pattern never outnumber the ego's
     neighbours with it (`propose_layer` then has a target for each).
-    Returns the number of requesting strings checked."""
-    real_lookup = gen.lookup_extension
+    Returns the number of requesting strings checked, once per distinct
+    prefix of each layer."""
+    real_propose = gen.propose_layer
     checked = 0
 
-    def lookup(model, bucket, depth, prefix):
+    def propose(window, model, bucket, rng):
         nonlocal checked
-        dist, level = real_lookup(model, bucket, depth, prefix)
-        if dist is not None:
-            have = Counter(prefix.strings)
-            for ext, _ in dist.extensions:
-                need = Counter(s >> 1 for s in ext.strings if s & 1 and s >> 1)
-                assert need <= have, (prefix, ext)
-                checked += sum(need.values())
-        return dist, level
+        prefixes = window_prefixes(window)
+        with rows_recorded() as seen:
+            prov = real_propose(window, model, bucket, rng)
+        (known, rows), = seen
+        dists = assert_rows_answer_as_lookup(model, bucket, window.depth, prefixes,
+                                             known, rows)
+        for prefix, dist in dict(zip(prefixes, dists)).items():
+            if dist is not None:
+                have = Counter(prefix.strings)
+                for ext, _ in dist.extensions:
+                    need = Counter(s >> 1 for s in ext.strings if s & 1 and s >> 1)
+                    assert need <= have, (prefix, ext)
+                    checked += sum(need.values())
+        return prov
 
     model = fit(mine_counts(g, k, "daily"))
-    with mock.patch.object(gen, "lookup_extension", lookup):
+    with mock.patch.object(gen, "propose_layer", propose):
         generate(model, GenConfig(n_nodes=n_nodes, n_snapshots=g.n_snapshots,
                                   k=gen_k, seed=seed))
     return checked

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from etngen import (EtnSignature, FitError, ModelFormatError, fit, load_model,
                     mine_counts, sample_extension, save_model)
-from etngen.etn import MinedCounts
+from etngen.etn import MAX_MINING_K, MinedCounts
 from etngen.model import (FALLBACK_EMPTY_BUCKET, FALLBACK_EMPTY_GLOBAL,
-                          FALLBACK_EMPTY_SIG, FALLBACK_GLOBAL, FALLBACK_NONE,
-                          ExtensionDistribution)
+                          FALLBACK_EMPTY_SIG, FALLBACK_GLOBAL, FALLBACK_LEVELS,
+                          FALLBACK_NONE, ExtensionDistribution, lookup_extension)
 from etngen.tempgraph import BucketKey
 from synth import random_graph, weekly_graph
 
@@ -325,6 +325,16 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="no cell at depth 1"):
             self.load_doc(doc)
 
+    @pytest.mark.parametrize("k, message", [
+        (MAX_MINING_K, "no cell at depth 3"),
+        (MAX_MINING_K + 1, f"k={MAX_MINING_K + 1} exceeds the limit of {MAX_MINING_K}"),
+        (10 ** 9, f"exceeds the limit of {MAX_MINING_K}")])
+    def test_k_above_the_packing_limit_rejected(self, k, message):
+        doc = self.saved_doc()  # depths 1 and 2
+        doc["k"] = k
+        with pytest.raises(ModelFormatError, match=message):
+            self.load_doc(doc)
+
     def test_nonpositive_gap_rejected(self):
         doc = self.saved_doc()
         doc["gap"] = 0
@@ -389,6 +399,25 @@ class TestPickIndex:
         assert none == len(dists) and index.total[none] == 1
         pick = np.searchsorted(index.cum, index.base[none], side="right")
         assert index.stubs[pick] == 0 and not index.asks[pick]
+
+    def test_prefix_table_answers_as_lookup(self, model):
+        index = model.pick_index
+        # hour 13 holds no window of the graph: every lookup falls back
+        for bucket in {b for b, _, _ in model.tables} | {BucketKey(hour_of_day=13)}:
+            for depth in range(1, model.k + 1):
+                table = index.prefix_table(bucket, depth)
+                assert index.prefix_table(bucket, depth) is table
+                prefixes = table.keys.prefixes
+                assert sorted(prefixes, key=lambda p: p.strings) == sorted(
+                    (p for d, p in model.global_tables if d == depth and p.strings),
+                    key=lambda p: p.strings)
+                unseen = EtnSignature(depth, (1,) * 70)  # no table holds it
+                rows = [*prefixes, unseen, EtnSignature(depth)]
+                assert len(table.position) == len(table.level) == len(rows)
+                for row, prefix in enumerate(rows):
+                    dist, level = lookup_extension(model, bucket, depth, prefix)
+                    assert table.position[row] == index.position(dist)
+                    assert FALLBACK_LEVELS[table.level[row]] == level
 
     def test_built_on_use_only(self, model):
         sink = io.StringIO()
