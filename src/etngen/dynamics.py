@@ -281,7 +281,10 @@ def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
     if not 0 <= t_start < g.n_snapshots:
         raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
                          f"is outside the {g.n_snapshots} snapshots")
-    connected = np.unique(g.pairs[g.offsets[t_start]:g.offsets[t_start + 1]]).tolist()
+    # Asking for the inverse keeps numpy 2's sort path: the plain call's
+    # hash path costs a fresh process about 14 ms and 1.6 MB on first use.
+    connected = np.unique(g.pairs[g.offsets[t_start]:g.offsets[t_start + 1]],
+                          return_inverse=True)[0].tolist()
     if not connected:
         raise ValueError(f"start {policy!r} (snapshot t_start={t_start}) "
                          f"has no node with an edge")

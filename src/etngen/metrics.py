@@ -10,29 +10,34 @@ built without networkx, which keeps networkx's node and neighbour order for
 a graph built edge by edge from the aggregate's weights. Each value equals
 networkx 3.6.1's bit for bit, except the betweenness values (below).
 
-The shortest-path families start from two all-pairs matrices with no
-per-source Python search: hop distances, and networkx's float Dijkstra
-distances (length 1/weight) as Bellman-Ford computes them for all sources
-at once. Sparse graphs get them from frontier expansions over the arcs,
-dense ones from a kernel on n x n matrices; both give the same bytes.
-Closeness and the average shortest path follow from the hop matrix in
-networkx's operation order, bit-identical to networkx's.
+The shortest-path families come from one sweep over the sources, in chunks
+in node order, with no per-source Python search. Each chunk gets its rows
+of two all-pairs matrices: hop distances, and networkx's float Dijkstra
+distances (length 1/weight) as Bellman-Ford computes them. Sparse graphs
+get them from frontier expansions over the arcs, dense ones from a kernel
+on n x n matrices; both give the same bytes. A chunk holds as many sources
+as keep its temporaries, sources times arcs (n^2 in the dense kernel),
+within one entry budget, so no n x n matrix of paths is ever held. The rows
+feed every sum and are then dropped. Every sum over sources runs source by
+source in node order, so no value depends on the chunk size. Closeness and
+the average shortest path follow from the hop rows in networkx's operation
+order, bit-identical to networkx's.
 
-Per hour graph, the node means of weighted and unweighted betweenness come
-from the matrices with no per-node values: a sum over node pairs of the
-mean interior node count of their shortest paths (Brandes 2008), taken as
-an exact rational, with shortest-path counts from one forward relaxation
-over the tight arcs. They agree with networkx to about 1e-15 relative, ties
-being networkx's float `==` ties. An hour whose path counts exceed
-float64's exact integers takes the means of the per-node values instead.
+Per source, one tight-arc test and one forward relaxation over the tight
+arcs give shortest-path counts, their summed hops and DAG depths. Per hour
+graph, the node means of weighted and unweighted betweenness come from them
+with no per-node values: a sum over node pairs of the mean interior node
+count of their shortest paths (Brandes 2008), taken as an exact rational.
+They agree with networkx to about 1e-15 relative, ties being networkx's
+float `==` ties. An hour whose path counts exceed float64's exact integers
+takes the means of the per-node values instead. The full aggregate's
+per-node betweenness comes from Brandes' dependency recursion (Brandes
+2001): dependencies backward by DAG depth. It agrees with networkx to
+about 1e-15 relative.
 
-The full aggregate's per-node betweenness comes from Brandes' dependency
-recursion (Brandes 2001) run for a chunk of sources at once, over the same
-tight arcs: path counts forward, dependencies backward by DAG depth. It
-agrees with networkx to about 1e-15 relative. The other hour metrics are
-ports of networkx's functions that keep its operation order: the s-metric,
-transitivity, degree assortativity (Newman 2003) and Louvain communities
-(Blondel et al. 2008) with their modularity.
+The other hour metrics are ports of networkx's functions that keep its
+operation order: the s-metric, transitivity, degree assortativity (Newman
+2003) and Louvain communities (Blondel et al. 2008) with their modularity.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from fractions import Fraction
+from functools import partial
+from itertools import chain, count
 from typing import IO, Iterable, Iterator, Sequence
 
 # Unused here. The benchmark harness records the networkx version from the
@@ -208,15 +215,17 @@ def _mean(values: list[float]) -> float:
 
 
 # Arc density (arcs over n(n-1) ordered pairs) from which the dense kernel
-# gives the hop and distance matrices. Its rounds cost about n^2 per source
-# whatever the arc count, while the frontier kernels' cost grows with the
+# gives the hop and distance rows. Its rounds cost about n^2 per source
+# whatever the arc count, while the frontier kernel's cost grows with the
 # arcs; on random graphs of 60 to 400 nodes the two cost the same near 0.2.
 _DENSE = 0.2
-# Sources per chunk of the dense kernel and of the Brandes pass. No value
-# depends on it. It bounds their temporaries, (S, n, n) and (S, arcs) arrays
-# of about 1 MB each at 126 nodes: 16 sources raised the pipeline-126
-# bench's peak RSS by 5.6 MB, 8 sources by 2.4 MB, in the same time.
-_CHUNK = 8
+# Entries per chunk of sources. A chunk of s sources works on (s, arcs)
+# temporaries, or (s, n, n) ones in the dense kernel, and gets as many
+# sources as keep them within this many entries (1 MB of float64), at least
+# one. No value depends on it. At the 126-node dense aggregates of the
+# acceptance-scale pipeline that is 8 sources: 16 raised its peak RSS by
+# 5.6 MB, 8 by 2.4 MB, in the same time.
+_BUDGET = 1 << 17
 
 
 @dataclass
@@ -246,7 +255,7 @@ def _arcs(graph: _Graph) -> _Arcs:
 
 
 def _fan_out(frontier: np.ndarray, arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs out of the node of each flat (source, node) key in `frontier`:
+    """Arcs out of the node of each flat (row, node) key in `frontier`:
     their count per key, and their positions in arc order."""
     node = frontier % arcs.n
     d = arcs.deg[node]
@@ -256,21 +265,28 @@ def _fan_out(frontier: np.ndarray, arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]
     return d, at
 
 
-def _hop_matrix(arcs: _Arcs) -> np.ndarray:
-    """Hop distance of every ordered node pair, -1 when unreachable, as
-    int32: half the bytes of int64 in `_betweenness`' tight-arc gathers,
-    and every sum over it accumulates in int64.
+def _frontier_rows(arcs: _Arcs, sources: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `sources` in the hop matrix (-1 when unreachable, as
+    int32: half the bytes of int64 in the tight-arc gathers, and every sum
+    over it accumulates in int64) and in the matrix of distances as
+    networkx's Dijkstra computes them: the least float sum of arc lengths
+    added one arc at a time from the source; n when unreachable.
 
-    One frontier expansion runs all sources at once: each level marks the
-    (source, node) pairs that the pairs first reached at the previous level
-    reach through one arc, so all levels together touch n x arcs entries.
+    Hops come from a frontier expansion: each level marks the (source,
+    node) pairs that the pairs first reached at the level before reach
+    through one arc. Distances come from Bellman-Ford, each round extending
+    only the pairs improved in the round before. Rounding is monotone, and
+    a length 1/weight (weight at most the snapshot count) changes every sum
+    below n, so the fixed point is unique and equals Dijkstra's, whatever
+    order the rounds take.
     """
-    n = arcs.n
-    hops = np.full(n * n, -1, dtype=np.int32)
-    frontier = np.arange(n) * (n + 1)  # flat (source, node) keys
-    hops[frontier] = 0
-    fresh = np.zeros(n * n, dtype=bool)
-    level = 0
+    n, size = arcs.n, sources.size * arcs.n
+    own = np.arange(sources.size) * n + sources  # flat (row, source) keys
+    hops = np.full(size, -1, dtype=np.int32)
+    hops[own] = 0
+    fresh = np.zeros(size, dtype=bool)
+    frontier, level = own, 0
     while frontier.size:
         level += 1
         d, at = _fan_out(frontier, arcs)
@@ -279,164 +295,153 @@ def _hop_matrix(arcs: _Arcs) -> np.ndarray:
         fresh &= hops < 0
         frontier = np.flatnonzero(fresh)
         hops[frontier] = level
-    return hops.reshape(n, n)
-
-
-def _float_distances(arcs: _Arcs) -> np.ndarray:
-    """Distance from every source to every node as networkx's Dijkstra
-    computes it: the least float sum of arc lengths added one arc at a time
-    from the source; n when unreachable.
-
-    Bellman-Ford for all sources at once, each round extending only the
-    pairs improved in the round before. Rounding is monotone, and a length
-    1/weight (weight at most the snapshot count) changes every sum below n,
-    so the fixed point is unique and equals Dijkstra's, whatever order the
-    rounds take.
-    """
-    # In-place sums and early `del`s keep the process's peak RSS lower.
-    n = arcs.n
-    dist = np.full(n * n, float(n))  # no path is as long: n-1 arcs of length <= 1
-    frontier = np.arange(n) * (n + 1)
-    dist[frontier] = 0.0
-    fresh = np.zeros(n * n, dtype=bool)
+    dist = np.full(size, float(n))  # no path is as long: n-1 arcs of length <= 1
+    dist[own] = 0.0
+    frontier = own
     while frontier.size:
         d, at = _fan_out(frontier, arcs)
         head = np.repeat(frontier - frontier % n, d)
         head += arcs.head[at]
         cand = np.repeat(dist[frontier], d)
         cand += arcs.length[at]
-        del at
         better = cand < dist[head]
         head = head[better]
         np.minimum.at(dist, head, cand[better])
-        del cand, better
         fresh[:] = False
         fresh[head] = True
         frontier = np.flatnonzero(fresh)
-    return dist.reshape(n, n)
+    return hops.reshape(-1, n), dist.reshape(-1, n)
 
 
-def _dense_paths(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of `_hop_matrix` and `_float_distances`, from n x n
-    adjacency and length matrices, `_CHUNK` sources at a time.
+def _dense_rows(adjacent: np.ndarray, step: np.ndarray, sources: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `_frontier_rows`, from the n x n adjacency and length
+    (inf where no arc) matrices.
 
     Hop levels come from boolean matrix products, which numpy runs in its
     own loop, not in BLAS. Distances come from min-plus Bellman-Ford rounds
-    that extend the chunk's distances through the nodes whose distance from
-    one of its sources changed in the round before; they reach the same
-    unique fixed point.
+    that extend the rows through the nodes whose distance from one of the
+    sources changed in the round before; they reach the same unique fixed
+    point.
     """
-    n = arcs.n
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[arcs.tail, arcs.head] = True
-    step = np.full((n, n), np.inf)
-    step[arcs.tail, arcs.head] = arcs.length
-    hops = np.full((n, n), -1, dtype=np.int32)
-    dist = np.full((n, n), float(n))
-    for start in range(0, n, _CHUNK):
-        hop, d = hops[start:start + _CHUNK], dist[start:start + _CHUNK]  # views
-        sources = np.arange(start, start + len(hop))
-        own = (sources - start, sources)
-        frontier = np.zeros(hop.shape, dtype=bool)
-        frontier[own] = True
-        hop[own] = 0
-        level = 0
-        while frontier.any():
-            level += 1
-            frontier = frontier @ adjacent
-            frontier &= hop < 0
-            hop[frontier] = level
-        d[own] = 0.0
-        changed = sources
-        while changed.size:
-            cand = (d[:, changed, None] + step[changed]).min(axis=1)
-            better = cand < d
-            d[better] = cand[better]
-            changed = np.flatnonzero(better.any(axis=0))
+    own = (np.arange(sources.size), sources)
+    hops = np.full((sources.size, len(step)), -1, dtype=np.int32)
+    hops[own] = 0
+    frontier = hops == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = frontier @ adjacent
+        frontier &= hops < 0
+        hops[frontier] = level
+    dist = np.full(hops.shape, float(len(step)))
+    dist[own] = 0.0
+    changed = sources
+    while changed.size:
+        cand = (dist[:, changed, None] + step[changed]).min(axis=1)
+        better = cand < dist
+        dist[better] = cand[better]
+        changed = np.flatnonzero(better.any(axis=0))
     return hops, dist
 
 
-def _all_pairs(arcs: _Arcs) -> tuple[np.ndarray, np.ndarray]:
-    """Hop and float-distance matrices, from the kernel for the graph's arc
-    density; both kernels give the same arrays."""
+def _sweep(arcs: _Arcs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every source once, in chunks in node order: each chunk's first
+    source and its rows of the hop and distance matrices, from the kernel
+    for the graph's arc density (both give the same rows). A chunk holds
+    `_BUDGET` entries over the kernel's width, arcs or n^2."""
     n = arcs.n
     if arcs.tail.size >= _DENSE * n * (n - 1):
-        return _dense_paths(arcs)
-    return _hop_matrix(arcs), _float_distances(arcs)
+        adjacent = np.zeros((n, n), dtype=bool)
+        adjacent[arcs.tail, arcs.head] = True
+        step = np.full((n, n), np.inf)
+        step[arcs.tail, arcs.head] = arcs.length
+        rows = partial(_dense_rows, adjacent, step)
+        width = n * n
+    else:
+        rows = partial(_frontier_rows, arcs)
+        width = arcs.tail.size
+    per = max(1, _BUDGET // width)
+    for start in range(0, n, per):
+        yield start, *rows(np.arange(start, min(start + per, n)))
 
 
-def _path_counts(tail: np.ndarray, head: np.ndarray, paths: np.ndarray
-                 ) -> Iterator[np.ndarray]:
-    """Shortest paths of 1, 2, ... tight arcs per flat (source, node) key,
-    from `paths`, those of 0 arcs, until no longer path is left. The arcs
-    tail -> head are the tight ones, as flat keys."""
-    while True:
-        paths = np.bincount(head, weights=paths[tail], minlength=paths.size)
-        if not paths.any():
-            return
-        yield paths
+def _row_sums(hops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of hop distances: nodes reached, their summed hops, and the
+    lowest reached node, which names the source's component."""
+    reached = hops >= 0
+    return reached.sum(axis=1), np.maximum(hops, 0).sum(axis=1), reached.argmax(axis=1)
 
 
-def _hop_sums(hops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _hop_sums(rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nodes reached and hop distances summed per source, closeness per
     node and the average shortest path on the first largest component, in
-    networkx's operation order."""
-    n = len(hops)
-    reached = hops >= 0
-    reach = reached.sum(axis=1)
-    dist_sum = np.maximum(hops, 0).sum(axis=1)
+    networkx's operation order, from the `_row_sums` of every chunk."""
+    reach, dist_sum, component = (np.concatenate(r) for r in zip(*rows))
+    n = reach.size
     # Wasserman-Faust closeness; every node has a neighbour, so reach >= 2.
     closeness = (reach - 1.0) / dist_sum
     closeness *= (reach - 1.0) / (n - 1)
-    component = reached.argmax(axis=1)  # its lowest node: components in node order
-    sizes = np.bincount(component, minlength=n)
+    sizes = np.bincount(component, minlength=n)  # components in node order
     largest = int(sizes.argmax())
     size = int(sizes[largest])
     asp = int(dist_sum[component == largest].sum()) / (size * (size - 1))
     return reach, dist_sum, closeness, asp
 
 
-def _betweenness(arcs: _Arcs, matrix: np.ndarray, step: np.ndarray | int
-                 ) -> np.ndarray:
-    """Brandes' dependencies summed over sources in node order, before
-    normalisation. Arc u -> v is on a shortest path from s where
-    matrix[s, u] + step == matrix[s, v]: hops and 1, or float distances
-    and arc lengths.
+def _tight_paths(arcs: _Arcs, start: int, rows: np.ndarray,
+                 step: np.ndarray | int) -> tuple[np.ndarray, ...]:
+    """The shortest-path DAGs of a chunk's sources, `start` the first, from
+    their `rows` of a matrix. Arc u -> v is tight for source s where
+    rows[s, u] + step == rows[s, v]: hops and 1, or float distances and arc
+    lengths.
 
-    For `_CHUNK` sources at a time, sigma (shortest paths) comes from a
-    forward relaxation over the tight arcs, and a node's DAG depth is the
-    most tight arcs on a path to it. The dependencies then come from a
-    backward pass over depths, deepest first, each term as networkx's
-    sigma(v) * ((1 + delta(w)) / sigma(w)).
+    Returns the tight arcs as flat (row, node) keys tail and head, then per
+    key, from one forward relaxation over the tight arcs: sigma (shortest
+    paths), their summed hops H, and the DAG depth, the most tight arcs on
+    a path to it.
     """
     n = arcs.n
-    total = np.zeros(n)
-    for start in range(0, n, _CHUNK):
-        block = matrix[start:start + _CHUNK]
-        size = block.size
-        source, arc = np.nonzero(block[:, arcs.tail] + step == block[:, arcs.head])
-        tail = source * n + arcs.tail[arc]
-        head = source * n + arcs.head[arc]
-        own = np.arange(len(block)) * (n + 1) + start  # flat (s, s) keys
-        sigma = np.zeros(size)
-        sigma[own] = 1.0
-        depth = np.zeros(size, dtype=np.intp)
-        for level, paths in enumerate(_path_counts(tail, head, sigma.copy()), 1):
-            sigma += paths
-            depth[paths > 0] = level
-        head_depth = depth[head]
-        order = np.argsort(head_depth, kind="stable")
-        tail, head = tail[order], head[order]
-        bounds = np.searchsorted(head_depth[order], np.arange(depth.max() + 2))
-        delta = np.zeros(size)
-        for d in range(depth.max(), 0, -1):
-            w, v = head[bounds[d]:bounds[d + 1]], tail[bounds[d]:bounds[d + 1]]
-            coeff = (1 + delta[w]) / sigma[w]
-            delta += np.bincount(v, weights=sigma[v] * coeff, minlength=size)
-        delta[own] = 0.0
-        for row in delta.reshape(-1, n):
-            total += row
-    return total
+    # take and a flat nonzero: 2-6x faster than rows[:, tail] and a 2-d one.
+    tight = rows.take(arcs.tail, axis=1)
+    tight += step
+    tight = np.flatnonzero(tight == rows.take(arcs.head, axis=1))
+    source, arc = np.divmod(tight, arcs.tail.size)
+    tail = source * n + arcs.tail[arc]
+    head = source * n + arcs.head[arc]
+    sigma = np.zeros(rows.size)
+    sigma[np.arange(len(rows)) * (n + 1) + start] = 1.0  # flat (s, s) keys
+    hop_sum = np.zeros(rows.size)
+    depth = np.zeros(rows.size, dtype=np.intp)
+    paths = sigma.copy()
+    for level in count(1):
+        paths = np.bincount(head, weights=paths[tail], minlength=rows.size)
+        if not paths.any():
+            return tail, head, sigma, hop_sum, depth
+        sigma += paths
+        hop_sum += level * paths
+        depth[paths > 0] = level
+
+
+def _dependencies(arcs: _Arcs, start: int, rows: np.ndarray,
+                  step: np.ndarray | int) -> np.ndarray:
+    """Brandes' dependencies of every node, one row per source of the
+    chunk, over the DAGs of `_tight_paths`: a backward pass over depths,
+    deepest first, each term as networkx's sigma(v) * ((1 + delta(w)) /
+    sigma(w)); 0 at the source."""
+    tail, head, sigma, _, depth = _tight_paths(arcs, start, rows, step)
+    head_depth = depth[head]
+    order = np.argsort(head_depth, kind="stable")
+    tail, head = tail[order], head[order]
+    bounds = np.searchsorted(head_depth[order], np.arange(depth.max() + 2))
+    delta = np.zeros(rows.size)
+    for d in range(depth.max(), 0, -1):
+        w, v = head[bounds[d]:bounds[d + 1]], tail[bounds[d]:bounds[d + 1]]
+        coeff = (1 + delta[w]) / sigma[w]
+        delta += np.bincount(v, weights=sigma[v] * coeff, minlength=rows.size)
+    delta[np.arange(len(rows)) * (arcs.n + 1) + start] = 0.0
+    return delta.reshape(rows.shape)
 
 
 @dataclass
@@ -452,14 +457,19 @@ class _Centralities:
 
 def _centralities(graph: _Graph) -> _Centralities:
     """Weighted (length 1/weight) and unweighted betweenness, closeness and
-    the largest component's average shortest path, from the all-pairs
-    matrices and one Brandes pass per weighting."""
+    the largest component's average shortest path, from one sweep of the
+    sources with a Brandes pass per weighting; each node's betweenness sums
+    its dependencies over sources in node order."""
     arcs = _arcs(graph)
-    hops, dist = _all_pairs(arcs)
-    _, _, closeness, asp = _hop_sums(hops)
-    bw = _betweenness(arcs, dist, arcs.length)
-    bu = _betweenness(arcs, hops, 1)
     n = arcs.n
+    rows = []
+    bw, bu = np.zeros(n), np.zeros(n)
+    for start, hops, dist in _sweep(arcs):
+        rows.append(_row_sums(hops))
+        for total, matrix, step in ((bw, dist, arcs.length), (bu, hops, 1)):
+            for row in _dependencies(arcs, start, matrix, step):
+                total += row
+    _, _, closeness, asp = _hop_sums(rows)
     if n > 2:  # normalise by the (n-1)(n-2) ordered pairs that avoid v
         scale = 1 / ((n - 1) * (n - 2))
         bw *= scale
@@ -470,56 +480,41 @@ def _centralities(graph: _Graph) -> _Centralities:
 
 def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     """Average shortest path (first largest component) and the node means of
-    weighted and unweighted betweenness and of closeness, from the all-pairs
-    matrices with no per-node betweenness.
+    weighted and unweighted betweenness and of closeness, from one sweep of
+    the sources with no per-node betweenness.
 
     Mean normalised betweenness is the sum over reachable ordered pairs
     (s, t) of (hops of an average shortest s-t path - 1), over
     n(n-1)(n-2) when n > 2 (over n otherwise, where the sum is 0).
     Unweighted, every shortest path has the pair's hop distance. Weighted
-    (length 1/weight), shortest paths are those of networkx's Dijkstra: the
-    tight arcs u -> v of source s are those where dist(s, u) + length equals
-    dist(s, v) in float. sigma (shortest paths) and H (their summed hops)
-    per pair come from one forward relaxation over the tight arcs, level by
-    level for all sources at once, and the sum of H/sigma is exact.
-    Temporaries are O(n x arcs).
+    (length 1/weight), shortest paths are those of networkx's Dijkstra, and
+    the sum of H/sigma over pairs from `_tight_paths` is exact: each
+    chunk's H sums per sigma are added as Python fractions, which convert
+    to the correctly rounded float.
 
     None when the summed H reaches 2**53, beyond which float64 path counts
     are not exact; `_centralities` gives the per-node values then.
     """
     arcs = _arcs(graph)
     n = arcs.n
-    hops, dist = _all_pairs(arcs)
-    reach, dist_sum, closeness, asp = _hop_sums(hops)
-    del hops
+    rows = []
+    hop_total = 0
+    ratio = Fraction(0)  # sum of H/sigma over pairs
+    for start, hops, dist in _sweep(arcs):
+        rows.append(_row_sums(hops))
+        _, _, sigma, hop_sum, _ = _tight_paths(arcs, start, dist, arcs.length)
+        hop_total += int(hop_sum.sum())
+        if hop_total >= 2 ** 53:
+            return None
+        reached = sigma > 0
+        sigmas, group = np.unique(sigma[reached], return_inverse=True)
+        group_hops = np.bincount(group, weights=hop_sum[reached])
+        ratio += sum(Fraction(int(h), int(s)) for h, s in zip(group_hops, sigmas))
+    reach, dist_sum, closeness, asp = _hop_sums(rows)
     pairs = int(reach.sum()) - n
     scale = n * (n - 1) * (n - 2) if n > 2 else n
     betweenness_u = (int(dist_sum.sum()) - pairs) / scale
-
-    tight = dist[:, arcs.tail]
-    tight += arcs.length
-    source, arc = np.nonzero(tight == dist[:, arcs.head])
-    del tight, dist
-    tail = source * n + arcs.tail[arc]
-    head = source * n + arcs.head[arc]
-    sigma = np.zeros(n * n)
-    hop_sum = np.zeros(n * n)
-    for hop, paths in enumerate(_path_counts(tail, head, np.eye(n).ravel()), 1):
-        sigma += paths
-        hop_sum += hop * paths
-    if hop_sum.sum() >= 2 ** 53:
-        return None
-    # Sum of H/sigma over pairs, grouped by sigma > 1 (most pairs have
-    # sigma 1), on one common denominator in Python ints; int / int
-    # division rounds correctly.
-    multi = sigma > 1
-    sigmas, group = np.unique(sigma[multi], return_inverse=True)
-    group_hops = np.bincount(group, weights=hop_sum[multi]).astype(np.int64)
-    sigmas = sigmas.astype(np.int64).tolist()
-    common = math.lcm(1, *sigmas)
-    total = int(hop_sum[sigma == 1].sum()) * common + sum(
-        h * (common // s) for h, s in zip(group_hops.tolist(), sigmas))
-    betweenness_w = (total - pairs * common) / (common * scale)
+    betweenness_w = float((ratio - pairs) / scale)
     return asp, betweenness_w, betweenness_u, _mean(closeness.tolist())
 
 

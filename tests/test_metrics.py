@@ -1,6 +1,8 @@
+import hashlib
 import io
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -12,19 +14,18 @@ from scipy import stats
 from scipy.spatial.distance import jensenshannon
 
 from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
-                    TemporalGraph, aggregated_metrics, compare, compute_report,
-                    contact_durations, emd, hour_metrics, hour_slices,
-                    js_divergence, kl_divergence, ks_distance,
+                    TemporalGraph, aggregate, aggregated_metrics, compare,
+                    compute_report, contact_durations, emd, hour_metrics,
+                    hour_slices, js_divergence, kl_divergence, ks_distance,
                     snapshot_metrics, write_distances_csv, write_samples_csv)
 from etngen import metrics
-from etngen.metrics import (_DENSE, _all_pairs, _arcs, _assortativity,
-                            _betweenness, _centralities, _dense_paths, _encode,
-                            _float_distances, _hop_matrix, _hour_path_means,
-                            _louvain, _modularity, _transitivity, distance,
-                            format_cell)
+from etngen.metrics import (_DENSE, _arcs, _assortativity, _centralities,
+                            _dense_rows, _dependencies, _encode,
+                            _hour_path_means, _louvain, _modularity, _sweep,
+                            _transitivity, distance, format_cell)
 from oracles import (_path_stats, dict_contact_durations, exact_betweenness_means,
                      nx_graph, nx_path_metrics, nx_report, nx_snapshot_metrics)
-from synth import layered_graphs, sinusoidal_graph
+from synth import layered_graphs, random_graph, sinusoidal_graph
 
 GAP = 300
 PER_HOUR = 3600 // GAP
@@ -411,19 +412,45 @@ def assert_centralities_match(agg):
         assert mine == pytest.approx(list(reference.values()), rel=1e-12, abs=0)
 
 
+def all_rows(arcs, dense):
+    """The hop and distance rows of every source, as one chunk of
+    `_sweep` with the dense or the frontier kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_DENSE", 0.0 if dense else math.inf)
+        patch.setattr(metrics, "_BUDGET", arcs.n ** 3)
+        (_, hops, dist), = _sweep(arcs)
+    return hops, dist
+
+
 def assert_kernels_agree(agg):
     """The dense and the frontier kernel give the same bytes: hops,
-    distances, and the betweenness computed from either."""
+    distances, and the betweenness dependencies computed from either."""
     arcs = _arcs(_encode(agg))
-    hops, dist = _dense_paths(arcs)
-    sparse_hops, sparse_dist = _hop_matrix(arcs), _float_distances(arcs)
+    hops, dist = all_rows(arcs, dense=True)
+    sparse_hops, sparse_dist = all_rows(arcs, dense=False)
     assert hops.dtype == sparse_hops.dtype and dist.dtype == sparse_dist.dtype
     assert hops.tobytes() == sparse_hops.tobytes()
     assert dist.tobytes() == sparse_dist.tobytes()
     for dense, sparse, step in ((dist, sparse_dist, arcs.length),
                                 (hops, sparse_hops, 1)):
-        assert (_betweenness(arcs, dense, step).tobytes()
-                == _betweenness(arcs, sparse, step).tobytes())
+        assert (_dependencies(arcs, 0, dense, step).tobytes()
+                == _dependencies(arcs, 0, sparse, step).tobytes())
+
+
+def assert_chunk_sizes_agree(agg, compute):
+    """`compute(graph)` has the same repr, and so the same float bytes,
+    whether `_sweep` takes its sources 1, 7 or all n at a time."""
+    graph = _encode(agg)
+    arcs = _arcs(graph)
+    n = arcs.n
+    width = n * n if arcs.tail.size >= _DENSE * n * (n - 1) else arcs.tail.size
+    seen = set()
+    for per in (1, 7, n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BUDGET", per * width)
+            assert len(next(_sweep(arcs))[1]) == min(per, n)
+            seen.add(repr(compute(graph)))
+    assert len(seen) == 1
 
 
 def random_weights(n, p, seed, top=12):
@@ -469,6 +496,8 @@ class TestCentralities:
         agg = AggregatedGraph(weights)
         assert_kernels_agree(agg)
         assert_centralities_match(agg)
+        assert_chunk_sizes_agree(agg, _centralities)
+        assert_chunk_sizes_agree(agg, _hour_path_means)
 
     @settings(max_examples=200, deadline=None)
     @given(_CENTRALITY_GRAPHS.filter(bool))
@@ -488,16 +517,40 @@ class TestCentralities:
             agg = AggregatedGraph(weights)
             assert_kernels_agree(agg)
             assert_centralities_match(agg)
+            assert_chunk_sizes_agree(agg, _centralities)
+            assert_chunk_sizes_agree(agg, _hour_path_means)
 
     def test_density_selects_the_kernel(self, monkeypatch):
         dense = []
-        monkeypatch.setattr(metrics, "_dense_paths",
-                            lambda arcs: dense.append(arcs.n) or _dense_paths(arcs))
+        monkeypatch.setattr(metrics, "_dense_rows", lambda adjacent, step, sources:
+                            dense.append(len(step)) or _dense_rows(adjacent, step, sources))
         path_10 = {e: w for e, w in CYCLE_11.items() if e != (10, 0)}
         assert 22 == _DENSE * 11 * 10
-        _all_pairs(_arcs(_encode(AggregatedGraph(CYCLE_11))))
-        _all_pairs(_arcs(_encode(AggregatedGraph(path_10))))
+        list(_sweep(_arcs(_encode(AggregatedGraph(CYCLE_11)))))
+        list(_sweep(_arcs(_encode(AggregatedGraph(path_10)))))
         assert dense == [11]
+
+    @settings(max_examples=100, deadline=None)
+    @given(HOUR_GRAPHS)
+    def test_hour_means_whatever_the_chunk_size(self, weights):
+        assert_chunk_sizes_agree(AggregatedGraph(weights), _hour_path_means)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_CENTRALITY_GRAPHS.filter(bool))
+    def test_centralities_whatever_the_chunk_size(self, weights):
+        assert_chunk_sizes_agree(AggregatedGraph(weights), _centralities)
+
+    def test_sparse_aggregate_memory_is_bounded(self):
+        # 600 nodes, 7,119 edges (4% dense): expanding all sources at once
+        # traced a 166 MB peak here, chunks of sources trace about 5 MB.
+        g = random_graph(n=600, m=4, p=0.01, seed=1)
+        tracemalloc.start()
+        try:
+            aggregated_metrics(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_aggregated_metrics_sorted_by_node(self):
         weights = random_weights(30, 0.5, 3)
@@ -610,6 +663,19 @@ class TestComputeReport:
         again = pickle.loads(pickle.dumps(g))
         assert again == g
         assert compute_report(again) == compute_report(g)
+
+    @pytest.mark.parametrize("n, peak_p, digest", [
+        (90, 0.008, "5a3a8ff4632e2adec3b508502422156bcb56b50fcb52ec27f936bb44e51a9b62"),
+        (160, 0.002, "1a4f6ac52ab994794457f59930e96708ecf3004da9dc2c78ea8087af9c2773fe"),
+    ], ids=["dense-aggregate", "sparse-aggregate"])
+    def test_golden_samples(self, n, peak_p, digest):
+        # Recorded when every source was expanded at once, so chunks of
+        # sources change no byte; both aggregates take several chunks.
+        g = sinusoidal_graph(n=n, days=1, peak_p=peak_p, seed=5)
+        assert len(list(_sweep(_arcs(_encode(aggregate(g)))))) > 1
+        sink = io.StringIO()
+        write_samples_csv(compute_report(g), sink)
+        assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
 
     def test_all_seventeen_metrics_present(self):
         g = tg(5, [{(0, 1)}, {(1, 2)}])
