@@ -11,9 +11,8 @@ from .dynamics import (CoverageResult, DynConfig, DynReport, MfptResult,
                        SirResult, SirRun, coverage_result, first_peak,
                        mfpt_result, random_walk, resolve_start, run_dynamics,
                        sir_result, sir_run)
-from .etn import (EtnPrefix, EtnSignature, MinedCounts, NeighborWindow,
-                  etn_cosine_distance, extract_etn, mine_counts, prefix_of,
-                  read_counts, write_counts)
+from .etn import (EtnPrefix, EtnSignature, MinedCounts, etn_cosine_distance,
+                  extract_etn, mine_counts, prefix_of, read_counts, write_counts)
 from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer,
                   expansion_alpha, generate, propose_layer, seed_layer,
                   validate_layer, write_diagnostics)
@@ -36,20 +35,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedGraph", "BucketKey", "CoverageResult", "DISTANCE_FUNCS",
-    "DISTANCE_NAMES",
-    "DistanceReport", "DynConfig", "DynReport", "EtnPrefix", "EtnSignature",
-    "ExtensionDistribution", "FitError", "GenConfig", "LayerDiagnostics",
-    "LocalModel", "METRIC_KINDS", "MetricReport", "MfptResult", "MinedCounts",
-    "ModelFormatError", "NeighborWindow", "ParseError", "ProvisionalLayer",
-    "SirResult", "SirRun",
-    "Snapshot", "TemporalGraph", "aggregate", "aggregated_metrics",
-    "bucket_of", "compare", "compute_report", "contact_durations",
-    "coverage_result", "emd", "etn_cosine_distance", "expansion_alpha",
-    "extract_etn", "first_peak", "fit", "generate", "hour_metrics",
-    "hour_slices", "js_divergence", "kl_divergence", "ks_distance",
-    "load_model", "mfpt_result", "mine_counts", "parse_edge_list",
-    "prefix_of", "propose_layer", "random_walk", "read_counts",
-    "resolve_periodicity", "resolve_start", "run_dynamics",
+    "DISTANCE_NAMES", "DistanceReport", "DynConfig", "DynReport", "EtnPrefix",
+    "EtnSignature", "ExtensionDistribution", "FitError", "GenConfig",
+    "LayerDiagnostics", "LocalModel", "METRIC_KINDS", "MetricReport",
+    "MfptResult", "MinedCounts", "ModelFormatError", "ParseError",
+    "ProvisionalLayer", "SirResult", "SirRun", "Snapshot", "TemporalGraph",
+    "aggregate", "aggregated_metrics", "bucket_of", "compare",
+    "compute_report", "contact_durations", "coverage_result", "emd",
+    "etn_cosine_distance", "expansion_alpha", "extract_etn", "first_peak",
+    "fit", "generate", "hour_metrics", "hour_slices", "js_divergence",
+    "kl_divergence", "ks_distance", "load_model", "mfpt_result", "mine_counts",
+    "parse_edge_list", "prefix_of", "propose_layer", "random_walk",
+    "read_counts", "resolve_periodicity", "resolve_start", "run_dynamics",
     "sample_extension", "save_model", "seed_layer", "sir_result", "sir_run",
     "snapshot_metrics", "validate_layer", "weekday", "write_counts",
     "write_diagnostics", "write_distances_csv", "write_edge_list",

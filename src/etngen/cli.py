@@ -22,7 +22,7 @@ from . import etn as etn_mod
 from . import gen as gen_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .tempgraph import (PERIODICITIES, ParseError, TemporalGraph,
+from .tempgraph import (MAX_NODES, PERIODICITIES, ParseError, TemporalGraph,
                         parse_edge_list, require_hour_aligned,
                         resolve_periodicity, write_edge_list)
 
@@ -45,24 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(text: str, low: int) -> int:
+def _int_in(text: str, low: int, high: int | None = None) -> int:
     value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
 
 
 def positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
+    return _int_in(text, 1)
 
 
 def non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return _int_in(text, 0)
 
 
 def node_count(text: str) -> int:
-    """A generated node count: a layer needs two nodes for an edge."""
-    return _int_at_least(text, 2)
+    """A generated node count: a layer needs two nodes for an edge, and a
+    temporal graph holds at most `MAX_NODES`."""
+    return _int_in(text, 2, MAX_NODES)
 
 
 def probability(text: str) -> float:

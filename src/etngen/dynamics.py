@@ -139,18 +139,17 @@ def _layers(g: TemporalGraph, t_start: int) -> Iterator[tuple[np.ndarray, np.nda
         yield src[a:b], dst[a:b]
 
 
-def _layer_csr(src: np.ndarray, flat: np.ndarray, n: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degree, offset and neighbor arrays of the arcs src -> flat over n
-    nodes.
+def _layer_csr(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and offset arrays of a layer's arcs src -> dst over n nodes,
+    sorted by source as `layer_arcs` gives them.
 
-    Node u's neighbors are flat[off[u]:off[u] + deg[u]], ascending, the
+    Node u's neighbors are dst[off[u]:off[u] + deg[u]], ascending, the
     order of `Snapshot.neighbors`.
     """
     deg = np.bincount(src, minlength=n)
     off = np.zeros(n, dtype=np.intp)
     np.cumsum(deg[:-1], out=off[1:])
-    return deg, off, flat
+    return deg, off
 
 
 def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
@@ -166,10 +165,10 @@ def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
     n = g.node_count
     for src, dst in _layers(g, t_start):
         if src.size:
-            deg, off, flat = _layer_csr(src, dst, n)
+            deg, off = _layer_csr(src, n)
             d = deg[pos]
             moving = np.flatnonzero(d)
-            pos[moving] = flat[off[pos[moving]] + rng.integers(0, d[moving])]
+            pos[moving] = dst[off[pos[moving]] + rng.integers(0, d[moving])]
         yield pos
 
 

@@ -15,10 +15,10 @@ exact ids from their strings packed into int64 chunks, with no hashing.
 Time is mined in blocks of `_BLOCK` window ends, which bounds the memory
 that these arrays take.
 
-Generation advances a rolling window instead (`NeighborWindow`): sorted
-(ego, neighbor) keys with their strings, one array each. It names every
-active ego's prefix by the same packing (`_pack`), and `PrefixKeys` finds
-those packed prefixes among a model's with one search per chunk.
+Generation builds its windows in the same encoding, from the generated
+layers' arc keys ego * n + neighbor, by the same sort-and-OR step
+(`_or_by_key`) and the same packing (`_pack`); `PrefixKeys` finds those
+packed prefixes among a model's with one search per chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,110 +167,6 @@ class MinedCounts:
                 mine.setdefault(depth, Counter()).update(ctr)
 
 
-# Bits of a node id: `NeighborWindow` keys an (ego, neighbour) pair as
-# ego << _NODE_BITS | neighbour, which fits an int64 for every node id that
-# a temporal graph allows (below tempgraph.MAX_NODES = 2**31).
-_NODE_BITS = 31
-_EMPTY = np.zeros(0, dtype=np.int64)
-
-
-class NeighborWindow:
-    """Rolling neighborhood window of the egos in [lo, hi), which generation
-    advances one layer at a time (mining counts windows from arrays).
-
-    Every (ego, neighbor) pair seen in the last `width` snapshots holds its
-    activity bit-string, newest snapshot in bit 0, the order signature
-    strings use. The pairs live in two int64 arrays sorted by pair key
-    (ego << 31 | neighbor): the keys and the bits. `push` ages every string
-    by one shift and one mask, drops those that fall out of the window, and
-    merges the new snapshot's arcs with one sort; after pushing snapshots
-    0..t, `strings(ego, w)` is the ego's width-w window ending at t, for
-    any w <= width. `depth` counts the snapshots held, up to `width`.
-
-    The active egos are those with a neighbor in the window; `active`
-    lists them in ascending order, and `prefix_rows` looks up all their
-    width-`depth` windows at once. Every other ego's window is empty.
-    """
-
-    __slots__ = ("width", "lo", "hi", "depth", "_mask", "_range", "_keys", "_bits")
-
-    def __init__(self, width: int, lo: int, hi: int):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        self.width = width
-        self.lo = lo
-        self.hi = hi
-        self.depth = 0
-        self._mask = (1 << width) - 1
-        self._range = np.array([lo, hi], dtype=np.int64) << _NODE_BITS
-        self._keys = self._bits = _EMPTY
-
-    def push(self, edges: Collection[tuple[int, int]]) -> None:
-        if self.depth < self.width:
-            self.depth += 1
-        if not edges:
-            if self._keys.size:
-                bits = (self._bits << 1) & self._mask
-                live = bits.nonzero()[0]
-                self._keys, self._bits = self._keys[live], bits[live]
-            return
-        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                           count=2 * len(edges)).reshape(-1, 2)
-        arcs = ends << _NODE_BITS
-        arcs += ends[:, ::-1]  # rows (i << 31 | j, j << 31 | i)
-        keys = np.concatenate((self._keys, arcs.ravel()))
-        bits = np.ones(keys.size, dtype=np.int64)
-        np.left_shift(self._bits, 1, out=bits[:self._bits.size])
-        order = keys.argsort(kind="stable")  # merges the sorted run in one pass
-        keys = keys[order]
-        first = _run_starts(keys)
-        keys = keys[first]
-        bits = np.bitwise_or.reduceat(bits[order], first)
-        bits &= self._mask
-        a, b = keys.searchsorted(self._range).tolist()  # egos in [lo, hi)
-        live = bits[a:b].nonzero()[0] + a
-        self._keys, self._bits = keys[live], bits[live]
-
-    @property
-    def active(self) -> list[int]:
-        """The egos with a neighbor in the window, ascending."""
-        ego = self._keys >> _NODE_BITS
-        return ego[_run_starts(ego)].tolist()
-
-    def bits(self, ego: int) -> dict[int, int]:
-        """Neighbor -> activity bits over the full width, in ascending
-        neighbor order."""
-        a, b = self._keys.searchsorted((ego << _NODE_BITS,
-                                        (ego + 1) << _NODE_BITS)).tolist()
-        nbrs = self._keys[a:b] & ((1 << _NODE_BITS) - 1)
-        return dict(zip(nbrs.tolist(), self._bits[a:b].tolist()))
-
-    def prefixes(self) -> list[tuple[int, ...]]:
-        """`strings(ego, depth)` of every active ego, in `active` order."""
-        return [self.strings(ego, self.depth) for ego in self.active]
-
-    def strings(self, ego: int, width: int) -> tuple[int, ...]:
-        """Sorted nonzero strings of the width-`width` window, the body of
-        that window's signature."""
-        mask = (1 << width) - 1
-        return tuple(sorted(v for bits in self.bits(ego).values() if (v := bits & mask)))
-
-    def prefix_rows(self, known: "PrefixKeys") -> np.ndarray:
-        """Each ego's row in `known`, in ego order: `known.find` of its
-        width-`depth` prefix for an active ego, -1 for an idle one. All
-        active prefixes are packed at once, strings sorted within each ego
-        (below 2**depth, since the window holds only `depth` snapshots)."""
-        rows = np.full(self.hi - self.lo, -1)
-        keys, bits = self._keys, self._bits
-        if keys.size:
-            ego = keys >> _NODE_BITS
-            run_start = _run_starts(ego)
-            packed, chunks = _pack(bits[_pair_order(ego, bits, self.depth)],
-                                   run_start, self.depth)
-            rows[ego[run_start] - self.lo] = known.find(packed, chunks)
-        return rows
-
-
 class PrefixKeys:
     """Exact lookup of window prefixes among `prefixes`, the non-empty
     prefixes of one width, by their packed strings (`_pack`).
@@ -353,7 +249,9 @@ class _Arcs:
     snapshot t are [offsets[t], offsets[t + 1]). `of` reads them from the
     graph's edge table, each row (i, j) giving arcs i->j and j->i. `bucket`
     holds each snapshot's index into `keys`, the bucket of its wall-clock
-    time."""
+    time. The arcs stay unsorted within a snapshot, as `_window_values`
+    sorts its keys: `tempgraph.layer_arcs` mines the same counts, but its
+    sort takes about 12 ms on a 91,000-edge table, these ravels 3 ms."""
 
     ego: np.ndarray
     nbr: np.ndarray
@@ -399,17 +297,27 @@ def _window_values(arcs: _Arcs, k: int, lo: int, hi: int, start: int, stop: int
                     np.diff(arcs.offsets[first_t:stop + 1]))
     key += (arcs.ego[a:b] - lo).astype(np.int64) * n
     key += arcs.nbr[a:b]
-    runs = [key[arcs.offsets[max(start - o, 0)] - a:arcs.offsets[max(stop - o, 0)] - a]
-            + o * per_end for o in range(k + 1)]
-    bit = np.repeat(np.left_shift(1, np.arange(k + 1, dtype=np.int64)),
-                    [r.size for r in runs])
-    key = np.concatenate(runs)
-    del runs
+    # Passed inline, the list is freed once `_or_by_key` concatenates it.
+    key, bits = _or_by_key(
+        [key[arcs.offsets[max(start - o, 0)] - a:arcs.offsets[max(stop - o, 0)] - a]
+         + o * per_end for o in range(k + 1)],
+        [1 << o for o in range(k + 1)])
+    return key // n, bits
+
+
+def _or_by_key(parts: Sequence[np.ndarray], bits: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of the int64 arrays `parts`, ascending, each with
+    the OR of `bits[i]` over the parts i that hold it: one sort, then one
+    reduction per run. Mining and generation build their windows with it."""
+    key = np.concatenate(parts)
+    bit = np.repeat(np.asarray(bits, dtype=np.int64), [p.size for p in parts])
+    del parts
     order = np.argsort(key)
     key, bit = key[order], bit[order]
     del order
     first = _run_starts(key)
-    return key[first] // n, np.bitwise_or.reduceat(bit, first)
+    return key[first], np.bitwise_or.reduceat(bit, first)
 
 
 def _pair_order(group: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:

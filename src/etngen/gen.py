@@ -5,30 +5,32 @@ extension of its current width-min(t,k) neighborhood prefix; requests are
 then validated into undirected edges. Unmatched half-edges (stubs), the
 seed layer's from its degrees and later layers' from their extensions, are
 all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
-rolling window (`etn.NeighborWindow`, sorted arrays) that each new layer
-advances; the nodes with a neighbor in the window name theirs as packed
-int64 keys, all at once, and the others share the empty prefix. One
-search of the model's prefix table gives every node its distribution,
-and one search of its `pick_index` picks every extension. All randomness
-flows through numpy substreams keyed by (phase, layer), and within a layer
-nodes draw in node order, so output depends only on the model and the
-config, not on scheduling.
+window in mining's encoding, rebuilt per layer from the arc keys of the
+last min(t,k) layers (`_window`); the nodes with a neighbor in it name
+theirs as packed int64 keys, all at once, and the others share the empty
+prefix. One search of the model's prefix table gives every node its
+distribution, and one search of its `pick_index` picks every extension.
+All randomness flows through numpy substreams keyed by (phase, layer), and
+within a layer nodes draw in node order, so output depends only on the
+model and the config, not on scheduling.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Collection, Iterable, Sequence
 
 import numpy as np
 
-from .etn import NeighborWindow
+from .etn import PrefixKeys, _or_by_key, _pack, _pair_order, _run_starts
 from .model import FALLBACK_LEVELS, LocalModel
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
-from .tempgraph import BucketKey, TemporalGraph, bucket_of
+from .tempgraph import MAX_NODES, BucketKey, TemporalGraph, bucket_of
 
 PHASE_SEED = 0
 PHASE_DEGREES = 1
@@ -54,8 +56,8 @@ class GenConfig:
     seed_degrees: tuple[int, ...] | None = None
 
     def validate(self, model_k: int) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if not 2 <= self.n_nodes <= MAX_NODES:
+            raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k > model_k:
@@ -165,57 +167,84 @@ def seed_layer(degrees: Sequence[int], rng: np.random.Generator
     return edges
 
 
-def propose_layer(window: NeighborWindow, model: LocalModel, bucket: BucketKey,
+def _arc_keys(edges: Collection[tuple[int, int]], n: int) -> np.ndarray:
+    """Both directions of every edge of a layer on n nodes, as the keys
+    ego * n + neighbor."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(-1, 2)
+    return (ends * n + ends[:, ::-1]).ravel()  # rows (i * n + j, j * n + i)
+
+
+def _window(recent: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The window over the arc keys of the `recent` layers, oldest first:
+    its distinct keys, ascending, and their strings, the newest layer in
+    bit 0. Over empty layers only, it is the newest one's empty keys."""
+    live = [(keys, 1 << age) for age, keys in enumerate(reversed(recent)) if keys.size]
+    return _or_by_key(*zip(*live)) if live else (recent[-1], recent[-1])
+
+
+def _prefix_rows(ego: np.ndarray, bits: np.ndarray, depth: int, n: int,
+                 known: PrefixKeys) -> np.ndarray:
+    """Each of the n egos' rows in `known`: `known.find` of its prefix for
+    an ego in the window (`ego`, ascending, with `bits` below 2**depth),
+    -1 for an idle one. All prefixes are packed at once, as mining's are."""
+    rows = np.full(n, -1)
+    if ego.size:
+        run_start = _run_starts(ego)
+        packed, chunks = _pack(bits[_pair_order(ego, bits, depth)], run_start, depth)
+        rows[ego[run_start]] = known.find(packed, chunks)
+    return rows
+
+
+def propose_layer(keys: np.ndarray, bits: np.ndarray, depth: int, n_nodes: int,
+                  model: LocalModel, bucket: BucketKey,
                   rng: np.random.Generator) -> ProvisionalLayer:
     """Sample one extension per ego and turn new-activity bits into requests.
 
-    Every ego's prefix is its window at width `window.depth`. One integer
-    vector drawn from `rng` picks all egos' extensions, in ego order (an ego
-    with no distribution draws from [0, 1)); tie choices then draw from
-    `rng` in ego order too. An extension string whose final bit is set
-    points at a neighbor whose window activity equals the string's prefix
-    part, chosen uniformly among ties; strings active only in the final
-    bit have no identifiable target and become stubs.
+    Every ego's prefix is its window (`_window`) of the last `depth`
+    layers: `keys` ego * n_nodes + neighbor, ascending, with `bits`. One
+    integer vector drawn from `rng` picks all egos' extensions, in ego
+    order (an ego with no distribution draws from [0, 1)); tie choices
+    then draw from `rng` in ego order too. An extension string whose final
+    bit is set points at a neighbor whose window activity equals the
+    string's prefix part, chosen uniformly among ties; strings active only
+    in the final bit have no identifiable target and become stubs.
 
-    The window names the active egos' prefixes as packed keys, and one
-    search of the model's prefix table gives each ego the distribution
-    `lookup_extension` answers with and its fallback level; the others
-    share the empty prefix. Each ego is one lookup in
-    `model.fallback_counts`. The model's `pick_index` then turns all draws
-    into extensions with one search, so the numpy calls of a layer do not
-    grow with the egos or the distributions, and Python work per ego is
-    left to egos whose extension requests a neighbor.
+    One search of the model's prefix table gives each ego the distribution
+    `lookup_extension` answers with and its fallback level, one lookup per
+    ego in `model.fallback_counts`, and one search of its `pick_index`
+    turns all draws into extensions. So a layer's numpy calls do not grow
+    with the egos or the distributions; Python work is left to egos whose
+    extension requests a neighbor, each found by one search of key // n_nodes.
     """
-    lo, hi = window.lo, window.hi
     index = model.pick_index
-    table = index.prefix_table(bucket, window.depth)
-    row = window.prefix_rows(table.keys)
+    table = index.prefix_table(bucket, depth)
+    ego = keys // n_nodes
+    row = _prefix_rows(ego, bits, depth, n_nodes, table.keys)
     dist_of = table.position[row]
-    tally = model.fallback_counts
-    for level, egos_at in zip(FALLBACK_LEVELS, np.bincount(
-            table.level[row], minlength=len(FALLBACK_LEVELS)).tolist()):
-        if egos_at:
-            tally[level] += egos_at
+    levels = np.bincount(table.level[row], minlength=len(FALLBACK_LEVELS)).tolist()
+    model.fallback_counts.update({lv: c for lv, c in zip(FALLBACK_LEVELS, levels) if c})
     draws = rng.integers(0, index.total[dist_of])
     picks = index.cum.searchsorted(index.base[dist_of] + draws, side="right")
-    prov = ProvisionalLayer(stubs=np.arange(lo, hi).repeat(index.stubs[picks]).tolist())
+    prov = ProvisionalLayer(stubs=np.arange(n_nodes).repeat(index.stubs[picks]).tolist())
     asking = index.asks[picks].nonzero()[0]
-    for ego, pick in zip((asking + lo).tolist(), picks[asking].tolist()):
+    for e, pick in zip(asking.tolist(), picks[asking].tolist()):
+        a, b = ego.searchsorted((e, e + 1)).tolist()
         by_bits: dict[int, list[int]] = {}
-        for u, bits in window.bits(ego).items():
-            by_bits.setdefault(bits, []).append(u)
+        for key, pbits in zip(keys[a:b].tolist(), bits[a:b].tolist()):
+            by_bits.setdefault(pbits, []).append(key - e * n_nodes)
         for pbits, cnt in index.requests[pick]:
             # The extension extends the ego's own prefix (the fallback chain
             # keeps it or drops to the empty prefix, whose strings all have
             # pbits 0), so at least cnt neighbours carry these bits.
-            cands = by_bits[pbits]  # ascending, as bits() lists neighbours
+            cands = by_bits[pbits]  # ascending, as the keys are
             if cnt == len(cands):
                 chosen = cands
             else:
                 idx = rng.choice(len(cands), size=cnt, replace=False)
                 chosen = [cands[i] for i in sorted(idx)]
             for u in chosen:
-                prov.requests.add((ego, u))
+                prov.requests.add((e, u))
     return prov
 
 
@@ -278,26 +307,28 @@ def generate(model: LocalModel, cfg: GenConfig,
     """Generate a surrogate temporal graph; deterministic given cfg.seed.
 
     Layer 0 is the seed layer; layer t >= 1 grows from a window of the
-    min(t, k) layers before it. Each layer's edge set feeds the window, and
-    the surrogate's edge table is built once, from all of them. The
-    surrogate has the model's gap, the one its cells were fitted at."""
+    min(t, k) layers before it, built from their arc keys, which each
+    layer makes once (none for an empty layer). The surrogate's edge table
+    is built once, from all the edge sets. The surrogate has the model's
+    gap, the one its cells were fitted at."""
     cfg.validate(model.k)
+    n = cfg.n_nodes
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
     edges = seed_layer(_resolve_degrees(model, cfg), _stream(cfg.seed, PHASE_SEED))
     layers = [edges]
-    window = NeighborWindow(cfg.k, 0, cfg.n_nodes)
-    window.push(edges)
+    none = np.zeros(0, dtype=np.int64)  # the keys of every empty layer
+    recent = deque([_arc_keys(edges, n) if edges else none], maxlen=cfg.k)
     for t in range(1, cfg.n_snapshots):
         bucket = bucket_of(epoch + t * model.gap_seconds, model.periodicity)
-        prov = propose_layer(window, model, bucket,
+        prov = propose_layer(*_window(recent), len(recent), n, model, bucket,
                              _stream(cfg.seed, PHASE_PROPOSE, t))
         diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
         edges = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
         layers.append(edges)
-        window.push(edges)
+        recent.append(_arc_keys(edges, n) if edges else none)
         if diagnostics is not None:
             diagnostics.append(diag)
-    return TemporalGraph(cfg.n_nodes, layers, model.gap_seconds, epoch=epoch)
+    return TemporalGraph(n, layers, model.gap_seconds, epoch=epoch)
 
 
 def expansion_alpha(n_hat: int, n: int) -> float:

@@ -22,10 +22,9 @@ import numpy as np
 
 from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
                     MfptResult, SirResult, TemporalGraph, aggregate, bucket_of,
-                    compute_report, hour_slices, random_walk, resolve_start,
-                    sir_run)
+                    compute_report, extract_etn, hour_slices, random_walk,
+                    resolve_start, sir_run)
 from etngen.dynamics import _sir_seeds
-from etngen.etn import EtnSignature, NeighborWindow
 from etngen.gen import ProvisionalLayer, _norm
 from etngen.model import ExtensionDistribution, LocalModel, lookup_extension
 from etngen.tempgraph import SECONDS_PER_HOUR, BucketKey, require_hour_aligned
@@ -188,26 +187,28 @@ def scalar_validate_layer(requests: set[tuple[int, int]], stubs: list[int],
     return edges, (reciprocal, one_dir, stub_edges, rejected, dropped)
 
 
-def scalar_propose_layer(window: NeighborWindow, model: LocalModel,
+def scalar_propose_layer(layers: list, n: int, depth: int, model: LocalModel,
                          bucket: BucketKey, rng: np.random.Generator
                          ) -> ProvisionalLayer:
-    """`gen.propose_layer` ego by ego: every ego names its prefix and looks
-    it up (egos sharing a prefix share the lookup), one integer vector
-    picks all extensions in ego order, each by the distribution's own
-    bisection, and tie choices draw in ego order."""
-    depth = window.depth
-    egos = range(window.lo, window.hi)
+    """`gen.propose_layer` ego by ego, on the window of the last `depth` of
+    `layers` (edge collections on n nodes, oldest first): every ego names
+    its prefix by `extract_etn` and looks it up (egos sharing a prefix
+    share the lookup), one integer vector picks all extensions in ego
+    order, each by the distribution's own bisection, and tie choices draw
+    in ego order, among neighbours found layer by layer."""
+    g = TemporalGraph(n, layers, 300)
+    t_end = len(layers) - 1
+    egos = range(n)
     # Egos sharing a prefix share its lookup; each ego is still one lookup
     # in `model.fallback_counts`.
     cells: dict[tuple[int, ...], tuple[ExtensionDistribution | None, str]] = {}
     dists: list[ExtensionDistribution | None] = []
     levels: list[str] = []
     for ego in egos:
-        strings = window.strings(ego, depth)
-        cell = cells.get(strings)
+        prefix = extract_etn(g, ego, t_end, depth)
+        cell = cells.get(prefix.strings)
         if cell is None:
-            cell = cells[strings] = lookup_extension(
-                model, bucket, depth, EtnSignature(depth, strings))
+            cell = cells[prefix.strings] = lookup_extension(model, bucket, depth, prefix)
         dists.append(cell[0])
         levels.append(cell[1])
     model.fallback_counts.update(levels)
@@ -223,9 +224,13 @@ def scalar_propose_layer(window: NeighborWindow, model: LocalModel,
                 need[s >> 1] = need.get(s >> 1, 0) + 1
         if not need:
             continue
+        bits: dict[int, int] = {}
+        for age in range(depth):
+            for u in g.snapshots[t_end - age].neighbors(ego):
+                bits[u] = bits.get(u, 0) | 1 << age
         by_bits: dict[int, list[int]] = {}
-        for u, bits in window.bits(ego).items():
-            by_bits.setdefault(bits, []).append(u)
+        for u, b in bits.items():
+            by_bits.setdefault(b, []).append(u)
         for pbits in sorted(need):
             cnt = need[pbits]
             if pbits == 0:

@@ -1,4 +1,5 @@
-"""Synthetic temporal graphs shared across the test suite."""
+"""Synthetic temporal graphs, and generation's windows over them, shared
+across the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from etngen import TemporalGraph
+from etngen import gen
 
 MONDAY_EPOCH = 345600  # 1970-01-05 00:00 UTC, a Monday
 
@@ -73,3 +75,19 @@ def layered_graphs(draw, gap: int = 300) -> TemporalGraph:
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda e: e[0] != e[1])
     return TemporalGraph(n, [draw(st.lists(pair, max_size=12)) for _ in range(m)], gap)
+
+
+def window_of(layers, n: int, k: int | None = None) -> tuple:
+    """The window that generation builds over the last min(len(layers), k)
+    of `layers` (edge collections, oldest first; k defaults to all) on n
+    nodes, as `propose_layer`'s first four arguments: keys, bits, depth, n."""
+    recent = [gen._arc_keys(edges, n) for edges in layers][-(k or len(layers)):]
+    return (*gen._window(recent), len(recent), n)
+
+
+def window_strings(window, ego: int, width: int) -> tuple[int, ...]:
+    """The sorted nonzero strings of `ego`'s width-`width` window, read
+    from the arrays of a `window_of` window."""
+    keys, bits, _, n = window
+    mask = (1 << width) - 1
+    return tuple(sorted(v for v in (bits[keys // n == ego] & mask).tolist() if v))

@@ -19,6 +19,7 @@ from etngen import dynamics as dyn
 from etngen import metrics as metrics_mod
 from etngen.cli import build_parser, main
 from etngen.etn import MAX_MINING_K
+from etngen.tempgraph import MAX_NODES
 from synth import er_layers, random_graph, sinusoidal_graph
 
 
@@ -655,6 +656,27 @@ def test_bad_generate_node_count_fails_before_loading(model_path, tmp_path, caps
     else:
         argv += ["--nodes", nodes]
     _fails_as_usage_error(argv, out, capsys, f"must be >= 2, got {nodes}")
+
+
+@pytest.mark.parametrize("command", ["generate", "pipeline"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_node_count_above_limit_fails_before_reading(tmp_path, capsys, command,
+                                                     via_config):
+    # The input does not exist: the count fails first, before any degree
+    # vector of that length is drawn.
+    nodes = MAX_NODES + 1
+    out = tmp_path / "out"
+    argv = [command, str(tmp_path / "absent"),
+            "--out" if command == "generate" else "--out-dir", str(out)]
+    if command == "generate":
+        argv += ["--snapshots", "12"]
+    if via_config:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"nodes": nodes}))
+        argv += ["--config", str(conf)]
+    else:
+        argv += ["--nodes", str(nodes)]
+    _fails_as_usage_error(argv, out, capsys, f"must be <= {MAX_NODES}, got {nodes}")
 
 
 @pytest.mark.parametrize("via_config", [False, True])

@@ -139,11 +139,11 @@ class TestLayerCsr:
         src, dst = layer_arcs(g)
         bounds = (2 * g.offsets).tolist()
         for snap, a, b in zip(g.snapshots, bounds, bounds[1:]):
-            deg, off, flat = _layer_csr(src[a:b], dst[a:b], g.node_count)
+            deg, off = _layer_csr(src[a:b], g.node_count)
             assert len(deg) == len(off) == g.node_count
-            assert len(flat) == 2 * snap.n_edges
+            assert b - a == 2 * snap.n_edges
             for u in range(g.node_count):
-                row = flat[off[u]:off[u] + deg[u]].tolist()
+                row = dst[a:b][off[u]:off[u] + deg[u]].tolist()
                 assert row == list(snap.neighbors(u))
 
 

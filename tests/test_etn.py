@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etngen import (EtnSignature, NeighborWindow, TemporalGraph,
-                    etn_cosine_distance, extract_etn, mine_counts, prefix_of,
-                    read_counts, write_counts)
-from etngen import etn
+from etngen import (EtnSignature, TemporalGraph, etn_cosine_distance, extract_etn,
+                    mine_counts, prefix_of, read_counts, write_counts)
+from etngen import etn, gen
 from etngen.etn import PrefixKeys
 from etngen.tempgraph import BucketKey
 from oracles import counts_as_strings, naive_mine, naive_signature_strings
-from synth import er_layers, random_graph
+from synth import er_layers, random_graph, window_of, window_strings
 
 
 def sig(*strings):
@@ -159,46 +158,50 @@ def test_prefix_equals_previous_window(case):
 @settings(max_examples=150, deadline=None)
 def test_neighbor_window_matches_extract(case, extra):
     g, ego, t_end, width = case
-    window = NeighborWindow(width + extra, 0, g.node_count)
-    for t in range(t_end + 1):
-        window.push(g.snapshots[t].edges)
-    assert window.depth == min(t_end + 1, width + extra)
-    assert window.strings(ego, width) == extract_etn(g, ego, t_end, width).strings
-    full = [window.strings(e, window.depth) for e in range(g.node_count)]
-    assert window.active == [e for e, strings in enumerate(full) if strings]
-    assert window.prefixes() == [full[e] for e in window.active]
-
-
-def test_neighbor_window_ego_range():
-    window = NeighborWindow(2, 2, 4)
-    window.push([(0, 2), (3, 5), (0, 1)])
-    window.push([(2, 3)])
-    assert window.bits(2) == {0: 2, 3: 1}
-    assert window.bits(3) == {5: 2, 2: 1}
-    assert window.strings(3, 1) == (1,)
-    assert window.active == [2, 3] and window.prefixes() == [(1, 2), (1, 2)]
-    window.push([])
-    window.push([])
-    assert window.bits(2) == {} and window.bits(3) == {}
-    assert window.active == [] and window.prefixes() == []
+    window = window_of([snap.edges for snap in g.snapshots[:t_end + 1]], g.node_count,
+                       width + extra)
+    keys, bits, depth, n = window
+    assert depth == min(t_end + 1, width + extra)
+    assert np.all(keys[1:] > keys[:-1]) and np.all((bits > 0) & (bits < 1 << depth))
+    for w in range(1, depth + 1):
+        assert window_strings(window, ego, w) == extract_etn(g, ego, t_end, w).strings
+    full = [window_strings(window, e, depth) for e in range(n)]
+    assert np.unique(keys // n).tolist() == [e for e, strings in enumerate(full) if strings]
 
 
 def test_neighbor_window_empty_layers():
-    window = NeighborWindow(3, 0, 5)
-    window.push([])  # an empty window meets an empty layer
-    window.push(set())
-    assert window.depth == 2 and window.active == [] and window.prefixes() == []
-    assert window.prefix_rows(PrefixKeys([sig("01")], 2)).tolist() == [-1] * 5
-    window.push([(1, 3)])
-    window.push([])
-    assert window.depth == 3 and window.active == [1, 3]
-    assert window.bits(1) == {3: 2} and window.strings(3, 3) == (2,)
+    window = window_of([[], set()], 5, 3)  # an empty window meets an empty layer
+    keys, bits, depth, n = window
+    assert depth == 2 and keys.size == bits.size == 0
+    none = np.zeros(0, dtype=np.int64)
+    assert all(a is none for a in gen._window([none, none]))  # no numpy work
+    assert gen._prefix_rows(keys // n, bits, depth, n,
+                            PrefixKeys([sig("01")], 2)).tolist() == [-1] * 5
+    layers = [[], set(), [(1, 3)], []]
+    keys, bits, depth, n = window = window_of(layers, 5, 3)
+    assert depth == 3 and np.unique(keys // n).tolist() == [1, 3]
+    assert window_strings(window, 1, 3) == (2,) == window_strings(window, 3, 3)
     known = PrefixKeys([sig("010"), sig("001")], 3)
-    assert window.prefix_rows(known).tolist() == [-1, 0, -1, 0, -1]
-    window.push([])
-    window.push([])
-    assert window.active == [] and window.bits(1) == {}
-    assert window.prefix_rows(known).tolist() == [-1] * 5
+    rows = gen._prefix_rows(keys // n, bits, depth, n, known)
+    assert rows.tolist() == [-1, 0, -1, 0, -1]
+    keys, bits, depth, n = window_of(layers + [[], []], 5, 3)
+    assert keys.size == 0
+    assert gen._prefix_rows(keys // n, bits, depth, n, known).tolist() == [-1] * 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 30), max_size=12), min_size=1, max_size=5),
+       st.data())
+def test_or_by_key_matches_dict(parts, data):
+    bits = data.draw(st.lists(st.integers(1, 2 ** 40), min_size=len(parts),
+                              max_size=len(parts)))
+    want: dict[int, int] = {}
+    for part, bit in zip(parts, bits):
+        for key in part:
+            want[key] = want.get(key, 0) | bit
+    keys, ors = etn._or_by_key([np.array(p, dtype=np.int64) for p in parts], bits)
+    assert dict(zip(keys.tolist(), ors.tolist())) == want
+    assert keys.tolist() == sorted(want)
 
 
 def packed_runs(prefixes, width):
@@ -244,16 +247,13 @@ def test_prefix_keys_tell_apart_later_chunks():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(25, 40), st.integers(0, 4),
-       st.one_of(st.just(1.0), st.floats(0.6, 1.0)), st.integers(0, 2 ** 32),
-       st.data())
-def test_neighbor_window_rows_of_long_prefixes(n, lo, p, seed, data):
+@given(st.integers(25, 40), st.one_of(st.just(1.0), st.floats(0.6, 1.0)),
+       st.integers(0, 2 ** 32), st.data())
+def test_neighbor_window_rows_of_long_prefixes(n, p, seed, data):
     # Dense layers on 25 or more nodes give width-3 windows of more than 20
     # strings, more than one chunk.
-    window = NeighborWindow(3, lo, n)
-    for edges in er_layers(n, 3, p, np.random.default_rng(seed)):
-        window.push(edges)
-    prefixes = [window.strings(ego, 3) for ego in range(lo, n)]
+    window = window_of(er_layers(n, 3, p, np.random.default_rng(seed)), n)
+    prefixes = [window_strings(window, ego, 3) for ego in range(n)]
     distinct = sorted(set(prefixes) - {()})
     # Decoys one string shorter or longer share a first chunk with a window.
     decoys = {d for s in distinct for d in (s[:-1], s + (7,)) if len(d) > 20}
@@ -262,7 +262,8 @@ def test_neighbor_window_rows_of_long_prefixes(n, lo, p, seed, data):
     known = PrefixKeys([EtnSignature(3, s) for s in members], 3)
     want = [-1 if not s else members.index(s) if s in members else len(members)
             for s in prefixes]
-    assert window.prefix_rows(known).tolist() == want
+    keys, bits, depth, _ = window
+    assert gen._prefix_rows(keys // n, bits, depth, n, known).tolist() == want
     assert any(len(s) > 20 for s in prefixes)
 
 

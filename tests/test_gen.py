@@ -14,13 +14,13 @@ from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     generate, mine_counts, propose_layer, seed_layer,
                     validate_layer, write_edge_list)
 from etngen import gen
-from etngen.etn import MinedCounts, NeighborWindow
+from etngen.etn import MinedCounts
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
 from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extension,
                           save_model)
-from etngen.tempgraph import BucketKey
+from etngen.tempgraph import MAX_NODES, BucketKey
 from oracles import scalar_pair_stubs, scalar_propose_layer, scalar_validate_layer
-from synth import er_layers, random_graph
+from synth import er_layers, random_graph, window_of, window_strings
 
 H8 = BucketKey(hour_of_day=8)
 
@@ -45,14 +45,6 @@ def tiny_model(depth2_cells, nodes=4):
                          node_count=nodes, first_layer_degrees=(1,) * nodes,
                          table=table)
     return fit(counts)
-
-
-def window_of(snapshots, n_nodes):
-    """Rolling window holding `snapshots`, oldest first."""
-    window = NeighborWindow(len(snapshots), 0, n_nodes)
-    for snap in snapshots:
-        window.push(snap.edges)
-    return window
 
 
 class TestSeedLayer:
@@ -121,22 +113,22 @@ class TestSeedLayer:
 class TestProposeLayer:
     def test_persistent_neighbor_requested(self):
         model = tiny_model({sig("11"): Counter({sig("111"): 1})}, nodes=2)
-        window = window_of([Snapshot({(0, 1)}), Snapshot({(0, 1)})], 2)
-        prov = propose_layer(window, model, H8, np.random.default_rng(0))
+        window = window_of([{(0, 1)}, {(0, 1)}], 2)
+        prov = propose_layer(*window, model, H8, np.random.default_rng(0))
         assert prov.requests == {(0, 1), (1, 0)}
         assert prov.stubs == []
 
     def test_fresh_contact_becomes_stub(self):
         model = tiny_model({EMPTY2: Counter({sig("001"): 1})}, nodes=2)
-        window = window_of([Snapshot(set()), Snapshot(set())], 2)
-        prov = propose_layer(window, model, H8, np.random.default_rng(0))
+        window = window_of([set(), set()], 2)
+        prov = propose_layer(*window, model, H8, np.random.default_rng(0))
         assert prov.requests == set()
         assert sorted(prov.stubs) == [0, 1]
 
     def test_inactive_tail_bit_proposes_nothing(self):
         model = tiny_model({sig("11"): Counter({sig("110"): 1})}, nodes=2)
-        window = window_of([Snapshot({(0, 1)}), Snapshot({(0, 1)})], 2)
-        prov = propose_layer(window, model, H8, np.random.default_rng(0))
+        window = window_of([{(0, 1)}, {(0, 1)}], 2)
+        prov = propose_layer(*window, model, H8, np.random.default_rng(0))
         assert prov.requests == set()
         assert prov.stubs == []
 
@@ -145,11 +137,10 @@ class TestProposeLayer:
             sig("01", "01", "01"): Counter({sig("010", "010", "011"): 1}),
             sig("01"): Counter({sig("010"): 1}),
         }, nodes=4)
-        snapshots = [Snapshot(set()), Snapshot({(0, 1), (0, 2), (0, 3)})]
+        window = window_of([set(), {(0, 1), (0, 2), (0, 3)}], 4)
         targets = Counter()
         for trial in range(600):
-            prov = propose_layer(window_of(snapshots, 4), model, H8,
-                                 _stream(trial, PHASE_PROPOSE, 0))
+            prov = propose_layer(*window, model, H8, _stream(trial, PHASE_PROPOSE, 0))
             assert len(prov.requests) == 1
             (ego, u), = prov.requests
             assert ego == 0
@@ -167,7 +158,7 @@ class TestProposeLayer:
             snapshots = [Snapshot(e) for e in layers]
             active = {ego: {u for snap in snapshots for u in snap.neighbors(ego)}
                       for ego in range(12)}
-            prov = propose_layer(window_of(snapshots, 12), model, H8,
+            prov = propose_layer(*window_of(layers, 12), model, H8,
                                  _stream(trial, PHASE_PROPOSE, 1))
             for ego, u in prov.requests:
                 assert u in active[ego]
@@ -205,25 +196,22 @@ class TestProposeMatchesScalar:
         # lookups fall back to the global tables.
         bucket = BucketKey(hour_of_day=data.draw(st.sampled_from([0, 13])))
         nodes = data.draw(st.integers(2, 2 * n))
-        lo = data.draw(st.integers(0, nodes - 1))
-        window = NeighborWindow(data.draw(st.integers(1, k)), lo,
-                                data.draw(st.integers(lo + 1, nodes)))
         # p = 1 makes every ego active; the layer count sets the depth.
         layer_p = data.draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
-        for edges in er_layers(nodes, data.draw(st.integers(1, 4)), layer_p, rng):
-            window.push(edges)
+        layers = er_layers(nodes, data.draw(st.integers(1, 4)), layer_p, rng)
         seed = data.draw(st.integers(0, 2 ** 63 - 1))
-        assert_matches_scalar(window, model, bucket, seed)
+        assert_matches_scalar(layers, nodes, data.draw(st.integers(1, k)), model,
+                              bucket, seed)
 
     def test_every_ego_active_and_ties(self):
         g = random_graph(n=8, m=12, p=0.6, seed=3)
         model = fit(mine_counts(g, 2, "daily"))
-        window = window_of([Snapshot(e) for e in er_layers(
-            8, 2, 1.0, np.random.default_rng(0))], 8)
-        assert len(window.active) == 8
+        layers = er_layers(8, 2, 1.0, np.random.default_rng(0))
+        keys = window_of(layers, 8)[0]
+        assert np.unique(keys // 8).tolist() == list(range(8))
         for seed in range(20):
-            assert_matches_scalar(window, model, BucketKey(hour_of_day=0), seed)
+            assert_matches_scalar(layers, 8, 2, model, BucketKey(hour_of_day=0), seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_prefixes_longer_than_one_chunk(self, seed):
@@ -235,37 +223,36 @@ class TestProposeMatchesScalar:
         assert max(len(prefix.strings) for _, prefix in model.global_tables) > 20
         hour0 = BucketKey(hour_of_day=0)
         # The graph's own first windows are cells of the model.
-        window = window_of(g.snapshots[:3], 26)
-        assert min(len(s) for s in window.prefixes()) > 20
-        assert assert_matches_scalar(window, model, hour0, seed)["bucket"] == 26
-        window.push([(0, 1)])
-        assert_matches_scalar(window, model, hour0, seed)
-        window = window_of([Snapshot(e) for e in er_layers(
-            26, 3, 1.0, np.random.default_rng(seed))], 26)
-        assert all(len(s) == 25 for s in window.prefixes())
-        assert_matches_scalar(window, model, hour0, seed)
+        layers = [snap.edges for snap in g.snapshots[:3]]
+        window = window_of(layers, 26)
+        assert min(len(window_strings(window, ego, 3)) for ego in range(26)) > 20
+        assert assert_matches_scalar(layers, 26, 3, model, hour0, seed)["bucket"] == 26
+        assert_matches_scalar(layers + [[(0, 1)]], 26, 3, model, hour0, seed)
+        layers = er_layers(26, 3, 1.0, np.random.default_rng(seed))
+        window = window_of(layers, 26)
+        assert all(len(window_strings(window, ego, 3)) == 25 for ego in range(26))
+        assert_matches_scalar(layers, 26, 3, model, hour0, seed)
 
     def test_no_distribution_draws_from_one(self):
         model = without_empty_prefix(
             tiny_model({sig("11"): Counter({sig("111"): 1})}), 2)
-        window = window_of([Snapshot({(0, 1)}), Snapshot(set())], 4)
-        tally = assert_matches_scalar(window, model, H8, 7)
+        tally = assert_matches_scalar([{(0, 1)}, set()], 4, 2, model, H8, 7)
         assert tally == Counter({"empty_signature": 4})
 
 
 @contextmanager
 def rows_recorded():
-    """Record the rows that every `NeighborWindow.prefix_rows` call gives,
-    with the prefix keys it searched."""
+    """Record the rows that every `gen._prefix_rows` call gives, with the
+    prefix keys it searched."""
     seen: list[tuple] = []
-    real = NeighborWindow.prefix_rows
+    real = gen._prefix_rows
 
-    def prefix_rows(window, known):
-        rows = real(window, known)
+    def prefix_rows(ego, bits, depth, n, known):
+        rows = real(ego, bits, depth, n, known)
         seen.append((known, rows))
         return rows
 
-    with mock.patch.object(NeighborWindow, "prefix_rows", prefix_rows):
+    with mock.patch.object(gen, "_prefix_rows", prefix_rows):
         yield seen
 
 
@@ -288,26 +275,30 @@ def assert_rows_answer_as_lookup(model, bucket, depth, prefixes, known, rows):
 
 
 def window_prefixes(window):
-    return [EtnSignature(window.depth, window.strings(ego, window.depth))
-            for ego in range(window.lo, window.hi)]
+    """Every ego's prefix, read from the window's arrays."""
+    depth, n = window[2:]
+    return [EtnSignature(depth, window_strings(window, ego, depth)) for ego in range(n)]
 
 
-def assert_matches_scalar(window, model, bucket, seed):
-    """Propose from `window` with both implementations; returns the tally."""
+def assert_matches_scalar(layers, n, depth, model, bucket, seed):
+    """Propose from the window of the last `depth` of `layers` on n nodes
+    with both implementations; returns the tally."""
+    window = window_of(layers, n, depth)
+    assert window[2] == min(depth, len(layers))
     model.fallback_counts.clear()
     rng = np.random.default_rng(seed)
     with rows_recorded() as seen:
-        prov = propose_layer(window, model, bucket, rng)
+        prov = propose_layer(*window, model, bucket, rng)
     tally = Counter(model.fallback_counts)
     model.fallback_counts.clear()
     ref_rng = np.random.default_rng(seed)
-    ref = scalar_propose_layer(window, model, bucket, ref_rng)
+    ref = scalar_propose_layer(layers, n, window[2], model, bucket, ref_rng)
     assert prov.requests == ref.requests
     assert prov.stubs == ref.stubs
     assert tally == model.fallback_counts
-    assert sum(tally.values()) == window.hi - window.lo
+    assert sum(tally.values()) == n
     (known, rows), = seen
-    assert_rows_answer_as_lookup(model, bucket, window.depth, window_prefixes(window),
+    assert_rows_answer_as_lookup(model, bucket, window[2], window_prefixes(window),
                                  known, rows)
     assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
     return tally
@@ -460,6 +451,13 @@ class TestGenerate:
         assert g.snapshots[0].n_edges == 3
         assert all(s.n_edges == 0 for s in g.snapshots[1:])
 
+    def test_node_count_above_limit_fails_before_any_work(self):
+        model = fit(mine_counts(random_graph(n=6, m=5, seed=1), 1, "daily"))
+        GenConfig(n_nodes=MAX_NODES, n_snapshots=8, k=1).validate(model.k)
+        with mock.patch.object(gen, "_resolve_degrees", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"n_nodes must be in \\[2, {MAX_NODES}\\]"):
+            generate(model, GenConfig(n_nodes=MAX_NODES + 1, n_snapshots=8, k=1))
+
     def test_config_k_cannot_exceed_model_k(self):
         model = fit(mine_counts(random_graph(n=6, m=5, seed=1), 1, "daily"))
         with pytest.raises(ValueError, match="exceeds model k"):
@@ -540,6 +538,31 @@ class TestGolden:
         assert hashlib.sha256(edges.getvalue().encode()).hexdigest() == surrogate
         assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == diagnostics
 
+    def test_bytes_of_prefixes_longer_than_one_chunk(self):
+        # A dense k=3 model grows 15 layers whose width-3 windows hold 25
+        # strings, more than one packed chunk, before the surrogate dies out.
+        model = fit(mine_counts(random_graph(n=26, m=12, p=0.9, seed=2), 3, "daily"))
+        longest = []
+        real = gen._prefix_rows
+
+        def prefix_rows(ego, bits, depth, n, known):
+            if depth == 3:
+                longest.append(int(np.bincount(ego, minlength=1).max()))
+            return real(ego, bits, depth, n, known)
+
+        diags = []
+        with mock.patch.object(gen, "_prefix_rows", prefix_rows):
+            g = generate(model, GenConfig(n_nodes=26, n_snapshots=24, k=3,
+                                          alpha=1.0, seed=2), diags)
+        assert longest.count(25) == 14 and longest[-1] == 0
+        edges, rows = io.StringIO(), io.StringIO()
+        write_edge_list(g, edges)
+        write_diagnostics(diags, rows)
+        assert (hashlib.sha256(edges.getvalue().encode()).hexdigest()
+                == "f16531165e618c86403416ac59cc55de65eb7201a8b9c6b36da879d560846218")
+        assert (hashlib.sha256(rows.getvalue().encode()).hexdigest()
+                == "3937348a373741cb9de8e057bc2bc1cac04b0eb8d85f79c0a2823af03d004dcf")
+
 
 class TestRollingWindow:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -550,12 +573,12 @@ class TestRollingWindow:
         layers: list[tuple] = []  # per layer: bucket, depth, prefix keys, rows
         real_propose = gen.propose_layer
 
-        def propose(window, model, bucket, rng):
-            prefixes.append(window_prefixes(window))
+        def propose(keys, bits, depth, n, model, bucket, rng):
+            prefixes.append(window_prefixes((keys, bits, depth, n)))
             with rows_recorded() as seen:
-                prov = real_propose(window, model, bucket, rng)
+                prov = real_propose(keys, bits, depth, n, model, bucket, rng)
             (known, rows), = seen
-            layers.append((bucket, window.depth, known, rows))
+            layers.append((bucket, depth, known, rows))
             return prov
 
         monkeypatch.setattr(gen, "propose_layer", propose)
@@ -586,13 +609,13 @@ def requests_checked(g, k, gen_k, n_nodes, seed):
     real_propose = gen.propose_layer
     checked = 0
 
-    def propose(window, model, bucket, rng):
+    def propose(keys, bits, depth, n, model, bucket, rng):
         nonlocal checked
-        prefixes = window_prefixes(window)
+        prefixes = window_prefixes((keys, bits, depth, n))
         with rows_recorded() as seen:
-            prov = real_propose(window, model, bucket, rng)
+            prov = real_propose(keys, bits, depth, n, model, bucket, rng)
         (known, rows), = seen
-        dists = assert_rows_answer_as_lookup(model, bucket, window.depth, prefixes,
+        dists = assert_rows_answer_as_lookup(model, bucket, depth, prefixes,
                                              known, rows)
         for prefix, dist in dict(zip(prefixes, dists)).items():
             if dist is not None:
