@@ -8,11 +8,10 @@ originals with surrogates topologically (`metrics`) and dynamically
 """
 
 from .dynamics import (CoverageResult, DynConfig, DynReport, MfptResult,
-                       SirResult, SirRun, coverage_result, first_peak,
-                       mfpt_result, random_walk, resolve_start, run_dynamics,
-                       sir_result, sir_run)
+                       SirResult, coverage_result, first_peak, mfpt_result,
+                       resolve_start, run_dynamics, sir_result)
 from .etn import (EtnPrefix, EtnSignature, MinedCounts, etn_cosine_distance,
-                  extract_etn, mine_counts, prefix_of, read_counts, write_counts)
+                  mine_counts, prefix_of, read_counts, write_counts)
 from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer,
                   expansion_alpha, generate, propose_layer, seed_layer,
                   validate_layer, write_diagnostics)
@@ -26,10 +25,9 @@ from .metrics import (DISTANCE_FUNCS, DISTANCE_NAMES, METRIC_KINDS,
 from .model import (ExtensionDistribution, FitError, LocalModel,
                     ModelFormatError, fit, load_model, sample_extension,
                     save_model)
-from .tempgraph import (AggregatedGraph, BucketKey, ParseError, Snapshot,
-                        TemporalGraph, aggregate, bucket_of, hour_slices,
-                        parse_edge_list, resolve_periodicity, weekday,
-                        write_edge_list)
+from .tempgraph import (AggregatedGraph, BucketKey, ParseError, TemporalGraph,
+                        aggregate, bucket_of, hour_slices, parse_edge_list,
+                        resolve_periodicity, weekday, write_edge_list)
 
 __version__ = "0.1.0"
 
@@ -39,16 +37,15 @@ __all__ = [
     "EtnSignature", "ExtensionDistribution", "FitError", "GenConfig",
     "LayerDiagnostics", "LocalModel", "METRIC_KINDS", "MetricReport",
     "MfptResult", "MinedCounts", "ModelFormatError", "ParseError",
-    "ProvisionalLayer", "SirResult", "SirRun", "Snapshot", "TemporalGraph",
-    "aggregate", "aggregated_metrics", "bucket_of", "compare",
-    "compute_report", "contact_durations", "coverage_result", "emd",
-    "etn_cosine_distance", "expansion_alpha", "extract_etn", "first_peak",
-    "fit", "generate", "hour_metrics", "hour_slices", "js_divergence",
-    "kl_divergence", "ks_distance", "load_model", "mfpt_result", "mine_counts",
-    "parse_edge_list", "prefix_of", "propose_layer", "random_walk",
-    "read_counts", "resolve_periodicity", "resolve_start", "run_dynamics",
-    "sample_extension", "save_model", "seed_layer", "sir_result", "sir_run",
-    "snapshot_metrics", "validate_layer", "weekday", "write_counts",
-    "write_diagnostics", "write_distances_csv", "write_edge_list",
-    "write_samples_csv",
+    "ProvisionalLayer", "SirResult", "TemporalGraph", "aggregate",
+    "aggregated_metrics", "bucket_of", "compare", "compute_report",
+    "contact_durations", "coverage_result", "emd", "etn_cosine_distance",
+    "expansion_alpha", "first_peak", "fit", "generate", "hour_metrics",
+    "hour_slices", "js_divergence", "kl_divergence", "ks_distance",
+    "load_model", "mfpt_result", "mine_counts", "parse_edge_list", "prefix_of",
+    "propose_layer", "read_counts", "resolve_periodicity", "resolve_start",
+    "run_dynamics", "sample_extension", "save_model", "seed_layer",
+    "sir_result", "snapshot_metrics", "validate_layer", "weekday",
+    "write_counts", "write_diagnostics", "write_distances_csv",
+    "write_edge_list", "write_samples_csv",
 ]

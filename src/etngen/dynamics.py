@@ -28,8 +28,6 @@ _PROBE_RW = 0
 _PROBE_MFPT = 1
 _PROBE_SIR = 2
 
-_SUSCEPTIBLE, _INFECTED, _RECOVERED = 0, 1, 2
-
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
@@ -73,15 +71,6 @@ class SirResult:
 
 
 @dataclass
-class SirRun:
-    """Single epidemic trajectory: compartment sizes after each step."""
-
-    r0: int
-    infected: list[int]
-    recovered: list[int]
-
-
-@dataclass
 class DynReport:
     """Dynamics samples per start policy (and per lambda for SIR)."""
 
@@ -110,26 +99,6 @@ def resolve_start(g: TemporalGraph, policy: str) -> int:
     raise ValueError(f"unknown start policy {policy!r}")
 
 
-def random_walk(g: TemporalGraph, start_node: int, t_start: int,
-                rng: np.random.Generator) -> list[int]:
-    """Positions after each snapshot from t_start to the end.
-
-    One jump per snapshot, to a uniform current neighbor; a node with no
-    neighbors waits in place, consuming the step. Trace length is
-    m - t_start and excludes the start position.
-    """
-    if not (0 <= t_start <= g.n_snapshots):
-        raise ValueError(f"t_start {t_start} out of range")
-    cur = start_node
-    trace: list[int] = []
-    for t in range(t_start, g.n_snapshots):
-        nbrs = g.snapshots[t].neighbors(cur)
-        if nbrs:
-            cur = nbrs[int(rng.integers(len(nbrs)))]
-        trace.append(cur)
-    return trace
-
-
 def _layers(g: TemporalGraph, t_start: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The arcs (source, target) of layers t_start..m-1, slices of one
     `layer_arcs` table."""
@@ -143,8 +112,7 @@ def _layer_csr(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree and offset arrays of a layer's arcs src -> dst over n nodes,
     sorted by source as `layer_arcs` gives them.
 
-    Node u's neighbors are dst[off[u]:off[u] + deg[u]], ascending, the
-    order of `Snapshot.neighbors`.
+    Node u's neighbors are dst[off[u]:off[u] + deg[u]], ascending.
     """
     deg = np.bincount(src, minlength=n)
     off = np.zeros(n, dtype=np.intp)
@@ -159,8 +127,9 @@ def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
     `pos` is updated in place and yielded after every layer. Per layer, each
     walker with neighbors jumps to a uniform one, drawn as one integer
     vector in walker order; a walker with no neighbors waits. Empty layers
-    draw nothing. A single walker follows `random_walk` with the same
-    generator draw for draw.
+    draw nothing. A single walker thus draws one `rng.integers(degree)`
+    per layer in which it has neighbors, indexing them in ascending order,
+    as a scalar walk on the same generator would.
     """
     n = g.node_count
     for src, dst in _layers(g, t_start):
@@ -228,50 +197,6 @@ def _lam_key(lam: float) -> int:
     return int(round(lam * 1_000_000))
 
 
-def sir_run(g: TemporalGraph, seed_node: int, t_start: int, lam: float,
-            mu: float, rng: np.random.Generator) -> SirRun:
-    """One SIR epidemic from a given seed, infections starting at t_start.
-
-    Each step, every infected node tries each currently susceptible neighbor
-    independently with probability lam, then recovers with probability mu;
-    nodes infected in a step transmit from the next. The series stop once no
-    node is infected. r0 counts the seed's direct out-infections.
-    """
-    if not (0 <= t_start < g.n_snapshots):
-        raise ValueError(f"t_start {t_start} out of range")
-    if not (0 <= seed_node < g.node_count):
-        raise ValueError(f"seed node {seed_node} out of range")
-    state = [_SUSCEPTIBLE] * g.node_count
-    state[seed_node] = _INFECTED
-    infected = [seed_node]
-    n_recovered = 0
-    r0 = 0
-    inf_series: list[int] = []
-    rec_series: list[int] = []
-    for t in range(t_start, g.n_snapshots):
-        snap = g.snapshots[t]
-        newly: list[int] = []
-        still: list[int] = []
-        for u in infected:
-            for v in snap.neighbors(u):
-                if state[v] == _SUSCEPTIBLE and rng.random() < lam:
-                    state[v] = _INFECTED
-                    newly.append(v)
-                    if u == seed_node:
-                        r0 += 1
-            if rng.random() < mu:
-                state[u] = _RECOVERED
-                n_recovered += 1
-            else:
-                still.append(u)
-        infected = still + newly
-        inf_series.append(len(infected))
-        rec_series.append(n_recovered)
-        if not infected:
-            break
-    return SirRun(r0=r0, infected=inf_series, recovered=rec_series)
-
-
 def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
     """The start snapshot of `policy` and its nodes with an edge, among
     which SIR seeds are drawn; a start past the last snapshot, or with no
@@ -305,8 +230,11 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
     Only then do the new infections join, so they transmit from the next
     step. Empty layers draw recoveries only. Yields the infected matrix and
     the r0 vector, both updated in place, after each layer, and stops after
-    the layer in which the last run dies out. A single run follows
-    `sir_run`'s law; wherever lam and mu are 0 or 1 it equals `sir_run`.
+    the layer in which the last run dies out. A single run has the law of
+    the scalar epidemic in which, each step, every infected node tries each
+    currently susceptible neighbor with probability lam and then recovers
+    with probability mu; wherever lam and mu are 0 or 1 the two agree
+    exactly.
     """
     runs, n = len(seeds), g.node_count
     infected = np.zeros((runs, n), dtype=bool)

@@ -119,22 +119,6 @@ def prefix_of(sig: EtnSignature) -> EtnPrefix:
     return EtnSignature(sig.width - 1, tuple(sorted(s >> 1 for s in sig.strings if s >> 1)))
 
 
-def extract_etn(g: TemporalGraph, ego: int, t_end: int, width: int) -> EtnSignature:
-    """Signature of `ego` over the window of `width` snapshots ending at `t_end`."""
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not (width - 1 <= t_end < g.n_snapshots):
-        raise ValueError(f"window of width {width} ending at {t_end} out of range")
-    if not (0 <= ego < g.node_count):
-        raise ValueError(f"ego {ego} out of range")
-    acc: dict[int, int] = {}
-    for pos, t in enumerate(range(t_end - width + 1, t_end + 1)):
-        bit = 1 << (width - 1 - pos)
-        for u in g.snapshots[t].neighbors(ego):
-            acc[u] = acc.get(u, 0) | bit
-    return EtnSignature(width, tuple(sorted(acc.values())))
-
-
 @dataclass
 class MinedCounts:
     """Signature occurrence counts per (bucket, depth), plus graph metadata.

@@ -1,5 +1,5 @@
-"""Temporal graph data model: one edge table per graph with snapshot views,
-ingestion, aggregation, time buckets."""
+"""Temporal graph data model: one edge table per graph, ingestion,
+aggregation, time buckets."""
 
 from __future__ import annotations
 
@@ -81,13 +81,12 @@ def _table(bins: np.ndarray, i: np.ndarray, j: np.ndarray, n_snapshots: int
     return pairs, offsets
 
 
-def _edge_table(layers: Sequence[Snapshot | Iterable[tuple[int, int]]]
+def _edge_table(layers: Sequence[Iterable[tuple[int, int]]]
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The edge table (`_table`) of a sequence of layers, each a Snapshot
-    or an iterable of (i, j) pairs in either order, duplicates allowed.
-    Raises ValueError on a self-loop or a node id outside [0, MAX_NODES)."""
-    parts = [s.pairs if isinstance(s, Snapshot)
-             else np.fromiter(chain.from_iterable(s), dtype=np.int64).reshape(-1, 2)
+    """The edge table (`_table`) of a sequence of layers, each an iterable
+    of (i, j) pairs in either order, duplicates allowed. Raises ValueError
+    on a self-loop or a node id outside [0, MAX_NODES)."""
+    parts = [np.fromiter(chain.from_iterable(s), dtype=np.int64).reshape(-1, 2)
              for s in layers]
     sizes = [len(p) for p in parts]
     ends = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
@@ -100,70 +99,12 @@ def _edge_table(layers: Sequence[Snapshot | Iterable[tuple[int, int]]]
     return _table(np.repeat(np.arange(len(parts)), sizes), lo, hi, len(parts))
 
 
-def _view(pairs: np.ndarray) -> Snapshot:
-    """The Snapshot whose edges are the table rows `pairs`."""
-    snap = Snapshot.__new__(Snapshot)
-    snap.pairs = pairs
-    return snap
-
-
-class Snapshot:
-    """One time layer: an undirected simple graph over integer node ids.
-
-    Its edges are `pairs`, a read-only int32 array of (i, j) rows with
-    i < j, sorted: in a graph, the layer's slice of the graph's edge table.
-    `Snapshot(edges)` builds the same array for a standalone layer. The
-    `edges` set, neighbours, degrees and active nodes are computed from
-    `pairs` on each call; nothing is cached.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, edges: Iterable[tuple[int, int]] = ()):
-        self.pairs = _edge_table([edges])[0]
-
-    def __reduce__(self):
-        return _view, (self.pairs,)
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(*self.pairs.T.tolist()))
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Ascending: the rows (v, u), v < u, precede the rows (u, v)."""
-        ends = self.pairs.ravel().tolist()
-        return tuple(ends[k ^ 1] for k, v in enumerate(ends) if v == u)
-
-    def degree(self, u: int) -> int:
-        return int(np.count_nonzero(self.pairs == u))
-
-    @property
-    def active_nodes(self) -> frozenset[int]:
-        return frozenset(self.pairs.ravel().tolist())
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return np.array_equal(self.pairs, other.pairs)
-
-    def __hash__(self) -> int:
-        return hash(self.pairs.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Snapshot({sorted(self.edges)!r})"
-
-
 class TemporalGraph:
     """Immutable sequence of snapshots with wall-clock metadata.
 
     All edges are held in one table: `pairs`, a read-only int32 array of
     (i, j) rows with i < j, sorted by (snapshot, i, j), and `offsets`, so
-    that snapshot t's rows are pairs[offsets[t]:offsets[t + 1]]. The
-    `snapshots` are views of those slices, made on first use.
+    that snapshot t's rows are pairs[offsets[t]:offsets[t + 1]].
 
     Node ids are dense integers in [0, node_count); `labels` gives each
     one's input label, the stored labels the input named padded with str(i)
@@ -171,12 +112,12 @@ class TemporalGraph:
     """
 
     __slots__ = ("node_count", "pairs", "offsets", "gap_seconds", "epoch", "_named",
-                 "dropped_self_loops", "_snapshots")
+                 "dropped_self_loops")
 
     def __init__(
         self,
         node_count: int,
-        snapshots: Sequence[Snapshot | Iterable[tuple[int, int]]],
+        snapshots: Sequence[Iterable[tuple[int, int]]],
         gap_seconds: int,
         epoch: int = 0,
         labels: Sequence[str] | None = None,
@@ -217,7 +158,6 @@ class TemporalGraph:
         self.epoch = int(epoch)
         self._named = named
         self.dropped_self_loops = dropped_self_loops
-        self._snapshots: tuple[Snapshot, ...] | None = None
 
     def __reduce__(self):
         return TemporalGraph._from_table, (
@@ -227,14 +167,6 @@ class TemporalGraph:
     @property
     def labels(self) -> tuple[str, ...]:
         return self._named + tuple(map(str, range(len(self._named), self.node_count)))
-
-    @property
-    def snapshots(self) -> tuple[Snapshot, ...]:
-        if self._snapshots is None:
-            bounds = self.offsets.tolist()
-            self._snapshots = tuple(_view(self.pairs[a:b])
-                                    for a, b in zip(bounds, bounds[1:]))
-        return self._snapshots
 
     @property
     def n_snapshots(self) -> int:

@@ -1,12 +1,16 @@
 """Independent reference implementations used to check the optimized
 library code: a naive string-based miner, aggregation and hour slices
-summed edge by edge over each snapshot's `edges`, snapshot metrics from
+summed edge by edge over each layer's edge set, snapshot metrics from
 networkx and contact durations from a dict of open runs, layer proposal
 ego by ego, stub pairing and request validation with one scalar draw per
 index and per coin, networkx, a per-source Brandes sweep and an exact
 enumeration of shortest paths for the shortest-path metrics, one
 `random_walk` per run or pair for the walk probes, and one `sir_run` per
-epidemic for SIR."""
+epidemic for SIR.
+
+The scalar references `extract_etn`, `random_walk` and `sir_run` read each
+layer's neighbours from `layer_adjacency`, dicts of ascending tuples built
+once per graph from its edge table in plain Python."""
 
 from __future__ import annotations
 
@@ -14,34 +18,71 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
 
 import networkx as nx
 import numpy as np
 
-from etngen import (AggregatedGraph, CoverageResult, DynConfig, MetricReport,
-                    MfptResult, SirResult, TemporalGraph, aggregate, bucket_of,
-                    compute_report, extract_etn, hour_slices, random_walk,
-                    resolve_start, sir_run)
+from etngen import (AggregatedGraph, CoverageResult, DynConfig, EtnSignature,
+                    MetricReport, MfptResult, SirResult, TemporalGraph,
+                    aggregate, bucket_of, compute_report, hour_slices,
+                    resolve_start)
 from etngen.dynamics import _sir_seeds
 from etngen.gen import ProvisionalLayer, _norm
 from etngen.model import ExtensionDistribution, LocalModel, lookup_extension
 from etngen.tempgraph import SECONDS_PER_HOUR, BucketKey, require_hour_aligned
 from etngen.metrics import _Graph
+from synth import layer_edges
 
 _PROBE_RW = 0
 _PROBE_MFPT = 1
 _PROBE_SIR = 2
+
+_SUSCEPTIBLE, _INFECTED, _RECOVERED = 0, 1, 2
+
+
+@lru_cache(maxsize=16)
+def layer_adjacency(g: TemporalGraph) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """Per layer, each node with an edge there mapped to its neighbours as
+    an ascending tuple, from `layer_edges`. Cached per graph, so that
+    per-run oracles build it once; callers share it and only read it."""
+    out = []
+    for edges in layer_edges(g):
+        adj: dict[int, list[int]] = {}
+        for i, j in edges:
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+        out.append({u: tuple(sorted(vs)) for u, vs in adj.items()})
+    return tuple(out)
+
+
+def extract_etn(g: TemporalGraph, ego: int, t_end: int, width: int) -> EtnSignature:
+    """Signature of `ego` over the window of `width` snapshots ending at `t_end`."""
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if not (width - 1 <= t_end < g.n_snapshots):
+        raise ValueError(f"window of width {width} ending at {t_end} out of range")
+    if not (0 <= ego < g.node_count):
+        raise ValueError(f"ego {ego} out of range")
+    adj = layer_adjacency(g)
+    acc: dict[int, int] = {}
+    for pos, t in enumerate(range(t_end - width + 1, t_end + 1)):
+        bit = 1 << (width - 1 - pos)
+        for u in adj[t].get(ego, ()):
+            acc[u] = acc.get(u, 0) | bit
+    return EtnSignature(width, tuple(sorted(acc.values())))
 
 
 def naive_signature_strings(g: TemporalGraph, ego: int, t_end: int,
                             width: int) -> tuple[str, ...]:
     """Per-neighbor activity strings over the window, oldest snapshot first,
     built character by character and sorted as plain text."""
+    adj = layer_adjacency(g)
     per_neighbor: dict[int, list[str]] = {}
     for pos, t in enumerate(range(t_end - width + 1, t_end + 1)):
-        for u in g.snapshots[t].neighbors(ego):
+        for u in adj[t].get(ego, ()):
             per_neighbor.setdefault(u, ["0"] * width)[pos] = "1"
     return tuple(sorted("".join(bits) for bits in per_neighbor.values()))
 
@@ -77,8 +118,8 @@ def dict_aggregate(g: TemporalGraph) -> AggregatedGraph:
     if g.n_snapshots < 1:
         raise ValueError("cannot aggregate an empty snapshot sequence")
     weights: dict[tuple[int, int], int] = {}
-    for snap in g.snapshots:
-        for e in snap.edges:
+    for edges in layer_edges(g):
+        for e in edges:
             weights[e] = weights.get(e, 0) + 1
     return AggregatedGraph(dict(sorted(weights.items())))
 
@@ -92,31 +133,31 @@ def dict_hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
     first = g.time_of(0) // SECONDS_PER_HOUR
     last = g.time_of(g.n_snapshots - 1) // SECONDS_PER_HOUR
     acc: list[dict[tuple[int, int], int]] = [{} for _ in range(last - first + 1)]
-    for t, snap in enumerate(g.snapshots):
+    for t, edges in enumerate(layer_edges(g)):
         weights = acc[g.time_of(t) // SECONDS_PER_HOUR - first]
-        for e in snap.edges:
+        for e in edges:
             weights[e] = weights.get(e, 0) + 1
     return [AggregatedGraph(dict(sorted(w.items()))) for w in acc]
 
 
 def nx_snapshot_metrics(g: TemporalGraph) -> dict[str, list[float]]:
     """`metrics.snapshot_metrics` from one networkx graph per snapshot,
-    built from its `edges` alone (so without isolated nodes): edge and node
+    built from its edge set alone (so without isolated nodes): edge and node
     counts, `number_connected_components`, and new conversations as a set
     difference with the snapshot before."""
     n = g.node_count
     possible = n * (n - 1) / 2
     out: dict[str, list[float]] = {"density": [], "interacting_individuals": [],
                                    "new_conversations": [], "connected_components": []}
-    prev: frozenset = frozenset()
-    for t, snap in enumerate(g.snapshots):
-        layer = nx.Graph(snap.edges)
+    prev: set = set()
+    for t, edges in enumerate(layer_edges(g)):
+        layer = nx.Graph(edges)
         out["density"].append(layer.number_of_edges() / possible if possible else 0.0)
         out["interacting_individuals"].append(float(layer.number_of_nodes()))
         out["connected_components"].append(float(nx.number_connected_components(layer)))
         if t >= 1:
-            out["new_conversations"].append(float(len(snap.edges - prev)))
-        prev = snap.edges
+            out["new_conversations"].append(float(len(edges - prev)))
+        prev = edges
     return out
 
 
@@ -126,8 +167,7 @@ def dict_contact_durations(g: TemporalGraph) -> list[float]:
     maximal consecutive-presence runs."""
     runs: dict[tuple[int, int], list[int]] = {}
     open_runs: dict[tuple[int, int], int] = {}
-    for snap in g.snapshots:
-        edges = snap.edges
+    for edges in layer_edges(g):
         ended = [e for e in open_runs if e not in edges]
         for e in ended:
             runs.setdefault(e, []).append(open_runs.pop(e))
@@ -197,6 +237,7 @@ def scalar_propose_layer(layers: list, n: int, depth: int, model: LocalModel,
     order, each by the distribution's own bisection, and tie choices draw
     in ego order, among neighbours found layer by layer."""
     g = TemporalGraph(n, layers, 300)
+    adj = layer_adjacency(g)
     t_end = len(layers) - 1
     egos = range(n)
     # Egos sharing a prefix share its lookup; each ego is still one lookup
@@ -226,7 +267,7 @@ def scalar_propose_layer(layers: list, n: int, depth: int, model: LocalModel,
             continue
         bits: dict[int, int] = {}
         for age in range(depth):
-            for u in g.snapshots[t_end - age].neighbors(ego):
+            for u in adj[t_end - age].get(ego, ()):
                 bits[u] = bits.get(u, 0) | 1 << age
         by_bits: dict[int, list[int]] = {}
         for u, b in bits.items():
@@ -503,6 +544,80 @@ def nx_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def random_walk(g: TemporalGraph, start_node: int, t_start: int,
+                rng: np.random.Generator) -> list[int]:
+    """Positions after each snapshot from t_start to the end.
+
+    One jump per snapshot, to a uniform current neighbor; a node with no
+    neighbors waits in place, consuming the step. Trace length is
+    m - t_start and excludes the start position.
+    """
+    if not (0 <= t_start <= g.n_snapshots):
+        raise ValueError(f"t_start {t_start} out of range")
+    adj = layer_adjacency(g)
+    cur = start_node
+    trace: list[int] = []
+    for t in range(t_start, g.n_snapshots):
+        nbrs = adj[t].get(cur, ())
+        if nbrs:
+            cur = nbrs[int(rng.integers(len(nbrs)))]
+        trace.append(cur)
+    return trace
+
+
+@dataclass
+class SirRun:
+    """Single epidemic trajectory: compartment sizes after each step."""
+
+    r0: int
+    infected: list[int]
+    recovered: list[int]
+
+
+def sir_run(g: TemporalGraph, seed_node: int, t_start: int, lam: float,
+            mu: float, rng: np.random.Generator) -> SirRun:
+    """One SIR epidemic from a given seed, infections starting at t_start.
+
+    Each step, every infected node tries each currently susceptible neighbor
+    independently with probability lam, then recovers with probability mu;
+    nodes infected in a step transmit from the next. The series stop once no
+    node is infected. r0 counts the seed's direct out-infections.
+    """
+    if not (0 <= t_start < g.n_snapshots):
+        raise ValueError(f"t_start {t_start} out of range")
+    if not (0 <= seed_node < g.node_count):
+        raise ValueError(f"seed node {seed_node} out of range")
+    adj = layer_adjacency(g)
+    state = [_SUSCEPTIBLE] * g.node_count
+    state[seed_node] = _INFECTED
+    infected = [seed_node]
+    n_recovered = 0
+    r0 = 0
+    inf_series: list[int] = []
+    rec_series: list[int] = []
+    for t in range(t_start, g.n_snapshots):
+        newly: list[int] = []
+        still: list[int] = []
+        for u in infected:
+            for v in adj[t].get(u, ()):
+                if state[v] == _SUSCEPTIBLE and rng.random() < lam:
+                    state[v] = _INFECTED
+                    newly.append(v)
+                    if u == seed_node:
+                        r0 += 1
+            if rng.random() < mu:
+                state[u] = _RECOVERED
+                n_recovered += 1
+            else:
+                still.append(u)
+        infected = still + newly
+        inf_series.append(len(infected))
+        rec_series.append(n_recovered)
+        if not infected:
+            break
+    return SirRun(r0=r0, infected=inf_series, recovered=rec_series)
 
 
 def coverage_per_run(g: TemporalGraph, cfg: DynConfig) -> CoverageResult:

@@ -77,6 +77,14 @@ def layered_graphs(draw, gap: int = 300) -> TemporalGraph:
     return TemporalGraph(n, [draw(st.lists(pair, max_size=12)) for _ in range(m)], gap)
 
 
+def layer_edges(g: TemporalGraph) -> list[set[tuple[int, int]]]:
+    """Each layer's edges as a set of (i, j) pairs with i < j: the rows
+    pairs[offsets[t]:offsets[t + 1]] of the graph's edge table."""
+    bounds = g.offsets.tolist()
+    rows = list(map(tuple, g.pairs.tolist()))
+    return [set(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def window_of(layers, n: int, k: int | None = None) -> tuple:
     """The window that generation builds over the last min(len(layers), k)
     of `layers` (edge collections, oldest first; k defaults to all) on n

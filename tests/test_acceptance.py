@@ -7,14 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from etngen import (DynConfig, GenConfig, Snapshot, TemporalGraph,
-                    coverage_result, expansion_alpha, fit, generate,
-                    js_divergence, kl_divergence, ks_distance, mine_counts,
-                    sir_result, sir_run)
+from etngen import (DynConfig, GenConfig, TemporalGraph, coverage_result,
+                    expansion_alpha, fit, generate, js_divergence,
+                    kl_divergence, ks_distance, mine_counts, sir_result)
 from etngen.cli import main as cli_main
 from etngen.tempgraph import weekday
-from oracles import counts_as_strings, naive_mine
-from synth import MONDAY_EPOCH, er_layers, sinusoidal_graph, weekly_graph
+from oracles import counts_as_strings, naive_mine, sir_run
+from synth import (MONDAY_EPOCH, er_layers, layer_edges, sinusoidal_graph,
+                   weekly_graph)
 
 
 def _report(n, ok, detail=""):
@@ -52,7 +52,7 @@ def test_02_miner_matches_bruteforce():
         m = int(rng.integers(k + 1, 7))
         p = float(rng.uniform(0.05, 0.55))
         epoch = int(rng.integers(0, 7 * 86400 // 300)) * 300
-        layers = [Snapshot(e) for e in er_layers(n, m, p, rng)]
+        layers = er_layers(n, m, p, rng)
         g = TemporalGraph(n, layers, 300, epoch=epoch)
         mined = counts_as_strings(mine_counts(g, k, "daily").table)
         if mined != naive_mine(g, k, "daily"):
@@ -94,7 +94,7 @@ def test_05_interaction_count_fidelity():
     g = sinusoidal_graph()
     model = fit(mine_counts(g, 2, "daily"))
     orig_mean = g.n_events / g.n_snapshots
-    dens_orig = [float(s.n_edges) for s in g.snapshots]
+    dens_orig = [float(c) for c in np.diff(g.offsets)]
     means, ks_vals = [], []
     for seed in range(10):
         cfg = GenConfig(n_nodes=g.node_count, n_snapshots=g.n_snapshots,
@@ -102,7 +102,7 @@ def test_05_interaction_count_fidelity():
         sur = generate(model, cfg)
         means.append(sur.n_events / sur.n_snapshots)
         ks_vals.append(ks_distance(dens_orig,
-                                   [float(s.n_edges) for s in sur.snapshots]))
+                                   [float(c) for c in np.diff(sur.offsets)]))
     ratio = float(np.mean(means)) / orig_mean
     ks_max = max(ks_vals)
     _report(5, abs(ratio - 1.0) <= 0.15 and ks_max <= 0.25,
@@ -117,8 +117,8 @@ def test_06_weekly_periodicity_captured():
                     k=2, alpha=0.5, seed=0, epoch=MONDAY_EPOCH + 7 * 86400)
     sur = generate(model, cfg)
     by_day = {True: [], False: []}
-    for t, snap in enumerate(sur.snapshots):
-        by_day[weekday(sur.time_of(t)) >= 5].append(snap.n_edges)
+    for t, count in enumerate(np.diff(sur.offsets).tolist()):
+        by_day[weekday(sur.time_of(t)) >= 5].append(count)
     ratio = float(np.mean(by_day[False])) / float(np.mean(by_day[True]))
     _report(6, ratio >= 3.0,
             f"generated weekday/weekend edge ratio {ratio:.2f} "
@@ -169,13 +169,13 @@ def test_08_runtime_envelope(big_graph, big_fit):
 
 
 def test_09_dynamics_sanity():
-    star = TemporalGraph(4, [Snapshot({(0, 1), (0, 2), (0, 3)})] * 2, 300)
+    star = TemporalGraph(4, [{(0, 1), (0, 2), (0, 3)}] * 2, 300)
     hub_r0 = {sir_run(star, 0, 0, 1.0, 1.0, np.random.default_rng(s)).r0
               for s in range(100)}
 
     g = sinusoidal_graph(n=20, days=1, peak_p=0.02, seed=9)
-    t_first = next(t for t, s in enumerate(g.snapshots) if s.n_edges)
-    trimmed = TemporalGraph(20, list(g.snapshots[t_first:]), 300,
+    t_first = next(t for t, count in enumerate(np.diff(g.offsets)) if count)
+    trimmed = TemporalGraph(20, layer_edges(g)[t_first:], 300,
                             epoch=g.time_of(t_first))
     lam0 = sir_result(trimmed, DynConfig(sir_runs=100, lam=0.0, mu=0.1))
     lo = sir_result(trimmed, DynConfig(sir_runs=100, lam=0.01, mu=0.0))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etngen import (Snapshot, TemporalGraph, parse_edge_list, read_counts,
+from etngen import (TemporalGraph, parse_edge_list, read_counts,
                     write_distances_csv, write_edge_list, write_samples_csv)
 from etngen import cli
 from etngen import dynamics as dyn
@@ -20,7 +20,7 @@ from etngen import metrics as metrics_mod
 from etngen.cli import build_parser, main
 from etngen.etn import MAX_MINING_K
 from etngen.tempgraph import MAX_NODES
-from synth import er_layers, random_graph, sinusoidal_graph
+from synth import er_layers, layer_edges, random_graph, sinusoidal_graph
 
 
 def write_graph(path, g):
@@ -38,7 +38,7 @@ def busy_graph(n=8, m=24, seed=10):
     """Every layer nonempty, so dynamics can start anywhere."""
     layers = [set(e) | {(0, 1)}
               for e in er_layers(n, m, 0.25, np.random.default_rng(seed))]
-    return TemporalGraph(n, [Snapshot(e) for e in layers], 300, epoch=0)
+    return TemporalGraph(n, layers, 300, epoch=0)
 
 
 @pytest.fixture()
@@ -83,7 +83,7 @@ class TestFit:
                      "--gap", "300", "--k", "1"]) == 0
 
     def test_header_gap_needs_no_flag(self, tmp_path):
-        g = TemporalGraph(4, [Snapshot({(0, 1)}), Snapshot({(1, 2)})] * 4, 60)
+        g = TemporalGraph(4, [{(0, 1)}, {(1, 2)}] * 4, 60)
         path = write_graph(tmp_path / "gap60.tsv", g)
         model_path = tmp_path / "m.json"
         assert main(["fit", path, "--out", str(model_path), "--k", "1"]) == 0
@@ -115,7 +115,7 @@ class TestFit:
                      "--k", "0"]) == 1
 
     def test_too_few_snapshots_for_k(self, tmp_path):
-        g = TemporalGraph(3, [Snapshot({(0, 1)}), Snapshot({(1, 2)})], 300)
+        g = TemporalGraph(3, [{(0, 1)}, {(1, 2)}], 300)
         path = write_graph(tmp_path / "tiny.tsv", g)
         assert main(["fit", path, "--out", str(tmp_path / "m.json"),
                      "--k", "2"]) == 2
@@ -322,7 +322,7 @@ class TestGenerate:
         assert main(["generate", model_path, "--out", str(out),
                      "--snapshots", "12", "--seed-degrees", str(degrees)]) == 0
         g = load_graph(out)
-        assert g.snapshots[0].n_edges == 8
+        assert len(layer_edges(g)[0]) == 8
 
     def test_bad_seed_degrees_file(self, model_path, tmp_path):
         degrees = tmp_path / "deg.txt"
@@ -488,7 +488,7 @@ class TestEval:
                          runs["next"]["distances_dyn.csv"].decode().splitlines()[1:]]
 
     def test_gap_mismatch_is_data_error(self, train, tmp_path):
-        slow = TemporalGraph(4, [Snapshot({(0, 1)})] * 3, 600, epoch=0)
+        slow = TemporalGraph(4, [{(0, 1)}] * 3, 600, epoch=0)
         other = write_graph(tmp_path / "slow.tsv", slow)
         assert main(["eval", train, other,
                      "--out-dir", str(tmp_path / "report")]) == 2
@@ -512,8 +512,8 @@ class TestEval:
         # enough that Louvain's partitions depend on the seed.
         def sparse(seed):
             layers = er_layers(16, 24, 0.03, np.random.default_rng(seed))
-            return TemporalGraph(16, [Snapshot(set(e) | {(0, 1)})
-                                      for e in layers], 300, epoch=0)
+            return TemporalGraph(16, [set(e) | {(0, 1)} for e in layers], 300,
+                                 epoch=0)
 
         train = write_graph(tmp_path / "train.tsv", sparse(11))
         sur = write_graph(tmp_path / "sur.tsv", sparse(12))
@@ -609,7 +609,7 @@ def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["eval", "pipeline"])
 def test_gap_off_the_hour_fails_before_any_work(tmp_path, capsys, command):
-    g = TemporalGraph(4, [Snapshot({(0, 1)}), Snapshot({(1, 2)})] * 8, 7)
+    g = TemporalGraph(4, [{(0, 1)}, {(1, 2)}] * 8, 7)
     path = write_graph(tmp_path / "gap7.tsv", g)
     out_dir = tmp_path / "out"
     inputs = [path, path] if command == "eval" else [path]
@@ -713,8 +713,7 @@ def test_pipeline_snapshots_just_above_k_run(train, tmp_path):
 
 
 def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
-    g = TemporalGraph(4, [Snapshot(set())] + [Snapshot({(0, 1), (2, 3)})] * 11,
-                      300, epoch=0)
+    g = TemporalGraph(4, [set()] + [{(0, 1), (2, 3)}] * 11, 300, epoch=0)
     path = write_graph(tmp_path / "late.tsv", g)
     assert main(["eval", path, path, "--out-dir", str(tmp_path / "r"),
                  "--dynamics", "sir", "--starts", "t0", "--sir-runs", "2"]) == 2
@@ -728,7 +727,7 @@ def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
     ids=["sir-t0", "rw-peak"])
 def test_dynamics_start_checked_before_any_work(tmp_path, capsys, probes, start,
                                                 later, message):
-    g = TemporalGraph(4, [Snapshot(set())] + [Snapshot(later)] * 11, 300, epoch=0)
+    g = TemporalGraph(4, [set()] + [later] * 11, 300, epoch=0)
     path = write_graph(tmp_path / "late.tsv", g)
     out_dir = tmp_path / "out"
     assert main(["eval", path, path, "--out-dir", str(out_dir),
@@ -758,8 +757,7 @@ def test_zero_snapshots_fail_before_any_work(tmp_path, capsys, command, probes):
 
 def late_graph(n=8, m=24):
     """First snapshot empty, every later one with an edge."""
-    return TemporalGraph(n, [Snapshot(set())] + [Snapshot({(0, 1)})] * (m - 1),
-                         300, epoch=0)
+    return TemporalGraph(n, [set()] + [{(0, 1)}] * (m - 1), 300, epoch=0)
 
 
 @pytest.mark.parametrize("late_is_original", [True, False])
@@ -792,12 +790,12 @@ def test_pipeline_start_error_names_the_surrogate(tmp_path, capsys):
     # One edge among 40 nodes in the first snapshot: the seed degrees of a
     # 3-node surrogate, drawn from the model's 40, make no edge.
     layers = [{(0, 1)}] + [{(i, i + 1) for i in range(0, 40, 2)}] * 23
-    g = TemporalGraph(40, [Snapshot(e) for e in layers], 300, epoch=0)
+    g = TemporalGraph(40, layers, 300, epoch=0)
     path = write_graph(tmp_path / "sparse.tsv", g)
     out_dir = tmp_path / "out"
     assert main(["pipeline", path, "--out-dir", str(out_dir), "--nodes", "3",
                  "--dynamics", "sir", "--starts", "t0"]) == 2
-    assert not load_graph(out_dir / "surrogate.tsv").snapshots[0].edges
+    assert not layer_edges(load_graph(out_dir / "surrogate.tsv"))[0]
     err = capsys.readouterr().err
     assert err.count("etngen: error:") == 1
     assert (f"generated surrogate {out_dir / 'surrogate.tsv'}: start 't0' "
@@ -914,7 +912,7 @@ def tiny_inputs(tmp_path_factory):
     layers = [set(e) | {(0, 1)}
               for e in er_layers(6, 12, 0.3, np.random.default_rng(3))]
     train = write_graph(root / "train.tsv",
-                        TemporalGraph(6, [Snapshot(e) for e in layers], 300, epoch=0))
+                        TemporalGraph(6, layers, 300, epoch=0))
     model = str(root / "model.json")
     assert main(["fit", train, "--out", model]) == 0
     return train, model

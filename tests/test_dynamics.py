@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from etngen import (DynConfig, Snapshot, TemporalGraph, coverage_result,
-                    first_peak, mfpt_result, random_walk, resolve_start,
-                    run_dynamics, sir_result, sir_run)
+from etngen import (DynConfig, TemporalGraph, coverage_result, first_peak,
+                    mfpt_result, resolve_start, run_dynamics, sir_result)
 from etngen import dynamics
 from etngen.dynamics import (_PROBE_RW, _PROBE_SIR, _lam_key, _layer_csr,
                              _sir_lockstep, _sir_seeds, _stream, _walk_lockstep)
 from etngen.tempgraph import layer_arcs
-from oracles import coverage_per_run, mfpt_per_pair, sir_per_run
-from synth import er_layers, random_graph, sinusoidal_graph
+from oracles import (coverage_per_run, layer_adjacency, mfpt_per_pair,
+                     random_walk, sir_per_run, sir_run)
+from synth import er_layers, layer_edges, random_graph, sinusoidal_graph
 
 # Oracle and lockstep samples come from differently keyed streams, so the
 # statistical checks compare distributions, on fixed graphs and seeds.
@@ -21,7 +21,7 @@ CENSORED_FRACTION_TOL = 0.05
 
 
 def tg(n, layers, gap=300, epoch=0):
-    return TemporalGraph(n, [Snapshot(e) for e in layers], gap, epoch=epoch)
+    return TemporalGraph(n, layers, gap, epoch=epoch)
 
 
 def matching_graph(n=9, m=14, keep=0.7, seed=0):
@@ -134,17 +134,18 @@ class TestLayerCsr:
         rng = np.random.default_rng(seed)
         layers = er_layers(12, 8, [0.0, 0.02, 0.1, 0.3, 0.0, 0.6, 0.05, 1.0], rng)
         g = tg(12, layers)
-        assert any(not snap.edges for snap in g.snapshots)
-        assert any(0 < len(snap.active_nodes) < 12 for snap in g.snapshots)
+        edges = layer_edges(g)
+        assert any(not layer for layer in edges)
+        assert any(0 < len({u for e in layer for u in e}) < 12 for layer in edges)
         src, dst = layer_arcs(g)
         bounds = (2 * g.offsets).tolist()
-        for snap, a, b in zip(g.snapshots, bounds, bounds[1:]):
+        for layer, adj, a, b in zip(edges, layer_adjacency(g), bounds, bounds[1:]):
             deg, off = _layer_csr(src[a:b], g.node_count)
             assert len(deg) == len(off) == g.node_count
-            assert b - a == 2 * snap.n_edges
+            assert b - a == 2 * len(layer)
             for u in range(g.node_count):
                 row = dst[a:b][off[u]:off[u] + deg[u]].tolist()
-                assert row == list(snap.neighbors(u))
+                assert row == list(adj.get(u, ()))
 
 
 class TestArcTable:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etngen import (EtnSignature, TemporalGraph, etn_cosine_distance, extract_etn,
-                    mine_counts, prefix_of, read_counts, write_counts)
+from etngen import (EtnSignature, TemporalGraph, etn_cosine_distance, mine_counts,
+                    prefix_of, read_counts, write_counts)
 from etngen import etn, gen
 from etngen.etn import PrefixKeys
 from etngen.tempgraph import BucketKey
-from oracles import counts_as_strings, naive_mine, naive_signature_strings
-from synth import er_layers, random_graph, window_of, window_strings
+from oracles import (counts_as_strings, extract_etn, naive_mine,
+                     naive_signature_strings)
+from synth import er_layers, layer_edges, random_graph, window_of, window_strings
 
 
 def sig(*strings):
@@ -138,7 +139,7 @@ def test_extract_invariant_under_relabeling(case, rnd):
     rnd.shuffle(perm)
     relabeled = TemporalGraph(
         g.node_count,
-        [[(perm[i], perm[j]) for i, j in snap.edges] for snap in g.snapshots],
+        [[(perm[i], perm[j]) for i, j in edges] for edges in layer_edges(g)],
         g.gap_seconds, epoch=g.epoch)
     assert (extract_etn(relabeled, perm[ego], t_end, width)
             == extract_etn(g, ego, t_end, width))
@@ -158,8 +159,7 @@ def test_prefix_equals_previous_window(case):
 @settings(max_examples=150, deadline=None)
 def test_neighbor_window_matches_extract(case, extra):
     g, ego, t_end, width = case
-    window = window_of([snap.edges for snap in g.snapshots[:t_end + 1]], g.node_count,
-                       width + extra)
+    window = window_of(layer_edges(g)[:t_end + 1], g.node_count, width + extra)
     keys, bits, depth, n = window
     assert depth == min(t_end + 1, width + extra)
     assert np.all(keys[1:] > keys[:-1]) and np.all((bits > 0) & (bits < 1 << depth))

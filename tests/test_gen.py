@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
-                    Snapshot, TemporalGraph, expansion_alpha, extract_etn, fit,
-                    generate, mine_counts, propose_layer, seed_layer,
-                    validate_layer, write_edge_list)
+                    TemporalGraph, expansion_alpha, fit, generate, mine_counts,
+                    propose_layer, seed_layer, validate_layer, write_edge_list)
 from etngen import gen
 from etngen.etn import MinedCounts
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
 from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extension,
                           save_model)
 from etngen.tempgraph import MAX_NODES, BucketKey
-from oracles import scalar_pair_stubs, scalar_propose_layer, scalar_validate_layer
-from synth import er_layers, random_graph, window_of, window_strings
+from oracles import (extract_etn, scalar_pair_stubs, scalar_propose_layer,
+                     scalar_validate_layer)
+from synth import er_layers, layer_edges, random_graph, window_of, window_strings
 
 H8 = BucketKey(hour_of_day=8)
 
@@ -75,11 +75,11 @@ class TestSeedLayer:
         rng = np.random.default_rng(5)
         for _ in range(50):
             degrees = [int(d) for d in rng.integers(0, 5, size=12)]
-            snap = Snapshot(seed_layer(degrees,
-                                       np.random.default_rng(int(rng.integers(1 << 30)))))
+            edges = seed_layer(degrees, np.random.default_rng(int(rng.integers(1 << 30))))
+            realized = Counter(u for e in edges for u in e)
             for node, want in enumerate(degrees):
-                assert snap.degree(node) <= want
-            for i, j in snap.edges:
+                assert realized[node] <= want
+            for i, j in edges:
                 assert i != j
 
     def test_deterministic(self):
@@ -155,8 +155,8 @@ class TestProposeLayer:
         model = fit(mine_counts(g, 2, "daily"))
         for trial in range(20):
             layers = er_layers(12, 2, 0.2, rng)
-            snapshots = [Snapshot(e) for e in layers]
-            active = {ego: {u for snap in snapshots for u in snap.neighbors(ego)}
+            active = {ego: {u for layer in layers for e in layer if ego in e
+                            for u in e if u != ego}
                       for ego in range(12)}
             prov = propose_layer(*window_of(layers, 12), model, H8,
                                  _stream(trial, PHASE_PROPOSE, 1))
@@ -223,7 +223,7 @@ class TestProposeMatchesScalar:
         assert max(len(prefix.strings) for _, prefix in model.global_tables) > 20
         hour0 = BucketKey(hour_of_day=0)
         # The graph's own first windows are cells of the model.
-        layers = [snap.edges for snap in g.snapshots[:3]]
+        layers = layer_edges(g)[:3]
         window = window_of(layers, 26)
         assert min(len(window_strings(window, ego, 3)) for ego in range(26)) > 20
         assert assert_matches_scalar(layers, 26, 3, model, hour0, seed)["bucket"] == 26
@@ -448,8 +448,8 @@ class TestGenerate:
         cfg = GenConfig(n_nodes=6, n_snapshots=8, seed=2,
                         seed_degrees=(1,) * 6)
         g = generate(model, cfg)
-        assert g.snapshots[0].n_edges == 3
-        assert all(s.n_edges == 0 for s in g.snapshots[1:])
+        assert len(layer_edges(g)[0]) == 3
+        assert all(len(edges) == 0 for edges in layer_edges(g)[1:])
 
     def test_node_count_above_limit_fails_before_any_work(self):
         model = fit(mine_counts(random_graph(n=6, m=5, seed=1), 1, "daily"))
@@ -486,8 +486,8 @@ class TestGenerate:
         cfg = GenConfig(n_nodes=10, n_snapshots=12, seed=6)
         g = generate(model, cfg, diagnostics=diags)
         assert [d.layer for d in diags] == list(range(1, 12))
-        for d, snap in zip(diags, g.snapshots[1:]):
-            assert d.reciprocal + d.one_directional + d.stub_edges == snap.n_edges
+        for d, edges in zip(diags, layer_edges(g)[1:]):
+            assert d.reciprocal + d.one_directional + d.stub_edges == len(edges)
 
     @pytest.mark.parametrize("k, seed", [(1, 0), (2, 1), (3, 2)])
     def test_loaded_model_generates_the_same(self, k, seed):
@@ -584,8 +584,9 @@ class TestRollingWindow:
         monkeypatch.setattr(gen, "propose_layer", propose)
         out = generate(model, GenConfig(n_nodes=n, n_snapshots=m, k=k, seed=5))
         assert len(prefixes) == m - 1
+        out_layers = layer_edges(out)
         for t in range(1, m):
-            partial = TemporalGraph(n, out.snapshots[:t], out.gap_seconds)
+            partial = TemporalGraph(n, out_layers[:t], out.gap_seconds)
             want = [extract_etn(partial, ego, t - 1, min(t, k)) for ego in range(n)]
             assert prefixes[t - 1] == want, f"layer {t}"
             assert_rows_answer_as_lookup(model, *layers[t - 1][:2], want,

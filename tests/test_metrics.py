@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import jensenshannon
 
-from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph, Snapshot,
+from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph,
                     TemporalGraph, aggregate, aggregated_metrics, compare,
                     compute_report, contact_durations, emd, hour_metrics,
                     hour_slices, js_divergence, kl_divergence, ks_distance,
@@ -32,7 +32,7 @@ PER_HOUR = 3600 // GAP
 
 
 def tg(n, layers, gap=GAP, epoch=0):
-    return TemporalGraph(n, [Snapshot(e) for e in layers], gap, epoch=epoch)
+    return TemporalGraph(n, layers, gap, epoch=epoch)
 
 
 def one_hour(n, *aggregated_edges):

@@ -7,31 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etngen import (AggregatedGraph, BucketKey, ParseError, Snapshot,
-                    TemporalGraph, aggregate, bucket_of, hour_slices,
-                    parse_edge_list, resolve_periodicity, weekday,
-                    write_edge_list)
+from etngen import (AggregatedGraph, BucketKey, ParseError, TemporalGraph,
+                    aggregate, bucket_of, hour_slices, parse_edge_list,
+                    resolve_periodicity, weekday, write_edge_list)
 from etngen.tempgraph import (MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict,
                               layer_arcs)
 from oracles import dict_aggregate, dict_hour_slices
-from synth import MONDAY_EPOCH, layered_graphs, weekly_graph
+from synth import MONDAY_EPOCH, layer_edges, layered_graphs, weekly_graph
 
 
 def lines(text):
     return io.StringIO(text)
-
-
-class TestSnapshot:
-    def test_normalizes_and_dedups(self):
-        snap = Snapshot([(1, 0), (0, 1), (2, 1)])
-        assert snap.edges == {(0, 1), (1, 2)}
-        assert snap.neighbors(1) == (0, 2)
-        assert snap.degree(0) == 1
-        assert snap.active_nodes == {0, 1, 2}
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            Snapshot([(3, 3)])
 
 
 class TestParse:
@@ -40,8 +26,8 @@ class TestParse:
                             gap_seconds=300)
         assert g.node_count == 3
         assert g.n_snapshots == 2
-        assert g.snapshots[0].edges == {(0, 1)}
-        assert g.snapshots[1].edges == {(1, 2)}
+        assert layer_edges(g)[0] == {(0, 1)}
+        assert layer_edges(g)[1] == {(1, 2)}
         assert g.labels == ("a", "b", "c")
 
     def test_empty_stream_errors(self):
@@ -73,7 +59,7 @@ class TestParse:
     def test_self_loops_dropped_and_counted(self):
         g = parse_edge_list(lines("0\ta\ta\n0\ta\tb\n"), gap_seconds=300)
         assert g.dropped_self_loops == 1
-        assert g.snapshots[0].edges == {(0, 1)}
+        assert layer_edges(g)[0] == {(0, 1)}
 
     def test_missing_gap(self):
         with pytest.raises(ParseError, match="gap"):
@@ -82,13 +68,13 @@ class TestParse:
     def test_first_appearance_indexing(self):
         g = parse_edge_list(lines("0\tz\tq\n0\tq\ta\n"), gap_seconds=60)
         assert g.labels == ("z", "q", "a")
-        assert g.snapshots[0].edges == {(0, 1), (1, 2)}
+        assert layer_edges(g)[0] == {(0, 1), (1, 2)}
 
     def test_empty_bins_materialized(self):
         g = parse_edge_list(lines("0\ta\tb\n900\ta\tb\n"), gap_seconds=300)
         assert g.n_snapshots == 4
-        assert g.snapshots[1].n_edges == 0
-        assert g.snapshots[2].n_edges == 0
+        assert len(layer_edges(g)[1]) == 0
+        assert len(layer_edges(g)[2]) == 0
 
     def test_header_pins_binning(self):
         text = "#snapshots=5 #gap=300 #epoch=1000 #nodes=4\n1300\t0\t1\n"
@@ -96,7 +82,7 @@ class TestParse:
         assert g.node_count == 4
         assert g.n_snapshots == 5
         assert g.epoch == 1000
-        assert g.snapshots[1].edges == {(0, 1)}
+        assert layer_edges(g)[1] == {(0, 1)}
 
     def test_header_gap_conflict(self):
         with pytest.raises(ParseError, match="conflicts"):
@@ -104,7 +90,7 @@ class TestParse:
 
     def test_duplicate_events_collapse(self):
         g = parse_edge_list(lines("0\ta\tb\n10\tb\ta\n"), gap_seconds=300)
-        assert g.snapshots[0].n_edges == 1
+        assert len(layer_edges(g)[0]) == 1
 
 
 class TestLimits:
@@ -130,13 +116,13 @@ class TestLimits:
         g = parse_edge_list(lines(f"{far}\ta\tb\n{far + 600}\tb\tc\n"),
                             gap_seconds=300)
         assert g.epoch == far
-        assert [s.edges for s in g.snapshots] == [{(0, 1)}, set(), {(1, 2)}]
+        assert layer_edges(g) == [{(0, 1)}, set(), {(1, 2)}]
         # A time that fits int64 but whose offset from the epoch does not.
         text = ("#gap=1000000000000000000 #epoch=-9000000000000000000\n"
                 "900000000000000000\t0\t1\n")
         assert _read_strict(text) is not None
         g = parse_edge_list(lines(text))
-        assert g.n_snapshots == 10 and g.snapshots[9].edges == {(0, 1)}
+        assert g.n_snapshots == 10 and layer_edges(g)[9] == {(0, 1)}
 
 
 class TestWrite:
@@ -186,7 +172,7 @@ def test_parse_write_identity(g):
 @settings(max_examples=80, deadline=None)
 def test_aggregation_weight_conservation(g):
     agg = aggregate(g)
-    assert agg.total_weight == sum(s.n_edges for s in g.snapshots)
+    assert agg.total_weight == sum(map(len, layer_edges(g)))
 
 
 class TestAggregate:
@@ -350,19 +336,6 @@ def raw_layers(draw):
     return n, layers, gap, epoch
 
 
-class TestSnapshotQueries:
-    @given(layered_graphs())
-    @settings(max_examples=50, deadline=None)
-    def test_match_edge_set(self, g):
-        for snap in g.snapshots:
-            edges = snap.edges
-            assert snap.active_nodes == {u for e in edges for u in e}
-            for u in range(g.node_count):
-                nbrs = sorted({v for e in edges if u in e for v in e} - {u})
-                assert snap.neighbors(u) == tuple(nbrs)
-                assert snap.degree(u) == len(nbrs)
-
-
 class TestLayerArcs:
     def test_layout(self):
         g = TemporalGraph(4, [[(3, 1), (0, 2), (1, 2)], [], [(0, 3)]], 300)
@@ -377,8 +350,8 @@ class TestLayerArcs:
     def test_slices_match_snapshot_edges(self, g):
         src, dst = layer_arcs(g)
         bounds = (2 * g.offsets).tolist()
-        for snap, a, b in zip(g.snapshots, bounds, bounds[1:]):
-            arcs = sorted(arc for i, j in snap.edges for arc in ((i, j), (j, i)))
+        for edges, a, b in zip(layer_edges(g), bounds, bounds[1:]):
+            arcs = sorted(arc for i, j in edges for arc in ((i, j), (j, i)))
             assert list(zip(src[a:b].tolist(), dst[a:b].tolist())) == arcs
 
 
@@ -402,8 +375,12 @@ class TestEdgeTable:
             [0, 0, 1], [5, 5, 0], [6, 7, 7], [1, 2, 2]]
 
     def test_rejects_negative_id(self):
-        with pytest.raises(ValueError):
-            Snapshot([(-1, 2)])
+        with pytest.raises(ValueError, match="node ids must lie in"):
+            TemporalGraph(3, [[(0, 1)], [(-1, 2)]], 300)
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop on node 3"):
+            TemporalGraph(4, [[(0, 1)], [(1, 2), (3, 3)]], 300)
 
     @given(raw_layers())
     @settings(max_examples=150, deadline=None)
@@ -416,15 +393,13 @@ class TestEdgeTable:
 
     @given(raw_layers())
     @settings(max_examples=100, deadline=None)
-    def test_views_match_standalone_snapshots(self, drawn):
+    def test_layer_rows_match_input_layers(self, drawn):
         n, layers, gap, epoch = drawn
         g = TemporalGraph(n, layers, gap, epoch=epoch)
-        assert len(g.snapshots) == len(layers)
-        for view, layer in zip(g.snapshots, layers):
-            alone = Snapshot(layer)
-            assert view.edges == alone.edges == {(min(e), max(e)) for e in layer}
-            assert all(view.neighbors(u) == alone.neighbors(u) for u in range(n))
-            assert view == alone and hash(view) == hash(alone)
+        assert g.n_snapshots == len(layers)
+        for t, layer in enumerate(layers):
+            rows = list(map(tuple, g.pairs[g.offsets[t]:g.offsets[t + 1]].tolist()))
+            assert rows == sorted({(min(e), max(e)) for e in layer})
 
     @given(raw_layers())
     @settings(max_examples=50, deadline=None)
@@ -433,7 +408,6 @@ class TestEdgeTable:
         g = TemporalGraph(n, layers, gap, epoch=epoch)
         back = pickle.loads(pickle.dumps(g))
         assert back == g and back.labels == g.labels
-        assert back.snapshots == g.snapshots
 
 
 # Parse inputs for the differential test. A clean text is in the strict
