@@ -12,12 +12,23 @@ from etngen import (AggregatedGraph, BucketKey, ParseError, TemporalGraph,
                     resolve_periodicity, weekday, write_edge_list)
 from etngen.tempgraph import (MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict,
                               layer_arcs)
-from oracles import dict_aggregate, dict_hour_slices
+from oracles import dict_aggregate, dict_hour_slices, layer_adjacency
 from synth import MONDAY_EPOCH, layer_edges, layered_graphs, weekly_graph
 
 
 def lines(text):
     return io.StringIO(text)
+
+
+class TestSnapshot:
+    def test_normalizes_and_dedups(self):
+        g = TemporalGraph(3, [[(1, 0), (0, 1), (2, 1)]], 300)
+        assert g.pairs.tolist() == [[0, 1], [1, 2]]
+        assert layer_edges(g) == [{(0, 1), (1, 2)}]
+        adj = layer_adjacency(g)[0]
+        assert adj[1] == (0, 2)
+        assert len(adj[0]) == 1
+        assert set(adj) == {0, 1, 2}
 
 
 class TestParse:
