@@ -10,8 +10,8 @@ originals with surrogates topologically (`metrics`) and dynamically
 from .dynamics import (CoverageResult, DynConfig, DynReport, MfptResult,
                        SirResult, coverage_result, first_peak, mfpt_result,
                        resolve_start, run_dynamics, sir_result)
-from .etn import (EtnPrefix, EtnSignature, MinedCounts, etn_cosine_distance,
-                  mine_counts, prefix_of, read_counts, write_counts)
+from .etn import (EtnSignature, MinedCounts, etn_cosine_distance, mine_counts,
+                  prefix_of, read_counts, write_counts)
 from .gen import (GenConfig, LayerDiagnostics, ProvisionalLayer,
                   expansion_alpha, generate, propose_layer, seed_layer,
                   validate_layer, write_diagnostics)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedGraph", "BucketKey", "CoverageResult", "DISTANCE_FUNCS",
-    "DISTANCE_NAMES", "DistanceReport", "DynConfig", "DynReport", "EtnPrefix",
+    "DISTANCE_NAMES", "DistanceReport", "DynConfig", "DynReport",
     "EtnSignature", "ExtensionDistribution", "FitError", "GenConfig",
     "LayerDiagnostics", "LocalModel", "METRIC_KINDS", "MetricReport",
     "MfptResult", "MinedCounts", "ModelFormatError", "ParseError",

@@ -329,6 +329,12 @@ def _generate_stage(model: model_mod.LocalModel, args: argparse.Namespace,
 def cmd_generate(args: argparse.Namespace) -> int:
     with open(args.model, encoding="utf-8") as handle:
         model = model_mod.load_model(handle)
+    # GenConfig.validate's limits on k, as usage errors, before generating.
+    if args.k is not None and args.k > model.k:
+        raise UsageError(f"--k must be <= the model's k = {model.k}, got {args.k}")
+    k = args.k if args.k is not None else model.k
+    if args.snapshots <= k:
+        raise UsageError(f"--snapshots must be > --k = {k}, got {args.snapshots}")
     surrogate, cfg = _generate_stage(model, args, args.snapshots, args.out,
                                      args.diagnostics, args.epoch,
                                      args.seed_degrees)

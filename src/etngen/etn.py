@@ -10,15 +10,16 @@ Mining counts every window of every ego with whole-array operations, after
 Longa et al., "An efficient procedure for mining egocentric temporal
 motifs" (Data Min. Knowl. Disc. 2022): each contact sets one bit of one
 (window end, ego, neighbor) string for each of the k+1 windows it falls
-in, strings are sorted into one run per (window end, ego), and runs get
-exact ids from their strings packed into int64 chunks, with no hashing.
-Time is mined in blocks of `_BLOCK` window ends, which bounds the memory
-that these arrays take.
+in, strings are sorted into one run per (window end, ego) and packed into
+int64 chunks (`_pack_groups`), and runs get exact ids from their chunks
+(`_rank_levels`), with no hashing. Time is mined in blocks of `_BLOCK`
+window ends, which bounds the memory that these arrays take.
 
 Generation builds its windows in the same encoding, from the generated
 layers' arc keys ego * n + neighbor, by the same sort-and-OR step
-(`_or_by_key`) and the same packing (`_pack`); `PrefixKeys` finds those
-packed prefixes among a model's with one search per chunk.
+(`_or_by_key`), and names every ego's prefix by the same sort-and-pack
+step and the same ranker: `PrefixKeys.rows` finds the packed prefixes
+among a model's with one search per ranker level.
 """
 
 from __future__ import annotations
@@ -104,11 +105,7 @@ class EtnSignature:
         return f"EtnSignature({self.width}, {self.encode()!r})"
 
 
-# A prefix is structurally a signature one snapshot narrower.
-EtnPrefix = EtnSignature
-
-
-def prefix_of(sig: EtnSignature) -> EtnPrefix:
+def prefix_of(sig: EtnSignature) -> EtnSignature:
     """Drop the newest snapshot's bit from every string.
 
     Strings that become all-zero disappear, so the prefix can have fewer
@@ -153,41 +150,34 @@ class MinedCounts:
 
 class PrefixKeys:
     """Exact lookup of window prefixes among `prefixes`, the non-empty
-    prefixes of one width, by their packed strings (`_pack`).
-
-    A prefix is the sequence of its chunks, padded with 0 (which no chunk
-    is) to the most any prefix has. Level 0 ranks the first chunks; level
-    c > 0 ranks the pairs (prefix's rank at level c-1, rank of its chunk c
-    among level c's chunks), one int64 each. The last level's rank names
-    the prefix. Each level's sorted values end in a sentinel above every
-    chunk and pair, so a search never runs off the end.
+    prefixes of one width, by their packed strings (`_pack`): the levels
+    that `_rank_levels` builds for `prefixes` are searched for a query's
+    chunks and pairs, and the last level's rank names the prefix.
     """
-
-    _SENTINEL = np.iinfo(np.int64).max
 
     def __init__(self, prefixes: Sequence[EtnSignature], width: int):
         self.prefixes = list(prefixes)
+        self.width = width
         lengths = np.array([len(p.strings) for p in self.prefixes], dtype=np.int64)
         strings = np.fromiter(chain.from_iterable(p.strings for p in self.prefixes),
                               dtype=np.int64, count=int(lengths.sum()))
-        packed, chunks = _pack(strings, np.cumsum(lengths) - lengths, width)
-        first = np.cumsum(chunks) - chunks
-        self._levels: list[tuple[np.ndarray, np.ndarray | None]] = []
-        rank = pairs = None
-        for c in range(int(chunks.max(initial=1))):
-            chunk = _chunk_at(packed, first, chunks, c)
-            # With return_inverse, np.unique sorts: its hash-table path costs
-            # 17 ms and 1.6 MB of resident memory on first use (numpy 2.4).
-            values, rank_c = np.unique(chunk, return_inverse=True)
-            values = np.append(values, self._SENTINEL)
-            if rank is not None:
-                pairs, rank_c = np.unique(rank * values.size + rank_c, return_inverse=True)
-                pairs = np.append(pairs, self._SENTINEL)
-            self._levels.append((values, pairs))
-            rank = rank_c
+        self._levels, rank = _rank_levels(
+            *_pack(strings, np.cumsum(lengths) - lengths, width))
+        values, pairs = self._levels[-1]
         self._row = np.full((values if pairs is None else pairs).size,
                             len(self.prefixes), dtype=np.int64)
         self._row[rank] = np.arange(len(self.prefixes))
+
+    def rows(self, ego: np.ndarray, bits: np.ndarray, n: int) -> np.ndarray:
+        """Each of the n egos' rows: `find` of its prefix for an ego in the
+        window (`ego`, ascending, with `bits` below 2**width), -1 for an
+        idle one. All prefixes are sorted and packed at once, as mining's
+        are (`_pack_groups`)."""
+        rows = np.full(n, -1)
+        if ego.size:
+            _, _, run_ego, packed, chunks = _pack_groups(ego, bits, self.width)
+            rows[run_ego] = self.find(packed, chunks)
+        return rows
 
     def find(self, packed: np.ndarray, chunks: np.ndarray) -> np.ndarray:
         """For each run of `packed` (`chunks` per run, as `_pack` gives
@@ -219,7 +209,7 @@ class PrefixKeys:
 # per window.
 _BLOCK = 32
 
-# Bits that the packed chunks of window strings may use (`_run_ids`): at
+# Bits that the packed chunks of window strings may use (`_pack`): at
 # most 62 // (d+1) strings of width d+1 per int64. The widest window, of
 # k+1 snapshots, needs one string per chunk, so mining accepts k <= 61.
 _PACK_BITS = 62
@@ -304,14 +294,6 @@ def _or_by_key(parts: Sequence[np.ndarray], bits: Sequence[int]
     return key[first], np.bitwise_or.reduceat(bit, first)
 
 
-def _pair_order(group: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """The order that sorts the pairs by group, then value (below
-    2**width): one sort of both packed into an int64 where they fit."""
-    if (int(group.max(initial=0)) + 1) << width <= 1 << 63:
-        return np.argsort((group << width) | values)
-    return np.lexsort((values, group))
-
-
 def _pack(values: np.ndarray, run_start: np.ndarray, width: int
           ) -> tuple[np.ndarray, np.ndarray]:
     """Each run of `values` (runs begin at `run_start`) packed into int64
@@ -332,6 +314,55 @@ def _pack(values: np.ndarray, run_start: np.ndarray, width: int
     return packed, -(-run_len // per_chunk)
 
 
+def _pack_groups(group: np.ndarray, values: np.ndarray, width: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The strings `values` (below 2**width) sorted by group, then value,
+    into one run per group, and packed: the sorted strings, where each run
+    begins, each run's group, and `_pack`'s chunks and chunk counts. Where
+    both fit one int64, one sort of them packed together orders them."""
+    if (int(group.max(initial=0)) + 1) << width <= 1 << 63:
+        key = np.sort((group << width) | values)
+        values, group = key & ((1 << width) - 1), key >> width
+    else:
+        order = np.lexsort((values, group))
+        values, group = values[order], group[order]
+    run_start = _run_starts(group)
+    return (values, run_start, group[run_start], *_pack(values, run_start, width))
+
+
+def _rank_levels(packed: np.ndarray, chunks: np.ndarray
+                 ) -> tuple[list[tuple[np.ndarray, np.ndarray | None]], np.ndarray]:
+    """The lexicographic rank of each run packed by `_pack` (`chunks` per
+    run) among the distinct runs, by its chunk sequence padded with 0
+    (which no chunk is) to the most any run has: equal runs, and only
+    they, get equal ranks.
+
+    Level 0 ranks the first chunks; level c > 0 ranks the pairs (run's
+    rank at level c-1, rank of its chunk c among level c's chunks), one
+    int64 each. Returns the levels, each the sorted distinct chunks c and
+    the sorted distinct pairs (None at level 0), both ending in a sentinel
+    above every chunk and pair so that a search never runs off the end;
+    and each run's rank at the last level.
+    """
+    first = np.cumsum(chunks) - chunks  # index of each run's first chunk
+    top = (1 << 63) - 1  # the sentinel, the largest int64
+    levels = []
+    rank = None
+    for c in range(int(chunks.max(initial=1))):
+        chunk = packed[first] if not c else _chunk_at(packed, first, chunks, c)
+        # With return_inverse, np.unique sorts: its hash-table path costs
+        # 17 ms and 1.6 MB of resident memory on first use (numpy 2.4).
+        values, rank_c = np.unique(chunk, return_inverse=True)
+        values = np.append(values, top)
+        pairs = None
+        if rank is not None:
+            pairs, rank_c = np.unique(rank * values.size + rank_c, return_inverse=True)
+            pairs = np.append(pairs, top)
+        levels.append((values, pairs))
+        rank = rank_c
+    return levels, rank
+
+
 def _chunk_at(packed: np.ndarray, first: np.ndarray, chunks: np.ndarray, c: int
               ) -> np.ndarray:
     """Chunk c of every run packed by `_pack` (runs begin at chunk
@@ -350,23 +381,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts.nonzero()[0]
 
 
-def _run_ids(values: np.ndarray, run_start: np.ndarray, width: int) -> np.ndarray:
-    """An exact id for each run of `values` (runs begin at `run_start`),
-    equal for runs of equal sequences.
-
-    Runs are packed by `_pack`, ranked by their first chunk, then the rank
-    is refined by each further chunk, a missing chunk counting as 0, which
-    no real chunk is.
-    """
-    packed, chunks = _pack(values, run_start, width)
-    first = np.cumsum(chunks) - chunks  # index of each run's first chunk
-    ids = np.unique(packed[first], return_inverse=True)[1]
-    for c in range(1, int(chunks.max(initial=0))):
-        rank = np.unique(_chunk_at(packed, first, chunks, c), return_inverse=True)[1]
-        ids = np.unique(ids * (int(rank.max()) + 1) + rank, return_inverse=True)[1]
-    return ids
-
-
 def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
                     ) -> dict[BucketKey, dict[int, Counter]]:
     """Count signatures for egos in [lo, hi) across all depths 1..k.
@@ -375,11 +389,11 @@ def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
     gives every (end, ego, neighbor) string of width k+1 at once, with its
     (end, ego) group; the depth-d string is its low d+1 bits. Per depth,
     the nonzero strings sorted by (group, string) form one run per active
-    (end, ego): the body of that window's signature. `_run_ids` names each distinct run,
-    the block's names map to one numbering of the depth's string tuples,
-    and (bucket, tuple) pairs are counted. The other egos of each window
-    end have the empty signature. Each signature is built once per
-    distinct tuple.
+    (end, ego): the body of that window's signature, packed by
+    `_pack_groups`. `_rank_levels` names each distinct run, the block's
+    names map to one numbering of the depth's string tuples, and (bucket,
+    tuple) pairs are counted. The other egos of each window end have the
+    empty signature. Each signature is built once per distinct tuple.
     """
     n_egos = hi - lo
     n_buckets = len(arcs.keys)
@@ -393,11 +407,9 @@ def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
             values = string & ((1 << (depth + 1)) - 1)
             # windows ending before snapshot `depth` are too short
             live = np.flatnonzero((values != 0) & (groups >= (depth - start) * n_egos))
-            values, group = values[live], groups[live]
-            order = _pair_order(group, values, depth + 1)
-            values, group = values[order], group[order]
-            run_start = _run_starts(group)
-            ids = _run_ids(values, run_start, depth + 1)
+            values, run_start, run_group, packed, chunks = _pack_groups(
+                groups[live], values[live], depth + 1)
+            ids = _rank_levels(packed, chunks)[1]
             first = np.empty(int(ids.max(initial=-1)) + 1, dtype=np.int64)
             first[ids] = np.arange(ids.size)  # any run of an id spells its tuple
             run_end = np.append(run_start[1:], values.size)
@@ -406,7 +418,7 @@ def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
                               for a, b in zip(run_start[first].tolist(),
                                               run_end[first].tolist())],
                              dtype=np.int64)
-            run_end_t = group[run_start] // n_egos
+            run_end_t = run_group // n_egos
             ends = np.arange(max(start, depth), stop)
             idle = n_egos - np.bincount(run_end_t, minlength=stop - start)[ends - start]
             # cell = tuple number * n_buckets + bucket; the empty tuple is 0

@@ -7,12 +7,13 @@ seed layer's from its degrees and later layers' from their extensions, are
 all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
 window in mining's encoding, rebuilt per layer from the arc keys of the
 last min(t,k) layers (`_window`); the nodes with a neighbor in it name
-theirs as packed int64 keys, all at once, and the others share the empty
-prefix. One search of the model's prefix table gives every node its
-distribution, and one search of its `pick_index` picks every extension.
-All randomness flows through numpy substreams keyed by (phase, layer), and
-within a layer nodes draw in node order, so output depends only on the
-model and the config, not on scheduling.
+theirs all at once, packed and ranked as mining's are (`PrefixKeys.rows`),
+and the others share the empty prefix. One search of the model's prefix
+table gives every node its distribution, and one search of its
+`pick_index` picks every extension. All randomness flows through numpy
+substreams keyed by (phase, layer), and within a layer nodes draw in node
+order, so output depends only on the model and the config, not on
+scheduling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import IO, Collection, Iterable, Sequence
 
 import numpy as np
 
-from .etn import PrefixKeys, _or_by_key, _pack, _pair_order, _run_starts
+from .etn import _or_by_key
 from .model import FALLBACK_LEVELS, LocalModel
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
@@ -183,19 +184,6 @@ def _window(recent: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return _or_by_key(*zip(*live)) if live else (recent[-1], recent[-1])
 
 
-def _prefix_rows(ego: np.ndarray, bits: np.ndarray, depth: int, n: int,
-                 known: PrefixKeys) -> np.ndarray:
-    """Each of the n egos' rows in `known`: `known.find` of its prefix for
-    an ego in the window (`ego`, ascending, with `bits` below 2**depth),
-    -1 for an idle one. All prefixes are packed at once, as mining's are."""
-    rows = np.full(n, -1)
-    if ego.size:
-        run_start = _run_starts(ego)
-        packed, chunks = _pack(bits[_pair_order(ego, bits, depth)], run_start, depth)
-        rows[ego[run_start]] = known.find(packed, chunks)
-    return rows
-
-
 def propose_layer(keys: np.ndarray, bits: np.ndarray, depth: int, n_nodes: int,
                   model: LocalModel, bucket: BucketKey,
                   rng: np.random.Generator) -> ProvisionalLayer:
@@ -220,7 +208,7 @@ def propose_layer(keys: np.ndarray, bits: np.ndarray, depth: int, n_nodes: int,
     index = model.pick_index
     table = index.prefix_table(bucket, depth)
     ego = keys // n_nodes
-    row = _prefix_rows(ego, bits, depth, n_nodes, table.keys)
+    row = table.keys.rows(ego, bits, n_nodes)
     dist_of = table.position[row]
     levels = np.bincount(table.level[row], minlength=len(FALLBACK_LEVELS)).tolist()
     model.fallback_counts.update({lv: c for lv, c in zip(FALLBACK_LEVELS, levels) if c})

@@ -13,13 +13,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
 
-from .etn import (MAX_MINING_K, EtnPrefix, EtnSignature, MinedCounts, PrefixKeys,
-                  prefix_of)
+from .etn import MAX_MINING_K, EtnSignature, MinedCounts, PrefixKeys, prefix_of
 from .tempgraph import PERIODICITIES, BucketKey
 
 FORMAT_NAME = "etngen-model"
@@ -54,17 +53,14 @@ class ExtensionDistribution:
 
     extensions: tuple[tuple[EtnSignature, int], ...]
     total: int
-    _cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.extensions:
             raise ValueError("empty distribution")
         if any(c <= 0 for _, c in self.extensions):
             raise ValueError("non-positive count")
-        cumulative = tuple(accumulate(c for _, c in self.extensions))
-        if self.total != cumulative[-1]:
+        if self.total != sum(c for _, c in self.extensions):
             raise ValueError("total does not match counts")
-        object.__setattr__(self, "_cumulative", cumulative)
 
     @classmethod
     def from_counter(cls, ctr: Counter) -> "ExtensionDistribution":
@@ -76,14 +72,15 @@ class ExtensionDistribution:
 
     def pick(self, r: int) -> EtnSignature:
         """The signature that the integer draw r in [0, total) selects."""
-        return self.extensions[bisect_right(self._cumulative, r)][0]
+        running = list(accumulate(c for _, c in self.extensions))
+        return self.extensions[bisect_right(running, r)][0]
 
     def sample(self, rng: np.random.Generator) -> EtnSignature:
         return self.pick(int(rng.integers(self.total)))
 
 
-TableKey = tuple[BucketKey, int, EtnPrefix]
-GlobalKey = tuple[int, EtnPrefix]
+TableKey = tuple[BucketKey, int, EtnSignature]
+GlobalKey = tuple[int, EtnSignature]
 
 
 class PickIndex:
@@ -92,15 +89,15 @@ class PickIndex:
 
     Distribution i (the values of `tables`, then of `global_tables`, then a
     stand-in for "no distribution" of total 1) gets the base `base[i]`, the
-    sum of the totals before it. `cum` holds every distribution's running
-    counts plus its base, so for a draw r in [0, total[i]),
-    `searchsorted(cum, base[i] + r, side="right")` is the global position
-    of the extension that the distribution's `pick(r)` returns. Per
-    extension position, `stubs` counts the strings equal to 1 (contacts new
-    in the last snapshot) and `requests` lists the (prefix bits, count)
-    pairs of the other strings whose last bit is set, sorted by bits;
-    `asks` marks the positions with requests. The stand-in's one extension
-    has neither.
+    sum of the totals before it. `cum` is the running sum of every
+    extension count, the distributions' laid end to end, so for a draw r
+    in [0, total[i]), `searchsorted(cum, base[i] + r, side="right")` is the
+    global position of the extension that the distribution's `pick(r)`
+    returns. Per extension position, `stubs` counts the strings equal to 1
+    (contacts new in the last snapshot) and `requests` lists the (prefix
+    bits, count) pairs of the other strings whose last bit is set, sorted
+    by bits; `asks` marks the positions with requests. The stand-in's one
+    extension has neither.
 
     `prefix_table(bucket, depth)` gives, for every prefix at once, the
     distribution `lookup_extension` answers with; it is built on first use.
@@ -115,24 +112,20 @@ class PickIndex:
         # lives, so `position` can key on them without hashing a table.
         self._dists = dists
         self._position = {id(dist): i for i, dist in enumerate(dists)}
-        sizes = [len(dist.extensions) for dist in dists] + [1]
         self.total = np.array([dist.total for dist in dists] + [1], dtype=np.int64)
-        self.base = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(self.total[:-1], out=self.base[1:])
-        self.cum = np.fromiter(
-            chain(chain.from_iterable(dist._cumulative for dist in dists), (1,)),
-            dtype=np.int64, count=sum(sizes))
-        self.cum += np.repeat(self.base, sizes)
+        self.base = np.cumsum(self.total) - self.total
         parsed: dict[EtnSignature, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        stubs, requests = [], []
+        counts, stubs, requests = [], [], []
         for dist in dists:
-            for sig, _ in dist.extensions:
+            for sig, count in dist.extensions:
                 entry = parsed.get(sig)
                 if entry is None:
                     need = Counter(s >> 1 for s in sig.strings if s & 1)
                     entry = parsed[sig] = (need.pop(0, 0), tuple(sorted(need.items())))
+                counts.append(count)
                 stubs.append(entry[0])
                 requests.append(entry[1])
+        self.cum = np.cumsum(np.array(counts + [1], dtype=np.int64))
         self.stubs = np.array(stubs + [0], dtype=np.int64)
         self.requests = requests + [()]
         self.asks = np.array([bool(r) for r in self.requests])
@@ -238,7 +231,7 @@ def fit(counts: MinedCounts) -> LocalModel:
 
 
 def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
-                     prefix: EtnPrefix) -> tuple[ExtensionDistribution | None, str]:
+                     prefix: EtnSignature) -> tuple[ExtensionDistribution | None, str]:
     """The distribution that answers a query for `prefix`, and its level.
 
     Lookup falls back in order: exact cell, bucket-marginal, the empty
@@ -249,7 +242,7 @@ def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
 
 
 def _lookup(tables: dict, global_tables: dict, bucket: BucketKey, depth: int,
-            prefix: EtnPrefix | None) -> tuple[ExtensionDistribution | None, str]:
+            prefix: EtnSignature | None) -> tuple[ExtensionDistribution | None, str]:
     """`lookup_extension` on the tables; a None prefix is in none of them."""
     dist = tables.get((bucket, depth, prefix))
     if dist is not None:
@@ -268,7 +261,7 @@ def _lookup(tables: dict, global_tables: dict, bucket: BucketKey, depth: int,
 
 
 def sample_extension(model: LocalModel, bucket: BucketKey, depth: int,
-                     prefix: EtnPrefix, rng: np.random.Generator) -> EtnSignature:
+                     prefix: EtnSignature, rng: np.random.Generator) -> EtnSignature:
     """Draw a width-(depth+1) signature extending `prefix`.
 
     The distribution comes from `lookup_extension`; the level used is
@@ -389,7 +382,7 @@ def load_model(source: IO[str]) -> LocalModel:
     # The same texts recur in many cells (one per bucket), so each distinct
     # (text, width) is decoded once and each signature's prefix taken once.
     decoded: dict[tuple[str, int], EtnSignature] = {}
-    parents: dict[EtnSignature, EtnPrefix] = {}
+    parents: dict[EtnSignature, EtnSignature] = {}
 
     def decode(text: str, width: int) -> EtnSignature:
         sig = decoded.get((text, width))
@@ -397,7 +390,7 @@ def load_model(source: IO[str]) -> LocalModel:
             sig = decoded[text, width] = EtnSignature.decode(text, width)
         return sig
 
-    def parent(sig: EtnSignature) -> EtnPrefix:
+    def parent(sig: EtnSignature) -> EtnSignature:
         prefix = parents.get(sig)
         if prefix is None:
             prefix = parents[sig] = prefix_of(sig)

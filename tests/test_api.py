@@ -3,9 +3,10 @@
 import etngen
 from etngen import tempgraph
 
-# Reference code that lives in tests/oracles.py, and the per-layer view
-# that the edge table replaced.
-REMOVED = ("Snapshot", "random_walk", "sir_run", "SirRun", "extract_etn")
+# Reference code that lives in tests/oracles.py, the per-layer view that
+# the edge table replaced, and the alias of EtnSignature that prefixes had.
+REMOVED = ("Snapshot", "random_walk", "sir_run", "SirRun", "extract_etn",
+           "EtnPrefix")
 
 
 def test_star_import():

@@ -712,6 +712,26 @@ def test_pipeline_snapshots_just_above_k_run(train, tmp_path):
     assert load_graph(out_dir / "surrogate.tsv").n_snapshots == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--snapshots", "2"], "--snapshots must be > --k = 2, got 2"),
+    (["--snapshots", "1", "--k", "1"], "--snapshots must be > --k = 1, got 1"),
+    (["--snapshots", "24", "--k", "5"], "--k must be <= the model's k = 2, got 5"),
+])
+def test_generate_k_and_snapshots_out_of_range_are_usage_errors(model_path, tmp_path,
+                                                                capsys, flags, message):
+    capsys.readouterr()  # the fixture's fit output
+    out = tmp_path / "sur.tsv"
+    _fails_as_usage_error(["generate", model_path, "--out", str(out), *flags],
+                          out, capsys, message)
+
+
+def test_generate_snapshots_just_above_k_run(model_path, tmp_path):
+    out = tmp_path / "sur.tsv"
+    assert main(["generate", model_path, "--out", str(out), "--snapshots", "2",
+                 "--k", "1"]) == 0
+    assert load_graph(out).n_snapshots == 2
+
+
 def test_sir_start_without_edges_names_the_start(tmp_path, capsys):
     g = TemporalGraph(4, [set()] + [{(0, 1), (2, 3)}] * 11, 300, epoch=0)
     path = write_graph(tmp_path / "late.tsv", g)

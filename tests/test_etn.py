@@ -175,18 +175,17 @@ def test_neighbor_window_empty_layers():
     assert depth == 2 and keys.size == bits.size == 0
     none = np.zeros(0, dtype=np.int64)
     assert all(a is none for a in gen._window([none, none]))  # no numpy work
-    assert gen._prefix_rows(keys // n, bits, depth, n,
-                            PrefixKeys([sig("01")], 2)).tolist() == [-1] * 5
+    assert PrefixKeys([sig("01")], 2).rows(keys // n, bits, n).tolist() == [-1] * 5
     layers = [[], set(), [(1, 3)], []]
     keys, bits, depth, n = window = window_of(layers, 5, 3)
     assert depth == 3 and np.unique(keys // n).tolist() == [1, 3]
     assert window_strings(window, 1, 3) == (2,) == window_strings(window, 3, 3)
     known = PrefixKeys([sig("010"), sig("001")], 3)
-    rows = gen._prefix_rows(keys // n, bits, depth, n, known)
+    rows = known.rows(keys // n, bits, n)
     assert rows.tolist() == [-1, 0, -1, 0, -1]
     keys, bits, depth, n = window_of(layers + [[], []], 5, 3)
     assert keys.size == 0
-    assert gen._prefix_rows(keys // n, bits, depth, n, known).tolist() == [-1] * 5
+    assert known.rows(keys // n, bits, n).tolist() == [-1] * 5
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,6 +236,45 @@ def test_prefix_keys_find_long_prefixes(case, data):
     assert known.find(packed, chunks).tolist() == want
 
 
+@st.composite
+def runs_of_any_width(draw):
+    """A string width in 2..61 and runs of its strings, drawn from a few
+    distinct runs of up to three chunks, themselves drawn from a few
+    strings, so that runs repeat and share leading chunks."""
+    width = draw(st.integers(2, 61))
+    per_chunk = 62 // width
+    pool = draw(st.lists(st.integers(1, (1 << width) - 1), min_size=1, max_size=4,
+                         unique=True))
+    distinct = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=3 * per_chunk).map(tuple),
+                             min_size=1, max_size=6))
+    return width, draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_of_any_width())
+def test_rank_levels_ranks_runs_lexicographically(case):
+    width, runs = case
+    levels, rank = etn._rank_levels(*packed_runs(runs, width))
+    per_chunk = 62 // width
+    most = max(-(-len(run) // per_chunk) for run in runs)
+    # Each run's chunks, spelled out and padded with 0 to `most`.
+    spelled = [tuple(sum(s << (width * i) for i, s in
+                         enumerate(run[c * per_chunk:(c + 1) * per_chunk]))
+                     for c in range(most)) for run in runs]
+    rank = rank.tolist()
+    for a in range(len(runs)):
+        for b in range(len(runs)):
+            assert (rank[a] == rank[b]) == (runs[a] == runs[b])
+            assert (rank[a] < rank[b]) == (spelled[a] < spelled[b])
+    assert sorted(set(rank)) == list(range(len(set(runs))))
+    assert len(levels) == most
+    sentinel = np.iinfo(np.int64).max
+    for values, pairs in levels:
+        for level in (values, pairs) if pairs is not None else (values,):
+            assert level[-1] == sentinel and np.all(level[1:] > level[:-1])
+
+
 def test_prefix_keys_tell_apart_later_chunks():
     # 20 strings of width 3 fill a chunk: these share their first chunk.
     one = (1,) * 20
@@ -263,7 +301,7 @@ def test_neighbor_window_rows_of_long_prefixes(n, p, seed, data):
     want = [-1 if not s else members.index(s) if s in members else len(members)
             for s in prefixes]
     keys, bits, depth, _ = window
-    assert gen._prefix_rows(keys // n, bits, depth, n, known).tolist() == want
+    assert known.rows(keys // n, bits, n).tolist() == want
     assert any(len(s) > 20 for s in prefixes)
 
 

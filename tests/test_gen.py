@@ -13,7 +13,7 @@ from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     TemporalGraph, expansion_alpha, fit, generate, mine_counts,
                     propose_layer, seed_layer, validate_layer, write_edge_list)
 from etngen import gen
-from etngen.etn import MinedCounts
+from etngen.etn import MinedCounts, PrefixKeys
 from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
 from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extension,
                           save_model)
@@ -242,17 +242,17 @@ class TestProposeMatchesScalar:
 
 @contextmanager
 def rows_recorded():
-    """Record the rows that every `gen._prefix_rows` call gives, with the
+    """Record the rows that every `PrefixKeys.rows` call gives, with the
     prefix keys it searched."""
     seen: list[tuple] = []
-    real = gen._prefix_rows
+    real = PrefixKeys.rows
 
-    def prefix_rows(ego, bits, depth, n, known):
-        rows = real(ego, bits, depth, n, known)
+    def prefix_rows(known, ego, bits, n):
+        rows = real(known, ego, bits, n)
         seen.append((known, rows))
         return rows
 
-    with mock.patch.object(gen, "_prefix_rows", prefix_rows):
+    with mock.patch.object(PrefixKeys, "rows", prefix_rows):
         yield seen
 
 
@@ -543,15 +543,15 @@ class TestGolden:
         # strings, more than one packed chunk, before the surrogate dies out.
         model = fit(mine_counts(random_graph(n=26, m=12, p=0.9, seed=2), 3, "daily"))
         longest = []
-        real = gen._prefix_rows
+        real = PrefixKeys.rows
 
-        def prefix_rows(ego, bits, depth, n, known):
-            if depth == 3:
+        def prefix_rows(known, ego, bits, n):
+            if known.width == 3:
                 longest.append(int(np.bincount(ego, minlength=1).max()))
-            return real(ego, bits, depth, n, known)
+            return real(known, ego, bits, n)
 
         diags = []
-        with mock.patch.object(gen, "_prefix_rows", prefix_rows):
+        with mock.patch.object(PrefixKeys, "rows", prefix_rows):
             g = generate(model, GenConfig(n_nodes=26, n_snapshots=24, k=3,
                                           alpha=1.0, seed=2), diags)
         assert longest.count(25) == 14 and longest[-1] == 0
