@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .tempgraph import BucketKey, TemporalGraph, bucket_of
 
 EMPTY_TOKEN = "∅"
 _STRING_SEP = "|"
+_CODE_CHARS = frozenset("01" + _STRING_SEP)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,16 @@ class EtnSignature:
     def __hash__(self) -> int:
         return self._hash
 
+    @classmethod
+    def _of(cls, width: int, strings: tuple[int, ...]) -> "EtnSignature":
+        """`cls(width, strings)` for strings known to be sorted and in
+        range, without `__post_init__`'s per-string checks."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "width", width)
+        object.__setattr__(sig, "strings", strings)
+        object.__setattr__(sig, "_hash", hash((width, strings)))
+        return sig
+
     @property
     def is_empty(self) -> bool:
         return not self.strings
@@ -85,7 +96,8 @@ class EtnSignature:
         return cls(widths.pop(), tuple(sorted(int(s, 2) for s in strs)))
 
     def bit_strings(self) -> tuple[str, ...]:
-        return tuple(format(s, f"0{self.width}b") for s in self.strings)
+        spec = f"0{self.width}b"
+        return tuple([format(s, spec) for s in self.strings])
 
     def encode(self) -> str:
         if not self.strings:
@@ -94,12 +106,20 @@ class EtnSignature:
 
     @classmethod
     def decode(cls, text: str, width: int) -> "EtnSignature":
+        """The signature that `encode` writes as `text` at `width`. Any other
+        spelling is refused (`01|1` at width 2, `11|01`, `0b1`, `1_1`, `+11`,
+        ` 11`, non-ASCII digits), so that each signature has one text."""
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
         if text == EMPTY_TOKEN:
-            return cls(width, ())
-        sig = cls.from_bit_strings(text.split(_STRING_SEP))
-        if sig.width != width:
-            raise ValueError(f"decoded width {sig.width} != expected {width}")
-        return sig
+            return cls._of(width, ())
+        parts = text.split(_STRING_SEP)
+        # `encode` writes each string as `width` binary digits, in ascending
+        # order, and none all zero: the smallest has a 1.
+        if (not _CODE_CHARS.issuperset(text) or set(map(len, parts)) != {width}
+                or parts != sorted(parts) or "1" not in parts[0]):
+            raise ValueError(f"non-canonical signature {text!r} at width {width}")
+        return cls._of(width, tuple(map(int, parts, repeat(2))))
 
     def __repr__(self) -> str:
         return f"EtnSignature({self.width}, {self.encode()!r})"
@@ -113,7 +133,8 @@ def prefix_of(sig: EtnSignature) -> EtnSignature:
     """
     if sig.width < 2:
         raise ValueError("signature of width 1 has no prefix")
-    return EtnSignature(sig.width - 1, tuple(sorted(s >> 1 for s in sig.strings if s >> 1)))
+    # Shifting keeps the sorted strings sorted and below 2**(width-1).
+    return EtnSignature._of(sig.width - 1, tuple([s >> 1 for s in sig.strings if s >> 1]))
 
 
 @dataclass

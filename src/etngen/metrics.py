@@ -273,32 +273,24 @@ def _frontier_rows(arcs: _Arcs, sources: np.ndarray
     networkx's Dijkstra computes them: the least float sum of arc lengths
     added one arc at a time from the source; n when unreachable.
 
-    Hops come from a frontier expansion: each level marks the (source,
-    node) pairs that the pairs first reached at the level before reach
-    through one arc. Distances come from Bellman-Ford, each round extending
-    only the pairs improved in the round before. Rounding is monotone, and
-    a length 1/weight (weight at most the snapshot count) changes every sum
+    Both come from one Bellman-Ford relaxation, each round extending only
+    the pairs improved in the round before. Rounding is monotone, and a
+    length 1/weight (weight at most the snapshot count) changes every sum
     below n, so the fixed point is unique and equals Dijkstra's, whatever
-    order the rounds take.
+    order the rounds take. Round r extends walks of r - 1 arcs by one, so a
+    pair's distance first falls below n in the round that equals its hop
+    count.
     """
     n, size = arcs.n, sources.size * arcs.n
     own = np.arange(sources.size) * n + sources  # flat (row, source) keys
     hops = np.full(size, -1, dtype=np.int32)
     hops[own] = 0
+    dist = np.full(size, float(n))  # no path is as long: n-1 arcs of length <= 1
+    dist[own] = 0.0
     fresh = np.zeros(size, dtype=bool)
     frontier, level = own, 0
     while frontier.size:
         level += 1
-        d, at = _fan_out(frontier, arcs)
-        fresh[:] = False
-        fresh[np.repeat(frontier - frontier % n, d) + arcs.head[at]] = True
-        fresh &= hops < 0
-        frontier = np.flatnonzero(fresh)
-        hops[frontier] = level
-    dist = np.full(size, float(n))  # no path is as long: n-1 arcs of length <= 1
-    dist[own] = 0.0
-    frontier = own
-    while frontier.size:
         d, at = _fan_out(frontier, arcs)
         head = np.repeat(frontier - frontier % n, d)
         head += arcs.head[at]
@@ -306,6 +298,7 @@ def _frontier_rows(arcs: _Arcs, sources: np.ndarray
         cand += arcs.length[at]
         better = cand < dist[head]
         head = head[better]
+        hops[head[hops[head] < 0]] = level
         np.minimum.at(dist, head, cand[better])
         fresh[:] = False
         fresh[head] = True
@@ -313,33 +306,30 @@ def _frontier_rows(arcs: _Arcs, sources: np.ndarray
     return hops.reshape(-1, n), dist.reshape(-1, n)
 
 
-def _dense_rows(adjacent: np.ndarray, step: np.ndarray, sources: np.ndarray
+def _dense_rows(step: np.ndarray, sources: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `_frontier_rows`, from the n x n adjacency and length
-    (inf where no arc) matrices.
+    """The rows of `_frontier_rows`, from the n x n matrix of arc lengths
+    (inf where no arc).
 
-    Hop levels come from boolean matrix products, which numpy runs in its
-    own loop, not in BLAS. Distances come from min-plus Bellman-Ford rounds
-    that extend the rows through the nodes whose distance from one of the
-    sources changed in the round before; they reach the same unique fixed
-    point.
+    Both come from min-plus Bellman-Ford rounds that extend the rows
+    through the nodes whose distance from one of the sources changed in the
+    round before; they reach the same unique fixed point. A distance that
+    falls below n in round r sums a walk of at most r arcs, and a node r
+    hops away is reached in round r through the node before it on a
+    shortest hop path, reached in round r - 1. So here too a pair's
+    distance first falls below n in the round that equals its hop count.
     """
     own = (np.arange(sources.size), sources)
     hops = np.full((sources.size, len(step)), -1, dtype=np.int32)
     hops[own] = 0
-    frontier = hops == 0
-    level = 0
-    while frontier.any():
-        level += 1
-        frontier = frontier @ adjacent
-        frontier &= hops < 0
-        hops[frontier] = level
     dist = np.full(hops.shape, float(len(step)))
     dist[own] = 0.0
-    changed = sources
+    changed, level = sources, 0
     while changed.size:
+        level += 1
         cand = (dist[:, changed, None] + step[changed]).min(axis=1)
         better = cand < dist
+        hops[better & (hops < 0)] = level
         dist[better] = cand[better]
         changed = np.flatnonzero(better.any(axis=0))
     return hops, dist
@@ -352,11 +342,9 @@ def _sweep(arcs: _Arcs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     `_BUDGET` entries over the kernel's width, arcs or n^2."""
     n = arcs.n
     if arcs.tail.size >= _DENSE * n * (n - 1):
-        adjacent = np.zeros((n, n), dtype=bool)
-        adjacent[arcs.tail, arcs.head] = True
         step = np.full((n, n), np.inf)
         step[arcs.tail, arcs.head] = arcs.length
-        rows = partial(_dense_rows, adjacent, step)
+        rows = partial(_dense_rows, step)
         width = n * n
     else:
         rows = partial(_frontier_rows, arcs)

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import IO
+from json.encoder import encode_basestring
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -42,6 +43,19 @@ class FitError(ValueError):
     """Counts insufficient to fit a model."""
 
 
+class _Once(dict):
+    """A dict that fills a missing key with `fn(key)`: `fn` runs once per
+    distinct key, however often the key recurs."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 @dataclass(frozen=True)
 class ExtensionDistribution:
     """Empirical distribution over signatures sharing one prefix.
@@ -55,15 +69,16 @@ class ExtensionDistribution:
     total: int
 
     def __post_init__(self):
-        if not self.extensions:
+        counts = [c for _, c in self.extensions]
+        if not counts:
             raise ValueError("empty distribution")
-        if any(c <= 0 for _, c in self.extensions):
+        if min(counts) <= 0:
             raise ValueError("non-positive count")
-        if self.total != sum(c for _, c in self.extensions):
+        if self.total != sum(counts):
             raise ValueError("total does not match counts")
 
     @classmethod
-    def from_counter(cls, ctr: Counter) -> "ExtensionDistribution":
+    def from_counter(cls, ctr: Mapping[EtnSignature, int]) -> "ExtensionDistribution":
         items = sorted(ctr.items(), key=lambda kv: kv[0].strings)
         return cls(tuple(items), sum(ctr.values()))
 
@@ -195,13 +210,18 @@ class LocalModel:
         return PickIndex(self.tables, self.global_tables)
 
 
-def _build_model(cells: dict[TableKey, Counter], **meta) -> LocalModel:
+def _build_model(cells: dict[TableKey, dict[EtnSignature, int]], **meta) -> LocalModel:
     """The model whose (bucket, depth, prefix) cell counts are `cells`; its
     global tables sum each (depth, prefix) over buckets. `meta` holds the
     remaining `LocalModel` fields."""
-    global_acc: dict[GlobalKey, Counter] = {}
-    for (_, depth, prefix), ctr in cells.items():
-        global_acc.setdefault((depth, prefix), Counter()).update(ctr)
+    global_acc: dict[GlobalKey, dict[EtnSignature, int]] = {}
+    for (_, depth, prefix), cell in cells.items():
+        acc = global_acc.get((depth, prefix))
+        if acc is None:
+            global_acc[depth, prefix] = dict(cell)
+            continue
+        for sig, c in cell.items():
+            acc[sig] = acc.get(sig, 0) + c
     return LocalModel(
         tables={key: ExtensionDistribution.from_counter(ctr)
                 for key, ctr in cells.items()},
@@ -215,11 +235,18 @@ def fit(counts: MinedCounts) -> LocalModel:
     the periodicity the counts were mined at."""
     if counts.periodicity not in PERIODICITIES:
         raise ValueError(f"unknown periodicity {counts.periodicity!r}")
-    cells: dict[TableKey, Counter] = {}
+    # The same signatures recur in many buckets: each prefix is taken once.
+    # A signature is counted once per (bucket, depth), so once per cell.
+    parents = _Once(prefix_of)
+    cells: dict[TableKey, dict[EtnSignature, int]] = {}
     for bucket, per_depth in counts.table.items():
         for depth, ctr in per_depth.items():
             for sig, c in ctr.items():
-                cells.setdefault((bucket, depth, prefix_of(sig)), Counter())[sig] += c
+                key = (bucket, depth, parents[sig])
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = {}
+                cell[sig] = c
     depths = {depth for _, depth, _ in cells}
     for depth in range(1, counts.k + 1):
         if depth not in depths:
@@ -274,41 +301,47 @@ def sample_extension(model: LocalModel, bucket: BucketKey, depth: int,
     return dist.sample(rng)
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """The JSON texts `items` as the list that `json.dumps(..., indent=1)`
+    writes at nesting level `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
 def save_model(model: LocalModel, sink: IO[str]) -> None:
     """Serialize to JSON. Counts are integers, ordering canonical, output
-    byte-stable for a given model. The same signatures recur in many cells,
-    so each distinct one is encoded once."""
-    codes: dict[EtnSignature | BucketKey, str] = {}
+    byte-stable for a given model.
 
-    def code(item: EtnSignature | BucketKey) -> str:
-        text = codes.get(item)
-        if text is None:
-            text = codes[item] = item.encode()
-        return text
-
+    The text is `json.dumps(doc, ensure_ascii=False, indent=1)` of the
+    model's document, assembled directly: an indented dump runs json's
+    pure-Python encoder, while the same signatures recur in many cells. So
+    each distinct code is quoted once, by json's C string encoder, and each
+    extension's lines before its count are built once per signature."""
+    texts = _Once(lambda item: item.encode())
+    quoted = _Once(lambda item: encode_basestring(texts[item]))
+    heads = _Once(lambda sig: f'{{\n     "sig": {quoted[sig]},\n     "count": ')
     cells = []
     for (bucket, depth, prefix), dist in sorted(
             model.tables.items(),
-            key=lambda kv: (code(kv[0][0]), kv[0][1], kv[0][2].strings)):
-        cells.append({
-            "bucket": code(bucket),
-            "depth": depth,
-            "prefix": code(prefix),
-            "extensions": [{"sig": code(sig), "count": c}
-                           for sig, c in dist.extensions],
-        })
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "k": model.k,
-        "periodicity": model.periodicity,
-        "gap": model.gap_seconds,
-        "epoch": model.epoch,
-        "nodes": model.node_count,
-        "seed_degrees": list(model.seed_degrees),
-        "tables": cells,
-    }
-    sink.write(json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
+            key=lambda kv: (texts[kv[0][0]], kv[0][1], kv[0][2].strings)):
+        extensions = [f"{heads[sig]}{c}\n    }}" for sig, c in dist.extensions]
+        cells.append(f'{{\n   "bucket": {quoted[bucket]},\n   "depth": {depth},\n'
+                     f'   "prefix": {quoted[prefix]},\n'
+                     f'   "extensions": {_json_list(extensions, 3)}\n  }}')
+    fields = [
+        f'"format": {encode_basestring(FORMAT_NAME)}',
+        f'"version": {FORMAT_VERSION}',
+        f'"k": {model.k}',
+        f'"periodicity": {encode_basestring(model.periodicity)}',
+        f'"gap": {model.gap_seconds}',
+        f'"epoch": {model.epoch}',
+        f'"nodes": {model.node_count}',
+        f'"seed_degrees": {_json_list([str(d) for d in model.seed_degrees], 1)}',
+        f'"tables": {_json_list(cells, 1)}',
+    ]
+    sink.write("{\n " + ",\n ".join(fields) + "\n}\n")
 
 
 def _check_invariants(model: LocalModel) -> None:
@@ -352,7 +385,8 @@ def _typed(value, kind: type, name: str):
 
 def load_model(source: IO[str]) -> LocalModel:
     """Inverse of `save_model`; global tables are rebuilt by summation.
-    Integer fields must be JSON integers and codes JSON strings."""
+    Integer fields must be JSON integers and codes JSON strings, each the
+    one text that `save_model` writes for its bucket or signature."""
     try:
         doc = json.load(source)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -380,40 +414,31 @@ def load_model(source: IO[str]) -> LocalModel:
         raise ModelFormatError(f"k={k} exceeds the limit of {MAX_MINING_K}")
 
     # The same texts recur in many cells (one per bucket), so each distinct
-    # (text, width) is decoded once and each signature's prefix taken once.
-    decoded: dict[tuple[str, int], EtnSignature] = {}
-    parents: dict[EtnSignature, EtnSignature] = {}
-
-    def decode(text: str, width: int) -> EtnSignature:
-        sig = decoded.get((text, width))
-        if sig is None:
-            sig = decoded[text, width] = EtnSignature.decode(text, width)
-        return sig
-
-    def parent(sig: EtnSignature) -> EtnSignature:
-        prefix = parents.get(sig)
-        if prefix is None:
-            prefix = parents[sig] = prefix_of(sig)
-        return prefix
-
-    cells: dict[TableKey, Counter] = {}
+    # text is decoded once per width, and each signature's prefix taken once.
+    buckets = _Once(lambda text: BucketKey.decode(_typed(text, str, "bucket")))
+    codes = _Once(lambda width: _Once(
+        lambda text: EtnSignature.decode(_typed(text, str, "signature"), width)))
+    parents = _Once(prefix_of)
+    cells: dict[TableKey, dict[EtnSignature, int]] = {}
     try:
         for cell in doc_cells:
-            bucket = BucketKey.decode(_typed(cell["bucket"], str, "bucket"))
+            bucket = buckets[cell["bucket"]]
             depth = _typed(cell["depth"], int, "depth")
             if not (1 <= depth <= k):
                 raise ModelFormatError(f"depth {depth} outside 1..{k}")
-            prefix = decode(_typed(cell["prefix"], str, "prefix"), depth)
-            ctr: Counter = Counter()
+            prefix = codes[depth][cell["prefix"]]
+            sigs = codes[depth + 1]
+            ctr: dict[EtnSignature, int] = {}
             for ext in cell["extensions"]:
-                sig = decode(_typed(ext["sig"], str, "sig"), depth + 1)
+                sig = sigs[ext["sig"]]
                 count = _typed(ext["count"], int, "count")
                 if count <= 0:
                     raise ModelFormatError(f"non-positive count {count}")
-                if not (sig.is_empty and prefix.is_empty) and parent(sig) != prefix:
+                # Both are decoded at the cell's widths: their strings decide.
+                if parents[sig].strings != prefix.strings:
                     raise ModelFormatError(
                         f"extension {sig.encode()} does not extend {cell['prefix']}")
-                ctr[sig] += count
+                ctr[sig] = ctr.get(sig, 0) + count
             key = (bucket, depth, prefix)
             if key in cells:
                 raise ModelFormatError(f"duplicate cell {cell['bucket']}/{depth}/"

@@ -576,14 +576,19 @@ class BucketKey:
 
     @classmethod
     def decode(cls, text: str) -> "BucketKey":
+        """The key that `encode` writes as `text`. Any other spelling is
+        refused (`h8`, `h 8`, `h+8`, `d1x08`), so that each key has one text."""
+        key = None
         try:
             if text.startswith("d"):
-                return cls(hour_of_day=int(text[3:]), day_of_week=int(text[1:2]))
-            if text.startswith("h"):
-                return cls(hour_of_day=int(text[1:]))
+                key = cls(hour_of_day=int(text[3:]), day_of_week=int(text[1:2]))
+            elif text.startswith("h"):
+                key = cls(hour_of_day=int(text[1:]))
         except (ValueError, IndexError):
             pass
-        raise ValueError(f"bad bucket key {text!r}")
+        if key is None or key.encode() != text:
+            raise ValueError(f"bad bucket key {text!r}")
+        return key
 
 
 def weekday(wallclock_seconds: int) -> int:

@@ -1,12 +1,12 @@
 """Independent reference implementations used to check the optimized
 library code: a naive string-based miner, aggregation and hour slices
 summed edge by edge over each layer's edge set, snapshot metrics from
-networkx and contact durations from a dict of open runs, layer proposal
-ego by ego, stub pairing and request validation with one scalar draw per
-index and per coin, networkx, a per-source Brandes sweep and an exact
-enumeration of shortest paths for the shortest-path metrics, one
-`random_walk` per run or pair for the walk probes, and one `sir_run` per
-epidemic for SIR.
+networkx and contact durations from a dict of open runs, the model file
+as `json.dumps` writes it, layer proposal ego by ego, stub pairing and
+request validation with one scalar draw per index and per coin,
+networkx, a per-source Brandes sweep and an exact enumeration of
+shortest paths for the shortest-path metrics, one `random_walk` per run or
+pair for the walk probes, and one `sir_run` per epidemic for SIR.
 
 The scalar references `extract_etn`, `random_walk` and `sir_run` read each
 layer's neighbours from `layer_adjacency`, dicts of ascending tuples built
@@ -14,6 +14,7 @@ once per graph from its edge table in plain Python."""
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from etngen import (AggregatedGraph, CoverageResult, DynConfig, EtnSignature,
                     resolve_start)
 from etngen.dynamics import _sir_seeds
 from etngen.gen import ProvisionalLayer, _norm
-from etngen.model import ExtensionDistribution, LocalModel, lookup_extension
+from etngen.model import (FORMAT_NAME, FORMAT_VERSION, ExtensionDistribution,
+                          LocalModel, lookup_extension)
 from etngen.tempgraph import SECONDS_PER_HOUR, BucketKey, require_hour_aligned
 from etngen.metrics import _Graph
 from synth import layer_edges
@@ -138,6 +140,23 @@ def dict_hour_slices(g: TemporalGraph) -> list[AggregatedGraph]:
         for e in edges:
             weights[e] = weights.get(e, 0) + 1
     return [AggregatedGraph(dict(sorted(w.items()))) for w in acc]
+
+
+def json_model_text(model: LocalModel) -> str:
+    """The model file as `json.dumps(doc, ensure_ascii=False, indent=1)`
+    writes the document of `model`: cells sorted by bucket text, depth and
+    prefix strings, each cell's extensions in distribution order."""
+    cells = [{"bucket": bucket.encode(), "depth": depth, "prefix": prefix.encode(),
+              "extensions": [{"sig": sig.encode(), "count": c}
+                             for sig, c in dist.extensions]}
+             for (bucket, depth, prefix), dist in sorted(
+                 model.tables.items(),
+                 key=lambda kv: (kv[0][0].encode(), kv[0][1], kv[0][2].strings))]
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "k": model.k,
+           "periodicity": model.periodicity, "gap": model.gap_seconds,
+           "epoch": model.epoch, "nodes": model.node_count,
+           "seed_degrees": list(model.seed_degrees), "tables": cells}
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
 
 
 def nx_snapshot_metrics(g: TemporalGraph) -> dict[str, list[float]]:

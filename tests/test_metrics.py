@@ -522,8 +522,8 @@ class TestCentralities:
 
     def test_density_selects_the_kernel(self, monkeypatch):
         dense = []
-        monkeypatch.setattr(metrics, "_dense_rows", lambda adjacent, step, sources:
-                            dense.append(len(step)) or _dense_rows(adjacent, step, sources))
+        monkeypatch.setattr(metrics, "_dense_rows", lambda step, sources:
+                            dense.append(len(step)) or _dense_rows(step, sources))
         path_10 = {e: w for e, w in CYCLE_11.items() if e != (10, 0)}
         assert 22 == _DENSE * 11 * 10
         list(_sweep(_arcs(_encode(AggregatedGraph(CYCLE_11)))))

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +16,7 @@ from etngen.model import (FALLBACK_EMPTY_BUCKET, FALLBACK_EMPTY_GLOBAL,
                           FALLBACK_EMPTY_SIG, FALLBACK_GLOBAL, FALLBACK_LEVELS,
                           FALLBACK_NONE, ExtensionDistribution, lookup_extension)
 from etngen.tempgraph import BucketKey
+from oracles import json_model_text
 from synth import random_graph, weekly_graph
 
 
@@ -246,6 +249,24 @@ class TestSaveLoad:
         again = io.StringIO()
         save_model(back, again)
         assert again.getvalue() == first.getvalue()
+        assert first.getvalue() == json_model_text(model)
+
+    # sha256 of the files that `json.dumps(..., ensure_ascii=False, indent=1)`
+    # wrote for these models when it was the writer. Both hold cells whose
+    # prefix is the non-ASCII "∅", written raw.
+    @pytest.mark.parametrize("graph, k, periodicity, digest", [
+        (lambda: random_graph(n=10, m=8, seed=13, gap=300, epoch=5555), 2, "daily",
+         "defbc864f92cf8b4fcbc18ed291b079df010756c30006a698b8cda1aac83c6a2"),
+        (lambda: weekly_graph(n=8, weeks=1, gap=3600, seed=3), 3, "weekly",
+         "dade6c02e8e3e8e28e3b54822721d9337e516b1cc5f0f92a66b562f153fbbbe7")],
+        ids=["daily-k2", "weekly-k3"])
+    def test_golden_model_bytes(self, graph, k, periodicity, digest):
+        model = fit(mine_counts(graph(), k, periodicity))
+        sink = io.StringIO()
+        save_model(model, sink)
+        text = sink.getvalue()
+        assert '"prefix": "∅"' in text
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_serialization_is_stable(self):
         g = random_graph(n=6, m=5, seed=21)
@@ -361,6 +382,41 @@ class TestSaveLoad:
             target = target[key]
         target[path[-1]] = value
         with pytest.raises(ModelFormatError):
+            self.load_doc(doc)
+
+    @staticmethod
+    def canonical_doc():
+        """A k=2 model document that holds each canonical text that
+        `test_non_canonical_code_rejected` respells, in a cell of its own."""
+        cells = [("h09", 1, "∅", "01"), ("h08", 1, "1", "11"), ("h09", 1, "1", "11"),
+                 ("h09", 2, "∅", "001"), ("h09", 2, "01", "011"),
+                 ("h09", 2, "01|11", "011|111")]
+        return {"format": "etngen-model", "version": 1, "k": 2,
+                "periodicity": "daily", "gap": 300, "epoch": 0, "nodes": 2,
+                "seed_degrees": [], "tables": [
+                    {"bucket": bucket, "depth": depth, "prefix": prefix,
+                     "extensions": [{"sig": sig, "count": 2}]}
+                    for bucket, depth, prefix, sig in cells]}
+
+    # Each spelling decodes, through `int(text, 2)` or the bucket's hour
+    # field, to the key of the canonical text; loading it would merge two
+    # spellings of one code into one count and save another file.
+    @pytest.mark.parametrize("field, canonical, spelling", [
+        ("sig", "011", "1_1"), ("sig", "011", " 11"), ("sig", "011", "+11"),
+        ("sig", "001", "0b1"), ("sig", "11", "\uff11\uff11"),
+        ("prefix", "01|11", "11|01"),
+        ("bucket", "h08", "h8"), ("bucket", "h08", "h 8"), ("bucket", "h08", "h+8")],
+        ids=["sig-underscore", "sig-space", "sig-plus", "sig-0b", "sig-fullwidth",
+             "prefix-unsorted", "bucket-h8", "bucket-space", "bucket-plus"])
+    def test_non_canonical_code_rejected(self, field, canonical, spelling):
+        doc = self.canonical_doc()
+        assert self.load_doc(doc).k == 2
+        cell = next(cell for cell in doc["tables"] if canonical in (
+            cell["bucket"], cell["prefix"], cell["extensions"][0]["sig"]))
+        target = cell["extensions"][0] if field == "sig" else cell
+        assert target[field] == canonical
+        target[field] = spelling
+        with pytest.raises(ModelFormatError, match=re.escape(repr(spelling))):
             self.load_doc(doc)
 
     def test_loaded_model_renormalizes_identically(self):
