@@ -10,10 +10,12 @@ last min(t,k) layers (`_window`); the nodes with a neighbor in it name
 theirs all at once, packed and ranked as mining's are (`PrefixKeys.rows`),
 and the others share the empty prefix. One search of the model's prefix
 table gives every node its distribution, and one search of its
-`pick_index` picks every extension. All randomness flows through numpy
-substreams keyed by (phase, layer), and within a layer nodes draw in node
-order, so output depends only on the model and the config, not on
-scheduling.
+`pick_index` picks every extension. All randomness comes from one numpy
+generator per surrogate, seeded by the config and drawn in a fixed order:
+degree resampling, the seed layer, then each layer's proposal and its
+validation, with nodes in node order within a layer. So output depends only
+on the model and the config, not on scheduling, and a run of T layers is
+the first T layers of any longer run at the same seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import IO, Collection, Iterable, Sequence
 
 import numpy as np
@@ -32,16 +34,6 @@ from .model import FALLBACK_LEVELS, LocalModel
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
 from .tempgraph import MAX_NODES, BucketKey, TemporalGraph, bucket_of
-
-PHASE_SEED = 0
-PHASE_DEGREES = 1
-PHASE_PROPOSE = 2
-PHASE_VALIDATE = 3
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
 
 @dataclass
 class GenConfig:
@@ -95,61 +87,42 @@ def _norm(i: int, j: int) -> tuple[int, int]:
 def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
                 rng: np.random.Generator) -> tuple[int, int]:
     """Pair half-edges at random into `edges`, in place; returns (added,
-    dropped). An odd count first drops one uniformly chosen stub. Pairs are
-    then drawn uniformly, skipping self-loops and duplicates, with attempts
-    capped at 10x the stub count; the stubs left over are dropped.
+    dropped). An odd count first drops one uniformly chosen stub. Pairs of
+    the stubs left are then drawn uniformly, skipping self-loops and
+    duplicates, with attempts capped at 10x the stub count; the stubs left
+    over are dropped.
 
-    A pair is two draws, an index below the stubs left and one below one
-    fewer. A round draws the indices of several pairs in one vector, with
-    the bounds n, n-1, n-2, ... that hold while every pair succeeds; numpy
-    draws them from the same stream as one scalar call per index. At the
-    first rejected pair, the stream is rewound to the round's start and
-    exactly the pairs used so far are drawn again, so the stream advances
-    as the scalar draws would. Rejections come in runs (once one ego holds
-    the stubs left, every pair is a self-loop), so a round after a
-    rejection is one pair, drawn by scalar calls, and each round that
-    succeeds throughout doubles the next.
+    A round shuffles the stubs left once and walks their consecutive pairs,
+    one attempt each. Each pair of a uniform shuffle is uniform over the
+    stubs its predecessors leave, so the round accepts pairs up to the first
+    self-loop or duplicate, and that pair and the ones after it go back for
+    the next shuffle. A rejection with no acceptable pair left (one ego
+    holds every stub, or every two of their egos are joined) ends the
+    pairing: from there every attempt would fail until the budget is spent.
     """
-    stubs = list(stubs)
-    pop, add = stubs.pop, edges.add
-    dropped = len(stubs) % 2
+    pool = np.array(stubs, dtype=np.int64)
+    dropped = len(pool) % 2
     if dropped:
-        pop(int(rng.integers(len(stubs))))
-    budget = 10 * len(stubs)
+        pool = np.delete(pool, rng.integers(len(pool)))
+    budget = 10 * len(pool)
     added = 0
-    batch = len(stubs) // 2
-    while len(stubs) >= 2 and budget > 0:
-        n = len(stubs)
-        pairs = min(n // 2, budget, batch)
-        if pairs == 1:
-            draws = [int(rng.integers(n)), int(rng.integers(n - 1))]
-        else:
-            bounds = np.arange(n, n - 2 * pairs, -1)
-            state = rng.bit_generator.state
-            draws = rng.integers(0, bounds).tolist()
-        batch *= 2
-        for used in range(1, pairs + 1):
-            budget -= 1
-            a, b = draws[2 * used - 2], draws[2 * used - 1]
-            if b >= a:
-                b += 1
-            i, j = stubs[a], stubs[b]
+    while len(pool) >= 2 and budget > 0:
+        rng.shuffle(pool)
+        ends = pool[:2 * min(len(pool) // 2, budget)].tolist()
+        taken = 0
+        for i, j in zip(ends[::2], ends[1::2]):
             e = (i, j) if i < j else (j, i)
             if i == j or e in edges:
-                if used < pairs:
-                    rng.bit_generator.state = state
-                    rng.integers(0, bounds[:2 * used])
-                batch = 1
                 break
-            add(e)
-            added += 1
-            if a > b:  # the higher index first, so the lower one stays put
-                pop(a)
-                pop(b)
-            else:
-                pop(b)
-                pop(a)
-    return added, dropped + len(stubs)
+            edges.add(e)
+            taken += 1
+        rejected = 2 * taken < len(ends)
+        added += taken
+        budget -= taken + rejected
+        pool = pool[2 * taken:]
+        if rejected and all(e in edges for e in combinations(sorted(set(pool.tolist())), 2)):
+            break
+    return added, dropped + len(pool)
 
 
 def seed_layer(degrees: Sequence[int], rng: np.random.Generator
@@ -159,7 +132,8 @@ def seed_layer(degrees: Sequence[int], rng: np.random.Generator
 
     Node i contributes degrees[i] stubs, which are paired by the one rule
     every layer's stubs follow (`validate_layer`): an odd sum drops one
-    uniformly chosen stub, then random pairs skip self-loops and duplicates.
+    uniformly chosen stub, then uniform random pairs skip self-loops and
+    duplicates, drawn from `rng` by `_pair_stubs`' shuffles.
     """
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
@@ -190,13 +164,14 @@ def propose_layer(keys: np.ndarray, bits: np.ndarray, depth: int, n_nodes: int,
     """Sample one extension per ego and turn new-activity bits into requests.
 
     Every ego's prefix is its window (`_window`) of the last `depth`
-    layers: `keys` ego * n_nodes + neighbor, ascending, with `bits`. One
-    integer vector drawn from `rng` picks all egos' extensions, in ego
-    order (an ego with no distribution draws from [0, 1)); tie choices
-    then draw from `rng` in ego order too. An extension string whose final
-    bit is set points at a neighbor whose window activity equals the
-    string's prefix part, chosen uniformly among ties; strings active only
-    in the final bit have no identifiable target and become stubs.
+    layers: `keys` ego * n_nodes + neighbor, ascending, with `bits`. `rng`
+    is the surrogate's one generator: one integer vector drawn from it
+    picks all egos' extensions, in ego order (an ego with no distribution
+    draws from [0, 1)); tie choices then draw from it in ego order too.
+    An extension string whose final bit is set points at a neighbor whose
+    window activity equals the string's prefix part, chosen uniformly among
+    ties; strings active only in the final bit have no identifiable target
+    and become stubs.
 
     One search of the model's prefix table gives each ego the distribution
     `lookup_extension` answers with and its fallback level, one lookup per
@@ -242,10 +217,11 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
 
     Reciprocal request pairs always become edges; a one-directional request
     survives with probability `alpha` (independent coins, one vector of
-    them in sorted request order); stubs are then paired by `_pair_stubs`,
-    the one rule the seed layer's stubs follow too: uniformly at random,
-    skipping self-loops and duplicates, with attempts capped at 10x the
-    stub count and the remainder discarded.
+    them drawn from `rng` in sorted request order); stubs are then paired
+    by `_pair_stubs`, from the same `rng` after the coins, the one rule the
+    seed layer's stubs follow too: uniformly at random, skipping self-loops
+    and duplicates, with attempts capped at 10x the stub count and the
+    remainder discarded.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
@@ -278,13 +254,13 @@ def validate_layer(prov: ProvisionalLayer, alpha: float, rng: np.random.Generato
     return edges
 
 
-def _resolve_degrees(model: LocalModel, cfg: GenConfig) -> Sequence[int]:
+def _resolve_degrees(model: LocalModel, cfg: GenConfig, rng: np.random.Generator
+                     ) -> Sequence[int]:
     degrees = cfg.seed_degrees if cfg.seed_degrees is not None else model.seed_degrees
     if not degrees:
         raise ValueError("no seed degree source: config has none and the model "
                          "stores none")
     if len(degrees) != cfg.n_nodes:
-        rng = _stream(cfg.seed, PHASE_DEGREES)
         degrees = [int(d) for d in rng.choice(np.asarray(degrees, dtype=np.int64),
                                               size=cfg.n_nodes, replace=True)]
     return degrees
@@ -292,7 +268,8 @@ def _resolve_degrees(model: LocalModel, cfg: GenConfig) -> Sequence[int]:
 
 def generate(model: LocalModel, cfg: GenConfig,
              diagnostics: list[LayerDiagnostics] | None = None) -> TemporalGraph:
-    """Generate a surrogate temporal graph; deterministic given cfg.seed.
+    """Generate a surrogate temporal graph; deterministic given cfg.seed,
+    which seeds the one generator every layer draws from, in layer order.
 
     Layer 0 is the seed layer; layer t >= 1 grows from a window of the
     min(t, k) layers before it, built from their arc keys, which each
@@ -302,16 +279,16 @@ def generate(model: LocalModel, cfg: GenConfig,
     cfg.validate(model.k)
     n = cfg.n_nodes
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
-    edges = seed_layer(_resolve_degrees(model, cfg), _stream(cfg.seed, PHASE_SEED))
+    rng = np.random.default_rng(cfg.seed)
+    edges = seed_layer(_resolve_degrees(model, cfg, rng), rng)
     layers = [edges]
     none = np.zeros(0, dtype=np.int64)  # the keys of every empty layer
     recent = deque([_arc_keys(edges, n) if edges else none], maxlen=cfg.k)
     for t in range(1, cfg.n_snapshots):
         bucket = bucket_of(epoch + t * model.gap_seconds, model.periodicity)
-        prov = propose_layer(*_window(recent), len(recent), n, model, bucket,
-                             _stream(cfg.seed, PHASE_PROPOSE, t))
+        prov = propose_layer(*_window(recent), len(recent), n, model, bucket, rng)
         diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
-        edges = validate_layer(prov, cfg.alpha, _stream(cfg.seed, PHASE_VALIDATE, t), diag)
+        edges = validate_layer(prov, cfg.alpha, rng, diag)
         layers.append(edges)
         recent.append(_arc_keys(edges, n) if edges else none)
         if diagnostics is not None:

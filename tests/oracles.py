@@ -2,8 +2,9 @@
 library code: a naive string-based miner, aggregation and hour slices
 summed edge by edge over each layer's edge set, snapshot metrics from
 networkx and contact durations from a dict of open runs, the model file
-as `json.dumps` writes it, layer proposal ego by ego, stub pairing and
-request validation with one scalar draw per index and per coin,
+as `json.dumps` writes it, layer proposal ego by ego, stub pairing one
+attempt at a time with the exact law of its outcome on a few stubs, and
+request validation with one scalar coin per request,
 networkx, a per-source Brandes sweep and an exact enumeration of
 shortest paths for the shortest-path metrics, one `random_walk` per run or
 pair for the walk probes, and one `sir_run` per epidemic for SIR.
@@ -199,9 +200,10 @@ def dict_contact_durations(g: TemporalGraph) -> list[float]:
 
 def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],
                       rng: np.random.Generator) -> tuple[int, int]:
-    """`gen._pair_stubs` with one scalar draw per index: an odd count drops
-    one uniform stub, then uniform pairs skip self-loops and duplicates,
-    attempts capped at 10x the stubs. Returns (added, dropped)."""
+    """The law `gen._pair_stubs` follows, one attempt at a time with one
+    scalar draw per index: an odd count drops one uniform stub, then uniform
+    pairs skip self-loops and duplicates, attempts capped at 10x the stubs.
+    Returns (added, dropped)."""
     stubs = list(stubs)
     dropped = len(stubs) % 2
     if dropped:
@@ -224,12 +226,59 @@ def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],
     return added, dropped + len(stubs)
 
 
-def scalar_validate_layer(requests: set[tuple[int, int]], stubs: list[int],
-                          alpha: float, rng: np.random.Generator
-                          ) -> tuple[set[tuple[int, int]], tuple[int, ...]]:
-    """`gen.validate_layer` with one scalar coin per one-directional request
-    in sorted order: the edges, and (reciprocal, one-directional, stub
-    edges, dropped requests, dropped stubs)."""
+def pair_stubs_law(stubs: list[int], edges: set[tuple[int, int]]
+                   ) -> dict[tuple[frozenset, int, int], Fraction]:
+    """The exact law of `scalar_pair_stubs`' outcome on `stubs` and the
+    present `edges`: each possible (final edges, added, dropped) with its
+    probability. Dynamic programming over (stubs left, edges, budget left):
+    an attempt draws an ordered pair of distinct positions, so it draws
+    egos u != v with probability 2 c_u c_v / (n (n - 1)) and the self-loop
+    (u, u) with c_u (c_u - 1) / (n (n - 1)), c counting the stubs left.
+    Meant for a handful of stubs: the states grow with the budget."""
+
+    @lru_cache(maxsize=None)
+    def law(left: tuple[int, ...], present: frozenset, budget: int) -> dict:
+        n = len(left)
+        if n < 2 or budget == 0:
+            return {present: Fraction(1)}
+        counts = sorted(Counter(left).items())
+        out: Counter = Counter()
+        stay = Fraction(0)
+        for x, (u, cu) in enumerate(counts):
+            stay += Fraction(cu * (cu - 1), n * (n - 1))
+            for v, cv in counts[x + 1:]:
+                p = Fraction(2 * cu * cv, n * (n - 1))
+                if (u, v) in present:
+                    stay += p
+                    continue
+                rest = list(left)
+                rest.remove(u)
+                rest.remove(v)
+                for final, q in law(tuple(rest), present | {(u, v)}, budget - 1).items():
+                    out[final] += p * q
+        if stay:
+            for final, q in law(left, present, budget - 1).items():
+                out[final] += stay * q
+        return out
+
+    total = len(stubs)
+    # An odd count drops each stub with the same probability.
+    kept = [stubs[:i] + stubs[i + 1:] for i in range(total)] if total % 2 else [stubs]
+    start = frozenset(edges)
+    result: Counter = Counter()
+    for left in kept:
+        for final, q in law(tuple(sorted(left)), start, 10 * len(left)).items():
+            added = len(final) - len(start)
+            result[(final, added, total - 2 * added)] += q / len(kept)
+    return dict(result)
+
+
+def scalar_validate_requests(requests: set[tuple[int, int]], alpha: float,
+                             rng: np.random.Generator
+                             ) -> tuple[set[tuple[int, int]], tuple[int, ...]]:
+    """`gen.validate_layer`'s requests with one scalar coin per
+    one-directional request in sorted order: the edges, and (reciprocal,
+    one-directional, dropped requests)."""
     edges: set[tuple[int, int]] = set()
     reciprocal = one_dir = rejected = 0
     for i, j in sorted(requests):
@@ -242,8 +291,7 @@ def scalar_validate_layer(requests: set[tuple[int, int]], stubs: list[int],
             one_dir += 1
         else:
             rejected += 1
-    stub_edges, dropped = scalar_pair_stubs(stubs, edges, rng)
-    return edges, (reciprocal, one_dir, stub_edges, rejected, dropped)
+    return edges, (reciprocal, one_dir, rejected)
 
 
 def scalar_propose_layer(layers: list, n: int, depth: int, model: LocalModel,

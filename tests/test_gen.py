@@ -8,18 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from etngen import (EtnSignature, GenConfig, LayerDiagnostics, ProvisionalLayer,
                     TemporalGraph, expansion_alpha, fit, generate, mine_counts,
                     propose_layer, seed_layer, validate_layer, write_edge_list)
 from etngen import gen
 from etngen.etn import MinedCounts, PrefixKeys
-from etngen.gen import PHASE_PROPOSE, _stream, write_diagnostics
+from etngen.gen import write_diagnostics
 from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extension,
                           save_model)
 from etngen.tempgraph import MAX_NODES, BucketKey
-from oracles import (extract_etn, scalar_pair_stubs, scalar_propose_layer,
-                     scalar_validate_layer)
+from oracles import (extract_etn, pair_stubs_law, scalar_pair_stubs,
+                     scalar_propose_layer, scalar_validate_requests)
 from synth import er_layers, layer_edges, random_graph, window_of, window_strings
 
 H8 = BucketKey(hour_of_day=8)
@@ -140,7 +141,7 @@ class TestProposeLayer:
         window = window_of([set(), {(0, 1), (0, 2), (0, 3)}], 4)
         targets = Counter()
         for trial in range(600):
-            prov = propose_layer(*window, model, H8, _stream(trial, PHASE_PROPOSE, 0))
+            prov = propose_layer(*window, model, H8, np.random.default_rng(trial))
             assert len(prov.requests) == 1
             (ego, u), = prov.requests
             assert ego == 0
@@ -159,7 +160,7 @@ class TestProposeLayer:
                             for u in e if u != ego}
                       for ego in range(12)}
             prov = propose_layer(*window_of(layers, 12), model, H8,
-                                 _stream(trial, PHASE_PROPOSE, 1))
+                                 np.random.default_rng(trial))
             for ego, u in prov.requests:
                 assert u in active[ego]
                 assert ego != u
@@ -377,33 +378,64 @@ REQUESTS = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))
                    .filter(lambda e: e[0] != e[1]), max_size=20)
 
 
+def assert_paired(stubs, present, edges, added, dropped):
+    """`_pair_stubs`' outcome on `stubs` over the `present` edges: the
+    present edges kept, `added` new ones, each between two distinct egos
+    and made of two of their stubs, and every stub either paired or
+    dropped."""
+    assert present <= edges
+    new = edges - present
+    assert len(new) == added
+    assert all(i < j for i, j in new)
+    assert not Counter(u for e in new for u in e) - Counter(stubs)
+    assert 2 * added + dropped == len(stubs)
+
+
+class CountingRng:
+    """A generator that counts the shuffles asked of it."""
+
+    def __init__(self, seed):
+        self.rng, self.shuffles = np.random.default_rng(seed), 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def shuffle(self, x):
+        self.shuffles += 1
+        self.rng.shuffle(x)
+
+
 class TestVectorDraws:
     @settings(max_examples=300, deadline=None)
     @given(STUBS, PRESENT, st.integers(0, 2 ** 63 - 1))
-    def test_pair_stubs_matches_scalar_draws(self, stubs, present, seed):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        edges, want = set(present), set(present)
-        assert gen._pair_stubs(stubs, edges, rng) == scalar_pair_stubs(stubs, want, ref)
-        assert edges == want
-        assert rng.random() == ref.random()
+    def test_pair_stubs_properties(self, stubs, present, seed):
+        edges = set(present)
+        added, dropped = gen._pair_stubs(stubs, edges, np.random.default_rng(seed))
+        assert_paired(stubs, present, edges, added, dropped)
+        again = set(present)
+        assert gen._pair_stubs(stubs, again, np.random.default_rng(seed)) == (added, dropped)
+        assert again == edges
 
-    def test_rejections_rewind_the_stream(self):
-        # One ego's stubs only: every pair is a self-loop, and the budget
-        # of 10 attempts per stub runs out in rejections.
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        edges, want = set(), set()
-        assert gen._pair_stubs([3] * 6, edges, rng) == (0, 6)
-        assert scalar_pair_stubs([3] * 6, want, ref) == (0, 6)
-        assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
+    @pytest.mark.parametrize("stubs, present", [
+        ([3] * 6, set()),
+        ([0, 1, 0, 1, 2, 2], {(0, 1), (0, 2), (1, 2)}),
+    ], ids=["one_ego", "all_joined"])
+    def test_no_acceptable_pair_stops_after_one_shuffle(self, stubs, present):
+        rng, edges = CountingRng(11), set(present)
+        assert gen._pair_stubs(stubs, edges, rng) == (0, len(stubs))
+        assert edges == present
+        assert rng.shuffles == 1
+        # The one-attempt-at-a-time rule spends its budget to the same end.
+        assert pair_stubs_law(stubs, present) == {(frozenset(present), 0, len(stubs)): 1}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_many_stubs(self, seed):
         stubs = [i % 50 for i in range(2001)]
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        edges, want = set(), set()
-        assert gen._pair_stubs(stubs, edges, rng) == scalar_pair_stubs(stubs, want, ref)
-        assert edges == want
-        assert rng.random() == ref.random()
+        edges = set()
+        added, dropped = gen._pair_stubs(stubs, edges, np.random.default_rng(seed))
+        assert_paired(stubs, set(), edges, added, dropped)
+        # 40 stubs on each of 50 egos: nearly all of them find a partner.
+        assert added >= 990
 
     @settings(max_examples=200, deadline=None)
     @given(REQUESTS, STUBS, st.floats(0.0, 1.0), st.integers(0, 2 ** 63 - 1))
@@ -412,11 +444,67 @@ class TestVectorDraws:
         diag = LayerDiagnostics(0, 0, 0, 0, 0, 0)
         got = validate_layer(ProvisionalLayer(set(requests), list(stubs)), alpha,
                              rng, diag)
-        edges, tally = scalar_validate_layer(requests, stubs, alpha, ref)
+        # The coins come first, one per single request, then the pairing
+        # draws from the same stream.
+        edges, (reciprocal, one_dir, rejected) = scalar_validate_requests(
+            requests, alpha, ref)
+        stub_edges, dropped = gen._pair_stubs(stubs, edges, ref)
         assert got == edges
         assert (diag.reciprocal, diag.one_directional, diag.stub_edges,
-                diag.dropped_requests, diag.dropped_stubs) == tally
+                diag.dropped_requests, diag.dropped_stubs) == (
+            reciprocal, one_dir, stub_edges, rejected, dropped)
         assert rng.random() == ref.random()
+
+
+# The chi-square tests below reject at this level, each on its own.
+LAW_LEVEL = 0.001
+LAW_RUNS = 4000  # seeds 0 .. LAW_RUNS - 1
+
+
+def chi_square_p(counts, law, runs):
+    """P-value of the outcome `counts` of `runs` runs under `law`. Outcomes
+    are pooled, most likely first, into bins that each expect at least 5
+    runs; an outcome outside the law's support fails at once."""
+    assert set(counts) <= set(law)
+    bins, pool = [], [0.0, 0]
+    for outcome in sorted(law, key=law.get, reverse=True):
+        pool = [pool[0] + runs * float(law[outcome]), pool[1] + counts[outcome]]
+        if pool[0] >= 5:
+            bins.append(pool)
+            pool = [0.0, 0]
+    bins[-1] = [bins[-1][0] + pool[0], bins[-1][1] + pool[1]]
+    assert len(bins) > 1
+    want, seen = zip(*bins)
+    return float(chisquare(seen, want).pvalue)
+
+
+class TestPairingLaw:
+    """`_pair_stubs` draws its outcome from the law of the one-attempt-at-a-
+    time rule (`scalar_pair_stubs`), enumerated exactly by `pair_stubs_law`:
+    a chi-square test over LAW_RUNS fixed seeds at level LAW_LEVEL. The
+    scalar rule runs against the enumeration too, to check it."""
+
+    @pytest.mark.parametrize("pair", [gen._pair_stubs, scalar_pair_stubs],
+                             ids=["rounds", "scalar"])
+    @pytest.mark.parametrize("stubs, present", [
+        ([0, 0, 1, 1, 2, 2, 3, 3], set()),
+        ([0, 1, 2, 3, 4, 5, 6], set()),  # odd: one uniform stub dropped
+        ([0, 0, 0, 1, 2], {(1, 2)}),
+        ([0, 0, 0, 0, 1, 1, 2, 3], {(0, 1)}),  # every run stops, 4 or 6 stubs left
+        # One acceptable pair, 1-2, a 1 in 28 attempt: the budget of 80
+        # attempts runs out before it in about 5.5% of the runs.
+        ([0, 0, 0, 0, 0, 0, 1, 2], {(0, 1), (0, 2)}),
+        # Most runs stop with two stubs left that cannot pair.
+        ([0, 0, 1, 1, 2, 2, 3], {(0, 1), (2, 3)}),
+    ])
+    def test_outcome_law(self, pair, stubs, present):
+        law = pair_stubs_law(stubs, present)
+        counts = Counter()
+        for seed in range(LAW_RUNS):
+            edges = set(present)
+            added, dropped = pair(stubs, edges, np.random.default_rng(seed))
+            counts[(frozenset(edges), added, dropped)] += 1
+        assert chi_square_p(counts, law, LAW_RUNS) > LAW_LEVEL
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +559,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match="seed degree"):
             generate(model, GenConfig(n_nodes=4, n_snapshots=3, k=1))
 
+    @pytest.mark.parametrize("n_nodes", [10, 25])  # 25 resamples degrees
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, model, n_nodes):
+        short, long = [], []
+        g = generate(model, GenConfig(n_nodes=n_nodes, n_snapshots=12, seed=3), short)
+        h = generate(model, GenConfig(n_nodes=n_nodes, n_snapshots=30, seed=3), long)
+        assert layer_edges(g) == layer_edges(h)[:12]
+        assert short == long[:11]
+        assert sum(map(len, layer_edges(g))) > 0
+
     def test_degree_resampling_for_larger_population(self, model):
         cfg = GenConfig(n_nodes=25, n_snapshots=8, seed=4)
         g = generate(model, cfg)
@@ -515,16 +612,17 @@ class TestGenerate:
 
 
 class TestGolden:
-    """Surrogate and diagnostics bytes of two small fixed-seed runs, equal
-    to those that generation made before its window became arrays."""
+    """Surrogate and diagnostics bytes of three small fixed-seed runs,
+    pinned when every surrogate came to draw from one generator and pair
+    its stubs by shuffled rounds."""
 
     @pytest.mark.parametrize("k, n_nodes, alpha, seed, surrogate, diagnostics", [
         (2, 20, 0.5, 7,
-         "ec4c882b1ec9ea7bc573f6af29c1f3152de82807aa73760d56ef908190be6117",
-         "fc5a2229f6d5d82747211f4d5e395ad54fe34f22575813f7f57f1bb290f0d873"),
+         "e26c7302aaac1ebe819fc88e750f87c275ba7f689d9944f5f3e63bb27038e344",
+         "f14360312320233c7cc82ee6293b47191af675d8cc4a2f23406da6d1d7dfb4b0"),
         (3, 30, 1.0, 11,
-         "576fa80234de5a765d7197d7af6e5a967ba0300cd777c055cb47fa1f872b0e31",
-         "a61589cfac8a5c06e2c803f6b3f99ed881336043c2c3937066614995a11d0b5e"),
+         "bb5fc9235c8fe381f2e5fe9bc12bd8e700bc49d10f1e355b9643f5e4a1ae5aa1",
+         "21f953300adf8a8dd88069548b66821135784a54d99699d21a238665bcf4d380"),
     ])
     def test_bytes(self, k, n_nodes, alpha, seed, surrogate, diagnostics):
         model = fit(mine_counts(random_graph(n=12, m=40, p=0.25, seed=seed), k,
@@ -539,8 +637,8 @@ class TestGolden:
         assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == diagnostics
 
     def test_bytes_of_prefixes_longer_than_one_chunk(self):
-        # A dense k=3 model grows 15 layers whose width-3 windows hold 25
-        # strings, more than one packed chunk, before the surrogate dies out.
+        # A dense k=3 model grows 24 layers, and the 21 width-3 windows hold
+        # 25 strings each, more than one packed chunk.
         model = fit(mine_counts(random_graph(n=26, m=12, p=0.9, seed=2), 3, "daily"))
         longest = []
         real = PrefixKeys.rows
@@ -554,14 +652,14 @@ class TestGolden:
         with mock.patch.object(PrefixKeys, "rows", prefix_rows):
             g = generate(model, GenConfig(n_nodes=26, n_snapshots=24, k=3,
                                           alpha=1.0, seed=2), diags)
-        assert longest.count(25) == 14 and longest[-1] == 0
+        assert longest == [25] * 21
         edges, rows = io.StringIO(), io.StringIO()
         write_edge_list(g, edges)
         write_diagnostics(diags, rows)
         assert (hashlib.sha256(edges.getvalue().encode()).hexdigest()
-                == "f16531165e618c86403416ac59cc55de65eb7201a8b9c6b36da879d560846218")
+                == "e2c57c53fedb5046c75a321f0fdd02410f1a0051615ffcb550cc832feb7bcd39")
         assert (hashlib.sha256(rows.getvalue().encode()).hexdigest()
-                == "3937348a373741cb9de8e057bc2bc1cac04b0eb8d85f79c0a2823af03d004dcf")
+                == "8de880ff91d292c34cd33c71b2cf98d28443831f56f436f833eee9fbdfbb9658")
 
 
 class TestRollingWindow:
