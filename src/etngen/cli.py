@@ -125,11 +125,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="window depth (default 2)")
         p.add_argument("--periodicity", choices=("auto",) + PERIODICITIES,
                        default="auto")
-        # argparse runs a string default through `type`, so a bad
-        # $ETNGEN_THREADS is a usage error like a bad --threads.
-        p.add_argument("--threads", type=positive_int,
-                       default=os.environ.get("ETNGEN_THREADS", "1"),
-                       help="mining workers (default $ETNGEN_THREADS or 1)")
+        p.add_argument("--threads", type=positive_int, default=1,
+                       help="most mining threads (default 1)")
 
     def add_eval_args(p: _Parser) -> None:
         # String defaults go through `type` like any given value.
@@ -430,8 +427,9 @@ def _run_eval(g_orig: TemporalGraph, g_gen: TemporalGraph,
     dynamics, run in one forked worker while this process computes the
     original's side; every output is written afterwards. Each job is a
     serial library call on its own seed, so the bytes do not depend on this.
-    The worker is forked, not spawned or served, because a fresh interpreter
-    would import this package again, which costs more than the side.
+    The worker is a process, not a thread as mining's are, because a side's
+    work is Python-bound; forked, not spawned or served, because a fresh
+    interpreter would import this package again, costing more than the side.
     """
     if g_orig.gap_seconds != g_gen.gap_seconds:
         raise ValueError(f"gap mismatch: original {g_orig.gap_seconds}s vs "

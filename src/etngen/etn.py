@@ -25,8 +25,9 @@ among a model's with one search per ranker level.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import IO, Iterable, Mapping, Sequence
@@ -235,6 +236,9 @@ _BLOCK = 32
 # k+1 snapshots, needs one string per chunk, so mining accepts k <= 61.
 _PACK_BITS = 62
 MAX_MINING_K = _PACK_BITS - 1
+
+# Arc-windows (2 x contacts x k) below which mining runs in one thread.
+_THREADED_ARC_WINDOWS = 750_000
 
 
 @dataclass(frozen=True)
@@ -473,10 +477,12 @@ def mine_counts(g: TemporalGraph, k: int, periodicity: str,
     wall-clock time of its final snapshot. Every ego contributes to every
     window position, including the empty signature when isolated throughout.
     k is at most `MAX_MINING_K`, the widest window whose strings fit the
-    packed int64 chunks. The arcs are read from the graph's edge table;
-    with `threads` > 1, each worker process receives the arcs of one
-    contiguous ego range, not the graph. Worker counts merge commutatively,
-    so the result does not depend on `threads`.
+    packed int64 chunks. The arcs are read from the graph's edge table.
+    Up to `threads` threads (one below `_THREADED_ARC_WINDOWS`, and never
+    more than nodes or usable CPUs) each mine one contiguous ego range, and
+    the parts merge in range order, so the result does not depend on the
+    count. Threads, not processes as for eval's Python-bound worker: the
+    work is numpy's sorts and reductions, which release the GIL.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -494,16 +500,16 @@ def mine_counts(g: TemporalGraph, k: int, periodicity: str,
     )
     arcs = _Arcs.of(g, periodicity)
     n = g.node_count
-    threads = max(1, min(threads, n)) if n else 1
-    if threads == 1:
+    big = arcs.ego.size * k >= _THREADED_ARC_WINDOWS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, n, cpus or 1) if big else 1
+    if threads <= 1:
         counts.table = _mine_ego_range(arcs, k, 0, n)
         return counts
     bounds = [round(n * w / threads) for w in range(threads + 1)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(_mine_ego_range,
-                         [arcs.of_egos(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-                         [k] * threads, bounds[:-1], bounds[1:])
-        for part in parts:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in pool.map(lambda lo, hi: _mine_ego_range(arcs.of_egos(lo, hi), k, lo, hi),
+                             bounds[:-1], bounds[1:]):
             counts.merge_from(part)
     return counts
 

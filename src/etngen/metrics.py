@@ -45,7 +45,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -739,18 +738,24 @@ def compute_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
     return MetricReport(samples={name: samples[name] for name in METRIC_KINDS})
 
 
+def _cdfs(a: Sequence[float], b: Sequence[float], name: str
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples' empirical CDFs at every pooled value but the largest,
+    where both are 1, and the gaps between consecutive pooled values."""
+    if not len(a) or not len(b):
+        raise ValueError(f"{name} requires nonempty samples")
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
+    pooled = np.sort(np.concatenate([xa, xb]))
+    fa = np.searchsorted(xa, pooled[:-1], side="right") / len(xa)
+    fb = np.searchsorted(xb, pooled[:-1], side="right") / len(xb)
+    return fa, fb, np.diff(pooled)
+
+
 def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    if not len(a) or not len(b):
-        raise ValueError("ks_distance requires nonempty samples")
-    xa, xb = sorted(a), sorted(b)
-    na, nb = len(xa), len(xb)
-    best = 0.0
-    for x in set(xa).union(xb):
-        diff = abs(bisect_right(xa, x) / na - bisect_right(xb, x) / nb)
-        if diff > best:
-            best = diff
-    return best
+    fa, fb, _ = _cdfs(a, b, "ks_distance")
+    return float(np.max(np.abs(fa - fb), initial=0.0))
 
 
 _N_BINS = 100
@@ -796,16 +801,7 @@ def js_divergence(a: Sequence[float], b: Sequence[float]) -> float:
 
 def emd(a: Sequence[float], b: Sequence[float]) -> float:
     """1-D earth-mover distance: integral of |F_a - F_b| between sorted samples."""
-    if not len(a) or not len(b):
-        raise ValueError("emd requires nonempty samples")
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    pooled = np.sort(np.concatenate([xa, xb]))
-    deltas = np.diff(pooled)
-    if not deltas.size:
-        return 0.0
-    fa = np.searchsorted(xa, pooled[:-1], side="right") / len(xa)
-    fb = np.searchsorted(xb, pooled[:-1], side="right") / len(xb)
+    fa, fb, deltas = _cdfs(a, b, "emd")
     return float(np.sum(np.abs(fa - fb) * deltas))
 
 

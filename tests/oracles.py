@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the optimized
 library code: a naive string-based miner, aggregation and hour slices
 summed edge by edge over each layer's edge set, snapshot metrics from
-networkx and contact durations from a dict of open runs, the model file
-as `json.dumps` writes it, layer proposal ego by ego, stub pairing one
+networkx and contact durations from a dict of open runs, the KS
+statistic by bisection at each distinct value, the model file as
+`json.dumps` writes it, layer proposal ego by ego, stub pairing one
 attempt at a time with the exact law of its outcome on a few stubs, and
 request validation with one scalar coin per request,
 networkx, a per-source Brandes sweep and an exact enumeration of
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,6 +198,19 @@ def dict_contact_durations(g: TemporalGraph) -> list[float]:
     for e, length in open_runs.items():
         runs.setdefault(e, []).append(length)
     return [sum(r) / len(r) for _, r in sorted(runs.items())]
+
+
+def bisect_ks_distance(a, b) -> float:
+    """`metrics.ks_distance` as a loop over the distinct pooled values, each
+    sample's CDF there found by `bisect_right` on its sorted list."""
+    xa, xb = sorted(a), sorted(b)
+    na, nb = len(xa), len(xb)
+    best = 0.0
+    for x in set(xa).union(xb):
+        diff = abs(bisect_right(xa, x) / na - bisect_right(xb, x) / nb)
+        if diff > best:
+            best = diff
+    return best
 
 
 def scalar_pair_stubs(stubs: list[int], edges: set[tuple[int, int]],

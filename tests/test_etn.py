@@ -1,6 +1,8 @@
 import io
+import os
 import pickle
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -359,8 +361,26 @@ class TestMineCounts:
     def test_thread_count_does_not_change_counts(self):
         g = random_graph(n=9, m=6, seed=12)
         a = mine_counts(g, 2, "daily", threads=1)
-        b = mine_counts(g, 2, "daily", threads=3)
+        with threaded(cpus=3):
+            b = mine_counts(g, 2, "daily", threads=3)
         assert a.table == b.table
+
+    def test_small_graph_builds_no_executor(self):
+        g = random_graph(n=9, m=6, seed=12)
+        workers = []
+        with on_cpus(4), mock.patch.object(etn, "ThreadPoolExecutor",
+                                           recording_executor(workers)):
+            mine_counts(g, 2, "daily", threads=4)
+        assert workers == []
+
+    def test_workers_capped_by_cpus(self):
+        g = random_graph(n=9, m=6, seed=12)
+        workers = []
+        with threaded(cpus=2), mock.patch.object(etn, "ThreadPoolExecutor",
+                                                 recording_executor(workers)):
+            counts = mine_counts(g, 2, "daily", threads=10 ** 6)
+        assert workers == [2]
+        assert counts_as_strings(counts.table) == naive_mine(g, 2, "daily")
 
     def test_buckets_follow_wall_clock(self):
         g = TemporalGraph(2, [[(0, 1)]] * 14, 3600, epoch=0)
@@ -378,10 +398,44 @@ class TestMineCounts:
         assert counts.first_layer_degrees == tuple(g.first_layer_degrees())
 
 
+@contextmanager
+def on_cpus(cpus):
+    """The process may run on `cpus` CPUs, whatever the host has."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                           create=True):
+        yield
+
+
+@contextmanager
+def threaded(cpus):
+    """Mining starts its workers at any size, on `cpus` CPUs."""
+    with on_cpus(cpus), mock.patch.object(etn, "_THREADED_ARC_WINDOWS", 0):
+        yield
+
+
+def recording_executor(workers):
+    """A stand-in for `ThreadPoolExecutor` that appends each pool's
+    `max_workers` to `workers` and maps in the calling thread."""
+    class Executor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    return Executor
+
+
 def mined(g, k, periodicity="daily", threads=1, block=None):
     """`mine_counts`' table with string keys, mined in blocks of `block`
-    window ends (the module's own size when None)."""
-    with mock.patch.object(etn, "_BLOCK", block or etn._BLOCK):
+    window ends (the module's own size when None) by `threads` workers
+    whatever the graph's size and the host's CPUs."""
+    with mock.patch.object(etn, "_BLOCK", block or etn._BLOCK), threaded(threads):
         return counts_as_strings(mine_counts(g, k, periodicity, threads=threads).table)
 
 

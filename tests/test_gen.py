@@ -616,13 +616,18 @@ class TestGolden:
     pinned when every surrogate came to draw from one generator and pair
     its stubs by shuffled rounds."""
 
+    # Explicit ids keep the names when a declared output change re-pins.
     @pytest.mark.parametrize("k, n_nodes, alpha, seed, surrogate, diagnostics", [
-        (2, 20, 0.5, 7,
-         "e26c7302aaac1ebe819fc88e750f87c275ba7f689d9944f5f3e63bb27038e344",
-         "f14360312320233c7cc82ee6293b47191af675d8cc4a2f23406da6d1d7dfb4b0"),
-        (3, 30, 1.0, 11,
-         "bb5fc9235c8fe381f2e5fe9bc12bd8e700bc49d10f1e355b9643f5e4a1ae5aa1",
-         "21f953300adf8a8dd88069548b66821135784a54d99699d21a238665bcf4d380"),
+        pytest.param(
+            2, 20, 0.5, 7,
+            "e26c7302aaac1ebe819fc88e750f87c275ba7f689d9944f5f3e63bb27038e344",
+            "f14360312320233c7cc82ee6293b47191af675d8cc4a2f23406da6d1d7dfb4b0",
+            id="k2-n20-seed7"),
+        pytest.param(
+            3, 30, 1.0, 11,
+            "bb5fc9235c8fe381f2e5fe9bc12bd8e700bc49d10f1e355b9643f5e4a1ae5aa1",
+            "21f953300adf8a8dd88069548b66821135784a54d99699d21a238665bcf4d380",
+            id="k3-n30-seed11"),
     ])
     def test_bytes(self, k, n_nodes, alpha, seed, surrogate, diagnostics):
         model = fit(mine_counts(random_graph(n=12, m=40, p=0.25, seed=seed), k,

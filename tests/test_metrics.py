@@ -23,8 +23,9 @@ from etngen.metrics import (_DENSE, _arcs, _assortativity, _centralities,
                             _dense_rows, _dependencies, _encode,
                             _hour_path_means, _louvain, _modularity, _sweep,
                             _transitivity, distance, format_cell)
-from oracles import (_path_stats, dict_contact_durations, exact_betweenness_means,
-                     nx_graph, nx_path_metrics, nx_report, nx_snapshot_metrics)
+from oracles import (_path_stats, bisect_ks_distance, dict_contact_durations,
+                     exact_betweenness_means, nx_graph, nx_path_metrics, nx_report,
+                     nx_snapshot_metrics)
 from synth import layered_graphs, random_graph, sinusoidal_graph
 
 GAP = 300
@@ -717,6 +718,17 @@ class TestKs:
         d = ks_distance(a, b)
         assert 0.0 <= d <= 1.0
         assert d == ks_distance(b, a)
+
+    @given(st.one_of(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+                  st.lists(st.integers(-3, 3), min_size=1, max_size=40)),
+        st.tuples(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1e-300, 1e300]),
+                           min_size=1, max_size=40),
+                  st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_bisection_reference(self, samples):
+        a, b = samples
+        assert ks_distance(a, b) == bisect_ks_distance(a, b)
 
 
 def smoothed(a, b, bins=100, eps=1e-10):
