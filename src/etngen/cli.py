@@ -348,19 +348,18 @@ def _sample_path(out_dir: str, probe: str, which: str, start: str,
 
 
 def _write_value_column(path: str, values: Sequence[float]) -> None:
+    """A one-column CSV of `values` under the header `value`, in one write:
+    the bytes `csv.writer` gives, CRLF line ends included."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["value"])
-        for v in values:
-            writer.writerow([v])
+        handle.write("value\r\n" + "%s\r\n" * len(values) % tuple(values))
 
 
 def _write_series(path: str, series: Sequence[float]) -> None:
+    """A `step,value` CSV of `series`, values to 10 significant digits, in
+    one write: the bytes `csv.writer` gives."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "value"])
-        for step, v in enumerate(series):
-            writer.writerow([step, f"{v:.10g}"])
+        rows = "".join(f"{step},{v:.10g}\r\n" for step, v in enumerate(series))
+        handle.write("step,value\r\n" + rows)
 
 
 def _dyn_samples(report: dyn.DynReport
@@ -391,8 +390,8 @@ def _write_dyn_distances(path: str, rep_a: dyn.DynReport, rep_b: dyn.DynReport,
         for (probe, start, lam), a in _dyn_samples(rep_a).items():
             b = rows_b[(probe, start, lam)]
             writer.writerow([probe, start, "" if lam is None else f"{lam:g}",
-                             *(metrics_mod.format_cell(metrics_mod.distance(name, a, b))
-                               for name in distances),
+                             *map(metrics_mod.format_cell,
+                                  metrics_mod.distances_between(distances, a, b)),
                              len(a), len(b), metrics_mod.format_cell(_mean(a)),
                              metrics_mod.format_cell(_mean(b))])
 

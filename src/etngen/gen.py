@@ -8,9 +8,11 @@ all paired by one rule, `_pair_stubs`. Every node's prefix is read from a
 window in mining's encoding, rebuilt per layer from the arc keys of the
 last min(t,k) layers (`_window`); the nodes with a neighbor in it name
 theirs all at once, packed and ranked as mining's are (`PrefixKeys.rows`),
-and the others share the empty prefix. One search of the model's prefix
-table gives every node its distribution, and one search of its
-`pick_index` picks every extension. All randomness comes from one numpy
+and the others share the empty prefix. A finished layer is kept only as its
+edge keys i * n + j (i < j), one sorted int64 array, from which its arc
+keys and, at the end, the surrogate's edge table are read. One search of
+the model's prefix table gives every node its distribution, and one search
+of its `pick_index` picks every extension. All randomness comes from one numpy
 generator per surrogate, seeded by the config and drawn in a fixed order:
 degree resampling, the seed layer, then each layer's proposal and its
 validation, with nodes in node order within a layer. So output depends only
@@ -33,7 +35,7 @@ from .model import FALLBACK_LEVELS, LocalModel
 # Not called here: layers draw all extensions as one vector. The name stays
 # importable as gen.sample_extension, which bench/worker.py wraps.
 from .model import sample_extension  # noqa: F401
-from .tempgraph import MAX_NODES, BucketKey, TemporalGraph, bucket_of
+from .tempgraph import MAX_NODES, BucketKey, TemporalGraph, _pack_table, bucket_of
 
 @dataclass
 class GenConfig:
@@ -142,12 +144,20 @@ def seed_layer(degrees: Sequence[int], rng: np.random.Generator
     return edges
 
 
-def _arc_keys(edges: Collection[tuple[int, int]], n: int) -> np.ndarray:
-    """Both directions of every edge of a layer on n nodes, as the keys
-    ego * n + neighbor."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges)).reshape(-1, 2)
-    return (ends * n + ends[:, ::-1]).ravel()  # rows (i * n + j, j * n + i)
+def _edge_keys(edges: Collection[tuple[int, int]], n: int) -> np.ndarray:
+    """The edges (i, j), i < j, of a layer on n nodes as their keys i * n + j,
+    ascending: the layer's rows of the edge table, in table order."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    keys = ends[::2] * n + ends[1::2]
+    keys.sort()
+    return keys
+
+
+def _arc_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Both directions of every edge of a layer on n nodes, given its edge
+    keys (`_edge_keys`), as the keys ego * n + neighbor."""
+    i, j = np.divmod(keys, n)
+    return np.concatenate((keys, j * n + i))
 
 
 def _window(recent: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -272,28 +282,38 @@ def generate(model: LocalModel, cfg: GenConfig,
     which seeds the one generator every layer draws from, in layer order.
 
     Layer 0 is the seed layer; layer t >= 1 grows from a window of the
-    min(t, k) layers before it, built from their arc keys, which each
-    layer makes once (none for an empty layer). The surrogate's edge table
-    is built once, from all the edge sets. The surrogate has the model's
+    min(t, k) layers before it, built from their arc keys. Each layer's edge
+    set becomes its sorted edge keys (`_edge_keys`) as soon as it is
+    validated, and its arc keys come from those; an empty layer shares one
+    empty array and costs no numpy work. The surrogate's edge table is
+    built once, from all the layers' keys. The surrogate has the model's
     gap, the one its cells were fitted at."""
     cfg.validate(model.k)
     n = cfg.n_nodes
     epoch = cfg.epoch if cfg.epoch is not None else model.epoch
     rng = np.random.default_rng(cfg.seed)
-    edges = seed_layer(_resolve_degrees(model, cfg, rng), rng)
-    layers = [edges]
     none = np.zeros(0, dtype=np.int64)  # the keys of every empty layer
-    recent = deque([_arc_keys(edges, n) if edges else none], maxlen=cfg.k)
+    edges = seed_layer(_resolve_degrees(model, cfg, rng), rng)
+    layers = [_edge_keys(edges, n) if edges else none]
+    recent = deque([_arc_keys(layers[0], n) if edges else none], maxlen=cfg.k)
     for t in range(1, cfg.n_snapshots):
         bucket = bucket_of(epoch + t * model.gap_seconds, model.periodicity)
         prov = propose_layer(*_window(recent), len(recent), n, model, bucket, rng)
         diag = LayerDiagnostics(t, 0, 0, 0, 0, 0) if diagnostics is not None else None
         edges = validate_layer(prov, cfg.alpha, rng, diag)
-        layers.append(edges)
-        recent.append(_arc_keys(edges, n) if edges else none)
+        layers.append(_edge_keys(edges, n) if edges else none)
+        recent.append(_arc_keys(layers[-1], n) if edges else none)
         if diagnostics is not None:
             diagnostics.append(diag)
-    return TemporalGraph(n, layers, model.gap_seconds, epoch=epoch)
+    sizes = [keys.size for keys in layers]
+    # Each array is dropped once the next is made: at most three sets of
+    # 8 bytes per contact are held at once.
+    keys = np.concatenate(layers)
+    del layers
+    i, j = np.divmod(keys, n)
+    del keys
+    pairs, offsets = _pack_table(i, j, sizes)
+    return TemporalGraph._from_table(n, pairs, offsets, model.gap_seconds, epoch=epoch)
 
 
 def expansion_alpha(n_hat: int, n: int) -> float:

@@ -738,60 +738,65 @@ def compute_report(g: TemporalGraph, louvain_seed: int = 0) -> MetricReport:
     return MetricReport(samples={name: samples[name] for name in METRIC_KINDS})
 
 
-def _cdfs(a: Sequence[float], b: Sequence[float], name: str
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The samples' empirical CDFs at every pooled value but the largest,
-    where both are 1, and the gaps between consecutive pooled values."""
-    if not len(a) or not len(b):
+def _ascending(a: Sequence[float], name: str) -> np.ndarray:
+    """The samples as an ascending float array; raises ValueError when
+    there are none."""
+    if not len(a):
         raise ValueError(f"{name} requires nonempty samples")
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
+    return np.sort(np.asarray(a, dtype=float))
+
+
+def _cdfs(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The empirical CDFs of two ascending nonempty samples at every pooled
+    value but the largest, where both are 1, and the gaps between
+    consecutive pooled values."""
     pooled = np.sort(np.concatenate([xa, xb]))
     fa = np.searchsorted(xa, pooled[:-1], side="right") / len(xa)
     fb = np.searchsorted(xb, pooled[:-1], side="right") / len(xb)
     return fa, fb, np.diff(pooled)
 
 
-def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    fa, fb, _ = _cdfs(a, b, "ks_distance")
+def _ks(xa: np.ndarray, xb: np.ndarray) -> float:
+    fa, fb, _ = _cdfs(xa, xb)
     return float(np.max(np.abs(fa - fb), initial=0.0))
+
+
+def _emd(xa: np.ndarray, xb: np.ndarray) -> float:
+    fa, fb, deltas = _cdfs(xa, xb)
+    return float(np.sum(np.abs(fa - fb) * deltas))
 
 
 _N_BINS = 100
 _EPS = 1e-10
 
 
-def _smoothed_histograms(a: Sequence[float],
-                         b: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Shared-support histograms with additive smoothing; None when the
-    joint range is a single point (distributions then coincide)."""
-    if not len(a) or not len(b):
-        raise ValueError("divergence requires nonempty samples")
-    lo = min(min(a), min(b))
-    hi = max(max(a), max(b))
+def _smoothed_histograms(xa: np.ndarray, xb: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Shared-support histograms of two ascending nonempty samples, with
+    additive smoothing; None when the joint range is a single point
+    (distributions then coincide)."""
+    lo = min(xa[0], xb[0])
+    hi = max(xa[-1], xb[-1])
     if lo == hi:
         return None
     edges = np.linspace(lo, hi, _N_BINS + 1)
-    ca, _ = np.histogram(a, bins=edges)
-    cb, _ = np.histogram(b, bins=edges)
+    ca, _ = np.histogram(xa, bins=edges)
+    cb, _ = np.histogram(xb, bins=edges)
     p = (ca + _EPS) / (ca.sum() + _N_BINS * _EPS)
     q = (cb + _EPS) / (cb.sum() + _N_BINS * _EPS)
     return p, q
 
 
-def kl_divergence(a: Sequence[float], b: Sequence[float]) -> float:
-    """KL(p_a || p_b) on smoothed shared-support histograms, natural log."""
-    hists = _smoothed_histograms(a, b)
+def _kl(xa: np.ndarray, xb: np.ndarray) -> float:
+    hists = _smoothed_histograms(xa, xb)
     if hists is None:
         return 0.0
     p, q = hists
     return float(np.sum(p * np.log(p / q)))
 
 
-def js_divergence(a: Sequence[float], b: Sequence[float]) -> float:
-    """Jensen-Shannon divergence (natural log, in [0, ln 2])."""
-    hists = _smoothed_histograms(a, b)
+def _js(xa: np.ndarray, xb: np.ndarray) -> float:
+    hists = _smoothed_histograms(xa, xb)
     if hists is None:
         return 0.0
     p, q = hists
@@ -799,10 +804,24 @@ def js_divergence(a: Sequence[float], b: Sequence[float]) -> float:
     return float(0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m)))
 
 
+def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
+    return _ks(_ascending(a, "ks_distance"), _ascending(b, "ks_distance"))
+
+
+def kl_divergence(a: Sequence[float], b: Sequence[float]) -> float:
+    """KL(p_a || p_b) on smoothed shared-support histograms, natural log."""
+    return _kl(_ascending(a, "divergence"), _ascending(b, "divergence"))
+
+
+def js_divergence(a: Sequence[float], b: Sequence[float]) -> float:
+    """Jensen-Shannon divergence (natural log, in [0, ln 2])."""
+    return _js(_ascending(a, "divergence"), _ascending(b, "divergence"))
+
+
 def emd(a: Sequence[float], b: Sequence[float]) -> float:
     """1-D earth-mover distance: integral of |F_a - F_b| between sorted samples."""
-    fa, fb, deltas = _cdfs(a, b, "emd")
-    return float(np.sum(np.abs(fa - fb) * deltas))
+    return _emd(_ascending(a, "emd"), _ascending(b, "emd"))
 
 
 DISTANCE_FUNCS = {
@@ -811,13 +830,18 @@ DISTANCE_FUNCS = {
     "kl": kl_divergence,
     "emd": emd,
 }
+# The same distances, on samples already sorted by `_ascending`.
+_ON_ASCENDING = {"ks": _ks, "js": _js, "kl": _kl, "emd": _emd}
 
 
-def distance(name: str, a: Sequence[float], b: Sequence[float]) -> float:
-    """Distance `name` between two sample lists; NaN when either is empty."""
+def distances_between(names: Sequence[str], a: Sequence[float], b: Sequence[float]
+                      ) -> list[float]:
+    """Distances `names` between two sample lists, in order, each list
+    sorted once for all of them; NaN for every name when either is empty."""
     if not len(a) or not len(b):
-        return math.nan
-    return DISTANCE_FUNCS[name](a, b)
+        return [math.nan] * len(names)
+    xa, xb = _ascending(a, "distances_between"), _ascending(b, "distances_between")
+    return [_ON_ASCENDING[name](xa, xb) for name in names]
 
 
 def format_cell(value: float) -> str:
@@ -835,9 +859,11 @@ def compare(report_orig: MetricReport, report_gen: MetricReport,
     for name in distances:
         if name not in DISTANCE_FUNCS:
             raise ValueError(f"unknown distance {name!r}")
-    values = {(metric, name): distance(name, report_orig.samples[metric],
-                                       report_gen.samples[metric])
-              for metric in METRIC_KINDS for name in distances}
+    values = {}
+    for metric in METRIC_KINDS:
+        row = distances_between(distances, report_orig.samples[metric],
+                                report_gen.samples[metric])
+        values.update(((metric, name), value) for name, value in zip(distances, row))
     return DistanceReport(values=values, distances=distances)
 
 

@@ -73,10 +73,18 @@ def _table(bins: np.ndarray, i: np.ndarray, j: np.ndarray, n_snapshots: int
     read-only int32 array, and the read-only int64 offsets of each bin's
     rows."""
     group, i, j, _ = _distinct(bins, i, j, n_snapshots)
-    pairs = np.empty((group.size, 2), dtype=np.int32)
+    return _pack_table(i, j, np.bincount(group, minlength=n_snapshots))
+
+
+def _pack_table(i: np.ndarray, j: np.ndarray, sizes: Sequence[int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The edge table of the rows (i, j), already distinct and sorted by
+    (layer, i, j), whose layers hold `sizes` rows each: the rows as a
+    read-only int32 array and the read-only int64 offsets of each layer's."""
+    pairs = np.empty((len(i), 2), dtype=np.int32)
     pairs[:, 0], pairs[:, 1] = i, j
-    offsets = np.zeros(n_snapshots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(group, minlength=n_snapshots), out=offsets[1:])
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     pairs.flags.writeable = offsets.flags.writeable = False
     return pairs, offsets
 
@@ -480,7 +488,7 @@ def _bin_events(comments: list[str], times: np.ndarray, codes: np.ndarray,
 
 
 # Rows per formatted chunk in `write_edge_list`.
-_WRITE_ROWS = 1 << 16
+_WRITE_ROWS = 1 << 13
 
 
 def write_edge_list(g: TemporalGraph, sink: IO[str]) -> None:

@@ -89,7 +89,8 @@ def window_of(layers, n: int, k: int | None = None) -> tuple:
     """The window that generation builds over the last min(len(layers), k)
     of `layers` (edge collections, oldest first; k defaults to all) on n
     nodes, as `propose_layer`'s first four arguments: keys, bits, depth, n."""
-    recent = [gen._arc_keys(edges, n) for edges in layers][-(k or len(layers)):]
+    recent = [gen._arc_keys(gen._edge_keys(edges, n), n)
+              for edges in layers][-(k or len(layers)):]
     return (*gen._window(recent), len(recent), n)
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -393,6 +394,22 @@ class TestEval:
                      "--dump-samples"]) == 0
         for which in ("orig", "gen"):
             assert (out_dir / f"metric_samples_{which}.csv").exists()
+
+    @pytest.mark.parametrize("values", [[], [0], [3, 17, 0, 250000],
+                                        [0.5, 1e-05, 2.0, 1 / 3, math.inf]])
+    def test_sample_writers_match_csv_writer(self, values, tmp_path):
+        def read(path):
+            with open(path, encoding="utf-8", newline="") as handle:
+                return handle.read()
+
+        column, series = io.StringIO(), io.StringIO()
+        csv.writer(column).writerows([["value"], *([v] for v in values)])
+        csv.writer(series).writerows([["step", "value"],
+                                      *([t, f"{v:.10g}"] for t, v in enumerate(values))])
+        cli._write_value_column(str(tmp_path / "column.csv"), values)
+        cli._write_series(str(tmp_path / "series.csv"), values)
+        assert read(tmp_path / "column.csv") == column.getvalue()
+        assert read(tmp_path / "series.csv") == series.getvalue()
 
     def test_dump_samples_reuses_compared_reports(self, train, tmp_path,
                                                   monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -21,7 +22,8 @@ from etngen.model import (FALLBACK_LEVELS, LocalModel, load_model, lookup_extens
 from etngen.tempgraph import MAX_NODES, BucketKey
 from oracles import (extract_etn, pair_stubs_law, scalar_pair_stubs,
                      scalar_propose_layer, scalar_validate_requests)
-from synth import er_layers, layer_edges, random_graph, window_of, window_strings
+from synth import (MONDAY_EPOCH, er_layers, layer_edges, random_graph, sinusoidal_graph,
+                   window_of, window_strings)
 
 H8 = BucketKey(hour_of_day=8)
 
@@ -599,6 +601,35 @@ class TestGenerate:
                 == generate(loaded, cfg, loaded_diags))
         assert diags == loaded_diags
         assert model.fallback_counts == loaded.fallback_counts
+
+    def test_layer_steps_are_called_through_module_attributes(self, model, monkeypatch):
+        # The benchmark's traced runs count layers by wrapping these names.
+        calls = Counter()
+        for name in ("seed_layer", "propose_layer", "validate_layer"):
+            def counted(*args, _step=getattr(gen, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(gen, name, counted)
+        generate(model, GenConfig(n_nodes=10, n_snapshots=12, seed=0))
+        assert calls == {"seed_layer": 1, "propose_layer": 11, "validate_layer": 11}
+
+    def test_traced_peak_is_set_by_the_contacts(self):
+        """A surrogate grown tenfold keeps its layers as int64 keys: the
+        traced peak of `generate` stays under 64 bytes per contact (Python
+        sets of (i, j) tuples traced about 280)."""
+        n_hat, n = 300, 3000
+        model = fit(mine_counts(sinusoidal_graph(n=n_hat, days=1, peak_p=0.004, seed=1),
+                                2, "daily"))
+        cfg = GenConfig(n_nodes=n, n_snapshots=168, alpha=expansion_alpha(n_hat, n),
+                        seed=1, epoch=MONDAY_EPOCH + 7 * 3600)  # 07:00 to 21:00
+        tracemalloc.start()
+        try:
+            g = generate(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_events > 50_000
+        assert peak < 64 * g.n_events
 
     def test_diagnostics_csv(self, model):
         diags = []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import jensenshannon
 
-from etngen import (DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph,
+from etngen import (DISTANCE_FUNCS, DISTANCE_NAMES, METRIC_KINDS, AggregatedGraph,
                     TemporalGraph, aggregate, aggregated_metrics, compare,
                     compute_report, contact_durations, emd, hour_metrics,
                     hour_slices, js_divergence, kl_divergence, ks_distance,
@@ -22,7 +22,7 @@ from etngen import metrics
 from etngen.metrics import (_DENSE, _arcs, _assortativity, _centralities,
                             _dense_rows, _dependencies, _encode,
                             _hour_path_means, _louvain, _modularity, _sweep,
-                            _transitivity, distance, format_cell)
+                            _transitivity, distances_between, format_cell)
 from oracles import (_path_stats, bisect_ks_distance, dict_contact_durations,
                      exact_betweenness_means, nx_graph, nx_path_metrics, nx_report,
                      nx_snapshot_metrics)
@@ -874,9 +874,11 @@ class TestCompare:
         assert set(report.values) == {(m, "ks") for m in METRIC_KINDS}
 
     def test_distance_is_nan_on_empty_samples(self):
-        assert math.isnan(distance("ks", [], [1.0]))
-        assert math.isnan(distance("emd", [1.0], []))
-        assert distance("js", [1.0, 2.0], [2.0]) == js_divergence([1.0, 2.0], [2.0])
+        assert all(map(math.isnan, distances_between(("ks", "emd"), [], [1.0])))
+        assert all(map(math.isnan, distances_between(DISTANCE_NAMES, [1.0], [])))
+        a, b = [3, 1.5, 2.0, 1.5], [2.0, -1, 7]
+        assert distances_between(DISTANCE_NAMES, a, b) == [
+            DISTANCE_FUNCS[name](a, b) for name in DISTANCE_NAMES]
 
     def test_cell_format(self):
         assert format_cell(math.nan) == ""

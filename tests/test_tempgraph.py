@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from etngen import (AggregatedGraph, BucketKey, ParseError, TemporalGraph,
                     aggregate, bucket_of, hour_slices, parse_edge_list,
                     resolve_periodicity, weekday, write_edge_list)
+from etngen import tempgraph
 from etngen.tempgraph import (MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict,
                               layer_arcs)
 from oracles import dict_aggregate, dict_hour_slices, layer_adjacency
@@ -157,6 +158,24 @@ class TestWrite:
         back = parse_edge_list(lines(sink.getvalue()))
         assert back == g
         assert back.n_snapshots == 3
+
+    def test_bytes_whatever_the_chunk_size(self):
+        """The same text, a line per row in table order, whether rows are
+        formatted 1, 7 or the default number at a time."""
+        g = weekly_graph(n=60, weekday_p=0.05)
+        assert g.n_events > tempgraph._WRITE_ROWS
+        bounds = g.offsets.tolist()
+        want = (f"#snapshots={g.n_snapshots} #gap={g.gap_seconds} #epoch={g.epoch} "
+                f"#nodes={g.node_count}\n"
+                + "".join(f"{g.time_of(t)}\t{i}\t{j}\n"
+                          for t in range(g.n_snapshots)
+                          for i, j in g.pairs[bounds[t]:bounds[t + 1]].tolist()))
+        for rows in (1, 7, tempgraph._WRITE_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tempgraph, "_WRITE_ROWS", rows)
+                sink = io.StringIO()
+                write_edge_list(g, sink)
+            assert sink.getvalue() == want
 
 
 @st.composite
