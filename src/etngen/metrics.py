@@ -23,21 +23,26 @@ source in node order, so no value depends on the chunk size. Closeness and
 the average shortest path follow from the hop rows in networkx's operation
 order, bit-identical to networkx's.
 
-Per source, one tight-arc test and one forward relaxation over the tight
-arcs give shortest-path counts, their summed hops and DAG depths. Per hour
-graph, the node means of weighted and unweighted betweenness come from them
-with no per-node values: a sum over node pairs of the mean interior node
-count of their shortest paths (Brandes 2008), taken as an exact rational.
-They agree with networkx to about 1e-15 relative, ties being networkx's
-float `==` ties. An hour whose path counts exceed float64's exact integers
-takes the means of the per-node values instead. The full aggregate's
-per-node betweenness comes from Brandes' dependency recursion (Brandes
-2001): dependencies backward by DAG depth. It agrees with networkx to
-about 1e-15 relative.
+Per source, one tight-arc test finds the arcs of the shortest-path DAG, and
+each caller relaxes forward over them for the values it reads. Per hour
+graph, shortest-path counts sigma and their summed hops H give the node means
+of weighted and unweighted betweenness with no per-node values: a sum over
+node pairs of the mean interior node count of their shortest paths (Brandes
+2008), taken as an exact rational. They agree with networkx to about 1e-15
+relative, ties being networkx's float `==` ties. An hour whose path counts
+exceed float64's exact integers takes the means of the per-node values
+instead. The full aggregate's per-node betweenness comes from sigma and the
+DAG depths by Brandes' dependency recursion (Brandes 2001): dependencies
+backward by DAG depth. It agrees with networkx to about 1e-15 relative.
 
 The other hour metrics are ports of networkx's functions that keep its
 operation order: the s-metric, transitivity, degree assortativity (Newman
 2003) and Louvain communities (Blondel et al. 2008) with their modularity.
+Louvain sums a node's weights to the neighbouring communities as exact
+integers in one flat list reused from node to node, and skips a node whose
+only candidate is its own community. Each level's modularity is read off the
+next level graph, whose self-loops and degrees are the communities' internal
+weights and degree sums, with networkx's integers and float operations.
 """
 
 from __future__ import annotations
@@ -377,47 +382,66 @@ def _hop_sums(rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     return reach, dist_sum, closeness, asp
 
 
-def _tight_paths(arcs: _Arcs, start: int, rows: np.ndarray,
-                 step: np.ndarray | int) -> tuple[np.ndarray, ...]:
-    """The shortest-path DAGs of a chunk's sources, `start` the first, from
-    their `rows` of a matrix. Arc u -> v is tight for source s where
-    rows[s, u] + step == rows[s, v]: hops and 1, or float distances and arc
-    lengths.
-
-    Returns the tight arcs as flat (row, node) keys tail and head, then per
-    key, from one forward relaxation over the tight arcs: sigma (shortest
-    paths), their summed hops H, and the DAG depth, the most tight arcs on
-    a path to it.
-    """
+def _tight_arcs(arcs: _Arcs, rows: np.ndarray, step: np.ndarray | int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of the shortest-path DAGs of a chunk's sources, from their
+    `rows` of a matrix, as flat (row, node) keys tail and head. Arc u -> v
+    is tight for source s where rows[s, u] + step == rows[s, v]: hops and
+    1, or float distances and arc lengths."""
     n = arcs.n
     # take and a flat nonzero: 2-6x faster than rows[:, tail] and a 2-d one.
     tight = rows.take(arcs.tail, axis=1)
     tight += step
     tight = np.flatnonzero(tight == rows.take(arcs.head, axis=1))
     source, arc = np.divmod(tight, arcs.tail.size)
-    tail = source * n + arcs.tail[arc]
-    head = source * n + arcs.head[arc]
+    return source * n + arcs.tail[arc], source * n + arcs.head[arc]
+
+
+def _own_keys(arcs: _Arcs, start: int, rows: np.ndarray) -> np.ndarray:
+    """The flat (row, node) keys of each row's own source, `start` being
+    the chunk's first."""
+    return np.arange(len(rows)) * (arcs.n + 1) + start
+
+
+def _paths_and_hops(arcs: _Arcs, start: int, rows: np.ndarray,
+                    step: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """Per flat (row, node) key of a chunk, from one forward relaxation over
+    the `_tight_arcs` of `rows`, level by level: sigma, the number of
+    shortest paths from the row's source, and H, their summed hops."""
+    tail, head = _tight_arcs(arcs, rows, step)
     sigma = np.zeros(rows.size)
-    sigma[np.arange(len(rows)) * (n + 1) + start] = 1.0  # flat (s, s) keys
+    sigma[_own_keys(arcs, start, rows)] = 1.0
     hop_sum = np.zeros(rows.size)
-    depth = np.zeros(rows.size, dtype=np.intp)
-    paths = sigma.copy()
+    carried = sigma[tail]
     for level in count(1):
-        paths = np.bincount(head, weights=paths[tail], minlength=rows.size)
+        paths = np.bincount(head, weights=carried, minlength=rows.size)
         if not paths.any():
-            return tail, head, sigma, hop_sum, depth
+            return sigma, hop_sum
         sigma += paths
-        hop_sum += level * paths
-        depth[paths > 0] = level
+        carried = paths[tail]
+        paths *= level
+        hop_sum += paths
 
 
 def _dependencies(arcs: _Arcs, start: int, rows: np.ndarray,
                   step: np.ndarray | int) -> np.ndarray:
     """Brandes' dependencies of every node, one row per source of the
-    chunk, over the DAGs of `_tight_paths`: a backward pass over depths,
-    deepest first, each term as networkx's sigma(v) * ((1 + delta(w)) /
-    sigma(w)); 0 at the source."""
-    tail, head, sigma, _, depth = _tight_paths(arcs, start, rows, step)
+    chunk, over the DAGs of `_tight_arcs`. A forward relaxation over them
+    gives sigma and each key's DAG depth, the most tight arcs on a path to
+    it. Then a backward pass over depths, deepest first, takes each term as
+    networkx's sigma(v) * ((1 + delta(w)) / sigma(w)); 0 at the source."""
+    tail, head = _tight_arcs(arcs, rows, step)
+    own = _own_keys(arcs, start, rows)
+    sigma = np.zeros(rows.size)
+    sigma[own] = 1.0
+    depth = np.zeros(rows.size, dtype=np.intp)
+    paths = sigma
+    for level in count(1):
+        paths = np.bincount(head, weights=paths[tail], minlength=rows.size)
+        if not paths.any():
+            break
+        sigma += paths
+        depth[paths > 0] = level
     head_depth = depth[head]
     order = np.argsort(head_depth, kind="stable")
     tail, head = tail[order], head[order]
@@ -427,7 +451,7 @@ def _dependencies(arcs: _Arcs, start: int, rows: np.ndarray,
         w, v = head[bounds[d]:bounds[d + 1]], tail[bounds[d]:bounds[d + 1]]
         coeff = (1 + delta[w]) / sigma[w]
         delta += np.bincount(v, weights=sigma[v] * coeff, minlength=rows.size)
-    delta[np.arange(len(rows)) * (arcs.n + 1) + start] = 0.0
+    delta[own] = 0.0
     return delta.reshape(rows.shape)
 
 
@@ -475,7 +499,7 @@ def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     n(n-1)(n-2) when n > 2 (over n otherwise, where the sum is 0).
     Unweighted, every shortest path has the pair's hop distance. Weighted
     (length 1/weight), shortest paths are those of networkx's Dijkstra, and
-    the sum of H/sigma over pairs from `_tight_paths` is exact: each
+    the sum of H/sigma over pairs from `_paths_and_hops` is exact: each
     chunk's H sums per sigma are added as Python fractions, which convert
     to the correctly rounded float.
 
@@ -489,7 +513,7 @@ def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     ratio = Fraction(0)  # sum of H/sigma over pairs
     for start, hops, dist in _sweep(arcs):
         rows.append(_row_sums(hops))
-        _, _, sigma, hop_sum, _ = _tight_paths(arcs, start, dist, arcs.length)
+        sigma, hop_sum = _paths_and_hops(arcs, start, dist, arcs.length)
         hop_total += int(hop_sum.sum())
         if hop_total >= 2 ** 53:
             return None
@@ -576,23 +600,30 @@ def _modularity(adj: list[dict[int, int]], communities: list[list[int]]) -> floa
     return sum(map(contribution, communities))
 
 
-def _one_level(adj: list[dict[int, int]], m: float, rng: random.Random
-               ) -> tuple[list[int], bool]:
+def _one_level(adj: list[dict[int, int]], degrees: list[int], m: float,
+               rng: random.Random) -> tuple[list[int], bool]:
     """One Louvain level, as networkx's `_one_level`: each node's community
     number after moving nodes, in one shuffled order, to the neighbouring
     community of largest modularity gain until no node moves, and whether
-    any node moved.
+    any node moved. `degrees` are `_degrees(adj)`.
 
     The arithmetic is networkx's. Ties go to the first candidate, and a gain
     must exceed 0: candidates are the neighbours' communities in neighbour
     order, then the node's own community if no neighbour shares it.
+
+    A node's weights to the candidates are summed as exact integers in one
+    flat list, indexed by community and reused from node to node: `touched`
+    lists the candidates in the order above, and their entries are reset
+    to 0 once read. Every weight is positive, so an entry is 0 until first
+    touched. A node whose only candidate is its own community stays in it
+    whatever the gain rounds to, so it is skipped.
     """
     n = len(adj)
     com = list(range(n))
-    degrees = _degrees(adj)
     stot = degrees.copy()
     nbrs = [[(v, w) for v, w in a.items() if v != u] for u, a in enumerate(adj)]
     two_m2 = 2 * m**2
+    weight = [0] * n
     order = list(range(n))
     rng.shuffle(order)
     improvement = False
@@ -601,17 +632,27 @@ def _one_level(adj: list[dict[int, int]], m: float, rng: random.Random
         moves = 0
         for u in order:
             own = com[u]
-            to_com: dict[int, float] = {}
+            touched = []
             for v, w in nbrs[u]:
                 c = com[v]
-                to_com[c] = to_com.get(c, 0.0) + w
+                if weight[c]:
+                    weight[c] += w
+                else:
+                    weight[c] = w
+                    touched.append(c)
+            own_weight = weight[own]
+            if not own_weight:
+                touched.append(own)
+            if len(touched) == 1:
+                weight[own] = 0
+                continue
             degree = degrees[u]
             stot[own] -= degree
-            own_weight = to_com.setdefault(own, 0.0)
             remove_cost = -own_weight / m + (stot[own] * degree) / two_m2
             best, best_gain = own, 0
-            for c, wt in to_com.items():
-                gain = remove_cost + wt / m - (stot[c] * degree) / two_m2
+            for c in touched:
+                gain = remove_cost + weight[c] / m - (stot[c] * degree) / two_m2
+                weight[c] = 0
                 if gain > best_gain:
                     best, best_gain = c, gain
             stot[best] += degree
@@ -643,6 +684,17 @@ def _gen_graph(adj: list[dict[int, int]], groups: list[list[int]]
     return out
 
 
+def _level_modularity(adj: list[dict[int, int]], degrees: list[int], m: float,
+                      norm: float) -> float:
+    """`_modularity` of the partition that `adj`, the next level graph, was
+    made from, with `degrees` its `_degrees` and m and norm those of every
+    level: per node, in order, its self-loop (its community's internal
+    weight) over m minus its degree (its community's degree sum) squared
+    times norm. The same integers and float operations, in one pass."""
+    return sum(a.get(c, 0) / m - d * d * norm
+               for c, (a, d) in enumerate(zip(adj, degrees)))
+
+
 def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
     """Louvain communities (Blondel et al. 2008) as lists of node numbers,
     the partition that networkx 3.6.1's `louvain_communities(G, seed=seed)`
@@ -653,13 +705,19 @@ def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
     `_gen_graph` with one group per node. Levels stop once a level's
     modularity, on its own level graph, gains at most 1e-7 over the level
     before.
+
+    Each level's modularity is `_level_modularity` of the next level graph;
+    the singletons' before the first level is that of the first level graph.
     """
     rng = random.Random(seed)
     partition = [[u] for u in range(len(graph.adj))]
     adj = _gen_graph(graph.adj, partition)
-    m = sum(_degrees(adj)) / 2
-    mod = _modularity(adj, partition)
-    com, _ = _one_level(adj, m, rng)  # the first level counts as an improvement
+    degrees = _degrees(adj)
+    deg_sum = sum(degrees)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+    mod = _level_modularity(adj, degrees, m, norm)
+    com, _ = _one_level(adj, degrees, m, rng)  # the first level counts as an improvement
     while True:
         groups: dict[int, list[int]] = {}
         for u, c in enumerate(com):
@@ -667,12 +725,13 @@ def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
         inner = [groups[c] for c in sorted(groups)]
         partition = [list(chain.from_iterable(partition[u] for u in group))
                      for group in inner]
-        new_mod = _modularity(adj, inner)
+        adj = _gen_graph(adj, inner)
+        degrees = _degrees(adj)
+        new_mod = _level_modularity(adj, degrees, m, norm)
         if new_mod - mod <= 1e-7:
             return partition
         mod = new_mod
-        adj = _gen_graph(adj, inner)
-        com, improvement = _one_level(adj, m, rng)
+        com, improvement = _one_level(adj, degrees, m, rng)
         if not improvement:
             return partition
 

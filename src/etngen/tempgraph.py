@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -566,12 +566,21 @@ class BucketKey:
 
     hour_of_day: int
     day_of_week: int | None = None
+    # Keys of the model's tables, so the hash is taken once. It hashes ints
+    # only: hash(None) differs between processes, and an unpickled key keeps
+    # the hash it was made with.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.hour_of_day < 24):
             raise ValueError(f"hour_of_day out of range: {self.hour_of_day}")
         if self.day_of_week is not None and not (0 <= self.day_of_week < 7):
             raise ValueError(f"day_of_week out of range: {self.day_of_week}")
+        object.__setattr__(self, "_hash", hash(
+            (self.hour_of_day, -1 if self.day_of_week is None else self.day_of_week)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def periodicity(self) -> str:

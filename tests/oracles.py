@@ -7,7 +7,8 @@ statistic by bisection at each distinct value, the model file as
 attempt at a time with the exact law of its outcome on a few stubs, and
 request validation with one scalar coin per request,
 networkx, a per-source Brandes sweep and an exact enumeration of
-shortest paths for the shortest-path metrics, one `random_walk` per run or
+shortest paths for the shortest-path metrics, a Louvain level that sums
+each node's community weights in a fresh dict, one `random_walk` per run or
 pair for the walk probes, and one `sir_run` per epidemic for SIR.
 
 The scalar references `extract_etn`, `random_walk` and `sir_run` read each
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from etngen.gen import ProvisionalLayer, _norm
 from etngen.model import (FORMAT_NAME, FORMAT_VERSION, ExtensionDistribution,
                           LocalModel, lookup_extension)
 from etngen.tempgraph import SECONDS_PER_HOUR, BucketKey, require_hour_aligned
-from etngen.metrics import _Graph
+from etngen.metrics import _degrees, _Graph
 from synth import layer_edges
 
 _PROBE_RW = 0
@@ -391,6 +393,47 @@ def nx_path_metrics(graph: nx.Graph) -> tuple[dict, dict, dict, float]:
     largest = max(nx.connected_components(graph), key=len)
     asp = float(nx.average_shortest_path_length(graph.subgraph(largest)))
     return bw, bu, cl, asp
+
+
+def dict_one_level(adj: list[dict[int, int]], m: float, rng: random.Random
+                   ) -> tuple[list[int], bool]:
+    """`metrics._one_level` as networkx's `_one_level` writes it: per node, a
+    fresh dict of float weights to the neighbours' communities, in
+    neighbour order, then the node's own community if no neighbour shares
+    it; every candidate's gain is computed, ties going to the first."""
+    n = len(adj)
+    com = list(range(n))
+    degrees = _degrees(adj)
+    stot = degrees.copy()
+    nbrs = [[(v, w) for v, w in a.items() if v != u] for u, a in enumerate(adj)]
+    two_m2 = 2 * m**2
+    order = list(range(n))
+    rng.shuffle(order)
+    improvement = False
+    moves = 1
+    while moves:
+        moves = 0
+        for u in order:
+            own = com[u]
+            to_com: dict[int, float] = {}
+            for v, w in nbrs[u]:
+                c = com[v]
+                to_com[c] = to_com.get(c, 0.0) + w
+            degree = degrees[u]
+            stot[own] -= degree
+            own_weight = to_com.setdefault(own, 0.0)
+            remove_cost = -own_weight / m + (stot[own] * degree) / two_m2
+            best, best_gain = own, 0
+            for c, wt in to_com.items():
+                gain = remove_cost + wt / m - (stot[c] * degree) / two_m2
+                if gain > best_gain:
+                    best, best_gain = c, gain
+            stot[best] += degree
+            if best != own:
+                com[u] = best
+                improvement = True
+                moves += 1
+    return com, improvement
 
 
 # The per-source reference for the shortest-path metrics: one BFS and one

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -20,10 +21,12 @@ from etngen import (DISTANCE_FUNCS, DISTANCE_NAMES, METRIC_KINDS, AggregatedGrap
                     snapshot_metrics, write_distances_csv, write_samples_csv)
 from etngen import metrics
 from etngen.metrics import (_DENSE, _arcs, _assortativity, _centralities,
-                            _dense_rows, _dependencies, _encode,
-                            _hour_path_means, _louvain, _modularity, _sweep,
+                            _degrees, _dense_rows, _dependencies, _encode,
+                            _gen_graph, _hour_path_means, _louvain, _modularity,
+                            _one_level, _sweep,
                             _transitivity, distances_between, format_cell)
 from oracles import (_path_stats, bisect_ks_distance, dict_contact_durations,
+                     dict_one_level,
                      exact_betweenness_means, nx_graph, nx_path_metrics, nx_report,
                      nx_snapshot_metrics)
 from synth import layered_graphs, random_graph, sinusoidal_graph
@@ -634,6 +637,40 @@ class TestHourPortsOracle:
         assert hour_metrics(g)["assortativity"] == []
 
 
+def assert_levels_match_dict_oracle(weights, seed):
+    """`_one_level` and its dict-based oracle give the same communities and
+    the same moved flag, and draw the same shuffle, from the same
+    `random.Random` state, on the first level graph and on each later one
+    (made by `_gen_graph` from the oracle's communities, so with
+    self-loops), until a level moves nothing or merges no community."""
+    graph = _encode(AggregatedGraph(weights))
+    adj = _gen_graph(graph.adj, [[u] for u in range(len(graph.adj))])
+    m = sum(_degrees(adj)) / 2
+    rng = random.Random(seed)
+    while True:
+        ours = random.Random()
+        ours.setstate(rng.getstate())
+        com, moved = dict_one_level(adj, m, rng)
+        assert _one_level(adj, _degrees(adj), m, ours) == (com, moved)
+        assert ours.getstate() == rng.getstate()
+        groups: dict[int, list[int]] = {}
+        for u, c in enumerate(com):
+            groups.setdefault(c, []).append(u)
+        if not moved or len(groups) == len(adj):
+            return
+        adj = _gen_graph(adj, [groups[c] for c in sorted(groups)])
+
+
+class TestOneLevelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(HOUR_GRAPHS, st.integers(0, 3))
+    @example({(10, 7): 7, (10, 9): 7, (1, 0): 7, (2, 3): 7, (8, 0): 7, (5, 9): 7,
+              (9, 4): 7}, 0)
+    @example({(9, 8): 1, (1, 9): 1, (6, 1): 1, (6, 8): 1}, 1)
+    def test_random_graphs(self, weights, seed):
+        assert_levels_match_dict_oracle(weights, seed)
+
+
 class TestComputeReport:
     def test_samples_match_networkx_report(self):
         g = sinusoidal_graph(n=24, days=1, peak_p=0.06, seed=5)
@@ -677,6 +714,31 @@ class TestComputeReport:
         sink = io.StringIO()
         write_samples_csv(compute_report(g), sink)
         assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
+
+    def test_golden_samples_at_acceptance_scale(self, monkeypatch):
+        # The acceptance scale's node count, and hours on which Louvain
+        # takes two to four levels: the digest was recorded before Louvain
+        # summed weights in a flat list and read level modularity off the
+        # next level graph.
+        levels: list[int] = []
+        louvain, one_level = metrics._louvain, metrics._one_level
+
+        def counting_louvain(graph, seed):
+            levels.append(0)
+            return louvain(graph, seed)
+
+        def counting_one_level(*args):
+            levels[-1] += 1
+            return one_level(*args)
+
+        monkeypatch.setattr(metrics, "_louvain", counting_louvain)
+        monkeypatch.setattr(metrics, "_one_level", counting_one_level)
+        g = sinusoidal_graph(n=126, days=1, peak_p=0.004, seed=5)
+        sink = io.StringIO()
+        write_samples_csv(compute_report(g), sink)
+        assert len(levels) == 14 and min(levels) >= 2
+        assert (hashlib.sha256(sink.getvalue().encode()).hexdigest()
+                == "421776645bc36f9e5bdc86755e1aca7869fe3669a49ef0e53e24c77d7371bfdb")
 
     def test_all_seventeen_metrics_present(self):
         g = tg(5, [{(0, 1)}, {(1, 2)}])

@@ -1,6 +1,10 @@
 import io
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from etngen import (AggregatedGraph, BucketKey, ParseError, TemporalGraph,
                     aggregate, bucket_of, hour_slices, parse_edge_list,
                     resolve_periodicity, weekday, write_edge_list)
+import etngen
 from etngen import tempgraph
 from etngen.tempgraph import (MAX_NODES, MAX_SNAPSHOTS, _distinct, _read_strict,
                               layer_arcs)
@@ -292,6 +297,19 @@ class TestBuckets:
             BucketKey(24)
         with pytest.raises(ValueError):
             BucketKey(0, 7)
+
+    def test_unpickled_key_is_found_in_another_process(self):
+        # A key takes its hash once and keeps it through pickling, so the
+        # hash must not differ between processes, as hash(None) does.
+        script = ("import pickle, sys\n"
+                  "from etngen import BucketKey\n"
+                  "table = {BucketKey(8): 'daily', BucketKey(8, 3): 'weekly'}\n"
+                  "print(*(table.get(k) for k in pickle.load(sys.stdin.buffer)))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(etngen.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              input=pickle.dumps([BucketKey(8), BucketKey(8, 3)]),
+                              capture_output=True, timeout=120)
+        assert done.stdout.split() == [b"daily", b"weekly"]
 
     def test_unknown_periodicity(self):
         with pytest.raises(ValueError):
