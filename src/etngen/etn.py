@@ -34,7 +34,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tempgraph import BucketKey, TemporalGraph, bucket_of
+from .tempgraph import (SECONDS_PER_DAY, SECONDS_PER_HOUR, BucketKey, TemporalGraph,
+                        _run_starts, bucket_of)
 
 EMPTY_TOKEN = "∅"
 _STRING_SEP = "|"
@@ -261,12 +262,22 @@ class _Arcs:
 
     @classmethod
     def of(cls, g: TemporalGraph, periodicity: str) -> "_Arcs":
+        # A snapshot's bucket is set by its hour of the week, counted from
+        # a week boundary of Unix time as `bucket_of` counts weekdays; the
+        # keys are numbered in order of first appearance.
+        week = 7 * SECONDS_PER_DAY
+        hour = np.arange(g.n_snapshots, dtype=np.int64) * (g.gap_seconds % week)
+        hour += g.epoch % week
+        hour %= week
+        hour //= SECONDS_PER_HOUR
+        seen, first = np.unique(hour, return_index=True)
         index: dict[BucketKey, int] = {}
-        bucket = np.array([index.setdefault(bucket_of(g.time_of(t), periodicity),
-                                            len(index))
-                           for t in range(g.n_snapshots)], dtype=np.int64)
+        number = np.zeros(week // SECONDS_PER_HOUR, dtype=np.int64)
+        for h in seen[np.argsort(first)].tolist():
+            number[h] = index.setdefault(bucket_of(h * SECONDS_PER_HOUR, periodicity),
+                                         len(index))
         return cls(ego=g.pairs.ravel(), nbr=g.pairs[:, ::-1].ravel(),
-                   offsets=2 * g.offsets, node_count=g.node_count, bucket=bucket,
+                   offsets=2 * g.offsets, node_count=g.node_count, bucket=number[hour],
                    keys=tuple(index))
 
     def of_egos(self, lo: int, hi: int) -> "_Arcs":
@@ -398,14 +409,6 @@ def _chunk_at(packed: np.ndarray, first: np.ndarray, chunks: np.ndarray, c: int
     return chunk
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries of the array begins."""
-    starts = np.empty(values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts.nonzero()[0]
-
-
 def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
                     ) -> dict[BucketKey, dict[int, Counter]]:
     """Count signatures for egos in [lo, hi) across all depths 1..k.
@@ -456,7 +459,8 @@ def _mine_ego_range(arcs: _Arcs, k: int, lo: int, hi: int
     for depth, parts in tallies.items():
         cell, at = np.unique(np.concatenate([c for c, _ in parts]), return_inverse=True)
         count = np.bincount(at, weights=np.concatenate([w for _, w in parts]))
-        sigs = [EtnSignature(depth + 1, strings) for strings in numbers[depth]]
+        # Each tuple is a run of sorted nonzero strings below 2**(depth+1).
+        sigs = [EtnSignature._of(depth + 1, strings) for strings in numbers[depth]]
         # Each bucket with a window end at this depth gets a counter, empty
         # when the range has no ego. (A set, not np.unique: its hash-table
         # path costs 1.6 MB of resident memory on first use.)

@@ -79,8 +79,20 @@ class ExtensionDistribution:
 
     @classmethod
     def from_counter(cls, ctr: Mapping[EtnSignature, int]) -> "ExtensionDistribution":
-        items = sorted(ctr.items(), key=lambda kv: kv[0].strings)
-        return cls(tuple(items), sum(ctr.values()))
+        dist = cls._of(ctr)
+        dist.__post_init__()
+        return dist
+
+    @classmethod
+    def _of(cls, ctr: Mapping[EtnSignature, int]) -> "ExtensionDistribution":
+        """`from_counter(ctr)` for a counter known to hold at least one
+        signature, each with a positive count, without `__post_init__`'s
+        checks: `fit` and `load_model` build their distributions so."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "extensions",
+                           tuple(sorted(ctr.items(), key=lambda kv: kv[0].strings)))
+        object.__setattr__(dist, "total", sum(ctr.values()))
+        return dist
 
     def probabilities(self) -> dict[EtnSignature, float]:
         return {sig: c / self.total for sig, c in self.extensions}
@@ -187,12 +199,13 @@ class PrefixTable:
 class LocalModel:
     """Fitted extension tables plus everything needed to generate.
 
-    `tables` maps (bucket, depth, prefix) to an ExtensionDistribution;
-    `global_tables` marginalizes out the bucket and backs fallback at
-    generation time. `fallback_counts` tallies which lookup level served
-    each query; it is diagnostic state, not part of model identity.
-    `pick_index`, built on first use, serves generation; the tables must
-    not change after it is built.
+    `tables` maps (bucket, depth, prefix) to an ExtensionDistribution.
+    `global_tables`, derived from `tables` on first read, marginalizes out
+    the bucket and backs fallback at generation time; it is not a field, so
+    neither `fit`, `load_model` nor `save_model` builds it. `fallback_counts`
+    tallies which lookup level served each query; it is diagnostic state,
+    not part of model identity. `pick_index`, built on first use, serves
+    generation. The tables must not change after either is built.
     """
 
     k: int
@@ -202,8 +215,20 @@ class LocalModel:
     node_count: int
     seed_degrees: tuple[int, ...]
     tables: dict[TableKey, ExtensionDistribution]
-    global_tables: dict[GlobalKey, ExtensionDistribution]
     fallback_counts: Counter = field(default_factory=Counter, compare=False)
+
+    @cached_property
+    def global_tables(self) -> dict[GlobalKey, ExtensionDistribution]:
+        """Each (depth, prefix)'s extension counts summed over buckets."""
+        acc: dict[GlobalKey, dict[EtnSignature, int]] = {}
+        for (_, depth, prefix), dist in self.tables.items():
+            ctr = acc.get((depth, prefix))
+            if ctr is None:
+                acc[depth, prefix] = dict(dist.extensions)
+                continue
+            for sig, c in dist.extensions:
+                ctr[sig] = ctr.get(sig, 0) + c
+        return {key: ExtensionDistribution._of(ctr) for key, ctr in acc.items()}
 
     @cached_property
     def pick_index(self) -> PickIndex:
@@ -211,23 +236,11 @@ class LocalModel:
 
 
 def _build_model(cells: dict[TableKey, dict[EtnSignature, int]], **meta) -> LocalModel:
-    """The model whose (bucket, depth, prefix) cell counts are `cells`; its
-    global tables sum each (depth, prefix) over buckets. `meta` holds the
-    remaining `LocalModel` fields."""
-    global_acc: dict[GlobalKey, dict[EtnSignature, int]] = {}
-    for (_, depth, prefix), cell in cells.items():
-        acc = global_acc.get((depth, prefix))
-        if acc is None:
-            global_acc[depth, prefix] = dict(cell)
-            continue
-        for sig, c in cell.items():
-            acc[sig] = acc.get(sig, 0) + c
-    return LocalModel(
-        tables={key: ExtensionDistribution.from_counter(ctr)
-                for key, ctr in cells.items()},
-        global_tables={key: ExtensionDistribution.from_counter(ctr)
-                       for key, ctr in global_acc.items()},
-        **meta)
+    """The model whose (bucket, depth, prefix) cell counts are `cells`, each
+    non-empty and positive. `meta` holds the remaining `LocalModel`
+    fields."""
+    return LocalModel(tables={key: ExtensionDistribution._of(ctr)
+                              for key, ctr in cells.items()}, **meta)
 
 
 def fit(counts: MinedCounts) -> LocalModel:
@@ -318,18 +331,11 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
     model's document, assembled directly: an indented dump runs json's
     pure-Python encoder, while the same signatures recur in many cells. So
     each distinct code is quoted once, by json's C string encoder, and each
-    extension's lines before its count are built once per signature."""
+    extension's lines before its count are built once per signature. Cells
+    are written one at a time, each as soon as it is formatted."""
     texts = _Once(lambda item: item.encode())
     quoted = _Once(lambda item: encode_basestring(texts[item]))
     heads = _Once(lambda sig: f'{{\n     "sig": {quoted[sig]},\n     "count": ')
-    cells = []
-    for (bucket, depth, prefix), dist in sorted(
-            model.tables.items(),
-            key=lambda kv: (texts[kv[0][0]], kv[0][1], kv[0][2].strings)):
-        extensions = [f"{heads[sig]}{c}\n    }}" for sig, c in dist.extensions]
-        cells.append(f'{{\n   "bucket": {quoted[bucket]},\n   "depth": {depth},\n'
-                     f'   "prefix": {quoted[prefix]},\n'
-                     f'   "extensions": {_json_list(extensions, 3)}\n  }}')
     fields = [
         f'"format": {encode_basestring(FORMAT_NAME)}',
         f'"version": {FORMAT_VERSION}',
@@ -339,9 +345,19 @@ def save_model(model: LocalModel, sink: IO[str]) -> None:
         f'"epoch": {model.epoch}',
         f'"nodes": {model.node_count}',
         f'"seed_degrees": {_json_list([str(d) for d in model.seed_degrees], 1)}',
-        f'"tables": {_json_list(cells, 1)}',
     ]
-    sink.write("{\n " + ",\n ".join(fields) + "\n}\n")
+    sink.write("{\n " + ",\n ".join(fields) + ',\n "tables": [')
+    # The list as `_json_list(cells, 1)` writes it.
+    sep = "\n  "
+    for (bucket, depth, prefix), dist in sorted(
+            model.tables.items(),
+            key=lambda kv: (texts[kv[0][0]], kv[0][1], kv[0][2].strings)):
+        extensions = [f"{heads[sig]}{c}\n    }}" for sig, c in dist.extensions]
+        sink.write(f'{sep}{{\n   "bucket": {quoted[bucket]},\n   "depth": {depth},\n'
+                   f'   "prefix": {quoted[prefix]},\n'
+                   f'   "extensions": {_json_list(extensions, 3)}\n  }}')
+        sep = ",\n  "
+    sink.write("\n ]\n}\n" if model.tables else "]\n}\n")
 
 
 def _check_invariants(model: LocalModel) -> None:
@@ -384,7 +400,7 @@ def _typed(value, kind: type, name: str):
 
 
 def load_model(source: IO[str]) -> LocalModel:
-    """Inverse of `save_model`; global tables are rebuilt by summation.
+    """Inverse of `save_model`; global tables are derived on first read.
     Integer fields must be JSON integers and codes JSON strings, each the
     one text that `save_model` writes for its bucket or signature."""
     try:
@@ -439,6 +455,8 @@ def load_model(source: IO[str]) -> LocalModel:
                     raise ModelFormatError(
                         f"extension {sig.encode()} does not extend {cell['prefix']}")
                 ctr[sig] = ctr.get(sig, 0) + count
+            if not ctr:
+                raise ModelFormatError("bad table cell: empty distribution")
             key = (bucket, depth, prefix)
             if key in cells:
                 raise ModelFormatError(f"duplicate cell {cell['bucket']}/{depth}/"

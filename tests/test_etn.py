@@ -14,7 +14,7 @@ from etngen import (EtnSignature, TemporalGraph, etn_cosine_distance, mine_count
                     prefix_of, read_counts, write_counts)
 from etngen import etn, gen
 from etngen.etn import PrefixKeys
-from etngen.tempgraph import BucketKey
+from etngen.tempgraph import BucketKey, bucket_of
 from oracles import (counts_as_strings, extract_etn, naive_mine,
                      naive_signature_strings)
 from synth import er_layers, layer_edges, random_graph, window_of, window_strings
@@ -387,6 +387,21 @@ class TestMineCounts:
         counts = mine_counts(g, 1, "daily")
         hours = sorted(b.hour_of_day for b in counts.table)
         assert hours == list(range(1, 14))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 50), st.integers(1, 10 ** 6), st.integers(-10 ** 20, 10 ** 20),
+           st.sampled_from(["daily", "weekly"]))
+    def test_snapshot_buckets_are_bucket_of(self, m, gap, epoch, periodicity):
+        g = TemporalGraph(2, [[]] * m, gap, epoch=epoch)
+        arcs = etn._Arcs.of(g, periodicity)
+        want = [bucket_of(g.time_of(t), periodicity) for t in range(m)]
+        assert [arcs.keys[b] for b in arcs.bucket.tolist()] == want
+        assert arcs.keys == tuple(dict.fromkeys(want))  # in order of first appearance
+
+    def test_unknown_periodicity_rejected(self):
+        g = random_graph(n=5, m=4, seed=1)
+        with pytest.raises(ValueError, match="unknown periodicity 'hourly'"):
+            mine_counts(g, 2, "hourly")
 
     def test_metadata(self):
         g = random_graph(n=5, m=4, seed=1, gap=600, epoch=1234)

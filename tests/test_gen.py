@@ -170,16 +170,16 @@ class TestProposeLayer:
 
 def without_empty_prefix(model, depth):
     """`model` with no cell for the empty prefix at `depth`, in the bucket
-    tables or the global ones: there, egos with an unseen prefix and idle
-    egos have no distribution."""
+    tables or the global ones derived from them: there, egos with an unseen
+    prefix and idle egos have no distribution."""
     fields = {name: getattr(model, name) for name in (
         "k", "periodicity", "gap_seconds", "epoch", "node_count", "seed_degrees")}
-    return LocalModel(
+    filtered = LocalModel(
         tables={key: dist for key, dist in model.tables.items()
                 if not (key[1] == depth and key[2].is_empty)},
-        global_tables={key: dist for key, dist in model.global_tables.items()
-                       if not (key[0] == depth and key[1].is_empty)},
         **fields)
+    assert (depth, EtnSignature(depth)) not in filtered.global_tables
+    return filtered
 
 
 class TestProposeMatchesScalar:

@@ -370,6 +370,25 @@ class TestSaveLoad:
                            match=f"seed degree {degree} of node 3 outside 0..7"):
             self.load_doc(doc)
 
+    def test_empty_extension_list_rejected(self):
+        doc = self.saved_doc()
+        doc["tables"][0]["extensions"] = []
+        with pytest.raises(ModelFormatError, match="^bad table cell: empty distribution$"):
+            self.load_doc(doc)
+
+    def test_cells_written_one_at_a_time(self):
+        model = fit(mine_counts(random_graph(n=8, m=10, p=0.3, seed=6), 2, "daily"))
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        save_model(model, Sink())
+        assert "".join(writes) == json_model_text(model)
+        assert max(text.count('"bucket"') for text in writes) == 1
+        assert sum(text.count('"bucket"') for text in writes) == len(model.tables) > 1
+
     @pytest.mark.parametrize("path, value", [
         (("epoch",), True), (("k",), 2.0), (("gap",), "300"), (("version",), True),
         (("seed_degrees",), "11111111"), (("seed_degrees", 0), 1.0),
@@ -474,6 +493,19 @@ class TestPickIndex:
                     dist, level = lookup_extension(model, bucket, depth, prefix)
                     assert table.position[row] == index.position(dist)
                     assert FALLBACK_LEVELS[table.level[row]] == level
+
+    def test_global_tables_derived_on_first_read(self, model):
+        sink = io.StringIO()
+        save_model(model, sink)
+        back = load_model(io.StringIO(sink.getvalue()))
+        assert "global_tables" not in vars(model) and "global_tables" not in vars(back)
+        summed: dict = {}
+        for (_, depth, prefix), dist in model.tables.items():
+            summed.setdefault((depth, prefix), Counter()).update(dict(dist.extensions))
+        assert model.global_tables == {
+            key: ExtensionDistribution.from_counter(ctr) for key, ctr in summed.items()}
+        assert model.global_tables is model.global_tables
+        assert "global_tables" in vars(model) and model == back
 
     def test_built_on_use_only(self, model):
         sink = io.StringIO()

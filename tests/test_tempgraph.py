@@ -527,3 +527,48 @@ class TestStrictGrammarOracle:
                      "0\t1\t2\n#c\n", "-1\t1\t2\n", f"{'1' * 19}\t1\t2\n",
                      "0\t+1\t2\n", "0\t1 \t2\n", "\u0661\t1\t2\n"):
             assert _read_strict(text) is None, text
+
+
+class TestIndexedParse:
+    """A strict file whose labels are node indices (a `#nodes` header and
+    every label below it) is read without ranking its labels."""
+
+    def test_label_outside_nodes_ranks_as_line_by_line(self):
+        text = "#gap=300 #nodes=4\n0\t2\t3\n0\t3\t9\n300\t0\t2\n600\t1\t1\n"
+        assert _read_strict(text) is not None
+        g = parse_edge_list(io.StringIO(text))
+        assert _outcome(io.StringIO(text), None) == _outcome(
+            io.StringIO(text).readlines(), None)
+        assert g.labels == ("2", "3", "9", "0") and g.node_count == 4
+        assert g.pairs.tolist() == [[0, 1], [1, 2], [0, 3]]
+        assert g.offsets.tolist() == [0, 2, 3] and g.dropped_self_loops == 1
+
+    @pytest.mark.parametrize("at", [0, 7_000, 9_999])  # two 64 KB chunks
+    def test_grammar_refuses_a_line_in_any_chunk(self, at):
+        lines = [f"{300 * (n // 10)}\t{n % 7}\t{n % 7 + 1}\n" for n in range(10_000)]
+        assert _read_strict("".join(lines)) is not None
+        lines[at] = "0\t01\t2\n"
+        assert _read_strict("".join(lines)) is None
+
+    def test_indexed_file_parses_in_bounded_memory(self):
+        # A recording at the benchmark's paper scale: 330 nodes, 5 days of
+        # 5-minute snapshots, 90,000 events, in the layout that
+        # `write_edge_list` gives.
+        rng = np.random.default_rng(3)
+        t = np.sort(rng.integers(0, 1440, 90_000)) * 300
+        i = rng.integers(0, 329, 90_000)
+        j = rng.integers(i + 1, 330)
+        text = "#snapshots=1440 #gap=300 #epoch=0 #nodes=330\n" + "".join(
+            f"{a}\t{b}\t{c}\n" for a, b, c in zip(t.tolist(), i.tolist(), j.tolist()))
+        assert _read_strict(text) is not None
+        source = io.StringIO(text)  # its buffer takes 4 bytes a character
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The text is 1.3 MB: the bound leaves room for its 2.2 MB of int64
+        # fields and the edge table's sort, not for a rank of every label.
+        assert peak < 8_000_000
+        assert g.node_count == 330 and g.n_snapshots == 1440 and g.labels[329] == "329"
