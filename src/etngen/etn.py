@@ -29,7 +29,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,7 +39,20 @@ from .tempgraph import (SECONDS_PER_DAY, SECONDS_PER_HOUR, BucketKey, TemporalGr
 
 EMPTY_TOKEN = "∅"
 _STRING_SEP = "|"
-_CODE_CHARS = frozenset("01" + _STRING_SEP)
+_BITS = frozenset("01")
+
+
+class _Once(dict):
+    """A dict that fills a missing key with `fn(key)`: `fn` runs once per
+    distinct key, however often the key recurs."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -111,17 +124,30 @@ class EtnSignature:
         """The signature that `encode` writes as `text` at `width`. Any other
         spelling is refused (`01|1` at width 2, `11|01`, `0b1`, `1_1`, `+11`,
         ` 11`, non-ASCII digits), so that each signature has one text."""
+        return cls.decode_all((text,), width)[text]
+
+    @classmethod
+    def decode_all(cls, texts: Iterable[str], width: int) -> dict[str, "EtnSignature"]:
+        """`decode` of each distinct text at `width`, by text. A batch's texts
+        share most of their strings, so each distinct string is read once."""
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        if text == EMPTY_TOKEN:
-            return cls._of(width, ())
-        parts = text.split(_STRING_SEP)
-        # `encode` writes each string as `width` binary digits, in ascending
-        # order, and none all zero: the smallest has a 1.
-        if (not _CODE_CHARS.issuperset(text) or set(map(len, parts)) != {width}
-                or parts != sorted(parts) or "1" not in parts[0]):
-            raise ValueError(f"non-canonical signature {text!r} at width {width}")
-        return cls._of(width, tuple(map(int, parts, repeat(2))))
+        # `encode` writes each string as `width` binary digits, none all
+        # zero: any other string reads as 0, which no signature holds.
+        value = _Once(lambda part: int(part, 2) if len(part) == width
+                      and _BITS.issuperset(part) and "1" in part else 0).__getitem__
+        out = {}
+        for text in dict.fromkeys(texts):
+            if text == EMPTY_TOKEN:
+                out[text] = cls._of(width, ())
+                continue
+            parts = text.split(_STRING_SEP)
+            strings = tuple(map(value, parts))
+            # ... and in ascending order.
+            if 0 in strings or parts != sorted(parts):
+                raise ValueError(f"non-canonical signature {text!r} at width {width}")
+            out[text] = cls._of(width, strings)
+        return out
 
     def __repr__(self) -> str:
         return f"EtnSignature({self.width}, {self.encode()!r})"
@@ -534,6 +560,9 @@ def read_counts(source: IO[str] | Iterable[str]) -> dict[BucketKey, dict[int, Co
     """Inverse of `write_counts`, the writer of `fit --counts-out` files:
     bucket -> depth -> signature counts (metadata is not in the dump)."""
     table: dict[BucketKey, dict[int, Counter]] = {}
+    # The same signatures recur in many buckets: each text is decoded once
+    # per width.
+    sigs = _Once(lambda key: EtnSignature.decode(*key))
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -543,7 +572,7 @@ def read_counts(source: IO[str] | Iterable[str]) -> dict[BucketKey, dict[int, Co
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         bucket = BucketKey.decode(parts[0])
         depth = int(parts[1])
-        sig = EtnSignature.decode(parts[2], depth + 1)
+        sig = sigs[parts[2], depth + 1]
         count = int(parts[3])
         table.setdefault(bucket, {}).setdefault(depth, Counter())[sig] += count
     return table

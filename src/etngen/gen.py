@@ -101,7 +101,10 @@ def _pair_stubs(stubs: Sequence[int], edges: set[tuple[int, int]],
     the next shuffle. A rejection with no acceptable pair left (one ego
     holds every stub, or every two of their egos are joined) ends the
     pairing: from there every attempt would fail until the budget is spent.
+    With no stubs, as in many layers, it returns at once and draws nothing.
     """
+    if not stubs:
+        return 0, 0
     pool = np.array(stubs, dtype=np.int64)
     dropped = len(pool) % 2
     if dropped:

@@ -13,13 +13,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import encode_basestring
-from typing import IO, Mapping
+from operator import attrgetter, itemgetter
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .etn import MAX_MINING_K, EtnSignature, MinedCounts, PrefixKeys, prefix_of
+from .etn import EMPTY_TOKEN, MAX_MINING_K, EtnSignature, MinedCounts, PrefixKeys, _Once, prefix_of
 from .tempgraph import PERIODICITIES, BucketKey
 
 FORMAT_NAME = "etngen-model"
@@ -43,17 +44,17 @@ class FitError(ValueError):
     """Counts insufficient to fit a model."""
 
 
-class _Once(dict):
-    """A dict that fills a missing key with `fn(key)`: `fn` runs once per
-    distinct key, however often the key recurs."""
+def _pair_strings(pair: tuple[EtnSignature, int]) -> tuple[int, ...]:
+    return pair[0].strings
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
 
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+def _canonical(pairs: Iterable[tuple[EtnSignature, int]]) -> tuple[tuple[EtnSignature, int], ...]:
+    """(signature, count) pairs in an `ExtensionDistribution`'s order, by
+    the signatures' strings."""
+    return tuple(sorted(pairs, key=_pair_strings))
+
+
+_PAIR_COUNT = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,20 @@ class ExtensionDistribution:
 
     @classmethod
     def from_counter(cls, ctr: Mapping[EtnSignature, int]) -> "ExtensionDistribution":
-        dist = cls._of(ctr)
+        dist = cls._of(_canonical(ctr.items()))
         dist.__post_init__()
         return dist
 
     @classmethod
-    def _of(cls, ctr: Mapping[EtnSignature, int]) -> "ExtensionDistribution":
-        """`from_counter(ctr)` for a counter known to hold at least one
-        signature, each with a positive count, without `__post_init__`'s
-        checks: `fit` and `load_model` build their distributions so."""
+    def _of(cls, extensions: tuple[tuple[EtnSignature, int], ...]) -> "ExtensionDistribution":
+        """The distribution of `extensions`, (signature, count) pairs known
+        to be in canonical order (`_canonical`) and to hold at least one
+        signature, each once and with a positive count, without
+        `__post_init__`'s checks: `fit` and `load_model` build their
+        distributions so."""
         dist = object.__new__(cls)
-        object.__setattr__(dist, "extensions",
-                           tuple(sorted(ctr.items(), key=lambda kv: kv[0].strings)))
-        object.__setattr__(dist, "total", sum(ctr.values()))
+        object.__setattr__(dist, "extensions", extensions)
+        object.__setattr__(dist, "total", sum(map(_PAIR_COUNT, extensions)))
         return dist
 
     def probabilities(self) -> dict[EtnSignature, float]:
@@ -132,7 +134,7 @@ class PickIndex:
 
     def __init__(self, tables: dict, global_tables: dict):
         self._tables, self._global_tables = tables, global_tables
-        self._prefix_keys: dict[int, PrefixKeys] = {}
+        self._depths: dict[int, tuple] = {}
         self._prefix_tables: dict[tuple[BucketKey, int], PrefixTable] = {}
         dists = [*tables.values(), *global_tables.values()]
         # Holding the distributions keeps their ids unique while the index
@@ -141,21 +143,22 @@ class PickIndex:
         self._position = {id(dist): i for i, dist in enumerate(dists)}
         self.total = np.array([dist.total for dist in dists] + [1], dtype=np.int64)
         self.base = np.cumsum(self.total) - self.total
-        parsed: dict[EtnSignature, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        counts, stubs, requests = [], [], []
-        for dist in dists:
-            for sig, count in dist.extensions:
-                entry = parsed.get(sig)
-                if entry is None:
-                    need = Counter(s >> 1 for s in sig.strings if s & 1)
-                    entry = parsed[sig] = (need.pop(0, 0), tuple(sorted(need.items())))
-                counts.append(count)
-                stubs.append(entry[0])
-                requests.append(entry[1])
-        self.cum = np.cumsum(np.array(counts + [1], dtype=np.int64))
-        self.stubs = np.array(stubs + [0], dtype=np.int64)
-        self.requests = requests + [()]
-        self.asks = np.array([bool(r) for r in self.requests])
+        extensions = list(chain.from_iterable(map(attrgetter("extensions"), dists)))
+        self.cum = np.cumsum(np.array([*map(_PAIR_COUNT, extensions), 1], dtype=np.int64))
+        # The same signatures recur in many distributions, as one object
+        # each where `fit` or `load_model` built them: each object's strings
+        # are read once. `at` gives each position its object's slot among
+        # them; the stand-in takes the slot after theirs.
+        sigs = list(map(itemgetter(0), extensions))
+        ids = list(map(id, sigs))
+        first = dict(zip(ids, sigs))
+        slot = dict(zip(first, range(len(first))))
+        needs = [*map(_needs, map(attrgetter("strings"), first.values())), (0, ())]
+        at = np.array([*map(slot.__getitem__, ids), len(first)], dtype=np.int64)
+        requests = list(map(itemgetter(1), needs))
+        self.stubs = np.array(list(map(itemgetter(0), needs)), dtype=np.int64)[at]
+        self.requests = list(map(requests.__getitem__, at.tolist()))
+        self.asks = np.array(list(map(bool, requests)))[at]
 
     def position(self, dist: ExtensionDistribution | None) -> int:
         """The index of `dist`, one of the model's distributions or None."""
@@ -164,22 +167,69 @@ class PickIndex:
     def prefix_table(self, bucket: BucketKey, depth: int) -> "PrefixTable":
         """The lookups of every prefix at (bucket, depth). Its keys are the
         depth's non-empty global prefixes: every bucket cell's prefix is
-        one of them, so any other prefix falls back as a miss does."""
+        one of them, so any other prefix falls back as a miss does.
+
+        Each depth's prefixes answer from the global tables unless the
+        bucket has their cell: a table is the depth's global answers with
+        the bucket's cells written over them. Only the miss and the empty
+        prefix are looked up."""
         table = self._prefix_tables.get((bucket, depth))
         if table is None:
-            keys = self._prefix_keys.get(depth)
-            if keys is None:
-                keys = self._prefix_keys[depth] = PrefixKeys(
-                    [p for d, p in self._global_tables if d == depth and p.strings],
-                    depth)
-            answers = [_lookup(self._tables, self._global_tables, bucket, depth, p)
-                       for p in (*keys.prefixes, None, EtnSignature(depth))]
-            table = self._prefix_tables[bucket, depth] = PrefixTable(
-                keys,
-                np.array([self.position(d) for d, _ in answers], dtype=np.int64),
-                np.array([FALLBACK_LEVELS.index(lv) for _, lv in answers],
-                         dtype=np.int64))
+            keys, row, position, level = self._depth(depth)
+            position, level = position.copy(), level.copy()
+            prefixes, at = self._cells.get((bucket, depth), ((), ()))
+            rows = list(map(row.__getitem__, prefixes))
+            position[rows] = at
+            level[rows] = FALLBACK_LEVELS.index(FALLBACK_NONE)
+            for r, prefix in ((-2, None), (-1, EtnSignature(depth))):
+                dist, lv = _lookup(self._tables, self._global_tables, bucket, depth, prefix)
+                position[r], level[r] = self.position(dist), FALLBACK_LEVELS.index(lv)
+            table = self._prefix_tables[bucket, depth] = PrefixTable(keys, position, level)
         return table
+
+    def _depth(self, depth: int) -> tuple:
+        """The depth's non-empty global prefixes as `PrefixKeys`, each
+        prefix's row, and the rows' global positions and level, with two
+        rows more for the miss and the empty prefix."""
+        found = self._depths.get(depth)
+        if found is None:
+            prefixes, at = [], []
+            for i, (d, prefix) in enumerate(self._global_tables, len(self._tables)):
+                if d == depth and prefix.strings:
+                    prefixes.append(prefix)
+                    at.append(i)
+            found = self._depths[depth] = (
+                PrefixKeys(prefixes, depth), {p: r for r, p in enumerate(prefixes)},
+                np.array(at + [0, 0], dtype=np.int64),
+                np.full(len(at) + 2, FALLBACK_LEVELS.index(FALLBACK_GLOBAL), dtype=np.int64))
+        return found
+
+    @cached_property
+    def _cells(self) -> dict[tuple[BucketKey, int], tuple[list, list]]:
+        """Each (bucket, depth)'s cells of a non-empty prefix, as their
+        prefixes and positions, from one pass over the tables."""
+        cells: dict[tuple[BucketKey, int], tuple[list, list]] = {}
+        for i, (bucket, depth, prefix) in enumerate(self._tables):
+            if prefix.strings:
+                prefixes, at = cells.setdefault((bucket, depth), ([], []))
+                prefixes.append(prefix)
+                at.append(i)
+        return cells
+
+
+def _needs(strings: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """An extension's stubs and requests (`PickIndex`) from its strings.
+    They are sorted, so the odd strings' request bits come ascending."""
+    stubs, requests = 0, []
+    for s in strings:
+        if s & 1:
+            if s == 1:
+                stubs += 1
+            elif requests and requests[-1][0] == s >> 1:
+                requests[-1] = (s >> 1, requests[-1][1] + 1)
+            else:
+                requests.append((s >> 1, 1))
+    return stubs, tuple(requests)
 
 
 @dataclass(frozen=True)
@@ -228,19 +278,12 @@ class LocalModel:
                 continue
             for sig, c in dist.extensions:
                 ctr[sig] = ctr.get(sig, 0) + c
-        return {key: ExtensionDistribution._of(ctr) for key, ctr in acc.items()}
+        return {key: ExtensionDistribution._of(_canonical(ctr.items()))
+                for key, ctr in acc.items()}
 
     @cached_property
     def pick_index(self) -> PickIndex:
         return PickIndex(self.tables, self.global_tables)
-
-
-def _build_model(cells: dict[TableKey, dict[EtnSignature, int]], **meta) -> LocalModel:
-    """The model whose (bucket, depth, prefix) cell counts are `cells`, each
-    non-empty and positive. `meta` holds the remaining `LocalModel`
-    fields."""
-    return LocalModel(tables={key: ExtensionDistribution._of(ctr)
-                              for key, ctr in cells.items()}, **meta)
 
 
 def fit(counts: MinedCounts) -> LocalModel:
@@ -264,10 +307,12 @@ def fit(counts: MinedCounts) -> LocalModel:
     for depth in range(1, counts.k + 1):
         if depth not in depths:
             raise FitError(f"no observations at depth {depth}")
-    return _build_model(cells, k=counts.k, periodicity=counts.periodicity,
-                        gap_seconds=counts.gap_seconds, epoch=counts.epoch,
-                        node_count=counts.node_count,
-                        seed_degrees=tuple(counts.first_layer_degrees))
+    return LocalModel(tables={key: ExtensionDistribution._of(_canonical(ctr.items()))
+                              for key, ctr in cells.items()},
+                      k=counts.k, periodicity=counts.periodicity,
+                      gap_seconds=counts.gap_seconds, epoch=counts.epoch,
+                      node_count=counts.node_count,
+                      seed_degrees=tuple(counts.first_layer_degrees))
 
 
 def lookup_extension(model: LocalModel, bucket: BucketKey, depth: int,
@@ -399,6 +444,101 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _all_typed(values, kind: type, name: str):
+    """`values` if each has JSON type `kind` (`_typed`); the first that does
+    not is named."""
+    if set(map(type, values)) - {kind}:
+        for value in values:
+            _typed(value, kind, name)
+    return values
+
+
+_BUCKET, _DEPTH, _PREFIX, _EXTENSIONS, _SIG, _COUNT = map(
+    itemgetter, ("bucket", "depth", "prefix", "extensions", "sig", "count"))
+
+
+def _cell_name(cell: dict) -> str:
+    return f"{cell['bucket']}/{cell['depth']}/{cell['prefix']}"
+
+
+def _read_cells(doc_cells: list, k: int) -> dict[TableKey, ExtensionDistribution]:
+    """The tables that a model file's `doc_cells` hold, at depths 1..k; a
+    cell that `save_model` would not write is refused."""
+    # The same texts recur in many cells (one per bucket): each width's
+    # distinct texts are decoded in one batch, and which prefix a signature
+    # extends is settled once per distinct signature. Each field is then
+    # read, and each check made, over all cells or all extensions at once;
+    # only a cell's distribution is built by a call of its own.
+    buckets = _Once(lambda text: BucketKey.decode(_typed(text, str, "bucket")))
+    bucket_keys = list(map(buckets.__getitem__, map(_BUCKET, doc_cells)))
+    depths = _all_typed(list(map(_DEPTH, doc_cells)), int, "depth")
+    for depth in depths:
+        if not 1 <= depth <= k:
+            raise ModelFormatError(f"depth {depth} outside 1..{k}")
+    prefix_texts = list(map(_PREFIX, doc_cells))
+    extension_lists = _all_typed(list(map(_EXTENSIONS, doc_cells)), list, "extensions")
+    if not all(extension_lists):
+        raise ModelFormatError("bad table cell: empty distribution")
+    # The extensions, cell after cell, each with its cell's depth and prefix.
+    lengths = list(map(len, extension_lists))
+    extensions = list(chain.from_iterable(extension_lists))
+    ext_depths = list(chain.from_iterable(map(repeat, depths, lengths)))
+    owners = list(chain.from_iterable(map(repeat, prefix_texts, lengths)))
+    codes = list(map(_SIG, extensions))
+    counts = _all_typed(list(map(_COUNT, extensions)), int, "count")
+    if min(counts, default=1) <= 0:
+        raise ModelFormatError(f"non-positive count {next(c for c in counts if c <= 0)}")
+    texts: dict[int, list] = {}  # by width: the prefixes and extensions
+    for depth in set(depths):
+        at = list(map(depth.__eq__, depths))
+        texts.setdefault(depth, []).extend(compress(prefix_texts, at))
+        texts.setdefault(depth + 1, []).extend(
+            map(_SIG, chain.from_iterable(compress(extension_lists, at))))
+    decoded = {width: EtnSignature.decode_all(_all_typed(seen, str, "signature"), width)
+               for width, seen in texts.items()}
+    # The text of each signature's prefix (`prefix_of`), None when the
+    # file holds no text for it. Only the empty signature's text is valid
+    # at several widths, and it extends the empty prefix at each.
+    parent = {EMPTY_TOKEN: EMPTY_TOKEN}
+    for width, sigs in decoded.items():
+        below = {sig.strings: text for text, sig in decoded.get(width - 1, {}).items()}
+        parent.update({text: below.get(tuple([s >> 1 for s in sig.strings if s >> 1]))
+                       for text, sig in sigs.items() if sig.strings})
+    if list(map(parent.__getitem__, codes)) != owners:
+        text, prefix = next((t, p) for t, p in zip(codes, owners) if parent[t] != p)
+        raise ModelFormatError(f"extension {text} does not extend {prefix}")
+    prefixes = map(dict.__getitem__, map(decoded.__getitem__, depths), prefix_texts)
+    keys = list(zip(bucket_keys, depths, prefixes))
+    # Each cell's (signature, count) pairs, in the file's order.
+    width_of = {depth: decoded[depth + 1] for depth in set(depths)}
+    sigs = map(dict.__getitem__, map(width_of.__getitem__, ext_depths), codes)
+    pairs = zip(sigs, counts)
+    dists = [ExtensionDistribution._of(tuple(islice(pairs, n))) for n in lengths]
+    # `save_model` lists a cell's signatures in their order: within one
+    # width, the order of their texts, except that the empty signature,
+    # which extends only the empty prefix, comes first. A cell listed in
+    # another order is sorted, unless it lists a signature twice.
+    rising = np.fromiter(map(str.__lt__, codes, islice(codes, 1, None)),
+                         dtype=bool, count=len(codes) - 1)
+    cell_of = np.arange(len(lengths)).repeat(lengths)
+    unsorted = set(cell_of[1:][~rising & (cell_of[1:] == cell_of[:-1])].tolist())
+    unsorted.update(compress(range(len(lengths)), map(EMPTY_TOKEN.__eq__, prefix_texts)))
+    for i in unsorted:
+        twice = [text for text, n in Counter(map(_SIG, extension_lists[i])).items() if n > 1]
+        if twice:
+            raise ModelFormatError(
+                f"cell {_cell_name(doc_cells[i])} lists extension {twice[0]} twice")
+        dists[i] = ExtensionDistribution._of(_canonical(dists[i].extensions))
+    cells = dict(zip(keys, dists))
+    if len(cells) < len(keys):
+        seen = set()
+        for cell, key in zip(doc_cells, keys):
+            if key in seen:
+                raise ModelFormatError(f"duplicate cell {_cell_name(cell)}")
+            seen.add(key)
+    return cells
+
+
 def load_model(source: IO[str]) -> LocalModel:
     """Inverse of `save_model`; global tables are derived on first read.
     Integer fields must be JSON integers and codes JSON strings, each the
@@ -429,40 +569,8 @@ def load_model(source: IO[str]) -> LocalModel:
     if k > MAX_MINING_K:
         raise ModelFormatError(f"k={k} exceeds the limit of {MAX_MINING_K}")
 
-    # The same texts recur in many cells (one per bucket), so each distinct
-    # text is decoded once per width, and each signature's prefix taken once.
-    buckets = _Once(lambda text: BucketKey.decode(_typed(text, str, "bucket")))
-    codes = _Once(lambda width: _Once(
-        lambda text: EtnSignature.decode(_typed(text, str, "signature"), width)))
-    parents = _Once(prefix_of)
-    cells: dict[TableKey, dict[EtnSignature, int]] = {}
     try:
-        for cell in doc_cells:
-            bucket = buckets[cell["bucket"]]
-            depth = _typed(cell["depth"], int, "depth")
-            if not (1 <= depth <= k):
-                raise ModelFormatError(f"depth {depth} outside 1..{k}")
-            prefix = codes[depth][cell["prefix"]]
-            sigs = codes[depth + 1]
-            ctr: dict[EtnSignature, int] = {}
-            for ext in cell["extensions"]:
-                sig = sigs[ext["sig"]]
-                count = _typed(ext["count"], int, "count")
-                if count <= 0:
-                    raise ModelFormatError(f"non-positive count {count}")
-                # Both are decoded at the cell's widths: their strings decide.
-                if parents[sig].strings != prefix.strings:
-                    raise ModelFormatError(
-                        f"extension {sig.encode()} does not extend {cell['prefix']}")
-                ctr[sig] = ctr.get(sig, 0) + count
-            if not ctr:
-                raise ModelFormatError("bad table cell: empty distribution")
-            key = (bucket, depth, prefix)
-            if key in cells:
-                raise ModelFormatError(f"duplicate cell {cell['bucket']}/{depth}/"
-                                       f"{cell['prefix']}")
-            cells[key] = ctr
-        model = _build_model(cells, **meta)
+        model = LocalModel(tables=_read_cells(doc_cells, k), **meta)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

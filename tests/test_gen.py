@@ -430,6 +430,13 @@ class TestVectorDraws:
         # The one-attempt-at-a-time rule spends its budget to the same end.
         assert pair_stubs_law(stubs, present) == {(frozenset(present), 0, len(stubs)): 1}
 
+    def test_no_stubs_draw_nothing(self):
+        rng, edges = np.random.default_rng(5), {(0, 1), (1, 2)}
+        state = rng.bit_generator.state
+        assert gen._pair_stubs([], edges, rng) == (0, 0)
+        assert edges == {(0, 1), (1, 2)}
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("seed", range(5))
     def test_many_stubs(self, seed):
         stubs = [i % 50 for i in range(2001)]

@@ -18,6 +18,7 @@ from etngen.model import (FALLBACK_EMPTY_BUCKET, FALLBACK_EMPTY_GLOBAL,
 from etngen.tempgraph import BucketKey
 from oracles import json_model_text
 from synth import random_graph, weekly_graph
+from test_gen import without_empty_prefix
 
 
 def sig(*strings):
@@ -376,6 +377,56 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="^bad table cell: empty distribution$"):
             self.load_doc(doc)
 
+    @pytest.mark.parametrize("extensions", [None, 5, {"11": 1}])
+    def test_extensions_not_a_list_rejected(self, extensions):
+        doc = self.saved_doc()
+        doc["tables"][0]["extensions"] = extensions
+        with pytest.raises(ModelFormatError, match="^bad table cell: extensions must be a list"):
+            self.load_doc(doc)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_count_rejected(self, count):
+        doc = self.saved_doc()
+        doc["tables"][0]["extensions"][0]["count"] = count
+        with pytest.raises(ModelFormatError, match=f"non-positive count {count}"):
+            self.load_doc(doc)
+
+    def test_boolean_count_rejected(self):
+        doc = self.saved_doc()
+        doc["tables"][0]["extensions"][0]["count"] = True
+        with pytest.raises(ModelFormatError, match="count must be an integer"):
+            self.load_doc(doc)
+
+    def test_duplicate_cell_rejected(self):
+        doc = self.canonical_doc()
+        doc["tables"].append(json.loads(json.dumps(doc["tables"][1])))
+        assert doc["tables"][1]["bucket"] == "h08"
+        with pytest.raises(ModelFormatError, match="^duplicate cell h08/1/1$"):
+            self.load_doc(doc)
+
+    def test_duplicate_extension_rejected(self):
+        # Merging the two would load a model that no fit makes and that
+        # saves back to other bytes.
+        doc = self.canonical_doc()
+        doc["tables"][1]["extensions"].append({"sig": "11", "count": 3})
+        with pytest.raises(ModelFormatError,
+                           match="^cell h08/1/1 lists extension 11 twice$"):
+            self.load_doc(doc)
+
+    def test_extensions_out_of_order_load_to_the_same_model(self):
+        model = fit(mine_counts(random_graph(n=8, m=10, p=0.3, seed=6), 2, "daily"))
+        sink = io.StringIO()
+        save_model(model, sink)
+        doc = json.loads(sink.getvalue())
+        assert any(len(cell["extensions"]) > 1 for cell in doc["tables"])
+        for cell in doc["tables"]:
+            cell["extensions"].reverse()
+        back = self.load_doc(doc)
+        assert back == model
+        again = io.StringIO()
+        save_model(back, again)
+        assert again.getvalue() == sink.getvalue()
+
     def test_cells_written_one_at_a_time(self):
         model = fit(mine_counts(random_graph(n=8, m=10, p=0.3, seed=6), 2, "daily"))
         writes = []
@@ -476,9 +527,27 @@ class TestPickIndex:
         assert index.stubs[pick] == 0 and not index.asks[pick]
 
     def test_prefix_table_answers_as_lookup(self, model):
+        weekly = fit(mine_counts(weekly_graph(n=8, weeks=1, gap=3600, seed=3), 2, "weekly"))
+        # With no empty-prefix cell at a depth, its miss and empty rows fall
+        # through every level; otherwise the unseen bucket's stop at the
+        # global empty prefix.
+        for variant, last in ((model, FALLBACK_EMPTY_GLOBAL), (weekly, FALLBACK_EMPTY_GLOBAL),
+                              (without_empty_prefix(model, 1), FALLBACK_EMPTY_SIG),
+                              (without_empty_prefix(model, 2), FALLBACK_EMPTY_SIG)):
+            assert last in self.prefix_table_levels(variant)
+
+    @staticmethod
+    def prefix_table_levels(model) -> set[str]:
+        """Check every prefix table of `model` against `lookup_extension`,
+        and give the levels its miss and empty rows answer at."""
         index = model.pick_index
-        # hour 13 holds no window of the graph: every lookup falls back
-        for bucket in {b for b, _, _ in model.tables} | {BucketKey(hour_of_day=13)}:
+        buckets = {b for b, _, _ in model.tables}
+        # A bucket that holds no window of the graph: every lookup falls back.
+        unseen_bucket = next(b for b in (BucketKey(h, d) for d in (
+            (None,) if model.periodicity == "daily" else range(7)) for h in range(24))
+            if b not in buckets)
+        levels = set()
+        for bucket in buckets | {unseen_bucket}:
             for depth in range(1, model.k + 1):
                 table = index.prefix_table(bucket, depth)
                 assert index.prefix_table(bucket, depth) is table
@@ -493,6 +562,8 @@ class TestPickIndex:
                     dist, level = lookup_extension(model, bucket, depth, prefix)
                     assert table.position[row] == index.position(dist)
                     assert FALLBACK_LEVELS[table.level[row]] == level
+                levels.update(FALLBACK_LEVELS[lv] for lv in table.level[-2:].tolist())
+        return levels
 
     def test_global_tables_derived_on_first_read(self, model):
         sink = io.StringIO()
