@@ -5,9 +5,11 @@ Every probe call draws from one numpy stream: the random-walk probes
 lambda). All of a call's walkers, or all of its epidemics, advance in
 lockstep, one layer at a time, as rows of one state matrix, and each layer's
 draws are vectors in row-major (row, item) order. Memory is O(rows x nodes).
-Results are reproducible bit-exactly from the config seed. Each probe call
-builds the graph's arc table once (`tempgraph.layer_arcs`) and reads every
-layer as a slice of it; nothing is cached on the graph.
+Results are reproducible bit-exactly from the config seed. Every probe reads
+each layer as a slice of the graph's arc table (`tempgraph.layer_arcs`):
+`run_dynamics` builds it once and passes it to every probe call, and a
+probe called alone builds its own; nothing is cached on the graph. Walkers
+do no work on a layer without arcs, where none of them can move.
 """
 
 from __future__ import annotations
@@ -99,10 +101,14 @@ def resolve_start(g: TemporalGraph, policy: str) -> int:
     raise ValueError(f"unknown start policy {policy!r}")
 
 
-def _layers(g: TemporalGraph, t_start: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The arcs (source, target) of layers t_start..m-1, slices of one
-    `layer_arcs` table."""
-    src, dst = layer_arcs(g)
+Arcs = tuple[np.ndarray, np.ndarray]  # a graph's `layer_arcs` table
+
+
+def _layers(g: TemporalGraph, t_start: int, arcs: Arcs
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The arcs (source, target) of layers t_start..m-1, slices of the
+    graph's `layer_arcs` table `arcs`."""
+    src, dst = arcs
     bounds = (2 * g.offsets).tolist()
     for a, b in zip(bounds[t_start:], bounds[t_start + 1:]):
         yield src[a:b], dst[a:b]
@@ -121,51 +127,63 @@ def _layer_csr(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _walk_lockstep(g: TemporalGraph, pos: np.ndarray, t_start: int,
-                   rng: np.random.Generator) -> Iterator[np.ndarray]:
+                   rng: np.random.Generator, arcs: Arcs
+                   ) -> Iterator[tuple[np.ndarray, bool]]:
     """Advance walkers at `pos` through layers t_start..m-1, one jump each.
 
-    `pos` is updated in place and yielded after every layer. Per layer, each
-    walker with neighbors jumps to a uniform one, drawn as one integer
-    vector in walker order; a walker with no neighbors waits. Empty layers
-    draw nothing. A single walker thus draws one `rng.integers(degree)`
-    per layer in which it has neighbors, indexing them in ascending order,
-    as a scalar walk on the same generator would.
+    `pos` is updated in place and yielded after every layer, with whether
+    the layer has arcs; after one without, every walker is where it was.
+    Per layer, each walker with neighbors jumps to a uniform one, drawn as
+    one integer vector in walker order; a walker with no neighbors waits.
+    Empty layers draw nothing. A single walker thus draws one
+    `rng.integers(degree)` per layer in which it has neighbors, indexing
+    them in ascending order, as a scalar walk on the same generator would.
     """
     n = g.node_count
-    for src, dst in _layers(g, t_start):
-        if src.size:
-            deg, off = _layer_csr(src, n)
-            d = deg[pos]
-            moving = np.flatnonzero(d)
-            pos[moving] = dst[off[pos[moving]] + rng.integers(0, d[moving])]
-        yield pos
+    for src, dst in _layers(g, t_start, arcs):
+        if not src.size:
+            yield pos, False
+            continue
+        deg, off = _layer_csr(src, n)
+        d = deg[pos]
+        moving = np.flatnonzero(d)
+        pos[moving] = dst[off[pos[moving]] + rng.integers(0, d[moving])]
+        yield pos, True
 
 
-def coverage_result(g: TemporalGraph, cfg: DynConfig) -> CoverageResult:
+def coverage_result(g: TemporalGraph, cfg: DynConfig,
+                    arcs: Arcs | None = None) -> CoverageResult:
     """rw_runs walks from uniform start nodes; sample = distinct nodes seen.
 
     One stream per call, keyed (seed, rw probe): the start nodes are one
     vector draw, then all walkers move in lockstep on the same stream. The
-    visited bitmap takes O(rw_runs x n) memory.
+    visited bitmap takes O(rw_runs x n) memory. `arcs` is the graph's
+    `layer_arcs`, built here when not given.
     """
     cfg.validate()
     t_start = resolve_start(g, cfg.start_policy)
     rng = _stream(cfg.seed, _PROBE_RW)
     pos = rng.integers(0, g.node_count, size=cfg.rw_runs)
-    rows = np.arange(cfg.rw_runs)
-    visited = np.zeros((cfg.rw_runs, g.node_count), dtype=bool)
-    visited[rows, pos] = True
+    row = np.arange(cfg.rw_runs) * g.node_count  # walker w's bits start at row[w]
+    visited = np.zeros(cfg.rw_runs * g.node_count, dtype=bool)
+    visited[row + pos] = True
     seen = np.ones(cfg.rw_runs, dtype=np.int64)
+    total = cfg.rw_runs
     cum: list[int] = []
-    for pos in _walk_lockstep(g, pos, t_start, rng):
-        seen += ~visited[rows, pos]
-        visited[rows, pos] = True
-        cum.append(int(seen.sum()))
+    for pos, moved in _walk_lockstep(g, pos, t_start, rng,
+                                     layer_arcs(g) if arcs is None else arcs):
+        if moved:
+            at = row + pos
+            seen += ~visited[at]
+            visited[at] = True
+            total = int(seen.sum())
+        cum.append(total)
     series = [x / cfg.rw_runs for x in cum]
     return CoverageResult(samples=seen.tolist(), visited_series=series)
 
 
-def mfpt_result(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
+def mfpt_result(g: TemporalGraph, cfg: DynConfig,
+                arcs: Arcs | None = None) -> MfptResult:
     """First-hit steps for every ordered (source, target) pair.
 
     mfpt_repeats walks start at each source at t_start, n x mfpt_repeats
@@ -176,18 +194,23 @@ def mfpt_result(g: TemporalGraph, cfg: DynConfig) -> MfptResult:
     of a walk of its own. Samples come in (source, target, repeat) order;
     a target never reached within the horizon is censored and counted, not
     clamped. The first-hit matrix takes O(n x mfpt_repeats x n) memory.
+    `arcs` is the graph's `layer_arcs`, built here when not given. A layer
+    without arcs moves no walker, so it records no hit.
     """
     cfg.validate()
     t_start = resolve_start(g, cfg.start_policy)
     n, reps = g.node_count, cfg.mfpt_repeats
     rng = _stream(cfg.seed, _PROBE_MFPT)
     pos = np.repeat(np.arange(n), reps)
-    rows = np.arange(n * reps)
-    first = np.zeros((n * reps, n), dtype=np.int32)  # 0: not hit yet
-    first[rows, pos] = -1  # a walk's own source is no target
-    for step, pos in enumerate(_walk_lockstep(g, pos, t_start, rng), start=1):
-        new = first[rows, pos] == 0
-        first[rows[new], pos[new]] = step
+    row = np.arange(n * reps) * n  # walk w's first hits start at row[w]
+    first = np.zeros(n * reps * n, dtype=np.int32)  # 0: not hit yet
+    first[row + pos] = -1  # a walk's own source is no target
+    walks = _walk_lockstep(g, pos, t_start, rng,
+                           layer_arcs(g) if arcs is None else arcs)
+    for step, (pos, moved) in enumerate(walks, start=1):
+        if moved:
+            at = row + pos
+            first[at[first[at] == 0]] = step
     per_pair = first.reshape(n, reps, n).transpose(0, 2, 1)
     return MfptResult(samples=per_pair[per_pair > 0].tolist(),
                       censored=int(np.count_nonzero(per_pair == 0)))
@@ -216,7 +239,7 @@ def _sir_seeds(g: TemporalGraph, policy: str) -> tuple[int, list[int]]:
 
 
 def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
-                  lam: float, mu: float, rng: np.random.Generator
+                  lam: float, mu: float, rng: np.random.Generator, arcs: Arcs
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One epidemic per entry of `seeds`, all advancing through layers
     t_start..m-1 as rows of a (runs x n) infected matrix.
@@ -243,7 +266,7 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
     # Flat views: entry run * n + node.
     infected_flat, susceptible_flat = infected.reshape(-1), susceptible.reshape(-1)
     r0 = np.zeros(runs, dtype=np.int64)
-    for src, dst in _layers(g, t_start):
+    for src, dst in _layers(g, t_start, arcs):
         new = None
         if src.size:
             tries = np.flatnonzero(infected[:, src] & susceptible[:, dst])
@@ -260,7 +283,8 @@ def _sir_lockstep(g: TemporalGraph, seeds: np.ndarray, t_start: int,
             return
 
 
-def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
+def sir_result(g: TemporalGraph, cfg: DynConfig,
+               arcs: Arcs | None = None) -> SirResult:
     """sir_runs epidemics seeded uniformly among nodes with an edge at
     t_start; the mean infected series treats extinct epidemics as zero and
     keeps the full horizon.
@@ -269,15 +293,16 @@ def sir_result(g: TemporalGraph, cfg: DynConfig) -> SirResult:
     one vector draw, then all epidemics run in lockstep on the same stream,
     transmissions before recoveries in each layer, row-major (run, arc) and
     (run, node) order (`_sir_lockstep`). The state takes O(sir_runs x n)
-    memory.
+    memory. `arcs` is the graph's `layer_arcs`, built here when not given.
     """
     cfg.validate()
     t_start, connected = _sir_seeds(g, cfg.start_policy)
     rng = _stream(cfg.seed, _PROBE_SIR, _lam_key(cfg.lam))
     seeds = np.asarray(connected)[rng.integers(len(connected), size=cfg.sir_runs)]
     cum_infected = np.zeros(g.n_snapshots - t_start, dtype=np.int64)
-    for step, (infected, r0) in enumerate(
-            _sir_lockstep(g, seeds, t_start, cfg.lam, cfg.mu, rng)):
+    epidemics = _sir_lockstep(g, seeds, t_start, cfg.lam, cfg.mu, rng,
+                              layer_arcs(g) if arcs is None else arcs)
+    for step, (infected, r0) in enumerate(epidemics):
         cum_infected[step] = np.count_nonzero(infected)
     series = [float(x / cfg.sir_runs) for x in cum_infected]
     return SirResult(samples=r0.tolist(), infected_series=series)
@@ -301,15 +326,18 @@ def run_dynamics(g: TemporalGraph, cfg: DynConfig,
                  starts: Sequence[str] = START_POLICIES,
                  lambdas: Iterable[float] = (0.25, 0.13, 0.01),
                  probes: Sequence[str] = ("rw", "mfpt", "sir")) -> DynReport:
-    """Run the requested probes at every start policy (and lambda for SIR)."""
+    """Run the requested probes at every start policy (and lambda for SIR),
+    all on one `layer_arcs` table of the graph."""
     report = DynReport()
+    arcs = layer_arcs(g)
     for policy in starts:
         run_cfg = replace(cfg, start_policy=policy)
         if "rw" in probes:
-            report.coverage[policy] = coverage_result(g, run_cfg)
+            report.coverage[policy] = coverage_result(g, run_cfg, arcs)
         if "mfpt" in probes:
-            report.mfpt[policy] = mfpt_result(g, run_cfg)
+            report.mfpt[policy] = mfpt_result(g, run_cfg, arcs)
         if "sir" in probes:
             for lam in lambdas:
-                report.sir[(policy, lam)] = sir_result(g, replace(run_cfg, lam=lam))
+                report.sir[(policy, lam)] = sir_result(g, replace(run_cfg, lam=lam),
+                                                       arcs)
     return report

@@ -28,7 +28,7 @@ each caller relaxes forward over them for the values it reads. Per hour
 graph, shortest-path counts sigma and their summed hops H give the node means
 of weighted and unweighted betweenness with no per-node values: a sum over
 node pairs of the mean interior node count of their shortest paths (Brandes
-2008), taken as an exact rational. They agree with networkx to about 1e-15
+2008), summed exactly in integers. They agree with networkx to about 1e-15
 relative, ties being networkx's float `==` ties. An hour whose path counts
 exceed float64's exact integers takes the means of the per-node values
 instead. The full aggregate's per-node betweenness comes from sigma and the
@@ -51,7 +51,6 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import chain, count
 from typing import IO, Iterable, Iterator, Sequence
@@ -499,9 +498,11 @@ def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     n(n-1)(n-2) when n > 2 (over n otherwise, where the sum is 0).
     Unweighted, every shortest path has the pair's hop distance. Weighted
     (length 1/weight), shortest paths are those of networkx's Dijkstra, and
-    the sum of H/sigma over pairs from `_paths_and_hops` is exact: each
-    chunk's H sums per sigma are added as Python fractions, which convert
-    to the correctly rounded float.
+    the sum of H/sigma over pairs from `_paths_and_hops` is exact: the H of
+    the pairs with one shortest path add up as one integer, those of the
+    tied pairs (sigma > 1) as one integer per sigma, and the sum is taken
+    over the lcm of those sigmas, whose integer quotient Python rounds
+    correctly.
 
     None when the summed H reaches 2**53, beyond which float64 path counts
     are not exact; `_centralities` gives the per-node values then.
@@ -510,22 +511,27 @@ def _hour_path_means(graph: _Graph) -> tuple[float, float, float, float] | None:
     n = arcs.n
     rows = []
     hop_total = 0
-    ratio = Fraction(0)  # sum of H/sigma over pairs
+    single = 0  # summed H of the pairs with sigma == 1
+    tied: dict[int, int] = {}  # sigma > 1 -> summed H of its pairs
     for start, hops, dist in _sweep(arcs):
         rows.append(_row_sums(hops))
         sigma, hop_sum = _paths_and_hops(arcs, start, dist, arcs.length)
         hop_total += int(hop_sum.sum())
         if hop_total >= 2 ** 53:
             return None
-        reached = sigma > 0
-        sigmas, group = np.unique(sigma[reached], return_inverse=True)
-        group_hops = np.bincount(group, weights=hop_sum[reached])
-        ratio += sum(Fraction(int(h), int(s)) for h, s in zip(group_hops, sigmas))
+        single += int(hop_sum[sigma == 1].sum())
+        ties = sigma > 1
+        sigmas, group = np.unique(sigma[ties], return_inverse=True)
+        group_hops = np.bincount(group, weights=hop_sum[ties])
+        for s, h in zip(sigmas.astype(np.int64).tolist(), group_hops.tolist()):
+            tied[s] = tied.get(s, 0) + int(h)
     reach, dist_sum, closeness, asp = _hop_sums(rows)
     pairs = int(reach.sum()) - n
     scale = n * (n - 1) * (n - 2) if n > 2 else n
     betweenness_u = (int(dist_sum.sum()) - pairs) / scale
-    betweenness_w = float((ratio - pairs) / scale)
+    den = math.lcm(*tied)
+    num = single * den + sum(h * (den // s) for s, h in tied.items())
+    betweenness_w = (num - pairs * den) / (den * scale)
     return asp, betweenness_w, betweenness_u, _mean(closeness.tolist())
 
 
@@ -579,25 +585,6 @@ def _assortativity(graph: _Graph, degrees: list[int]) -> float:
 def _degrees(adj: list[dict[int, int]]) -> list[int]:
     """Weighted degrees, a self-loop counted twice."""
     return [sum(a.values()) + a.get(u, 0) for u, a in enumerate(adj)]
-
-
-def _modularity(adj: list[dict[int, int]], communities: list[list[int]]) -> float:
-    """networkx's `modularity` at resolution 1: per community, in partition
-    order, internal weight over m minus squared degree sum over (2m)^2. A
-    self-loop counts once in the internal weight."""
-    degree = _degrees(adj)
-    deg_sum = sum(degree)
-    m = deg_sum / 2
-    norm = 1 / deg_sum**2
-
-    def contribution(community: list[int]) -> float:
-        inside = set(community)
-        internal = sum(w for u in community for v, w in adj[u].items()
-                       if v >= u and v in inside)
-        d = sum(degree[u] for u in community)
-        return internal / m - d * d * norm
-
-    return sum(map(contribution, communities))
 
 
 def _one_level(adj: list[dict[int, int]], degrees: list[int], m: float,
@@ -686,19 +673,21 @@ def _gen_graph(adj: list[dict[int, int]], groups: list[list[int]]
 
 def _level_modularity(adj: list[dict[int, int]], degrees: list[int], m: float,
                       norm: float) -> float:
-    """`_modularity` of the partition that `adj`, the next level graph, was
-    made from, with `degrees` its `_degrees` and m and norm those of every
-    level: per node, in order, its self-loop (its community's internal
-    weight) over m minus its degree (its community's degree sum) squared
-    times norm. The same integers and float operations, in one pass."""
+    """networkx's `modularity` at resolution 1 of the partition that `adj`,
+    the next level graph, was made from, with `degrees` its `_degrees` and
+    m and norm those of every level. Per node, in order: its self-loop (its
+    community's internal weight) over m minus its degree (its community's
+    degree sum) squared times norm, the integers and float operations that
+    networkx takes per community in partition order."""
     return sum(a.get(c, 0) / m - d * d * norm
                for c, (a, d) in enumerate(zip(adj, degrees)))
 
 
-def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
+def _louvain(graph: _Graph, seed: int) -> tuple[list[list[int]], float]:
     """Louvain communities (Blondel et al. 2008) as lists of node numbers,
     the partition that networkx 3.6.1's `louvain_communities(G, seed=seed)`
-    returns, in its order.
+    returns, in its order, and its modularity as networkx's `modularity`
+    gives it, bit for bit.
 
     One `random.Random(seed)` shuffles every level's node order. networkx
     first rebuilds the graph from `G.edges()`, which reorders neighbours:
@@ -708,6 +697,8 @@ def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
 
     Each level's modularity is `_level_modularity` of the next level graph;
     the singletons' before the first level is that of the first level graph.
+    The modularity returned is that of the last level whose partition is
+    returned, from the same integers and float operations as networkx's.
     """
     rng = random.Random(seed)
     partition = [[u] for u in range(len(graph.adj))]
@@ -729,11 +720,11 @@ def _louvain(graph: _Graph, seed: int) -> list[list[int]]:
         degrees = _degrees(adj)
         new_mod = _level_modularity(adj, degrees, m, norm)
         if new_mod - mod <= 1e-7:
-            return partition
+            return partition, new_mod
         mod = new_mod
         com, improvement = _one_level(adj, degrees, m, rng)
         if not improvement:
-            return partition
+            return partition, mod
 
 
 def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[float]]:
@@ -763,8 +754,7 @@ def hour_metrics(g: TemporalGraph, louvain_seed: int = 0) -> dict[str, list[floa
                      _mean(paths.betweenness_u), _mean(paths.closeness))
         asp, betweenness_w, betweenness_u, closeness = means
         out["avg_shortest_path"].append(asp)
-        out["modularity"].append(
-            _modularity(graph.adj, _louvain(graph, louvain_seed)))
+        out["modularity"].append(_louvain(graph, louvain_seed)[1])
         out["hour_betweenness_w"].append(betweenness_w)
         out["hour_betweenness_u"].append(betweenness_u)
         out["hour_closeness"].append(closeness)
@@ -815,13 +805,13 @@ def _cdfs(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return fa, fb, np.diff(pooled)
 
 
-def _ks(xa: np.ndarray, xb: np.ndarray) -> float:
-    fa, fb, _ = _cdfs(xa, xb)
+def _ks(cdfs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    fa, fb, _ = cdfs
     return float(np.max(np.abs(fa - fb), initial=0.0))
 
 
-def _emd(xa: np.ndarray, xb: np.ndarray) -> float:
-    fa, fb, deltas = _cdfs(xa, xb)
+def _emd(cdfs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    fa, fb, deltas = cdfs
     return float(np.sum(np.abs(fa - fb) * deltas))
 
 
@@ -846,16 +836,14 @@ def _smoothed_histograms(xa: np.ndarray, xb: np.ndarray
     return p, q
 
 
-def _kl(xa: np.ndarray, xb: np.ndarray) -> float:
-    hists = _smoothed_histograms(xa, xb)
+def _kl(hists: tuple[np.ndarray, np.ndarray] | None) -> float:
     if hists is None:
         return 0.0
     p, q = hists
     return float(np.sum(p * np.log(p / q)))
 
 
-def _js(xa: np.ndarray, xb: np.ndarray) -> float:
-    hists = _smoothed_histograms(xa, xb)
+def _js(hists: tuple[np.ndarray, np.ndarray] | None) -> float:
     if hists is None:
         return 0.0
     p, q = hists
@@ -863,24 +851,36 @@ def _js(xa: np.ndarray, xb: np.ndarray) -> float:
     return float(0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m)))
 
 
+# Each distance of two ascending samples, as what it reads of them (their
+# CDFs or their smoothed histograms) and the function of that.
+_DISTANCES = {"ks": (_cdfs, _ks), "js": (_smoothed_histograms, _js),
+              "kl": (_smoothed_histograms, _kl), "emd": (_cdfs, _emd)}
+
+
+def _distance(name: str, a: Sequence[float], b: Sequence[float], caller: str
+              ) -> float:
+    read, distance = _DISTANCES[name]
+    return distance(read(_ascending(a, caller), _ascending(b, caller)))
+
+
 def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    return _ks(_ascending(a, "ks_distance"), _ascending(b, "ks_distance"))
+    return _distance("ks", a, b, "ks_distance")
 
 
 def kl_divergence(a: Sequence[float], b: Sequence[float]) -> float:
     """KL(p_a || p_b) on smoothed shared-support histograms, natural log."""
-    return _kl(_ascending(a, "divergence"), _ascending(b, "divergence"))
+    return _distance("kl", a, b, "divergence")
 
 
 def js_divergence(a: Sequence[float], b: Sequence[float]) -> float:
     """Jensen-Shannon divergence (natural log, in [0, ln 2])."""
-    return _js(_ascending(a, "divergence"), _ascending(b, "divergence"))
+    return _distance("js", a, b, "divergence")
 
 
 def emd(a: Sequence[float], b: Sequence[float]) -> float:
     """1-D earth-mover distance: integral of |F_a - F_b| between sorted samples."""
-    return _emd(_ascending(a, "emd"), _ascending(b, "emd"))
+    return _distance("emd", a, b, "emd")
 
 
 DISTANCE_FUNCS = {
@@ -889,18 +889,19 @@ DISTANCE_FUNCS = {
     "kl": kl_divergence,
     "emd": emd,
 }
-# The same distances, on samples already sorted by `_ascending`.
-_ON_ASCENDING = {"ks": _ks, "js": _js, "kl": _kl, "emd": _emd}
 
 
 def distances_between(names: Sequence[str], a: Sequence[float], b: Sequence[float]
                       ) -> list[float]:
     """Distances `names` between two sample lists, in order, each list
-    sorted once for all of them; NaN for every name when either is empty."""
+    sorted once and their CDFs and histograms built at most once for all of
+    them; NaN for every name when either is empty."""
     if not len(a) or not len(b):
         return [math.nan] * len(names)
     xa, xb = _ascending(a, "distances_between"), _ascending(b, "distances_between")
-    return [_ON_ASCENDING[name](xa, xb) for name in names]
+    reads = [_DISTANCES[name] for name in names]
+    built = {read: read(xa, xb) for read in dict.fromkeys(read for read, _ in reads)}
+    return [distance(built[read]) for read, distance in reads]
 
 
 def format_cell(value: float) -> str:

@@ -8,7 +8,8 @@ attempt at a time with the exact law of its outcome on a few stubs, and
 request validation with one scalar coin per request,
 networkx, a per-source Brandes sweep and an exact enumeration of
 shortest paths for the shortest-path metrics, a Louvain level that sums
-each node's community weights in a fresh dict, one `random_walk` per run or
+each node's community weights in a fresh dict, modularity summed community
+by community, one `random_walk` per run or
 pair for the walk probes, and one `sir_run` per epidemic for SIR.
 
 The scalar references `extract_etn`, `random_walk` and `sir_run` read each
@@ -434,6 +435,26 @@ def dict_one_level(adj: list[dict[int, int]], m: float, rng: random.Random
                 improvement = True
                 moves += 1
     return com, improvement
+
+
+def _modularity(adj: list[dict[int, int]], communities: list[list[int]]) -> float:
+    """networkx's `modularity` at resolution 1 of a partition of a level
+    graph, community by community from the adjacency: per community, in
+    partition order, internal weight over m minus squared degree sum over
+    (2m)^2. A self-loop counts once in the internal weight."""
+    degree = _degrees(adj)
+    deg_sum = sum(degree)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+
+    def contribution(community: list[int]) -> float:
+        inside = set(community)
+        internal = sum(w for u in community for v, w in adj[u].items()
+                       if v >= u and v in inside)
+        d = sum(degree[u] for u in community)
+        return internal / m - d * d * norm
+
+    return sum(map(contribution, communities))
 
 
 # The per-source reference for the shortest-path metrics: one BFS and one

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -40,6 +41,101 @@ def busy_graph(n=8, m=24, seed=10):
     layers = [set(e) | {(0, 1)}
               for e in er_layers(n, m, 0.25, np.random.default_rng(seed))]
     return TemporalGraph(n, layers, 300, epoch=0)
+
+
+def stretch_graph(seed, n=10, m=60):
+    """Edges in layers t with t % 20 < 12 only, so both the first layer and
+    the middle one have some."""
+    probs = [0.1 if t % 20 < 12 else 0.0 for t in range(m)]
+    return TemporalGraph(n, er_layers(n, m, probs, np.random.default_rng(seed)),
+                         300, epoch=0)
+
+
+# sha256 of every file of `test_golden_dynamics_files`'s eval run.
+GOLDEN_DYNAMICS_FILES = {
+    "distances_dyn.csv":
+        "31bc71de41c7fb3418b3302720e354a80ce6c4f7289bfee8d95e96bd2ccf2b92",
+    "distances_dyn_stability.csv":
+        "854465df4a10d9c157d21c963c38296e12f793599cdfb37b7ead8c4965e20324",
+    "distances_topo.csv":
+        "9ab1a8833f8de59da92f746ff8a03d677cf3bf6eca6caea175d22f5e8aacc736",
+    "metric_samples_gen.csv":
+        "76f8f90513da32d268e9b5bf24ff04afe5a98b32d65e82faf7161e1a77be97ef",
+    "metric_samples_orig.csv":
+        "7118bef4d466b2c3fbc07ecbae7fcce6c0937123b9410d15fad951223731c86b",
+    "samples_coverage_gen_half.csv":
+        "e9f6df8d888f67c87a9277d5af3e1e3929600a350155a5d6d46e7e22986d88ef",
+    "samples_coverage_gen_t0.csv":
+        "e00041902a638ac3d0b8585495639b9e02637c9fa8098fc25fc9627040b8f9cc",
+    "samples_coverage_orig_half.csv":
+        "a41a0596ddb5ffb849e486610ffc629026dffe0f3b27e6a192907afa8d842fe0",
+    "samples_coverage_orig_t0.csv":
+        "9c82f5d98857a92d3c0c330b3d7556cb27f9af637e0817af86b687422acfff3e",
+    "samples_mfpt_gen_half.csv":
+        "525cabba796b4c5ef70c72ab919f08c85ecb881dee5af0f32e501c5dddb679dc",
+    "samples_mfpt_gen_t0.csv":
+        "6690dd5b3f340ab730d10f373b02f9c831615aa83cfac68273632208a31dbfb3",
+    "samples_mfpt_orig_half.csv":
+        "4f8a2057e343ad3990d9eb8a72fe80ff0e8a95a30a9acae3a001ba2cc4dd7a4d",
+    "samples_mfpt_orig_t0.csv":
+        "cd3fcaa4daed7392ff0edf6595d57c120f9681dcefb9127aff6b36603e1e8fb0",
+    "samples_sir_r0_gen_half_lam0.01.csv":
+        "b6cb727ec5b1316a19b7024c9dcbdb93cd3abde0826155bb4d72bf1a7bd0d7fe",
+    "samples_sir_r0_gen_half_lam0.13.csv":
+        "0062717b5bb54ca20930008496b27922410fcdfe052a61b84d6cc2c4c64b07c0",
+    "samples_sir_r0_gen_half_lam0.25.csv":
+        "22f08a0227ef3e693e8feabe45946c37a480815b780773d843c9f0e49e42b379",
+    "samples_sir_r0_gen_t0_lam0.01.csv":
+        "ba201f8c0a5c5ab334431bc23d5283dd4c9027745be483052413a28f213bb5d1",
+    "samples_sir_r0_gen_t0_lam0.13.csv":
+        "f07880af701f3744a6e532bcabc6d06b83417d226f7e12f324f95985612b3e23",
+    "samples_sir_r0_gen_t0_lam0.25.csv":
+        "007da412ab8947a763df2a16e63ed3dc5c84c5e907eda49ef5f7eac97f7d6c2e",
+    "samples_sir_r0_orig_half_lam0.01.csv":
+        "35a5537d3e0b75c19fe3afc4e5917167c8cf85847dd4247cadf80b6624e93740",
+    "samples_sir_r0_orig_half_lam0.13.csv":
+        "1e8eb5aa95e99bbccbe685c11e2fde0af89a97131b2b317f4e7271d8e10ed9ea",
+    "samples_sir_r0_orig_half_lam0.25.csv":
+        "5cd1fc54a384ace45c3457c9f8eaca3bbdffe39e7c05bd3d71fdb684b34d93e6",
+    "samples_sir_r0_orig_t0_lam0.01.csv":
+        "df65f8049c044540ea874356fa1e31104e4a3dd94ef12fe23cca130e15ab6986",
+    "samples_sir_r0_orig_t0_lam0.13.csv":
+        "cde0bed0aeadbec46e989c544e68fb6c3a2b3305e8133ec7fbf6fcedc67b139b",
+    "samples_sir_r0_orig_t0_lam0.25.csv":
+        "f3755035332ead01d92c3f6c9b07295dfbb176e44b4e2c204d31bd1bd3eac058",
+    "series_infected_gen_half_lam0.01.csv":
+        "8e36238265121e9a82c6fd757d13cb430cbc5543ee0eb60384f4bac5c47eb39f",
+    "series_infected_gen_half_lam0.13.csv":
+        "f43cff62bb967af11eb48b1da221a11b659adf39006732882720268400464d4f",
+    "series_infected_gen_half_lam0.25.csv":
+        "f859a4ba3c62c216d96ea128c1b52802849de83b796c416891b5cffbc5230926",
+    "series_infected_gen_t0_lam0.01.csv":
+        "137647805a01fca889175786a3cffb691d26ec2917291d8db68b2a207dd5a5a2",
+    "series_infected_gen_t0_lam0.13.csv":
+        "73fd52aeb727e4734847ff98b4fd7f45882f69b41ea4aab7f531a0d1541543d3",
+    "series_infected_gen_t0_lam0.25.csv":
+        "5254eb90ff58025f14585144611b40e61feeab4b9460fb30609e44b15a35d9d3",
+    "series_infected_orig_half_lam0.01.csv":
+        "19b687c0fa1bc8ad24f23b3ed069e1ce8a0930dd6679f98332753f1bf6f65391",
+    "series_infected_orig_half_lam0.13.csv":
+        "669ee7a97e4a62f9f2187b796dfc4649cf55e8c447664cbae55e81113023b683",
+    "series_infected_orig_half_lam0.25.csv":
+        "ea2f01a7627f9967c620c84ac8fa6291f3b4bc816e34b368630f7c1144bac447",
+    "series_infected_orig_t0_lam0.01.csv":
+        "325cafbc12871ba11d076a0a696527b08a23fd2bb9c36e9f550f16fedc26ed9b",
+    "series_infected_orig_t0_lam0.13.csv":
+        "786b6b81081eba52691ab10589171c08902cef9bda4d7a072c2922fc4fd1b190",
+    "series_infected_orig_t0_lam0.25.csv":
+        "000099f3c2c4c5a536944d41dd903c1990ecd0d8136633d40892435faccba298",
+    "series_visited_gen_half.csv":
+        "955bd3695dd72800d54740977327465ba2375b82bfb19d400a18a663e8b67479",
+    "series_visited_gen_t0.csv":
+        "373a0fc8d9604b7968f7e32b288d607690c6170179c6ccade69e4afbf6a7d7b4",
+    "series_visited_orig_half.csv":
+        "218bf1520e3d1dc49d2fef50af94d82c383844874553ca46e2c762f425fe9a58",
+    "series_visited_orig_t0.csv":
+        "ad2b09560cb75ca024a2f14e67ac9e4ecfbc91bdf2eb9e524ded359a904d95b0",
+}
 
 
 @pytest.fixture()
@@ -578,6 +674,24 @@ class TestEval:
         assert names == sorted(os.listdir(want))
         for name in names:
             assert (out_dir / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_golden_dynamics_files(self, tmp_path):
+        # Graphs with edges in 12 of every 20 layers and none in the other
+        # 8, so the walkers and epidemics cross arc-less stretches from
+        # both starts. The digests were recorded when every probe call
+        # built its own arc table and every distance its own CDFs and
+        # histograms.
+        train = write_graph(tmp_path / "train.tsv", stretch_graph(21))
+        sur = write_graph(tmp_path / "sur.tsv", stretch_graph(22))
+        out_dir = tmp_path / "report"
+        assert main(["eval", train, sur, "--out-dir", str(out_dir),
+                     "--seed", "3", "--dynamics", "rw,mfpt,sir",
+                     "--starts", "t0,half", "--rw-runs", "40",
+                     "--mfpt-repeats", "2", "--sir-runs", "25",
+                     "--stability", "--dump-samples"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        assert digests == GOLDEN_DYNAMICS_FILES
 
     @pytest.mark.parametrize("probes", [[], ["--dynamics", "rw", "--starts",
                                               "t0", "--rw-runs", "5"]])

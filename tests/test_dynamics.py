@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -37,9 +38,15 @@ def matching_graph(n=9, m=14, keep=0.7, seed=0):
 
 
 def walk_traces(g, starts, t_start, rng):
-    """Per-walker position lists from the lockstep kernel."""
-    steps = [pos.copy() for pos in
-             _walk_lockstep(g, np.array(starts), t_start, rng)]
+    """Per-walker position lists from the lockstep kernel, which says of
+    each layer whether it has arcs."""
+    steps = []
+    for (pos, moved), (a, b) in zip(
+            _walk_lockstep(g, np.array(starts), t_start, rng, layer_arcs(g)),
+            zip(g.offsets[t_start:], g.offsets[t_start + 1:])):
+        assert moved == (b > a)
+        steps.append(pos.copy())
+    assert len(steps) == g.n_snapshots - t_start
     return [[int(step[w]) for step in steps] for w in range(len(starts))]
 
 
@@ -56,7 +63,8 @@ def sir_rows(g, seeds, t_start, lam, mu, rng):
     """Per-run r0 and infected series over the full horizon, from the
     lockstep kernel."""
     counts, r0 = [], None
-    for infected, r0 in _sir_lockstep(g, np.array(seeds), t_start, lam, mu, rng):
+    for infected, r0 in _sir_lockstep(g, np.array(seeds), t_start, lam, mu, rng,
+                                      layer_arcs(g)):
         counts.append(infected.sum(axis=1).tolist())
     horizon = g.n_snapshots - t_start
     series = [list(col) + [0] * (horizon - len(counts)) for col in zip(*counts)]
@@ -148,20 +156,111 @@ class TestLayerCsr:
                 assert row == list(adj.get(u, ()))
 
 
+def counting_arc_tables(monkeypatch):
+    """The graphs of every `layer_arcs` call the probes make from now on."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return layer_arcs(g)
+
+    monkeypatch.setattr(dynamics, "layer_arcs", counting)
+    return calls
+
+
 class TestArcTable:
     def test_one_table_per_probe_call(self, monkeypatch):
-        # Each coverage, first-passage and SIR call reads one arc table.
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return layer_arcs(g)
-
-        monkeypatch.setattr(dynamics, "layer_arcs", counting)
+        # A probe called alone builds the arc table itself, once.
+        calls = counting_arc_tables(monkeypatch)
         g = random_graph(n=10, m=30, p=0.2, seed=5)
-        run_dynamics(g, DynConfig(rw_runs=5, mfpt_repeats=1, sir_runs=5),
-                     starts=("t0", "half"), lambdas=(0.25, 0.13, 0.01))
-        assert len(calls) == 2 * (1 + 1 + 3) and all(c is g for c in calls)
+        cfg = DynConfig(rw_runs=5, mfpt_repeats=1, sir_runs=5)
+        for probe in (coverage_result, mfpt_result, sir_result):
+            calls.clear()
+            probe(g, cfg)
+            assert calls == [g]
+
+    def test_one_table_per_run_dynamics_call(self, monkeypatch):
+        # Every coverage, first-passage and SIR call of a run reads one
+        # table, built once for all of them.
+        calls = counting_arc_tables(monkeypatch)
+        g = random_graph(n=10, m=30, p=0.2, seed=5)
+        cfg = DynConfig(rw_runs=5, mfpt_repeats=1, sir_runs=5)
+        args = (("t0", "half"), (0.25, 0.13, 0.01))
+        report = run_dynamics(g, cfg, *args)
+        assert calls == [g]
+        calls.clear()
+        cfgs = {start: replace(cfg, start_policy=start) for start in args[0]}
+        assert report.coverage == {start: coverage_result(g, c)
+                                   for start, c in cfgs.items()}
+        assert report.mfpt == {start: mfpt_result(g, c)
+                               for start, c in cfgs.items()}
+        assert report.sir == {(start, lam): sir_result(g, replace(c, lam=lam))
+                              for start, c in cfgs.items() for lam in args[1]}
+        assert len(calls) == 2 * (1 + 1 + 3)
+
+
+def symmetric_matchings(n, pattern):
+    """Layers on an even cycle of n nodes: "e" the matching {0-1, 2-3, ...},
+    "o" the matching {1-2, 3-4, ..., (n-1)-0}, "." no edge. Rotations by
+    two and the reflection u -> 1 - u (mod n) map each layer onto itself,
+    so every walk and every epidemic with lam and mu in {0, 1} runs the
+    same way from any node: the samples of a probe cannot depend on which
+    nodes its stream draws."""
+    even = {(u, u + 1) for u in range(0, n, 2)}
+    odd = {(u, (u + 1) % n) for u in range(1, n, 2)}
+    return tg(n, [{"e": even, "o": odd, ".": set()}[c] for c in pattern])
+
+
+# Long arc-less stretches. In the first, "half" (layer 10) lies inside a
+# stretch and "t0" and "first_peak" (layer 0) do not; in the second, "t0"
+# does, "half" and "first_peak" (layer 4) do not. Both horizons end in one.
+STRETCHES = ["eoeo" + "." * 8 + "eoe" + "." * 5,
+             "...." + "eoe" + "..." + "oeoe" + "." * 6]
+
+
+class TestArclessStretches:
+    @pytest.mark.parametrize("pattern", STRETCHES)
+    @pytest.mark.parametrize("policy", ["t0", "half", "first_peak"])
+    def test_walk_probes_equal_per_walk_oracles(self, pattern, policy):
+        g = symmetric_matchings(8, pattern)
+        cfg = DynConfig(start_policy=policy, rw_runs=30, mfpt_repeats=2, seed=3)
+        coverage = coverage_result(g, cfg)
+        assert coverage == coverage_per_run(g, cfg)
+        assert mfpt_result(g, cfg) == mfpt_per_pair(g, cfg)
+        assert len(coverage.visited_series) == 20 - resolve_start(g, policy)
+
+    @pytest.mark.parametrize("pattern, policy", [
+        (STRETCHES[0], "t0"), (STRETCHES[1], "half"),
+        (STRETCHES[1], "first_peak")])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    def test_sir_equals_per_run_oracle(self, pattern, policy, lam, mu):
+        g = symmetric_matchings(8, pattern)
+        cfg = DynConfig(start_policy=policy, sir_runs=30, lam=lam, mu=mu, seed=3)
+        assert sir_result(g, cfg) == sir_per_run(g, cfg)
+
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    @pytest.mark.parametrize("policy", ["t0", "half"])
+    def test_matching_walks_across_stretches(self, graph_seed, policy):
+        # Random matchings, with layers 4-11 and 16-19 emptied: layer 10
+        # ("half") lies inside a stretch and the horizon ends in one.
+        g = matching_graph(m=20, seed=graph_seed)
+        layers = [set() if 4 <= t < 12 or t >= 16 else edges
+                  for t, edges in enumerate(layer_edges(g))]
+        g = tg(9, layers)
+        cfg = DynConfig(start_policy=policy, rw_runs=25, mfpt_repeats=3,
+                        seed=graph_seed)
+        expected = mfpt_per_pair(g, cfg)
+        assert expected.samples and expected.censored
+        assert mfpt_result(g, cfg) == expected
+        t_start = resolve_start(g, policy)
+        starts = _stream(cfg.seed, _PROBE_RW).integers(0, 9, size=25).tolist()
+        seen = []
+        for start in starts:
+            trace = random_walk(g, start, t_start, np.random.default_rng(0))
+            seen.append([len({start, *trace[:k]}) for k in range(1, len(trace) + 1)])
+        res = coverage_result(g, cfg)
+        assert res.samples == [walk[-1] for walk in seen]
+        assert res.visited_series == [sum(col) / 25 for col in zip(*seen)]
 
 
 class TestLockstepKernel:

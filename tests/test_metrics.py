@@ -22,11 +22,11 @@ from etngen import (DISTANCE_FUNCS, DISTANCE_NAMES, METRIC_KINDS, AggregatedGrap
 from etngen import metrics
 from etngen.metrics import (_DENSE, _arcs, _assortativity, _centralities,
                             _degrees, _dense_rows, _dependencies, _encode,
-                            _gen_graph, _hour_path_means, _louvain, _modularity,
+                            _gen_graph, _hour_path_means, _louvain,
                             _one_level, _sweep,
                             _transitivity, distances_between, format_cell)
-from oracles import (_path_stats, bisect_ks_distance, dict_contact_durations,
-                     dict_one_level,
+from oracles import (_modularity, _path_stats, bisect_ks_distance,
+                     dict_contact_durations, dict_one_level,
                      exact_betweenness_means, nx_graph, nx_path_metrics, nx_report,
                      nx_snapshot_metrics)
 from synth import layered_graphs, random_graph, sinusoidal_graph
@@ -379,6 +379,42 @@ class TestHourPathMeans:
         assert _hour_path_means(_encode(agg)) is not None
 
 
+def weighted_grid(side):
+    """A side x side grid with weights 1, 2 and 4: every length is a power
+    of two, so float sums are exact and weighted shortest paths tie often."""
+    weights = {}
+    for r in range(side):
+        for c in range(side):
+            u = r * side + c
+            if c + 1 < side:
+                weights[(u, u + 1)] = 2 ** ((r + 2 * c) % 3)
+            if r + 1 < side:
+                weights[(u, u + side)] = 2 ** ((2 * r + c) % 3)
+    return weights
+
+
+class TestTiedPathSums:
+    def test_ties_in_several_chunks(self, monkeypatch):
+        # Each of the five chunks of sources has tied pairs with hundreds of
+        # distinct path counts. The values were recorded when the sum of
+        # H/sigma was a sum of Python fractions.
+        tied_sigmas = []
+        real = metrics._paths_and_hops
+
+        def counting(arcs, start, rows, step):
+            sigma, hop_sum = real(arcs, start, rows, step)
+            if not isinstance(step, int):
+                tied_sigmas.append(np.unique(sigma[sigma > 1]).size)
+            return sigma, hop_sum
+
+        monkeypatch.setattr(metrics, "_paths_and_hops", counting)
+        asp, bw, bu, cl = _hour_path_means(_encode(AggregatedGraph(weighted_grid(20))))
+        assert len(tied_sigmas) == 5 and min(tied_sigmas) > 200
+        assert [asp.hex(), bw.hex(), bu.hex(), cl.hex()] == [
+            "0x1.aaaaaaaaaaaabp+3", "0x1.204f058319e98p-5",
+            "0x1.fbb63e9b3abf4p-6", "0x1.3ab93c75f2501p-4"]
+
+
 def _edge_dict(edges) -> dict:
     return {(i, j): w for i, j, w in edges if i != j}
 
@@ -569,18 +605,20 @@ class TestCentralities:
             [bu[u] for u in range(30)], rel=1e-12, abs=0)
 
 def assert_hour_ports_match_networkx(weights, seed):
-    """Louvain's partition (as an ordered list of sets), modularity to the
-    bit, transitivity and assortativity equal to networkx's on the same
-    graph; a regular graph's assortativity is NaN in networkx, and
-    `hour_metrics` skips it."""
+    """Louvain's partition (as an ordered list of sets), the modularity it
+    returns to the bit (equal to the oracle's from the partition too),
+    transitivity and assortativity equal to networkx's on the same graph; a
+    regular graph's assortativity is NaN in networkx, and `hour_metrics`
+    skips it."""
     agg = AggregatedGraph(weights)
     graph = _encode(agg)
     reference = nx_graph(agg)
     communities = nx.community.louvain_communities(reference, weight="weight",
                                                    seed=seed)
-    ours = _louvain(graph, seed)
+    ours, modularity = _louvain(graph, seed)
     assert [{graph.labels[u] for u in c} for c in ours] == communities
     q = nx.community.modularity(reference, communities, weight="weight")
+    assert modularity.hex() == q.hex()
     assert _modularity(graph.adj, ours).hex() == q.hex()
     degrees = [len(a) for a in graph.adj]
     clustering = float(nx.transitivity(reference))
@@ -941,6 +979,24 @@ class TestCompare:
         a, b = [3, 1.5, 2.0, 1.5], [2.0, -1, 7]
         assert distances_between(DISTANCE_NAMES, a, b) == [
             DISTANCE_FUNCS[name](a, b) for name in DISTANCE_NAMES]
+
+    # Few distinct values, so samples tie within and across the two lists.
+    _SAMPLES = st.lists(st.sampled_from([-2.5, 0.0, 1.0, 1.0 / 3, 7.0, 1e-9])
+                        | st.floats(-1e6, 1e6) | st.integers(-3, 3),
+                        min_size=1, max_size=40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.permutations(DISTANCE_NAMES), _SAMPLES, _SAMPLES)
+    @example(DISTANCE_NAMES, [2.0], [2.0, 2.0, 2.0])  # one-point joint range
+    @example(DISTANCE_NAMES, [1, 1, 2], [2, 1, 1, 2, 2])
+    @example(("kl", "ks", "js", "emd"), [-1.0, 4.0], [0.5])
+    def test_distances_between_equal_each_distance(self, names, a, b):
+        # Shared CDFs and histograms change no bit of any distance.
+        got = distances_between(names, a, b)
+        assert [x.hex() for x in got] == [
+            float(DISTANCE_FUNCS[name](a, b)).hex() for name in names]
+        twice = distances_between(names[:1] * 2, a, b)
+        assert [x.hex() for x in twice] == [got[0].hex()] * 2
 
     def test_cell_format(self):
         assert format_cell(math.nan) == ""
