@@ -103,6 +103,18 @@ def _comma_list(item, allow_empty: bool = False):
     return parse
 
 
+def _lambdas(text: str) -> tuple[float, ...]:
+    """SIR transmission probabilities. Each names its output files and rows
+    by its `{:g}` text, so no two may share one."""
+    lams = _comma_list(probability)(text)
+    texts = [f"{lam:g}" for lam in lams]
+    twice = next((t for t in texts if texts.count(t) > 1), None)
+    if twice is not None:
+        raise argparse.ArgumentTypeError(
+            f"two values print as {twice}, the text that names their outputs")
+    return lams
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="etngen",
                      description="Surrogate temporal networks from egocentric "
@@ -140,9 +152,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--dynamics", default="",
                        type=_comma_list(_token(_PROBE_TOKENS), allow_empty=True),
                        help="comma list of rw,mfpt,sir (empty: topology only)")
-        p.add_argument("--lambdas", type=_comma_list(probability),
-                       default="0.25,0.13,0.01",
-                       help="comma list of SIR transmission probabilities in [0,1]")
+        p.add_argument("--lambdas", type=_lambdas, default="0.25,0.13,0.01",
+                       help="comma list of SIR transmission probabilities in [0,1], "
+                            "no two equal to 6 significant digits")
         p.add_argument("--mu", type=probability, default="0.055",
                        help="SIR recovery probability in [0,1]")
         p.add_argument("--rw-runs", type=positive_int, default=1000,

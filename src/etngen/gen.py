@@ -11,8 +11,9 @@ theirs all at once, packed and ranked as mining's are (`PrefixKeys.rows`),
 and the others share the empty prefix. A finished layer is kept only as its
 edge keys i * n + j (i < j), one sorted int64 array, from which its arc
 keys and, at the end, the surrogate's edge table are read. One search of
-the model's prefix table gives every node its distribution, and one search
-of its `pick_index` picks every extension. All randomness comes from one numpy
+the depth's prefixes in the model's `pick_index` gives every node its
+distribution, in the row of the layer's bucket, and one search of its
+running count sums picks every extension. All randomness comes from one numpy
 generator per surrogate, seeded by the config and drawn in a fixed order:
 degree resampling, the seed layer, then each layer's proposal and its
 validation, with nodes in node order within a layer. So output depends only
@@ -186,19 +187,24 @@ def propose_layer(keys: np.ndarray, bits: np.ndarray, depth: int, n_nodes: int,
     ties; strings active only in the final bit have no identifiable target
     and become stubs.
 
-    One search of the model's prefix table gives each ego the distribution
-    `lookup_extension` answers with and its fallback level, one lookup per
-    ego in `model.fallback_counts`, and one search of its `pick_index`
-    turns all draws into extensions. So a layer's numpy calls do not grow
-    with the egos or the distributions; Python work is left to egos whose
-    extension requests a neighbor, each found by one search of key // n_nodes.
+    One search of the depth's prefixes in the model's `pick_index` gives
+    each ego its column of the depth's answers; the bucket's row holds the
+    distribution `lookup_extension` answers with and its fallback level,
+    one lookup per ego in `model.fallback_counts`. One search of the
+    index's running count sums turns all draws into extensions. So a
+    layer's numpy calls do not grow with the egos or the distributions;
+    Python work is left to egos whose extension requests a neighbor, each
+    found by one search of key // n_nodes.
     """
     index = model.pick_index
-    table = index.prefix_table(bucket, depth)
+    known, position, level = index.answers[depth]
+    b = index.bucket_row(bucket)
     ego = keys // n_nodes
-    row = table.keys.rows(ego, bits, n_nodes)
-    dist_of = table.position[row]
-    levels = np.bincount(table.level[row], minlength=len(FALLBACK_LEVELS)).tolist()
+    row = known.rows(ego, bits, n_nodes)
+    # The bucket's row as a view, then a 1-D take: half the time of a 2-D
+    # index, paid twice per layer.
+    dist_of = position[b][row]
+    levels = np.bincount(level[b][row], minlength=len(FALLBACK_LEVELS)).tolist()
     model.fallback_counts.update({lv: c for lv, c in zip(FALLBACK_LEVELS, levels) if c})
     draws = rng.integers(0, index.total[dist_of])
     picks = index.cum.searchsorted(index.base[dist_of] + draws, side="right")

@@ -128,14 +128,20 @@ class PickIndex:
     by bits; `asks` marks the positions with requests. The stand-in's one
     extension has neither.
 
-    `prefix_table(bucket, depth)` gives, for every prefix at once, the
-    distribution `lookup_extension` answers with; it is built on first use.
+    `answers[depth]` gives `lookup_extension`'s answer for every (bucket,
+    prefix) at a depth in 1..k: the depth's non-empty global prefixes as
+    `PrefixKeys`, and two arrays, `position` (the answer's position) and
+    `level` (its index in `FALLBACK_LEVELS`), of one row per bucket. Row
+    `bucket_row(bucket)` answers a bucket: the model's buckets are numbered
+    in order of first appearance among the cells, and the last row answers
+    any bucket without a cell. Column c < len(keys.prefixes) answers
+    `keys.prefixes[c]`, the next a prefix that no table holds (the column
+    `keys.find` gives a miss), and the last, -1, the empty prefix. Every
+    bucket cell's prefix is one of the depth's global prefixes, so any
+    other prefix falls back as a miss does.
     """
 
-    def __init__(self, tables: dict, global_tables: dict):
-        self._tables, self._global_tables = tables, global_tables
-        self._depths: dict[int, tuple] = {}
-        self._prefix_tables: dict[tuple[BucketKey, int], PrefixTable] = {}
+    def __init__(self, tables: dict, global_tables: dict, k: int):
         dists = [*tables.values(), *global_tables.values()]
         # Holding the distributions keeps their ids unique while the index
         # lives, so `position` can key on them without hashing a table.
@@ -159,62 +165,40 @@ class PickIndex:
         self.stubs = np.array(list(map(itemgetter(0), needs)), dtype=np.int64)[at]
         self.requests = list(map(requests.__getitem__, at.tolist()))
         self.asks = np.array(list(map(bool, requests)))[at]
+        buckets = dict.fromkeys(bucket for bucket, _, _ in tables)
+        self._rows = dict(zip(buckets, range(len(buckets))))
+        self.answers = {depth: self._answers(tables, global_tables, depth)
+                        for depth in range(1, k + 1)}
 
     def position(self, dist: ExtensionDistribution | None) -> int:
         """The index of `dist`, one of the model's distributions or None."""
         return len(self._dists) if dist is None else self._position[id(dist)]
 
-    def prefix_table(self, bucket: BucketKey, depth: int) -> "PrefixTable":
-        """The lookups of every prefix at (bucket, depth). Its keys are the
-        depth's non-empty global prefixes: every bucket cell's prefix is
-        one of them, so any other prefix falls back as a miss does.
+    def bucket_row(self, bucket: BucketKey) -> int:
+        """The row of `answers` that answers `bucket`."""
+        return self._rows.get(bucket, len(self._rows))
 
-        Each depth's prefixes answer from the global tables unless the
-        bucket has their cell: a table is the depth's global answers with
-        the bucket's cells written over them. Only the miss and the empty
-        prefix are looked up."""
-        table = self._prefix_tables.get((bucket, depth))
-        if table is None:
-            keys, row, position, level = self._depth(depth)
-            position, level = position.copy(), level.copy()
-            prefixes, at = self._cells.get((bucket, depth), ((), ()))
-            rows = list(map(row.__getitem__, prefixes))
-            position[rows] = at
-            level[rows] = FALLBACK_LEVELS.index(FALLBACK_NONE)
-            for r, prefix in ((-2, None), (-1, EtnSignature(depth))):
-                dist, lv = _lookup(self._tables, self._global_tables, bucket, depth, prefix)
-                position[r], level[r] = self.position(dist), FALLBACK_LEVELS.index(lv)
-            table = self._prefix_tables[bucket, depth] = PrefixTable(keys, position, level)
-        return table
-
-    def _depth(self, depth: int) -> tuple:
-        """The depth's non-empty global prefixes as `PrefixKeys`, each
-        prefix's row, and the rows' global positions and level, with two
-        rows more for the miss and the empty prefix."""
-        found = self._depths.get(depth)
-        if found is None:
-            prefixes, at = [], []
-            for i, (d, prefix) in enumerate(self._global_tables, len(self._tables)):
-                if d == depth and prefix.strings:
-                    prefixes.append(prefix)
-                    at.append(i)
-            found = self._depths[depth] = (
-                PrefixKeys(prefixes, depth), {p: r for r, p in enumerate(prefixes)},
-                np.array(at + [0, 0], dtype=np.int64),
-                np.full(len(at) + 2, FALLBACK_LEVELS.index(FALLBACK_GLOBAL), dtype=np.int64))
-        return found
-
-    @cached_property
-    def _cells(self) -> dict[tuple[BucketKey, int], tuple[list, list]]:
-        """Each (bucket, depth)'s cells of a non-empty prefix, as their
-        prefixes and positions, from one pass over the tables."""
-        cells: dict[tuple[BucketKey, int], tuple[list, list]] = {}
-        for i, (bucket, depth, prefix) in enumerate(self._tables):
-            if prefix.strings:
-                prefixes, at = cells.setdefault((bucket, depth), ([], []))
-                prefixes.append(prefix)
+    def _answers(self, tables: dict, global_tables: dict, depth: int) -> tuple:
+        """`answers[depth]`. A prefix answers from the global tables unless
+        its bucket has its cell; only the miss and the empty prefix are
+        looked up, once per row."""
+        column, at = {}, []
+        for i, (d, prefix) in enumerate(global_tables, len(tables)):
+            if d == depth and prefix.strings:
+                column[prefix] = len(at)
                 at.append(i)
-        return cells
+        position = np.tile(np.array(at + [0, 0], dtype=np.int64), (len(self._rows) + 1, 1))
+        level = np.full(position.shape, FALLBACK_LEVELS.index(FALLBACK_GLOBAL), dtype=np.int64)
+        cells = [(self._rows[bucket], column[prefix], i)
+                 for i, (bucket, d, prefix) in enumerate(tables) if d == depth and prefix.strings]
+        rows, columns, cell_at = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        position[rows, columns] = cell_at
+        level[rows, columns] = FALLBACK_LEVELS.index(FALLBACK_NONE)
+        for r, bucket in enumerate([*self._rows, None]):
+            for c, prefix in ((-2, None), (-1, EtnSignature(depth))):
+                dist, lv = _lookup(tables, global_tables, bucket, depth, prefix)
+                position[r, c], level[r, c] = self.position(dist), FALLBACK_LEVELS.index(lv)
+        return PrefixKeys(list(column), depth), position, level
 
 
 def _needs(strings: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -230,19 +214,6 @@ def _needs(strings: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
             else:
                 requests.append((s >> 1, 1))
     return stubs, tuple(requests)
-
-
-@dataclass(frozen=True)
-class PrefixTable:
-    """`lookup_extension`'s answer for every prefix at one (bucket, depth),
-    by row: row i < len(keys.prefixes) answers `keys.prefixes[i]`, the next
-    row a prefix that no table holds (the row `keys.find` gives a miss),
-    and the last row, -1, the empty prefix. `position` is the answer's
-    `PickIndex` position, `level` its index in `FALLBACK_LEVELS`."""
-
-    keys: PrefixKeys
-    position: np.ndarray
-    level: np.ndarray
 
 
 @dataclass
@@ -283,7 +254,7 @@ class LocalModel:
 
     @cached_property
     def pick_index(self) -> PickIndex:
-        return PickIndex(self.tables, self.global_tables)
+        return PickIndex(self.tables, self.global_tables, self.k)
 
 
 def fit(counts: MinedCounts) -> LocalModel:

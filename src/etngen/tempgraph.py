@@ -585,8 +585,10 @@ def aggregate(g: TemporalGraph) -> AggregatedGraph:
 
 
 def require_hour_aligned(gap_seconds: int) -> None:
-    """Raise ValueError unless the gap divides 3600 or 3600 divides the gap,
-    so that no layer straddles an hour boundary."""
+    """Raise ValueError unless the gap divides 3600 or 3600 divides the gap.
+    A layer counts in the hour where it starts (`hour_slices`): with an
+    epoch off the hour grid it may straddle an hour boundary (gap 300,
+    epoch 100: layer 11 spans 3,400-3,700 s)."""
     if SECONDS_PER_HOUR % gap_seconds != 0 and gap_seconds % SECONDS_PER_HOUR != 0:
         raise ValueError(f"gap {gap_seconds} does not align with hour boundaries")
 

@@ -5,9 +5,12 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,7 +365,7 @@ class TestGenerate:
                      "--out", str(tmp_path / "s.tsv")]) == 1
 
     def test_truncated_model_is_data_error(self, model_path, tmp_path):
-        text = open(model_path, encoding="utf-8").read()
+        text = Path(model_path).read_text(encoding="utf-8")
         broken = tmp_path / "broken.json"
         broken.write_text(text[: len(text) // 2])
         assert main(["generate", str(broken), "--out", str(tmp_path / "s.tsv"),
@@ -385,7 +388,7 @@ class TestGenerate:
         assert "etngen: error:" in capsys.readouterr().err
 
     def test_inconsistent_model_is_data_error(self, model_path, tmp_path):
-        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
         doc["seed_degrees"].append(1)
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
@@ -393,7 +396,7 @@ class TestGenerate:
                      "--snapshots", "12"]) == 2
 
     def test_huge_k_names_one_missing_depth(self, model_path, tmp_path, capsys):
-        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
         assert {cell["depth"] for cell in doc["tables"]} == {1, 2}
         doc["k"] = MAX_MINING_K  # the largest k a model may declare
         broken = tmp_path / "broken.json"
@@ -406,7 +409,7 @@ class TestGenerate:
 
     def test_k_above_the_packing_limit_is_data_error(self, model_path, tmp_path,
                                                      capsys):
-        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
         doc["k"] = MAX_MINING_K + 1
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
@@ -436,7 +439,7 @@ class TestGenerate:
     @pytest.mark.parametrize("degree", [-1, 8, 60])
     def test_model_seed_degree_outside_node_range(self, model_path, tmp_path,
                                                    capsys, degree):
-        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
         doc["seed_degrees"][0] = degree  # 8 nodes
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
@@ -745,6 +748,24 @@ def test_bad_eval_flag_fails_before_any_work(train, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["eval", "pipeline"])
+@pytest.mark.parametrize("lambdas", ["0.25,0.2500001", "0.1,0.1", "0.5,0.13,0.5"])
+def test_lambdas_sharing_a_name_fail_before_any_file_is_read(tmp_path, capsys, command,
+                                                              lambdas):
+    # Each lambda's files and rows are named by its `{:g}` text: two that
+    # print alike would overwrite each other's files. The inputs do not
+    # exist, so reading one would be a data error (exit 2).
+    out_dir = tmp_path / "out"
+    missing = str(tmp_path / "missing.tsv")
+    inputs = [missing, missing] if command == "eval" else [missing]
+    assert main([command, *inputs, "--out-dir", str(out_dir), "--dynamics", "sir",
+                 "--starts", "t0", "--lambdas", lambdas, "--sir-runs", "5"]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.count("etngen: error:") == 1 and "--lambdas" in err
+    assert "print as " + lambdas.split(",")[0] in err
+
+
+@pytest.mark.parametrize("command", ["eval", "pipeline"])
 def test_gap_off_the_hour_fails_before_any_work(tmp_path, capsys, command):
     g = TemporalGraph(4, [{(0, 1)}, {(1, 2)}] * 8, 7)
     path = write_graph(tmp_path / "gap7.tsv", g)
@@ -1020,6 +1041,13 @@ class TestTopLevel:
 
     def test_missing_subcommand(self):
         assert main([]) == 1
+
+    def test_module_runs_as_program(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "etngen", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: etngen")
 
 
 def _config_keys(command):

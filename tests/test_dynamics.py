@@ -89,6 +89,10 @@ class TestFirstPeak:
         g = tg(6, [{(0, 1)}, {(0, 1), (2, 3)}, {(0, 1), (2, 3), (4, 5)}])
         assert first_peak(g) == 2
 
+    def test_no_snapshots_rejected(self):
+        with pytest.raises(ValueError, match="empty snapshot sequence"):
+            first_peak(tg(3, []))
+
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError, match="no edges"):
             first_peak(tg(3, [set(), set()]))

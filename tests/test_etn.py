@@ -573,6 +573,15 @@ class TestCountDump:
         write_counts(mine_counts(g, 1, "daily"), sink)
         assert sink.getvalue() == "h00\t1\t11\t2\n"
 
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# counts\n\nh00\t1\t11\t2\n   \n#h01\t1\t11\t5\n"
+        assert read_counts(io.StringIO(text)) == {
+            BucketKey(0): {1: Counter({EtnSignature.decode("11", 2): 2})}}
+
+    def test_line_with_three_fields(self):
+        with pytest.raises(ValueError, match="line 2: expected 4 fields, got 3"):
+            read_counts(io.StringIO("h00\t1\t11\t2\nh00\t1\t11\n"))
+
 
 class TestCosineDistance:
     def test_identical_maps(self):

@@ -260,19 +260,22 @@ def rows_recorded():
 
 
 def assert_rows_answer_as_lookup(model, bucket, depth, prefixes, known, rows):
-    """Each ego's row of the model's (bucket, depth) prefix table answers
-    as `lookup_extension` on the ego's prefix (`prefixes`, in ego order):
-    the same distribution and fallback level. Returns each ego's
-    distribution."""
+    """Each ego's column, in the bucket's row of the model's answers at
+    `depth`, answers as `lookup_extension` on the ego's prefix (`prefixes`,
+    in ego order): the same distribution and fallback level. A bucket
+    without a cell reads the last row. Returns each ego's distribution."""
     index = model.pick_index
-    table = index.prefix_table(bucket, depth)
-    assert known is table.keys
+    keys, position, level = index.answers[depth]
+    assert known is keys
+    b = index.bucket_row(bucket)
+    has_cell = any(cell_bucket == bucket for cell_bucket, _, _ in model.tables)
+    assert (b < len(position) - 1) == has_cell
     assert len(rows) == len(prefixes)
     dists = []
     for prefix, row in zip(prefixes, rows.tolist()):
-        dist, level = lookup_extension(model, bucket, depth, prefix)
-        assert table.position[row] == index.position(dist), prefix
-        assert FALLBACK_LEVELS[table.level[row]] == level, prefix
+        dist, lv = lookup_extension(model, bucket, depth, prefix)
+        assert position[b, row] == index.position(dist), prefix
+        assert FALLBACK_LEVELS[level[b, row]] == lv, prefix
         dists.append(dist)
     return dists
 
@@ -733,6 +736,28 @@ class TestRollingWindow:
             assert_rows_answer_as_lookup(model, *layers[t - 1][:2], want,
                                          *layers[t - 1][2:])
         assert sum(not p.is_empty for layer in prefixes for p in layer) > m
+
+    def test_weekly_model_answers_hours_without_cells(self, monkeypatch):
+        # Fitted on six hours of a Monday and grown over 30 hours: most
+        # layers fall in hours with no cell, which the last row answers.
+        g = random_graph(n=8, m=6, p=0.4, gap=3600, epoch=MONDAY_EPOCH + 10 * 3600, seed=4)
+        model = fit(mine_counts(g, 2, "weekly"))
+        real_propose = gen.propose_layer
+        rows_read = Counter()
+
+        def propose(keys, bits, depth, n, model, bucket, rng):
+            prefixes = window_prefixes((keys, bits, depth, n))
+            with rows_recorded() as seen:
+                prov = real_propose(keys, bits, depth, n, model, bucket, rng)
+            (known, rows), = seen
+            assert_rows_answer_as_lookup(model, bucket, depth, prefixes, known, rows)
+            rows_read[model.pick_index.bucket_row(bucket)] += 1
+            return prov
+
+        monkeypatch.setattr(gen, "propose_layer", propose)
+        generate(model, GenConfig(n_nodes=8, n_snapshots=30, seed=3))
+        no_cell = len(model.pick_index.answers[2][1]) - 1
+        assert rows_read[no_cell] == 24 and sum(rows_read.values()) == 29
 
     def test_one_lookup_tallied_per_ego_and_layer(self, model):
         model.fallback_counts.clear()

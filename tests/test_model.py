@@ -324,6 +324,13 @@ class TestSaveLoad:
     def test_saved_doc_loads(self):
         assert self.load_doc(self.saved_doc()).k == 2
 
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_cell_depth_outside_1_to_k_rejected(self, depth):
+        doc = self.saved_doc()
+        doc["tables"][-1]["depth"] = depth
+        with pytest.raises(ModelFormatError, match=f"depth {depth} outside 1..2"):
+            self.load_doc(doc)
+
     def test_foreign_bucket_periodicity_rejected(self):
         doc = self.saved_doc()
         doc["tables"][0]["bucket"] = "d2" + doc["tables"][0]["bucket"]
@@ -526,43 +533,45 @@ class TestPickIndex:
         pick = np.searchsorted(index.cum, index.base[none], side="right")
         assert index.stubs[pick] == 0 and not index.asks[pick]
 
-    def test_prefix_table_answers_as_lookup(self, model):
+    def test_answers_as_lookup(self, model):
         weekly = fit(mine_counts(weekly_graph(n=8, weeks=1, gap=3600, seed=3), 2, "weekly"))
-        # With no empty-prefix cell at a depth, its miss and empty rows fall
-        # through every level; otherwise the unseen bucket's stop at the
-        # global empty prefix.
+        # With no empty-prefix cell at a depth, its miss and empty columns
+        # fall through every level; otherwise the unseen bucket's stop at
+        # the global empty prefix.
         for variant, last in ((model, FALLBACK_EMPTY_GLOBAL), (weekly, FALLBACK_EMPTY_GLOBAL),
                               (without_empty_prefix(model, 1), FALLBACK_EMPTY_SIG),
                               (without_empty_prefix(model, 2), FALLBACK_EMPTY_SIG)):
-            assert last in self.prefix_table_levels(variant)
+            assert last in self.answer_levels(variant)
 
     @staticmethod
-    def prefix_table_levels(model) -> set[str]:
-        """Check every prefix table of `model` against `lookup_extension`,
-        and give the levels its miss and empty rows answer at."""
+    def answer_levels(model) -> set[str]:
+        """Check every (bucket row, prefix column) of every depth's answers
+        of `model` against `lookup_extension`, and give the levels its miss
+        and empty columns answer at."""
         index = model.pick_index
-        buckets = {b for b, _, _ in model.tables}
+        buckets = list(dict.fromkeys(b for b, _, _ in model.tables))
         # A bucket that holds no window of the graph: every lookup falls back.
         unseen_bucket = next(b for b in (BucketKey(h, d) for d in (
             (None,) if model.periodicity == "daily" else range(7)) for h in range(24))
             if b not in buckets)
+        rows = [*buckets, unseen_bucket]
+        assert [index.bucket_row(b) for b in rows] == list(range(len(rows)))
+        assert list(index.answers) == list(range(1, model.k + 1))
         levels = set()
-        for bucket in buckets | {unseen_bucket}:
-            for depth in range(1, model.k + 1):
-                table = index.prefix_table(bucket, depth)
-                assert index.prefix_table(bucket, depth) is table
-                prefixes = table.keys.prefixes
-                assert sorted(prefixes, key=lambda p: p.strings) == sorted(
-                    (p for d, p in model.global_tables if d == depth and p.strings),
-                    key=lambda p: p.strings)
-                unseen = EtnSignature(depth, (1,) * 70)  # no table holds it
-                rows = [*prefixes, unseen, EtnSignature(depth)]
-                assert len(table.position) == len(table.level) == len(rows)
-                for row, prefix in enumerate(rows):
-                    dist, level = lookup_extension(model, bucket, depth, prefix)
-                    assert table.position[row] == index.position(dist)
-                    assert FALLBACK_LEVELS[table.level[row]] == level
-                levels.update(FALLBACK_LEVELS[lv] for lv in table.level[-2:].tolist())
+        for depth, (keys, position, level) in index.answers.items():
+            prefixes = keys.prefixes
+            assert sorted(prefixes, key=lambda p: p.strings) == sorted(
+                (p for d, p in model.global_tables if d == depth and p.strings),
+                key=lambda p: p.strings)
+            unseen = EtnSignature(depth, (1,) * 70)  # no table holds it
+            columns = [*prefixes, unseen, EtnSignature(depth)]
+            assert position.shape == level.shape == (len(rows), len(columns))
+            for r, bucket in enumerate(rows):
+                for c, prefix in enumerate(columns):
+                    dist, lv = lookup_extension(model, bucket, depth, prefix)
+                    assert position[r, c] == index.position(dist), (bucket, prefix)
+                    assert FALLBACK_LEVELS[level[r, c]] == lv, (bucket, prefix)
+            levels.update(FALLBACK_LEVELS[lv] for lv in level[:, -2:].ravel().tolist())
         return levels
 
     def test_global_tables_derived_on_first_read(self, model):

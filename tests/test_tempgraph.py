@@ -105,6 +105,15 @@ class TestParse:
         with pytest.raises(ParseError, match="conflicts"):
             parse_edge_list(lines("#gap=300\n0\ta\tb\n"), gap_seconds=600)
 
+    @pytest.mark.parametrize("header", ["#gap=0", "#gap=-300"])
+    def test_header_gap_not_positive(self, header):
+        with pytest.raises(ParseError, match="gap must be positive"):
+            parse_edge_list(lines(f"{header}\n0\ta\tb\n"))
+
+    def test_gap_seconds_zero(self):
+        with pytest.raises(ParseError, match="gap_seconds must be positive, got 0"):
+            parse_edge_list(lines("0\ta\tb\n"), gap_seconds=0)
+
     def test_duplicate_events_collapse(self):
         g = parse_edge_list(lines("0\ta\tb\n10\tb\ta\n"), gap_seconds=300)
         assert len(layer_edges(g)[0]) == 1
@@ -291,6 +300,11 @@ class TestBuckets:
     def test_decode_rejects_garbage(self):
         with pytest.raises(ValueError):
             BucketKey.decode("x07")
+
+    @pytest.mark.parametrize("text", ["dxh08", "d1hxx"])
+    def test_decode_rejects_a_field_that_is_not_a_number(self, text):
+        with pytest.raises(ValueError, match=f"bad bucket key '{text}'"):
+            BucketKey.decode(text)
 
     def test_validation(self):
         with pytest.raises(ValueError):
